@@ -8,6 +8,11 @@ yielding exact first-order gradients for every weight, bias and latent
 input. Only the fixed layer structure below is supported; there is no
 general computation graph, no GPU path and no second-order derivatives.
 
+One private layer loop runs every forward pass; `forward` (values only,
+nothing kept), `forward_cached` (values plus the intermediates `backward`
+needs) and `forward_aug` (values, Jacobians and intermediates) are its
+three entry points.
+
 All arithmetic is float64 and fully vectorized over the point batch, so
 identical inputs produce bit-identical outputs.
 """
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, StructuralError
+from .errors import StructuralError
 
 ACT_SINE = "sine"
 ACT_RELU = "relu"
@@ -65,14 +70,6 @@ class MLPParams:
 
     def n_params(self):
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def copy(self):
-        return MLPParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activations,
-            self.omega0,
-        )
 
     def validate(self):
         if not self.weights or len(self.weights) != len(self.biases):
@@ -125,30 +122,6 @@ class MLPGrads:
     weights: list
     biases: list
 
-    @classmethod
-    def zeros_like(cls, params):
-        return cls(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-        )
-
-    def add_(self, other, scale=1.0):
-        for gw, ow in zip(self.weights, other.weights):
-            gw += scale * ow
-        for gb, ob in zip(self.biases, other.biases):
-            gb += scale * ob
-        return self
-
-    def scale_(self, scale):
-        for gw in self.weights:
-            gw *= scale
-        for gb in self.biases:
-            gb *= scale
-        return self
-
-    def all_finite(self):
-        return all(np.isfinite(a).all() for a in self.weights + self.biases)
-
 
 def pack_params(weights, biases):
     """Flatten per-layer (W, b) pairs into one vector: row-major W then b."""
@@ -192,18 +165,44 @@ def _as_batch(x, in_dim):
     return x, single
 
 
+def _layers(params, x, jac=None, keep=False):
+    """The forward layer loop shared by every entry point below.
+
+    Propagates the Jacobian `jac` (N, in, K) alongside the values when it
+    is given. With `keep`, returns a ForwardCache holding each layer's
+    (z_prev, jac_prev, pre, jac_pre); otherwise nothing is retained, so a
+    value-only pass over a large batch holds one layer at a time.
+    """
+    cache = ForwardCache(x=x, track_jac=jac is not None) if keep else None
+    omega = params.omega0
+    z = x
+    jac_pre = None
+    for w, b, act in zip(params.weights, params.biases, params.activations):
+        pre = z @ w.T + b
+        if jac is not None:
+            jac_pre = np.matmul(w, jac)
+        if keep:
+            cache.layers.append((z, jac, pre, jac_pre))
+        if act == ACT_SINE:
+            # omega * pre is formed twice rather than held: in a value-only
+            # pass that extra (N, width) array would raise peak memory
+            if jac is not None:
+                jac = (omega * np.cos(omega * pre))[:, :, None] * jac_pre
+            z = np.sin(omega * pre)
+        elif act == ACT_RELU:
+            z = np.maximum(pre, 0.0)
+            if jac is not None:
+                jac = np.where((pre > 0.0)[:, :, None], jac_pre, 0.0)
+        else:
+            z = pre
+            jac = jac_pre
+    return z, jac, cache
+
+
 def forward(params, x):
     """Value-only evaluation. x: (N, in) or (in,) -> (N, out) or (out,)."""
     x, single = _as_batch(x, params.in_dim)
-    z = x
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        pre = z @ w.T + b
-        if act == ACT_SINE:
-            z = np.sin(params.omega0 * pre)
-        elif act == ACT_RELU:
-            z = np.maximum(pre, 0.0)
-        else:
-            z = pre
+    z, _, _ = _layers(params, x)
     return z[0] if single else z
 
 
@@ -222,40 +221,13 @@ def forward_aug(params, x, jac_in=None):
         jac = np.asarray(jac_in, dtype=np.float64)
         if jac.shape[:2] != (n, params.in_dim):
             raise StructuralError(f"jac_in shape {jac.shape} incompatible with ({n}, {params.in_dim}, K)")
-    cache = ForwardCache(x=x, track_jac=True)
-    z = x
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        pre = z @ w.T + b
-        jac_pre = np.matmul(w, jac)
-        cache.layers.append((z, jac, pre, jac_pre))
-        if act == ACT_SINE:
-            c = params.omega0 * np.cos(params.omega0 * pre)
-            z = np.sin(params.omega0 * pre)
-            jac = c[:, :, None] * jac_pre
-        elif act == ACT_RELU:
-            m = pre > 0.0
-            z = np.where(m, pre, 0.0)
-            jac = np.where(m[:, :, None], jac_pre, 0.0)
-        else:
-            z = pre
-            jac = jac_pre
-    return z, jac, cache
+    return _layers(params, x, jac, keep=True)
 
 
 def forward_cached(params, x):
     """Value-only evaluation retaining intermediates for backward()."""
     x, _ = _as_batch(x, params.in_dim)
-    cache = ForwardCache(x=x, track_jac=False)
-    z = x
-    for w, b, act in zip(params.weights, params.biases, params.activations):
-        pre = z @ w.T + b
-        cache.layers.append((z, None, pre, None))
-        if act == ACT_SINE:
-            z = np.sin(params.omega0 * pre)
-        elif act == ACT_RELU:
-            z = np.maximum(pre, 0.0)
-        else:
-            z = pre
+    z, _, cache = _layers(params, x, keep=True)
     return z, cache
 
 
@@ -309,49 +281,10 @@ def backward(params, cache, gy, gjac=None):
 
 
 # ---------------------------------------------------------------------------
-# public field evaluation
-
-
-@dataclass
-class FieldEval:
-    """Field value and its spatial gradient at one point."""
-
-    value: float
-    spatial_grad: np.ndarray
-
-
-def eval_with_spatial_grad(params, x):
-    """Evaluate a scalar field network at one 3D point.
-
-    Returns the output value and its exact gradient w.r.t. x, propagated
-    analytically through the sine layers.
-    """
-    params.validate()
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.in_dim,):
-        raise StructuralError(f"point shape {x.shape} incompatible with input dim {params.in_dim}")
-    if not np.isfinite(x).all():
-        raise StructuralError("input point has non-finite entries")
-    y, jac, _ = forward_aug(params, x[None, :])
-    if params.out_dim == 1:
-        return FieldEval(float(y[0, 0]), jac[0, 0].copy())
-    return FieldEval(y[0].copy(), jac[0].copy())
-
-
-# ---------------------------------------------------------------------------
 # pointwise loss terms
 #
 # Each helper returns (term_value, adjoints...) with the mean already taken
 # over the batch, so combined losses stay decoupled from point counts.
-
-
-def term_value_l1(y, targets):
-    """mean |y - s| and its adjoint w.r.t. y."""
-    r = y - targets
-    per_point = np.abs(r)
-    val = per_point.mean()
-    gy = np.sign(r) / r.size
-    return val, per_point, gy
 
 
 def term_grad_alignment(jac, normals):
@@ -381,140 +314,11 @@ def term_eikonal(jac):
     return val, per_point, gjac
 
 
-def term_spike(y, delta):
-    """mean exp(-delta |y|), penalizing near-zero values off the surface."""
-    per_point = np.exp(-delta * np.abs(y))
-    val = per_point.mean()
-    gy = -delta * np.sign(y) * per_point / y.size
-    return val, per_point, gy
-
-
 def term_latent_l2(z):
     """||z||_2 and its adjoint (zero at the origin)."""
     norm = float(np.linalg.norm(z))
     gz = z / norm if norm > 0 else np.zeros_like(z)
     return norm, gz
-
-
-# ---------------------------------------------------------------------------
-# composed scalar losses over a single network
-
-
-@dataclass
-class LossSpec:
-    """Weighted combination of the pointwise terms above.
-
-    Field terms apply to the network output (and its spatial gradient) at
-    the batch points; the latent term applies to each latent code.
-    """
-
-    w_value_l1: float = 0.0
-    targets: np.ndarray | None = None
-    w_grad_alignment: float = 0.0
-    normals: np.ndarray | None = None
-    w_eikonal: float = 0.0
-    w_spike: float = 0.0
-    spike_delta: float = 100.0
-    w_latent: float = 0.0
-
-    def needs_jacobian(self):
-        return self.w_grad_alignment != 0.0 or self.w_eikonal != 0.0
-
-
-@dataclass
-class GradientBundle:
-    """Scalar loss plus gradients for every parameter group involved."""
-
-    loss: float
-    param_grads: list  # one MLPGrads per network
-    latent_grads: list = field(default_factory=list)  # one array per latent
-    pose_grad: np.ndarray | None = None  # (9,) = 6D rotation + translation
-
-    def check_finite(self, context=""):
-        if not np.isfinite(self.loss):
-            raise NumericError(f"non-finite loss{' in ' + context if context else ''}")
-        for g in self.param_grads:
-            if not g.all_finite():
-                raise NumericError(f"non-finite parameter gradient{' in ' + context if context else ''}")
-        for g in self.latent_grads:
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite latent gradient{' in ' + context if context else ''}")
-        if self.pose_grad is not None and not np.isfinite(self.pose_grad).all():
-            raise NumericError(f"non-finite pose gradient{' in ' + context if context else ''}")
-        return self
-
-
-def _check_term_finite(name, per_point):
-    if not np.isfinite(per_point).all():
-        idx = int(np.flatnonzero(~np.isfinite(np.asarray(per_point).ravel()))[0])
-        raise NumericError(f"loss term '{name}' non-finite at sample index {idx}")
-
-
-def loss_and_grads(networks, latents, spec, batch):
-    """Evaluate a composed loss and all its gradients in one sweep.
-
-    Each network is treated as a scalar field over `batch` (N, 3);
-    field terms are summed over networks, the latent term over `latents`.
-    Gradients of terms referencing the spatial gradient are obtained by
-    reverse-differentiating the Jacobian-augmented forward pass.
-    """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise StructuralError("batch must be a non-empty (N, d) array")
-    total = 0.0
-    param_grads = []
-    for net in networks:
-        net.validate()
-        if spec.needs_jacobian():
-            y, jac, cache = forward_aug(net, batch)
-        else:
-            y, cache = forward_cached(net, batch)
-            jac = None
-        y1 = y[:, 0]
-        gy = np.zeros_like(y1)
-        gjac = np.zeros((batch.shape[0], 3)) if jac is not None else None
-        if spec.w_value_l1:
-            targets = np.zeros_like(y1) if spec.targets is None else spec.targets
-            val, pp, g = term_value_l1(y1, targets)
-            _check_term_finite("value_l1", pp)
-            total += spec.w_value_l1 * val
-            gy += spec.w_value_l1 * g
-        if spec.w_grad_alignment:
-            if spec.normals is None:
-                raise StructuralError("grad_alignment term requires surface normals")
-            val, pp, g = term_grad_alignment(jac[:, 0, :], spec.normals)
-            _check_term_finite("grad_alignment", pp)
-            total += spec.w_grad_alignment * val
-            gjac += spec.w_grad_alignment * g
-        if spec.w_eikonal:
-            val, pp, g = term_eikonal(jac[:, 0, :])
-            _check_term_finite("eikonal", pp)
-            total += spec.w_eikonal * val
-            gjac += spec.w_eikonal * g
-        if spec.w_spike:
-            val, pp, g = term_spike(y1, spec.spike_delta)
-            _check_term_finite("spike", pp)
-            total += spec.w_spike * val
-            gy += spec.w_spike * g
-        grads, _, _ = backward(
-            net,
-            cache,
-            gy[:, None],
-            gjac[:, None, :] if gjac is not None else None,
-        )
-        param_grads.append(grads)
-    latent_grads = []
-    for z in latents:
-        z = np.asarray(z, dtype=np.float64)
-        if spec.w_latent:
-            val, gz = term_latent_l2(z)
-            _check_term_finite("latent_l2", [val])
-            total += spec.w_latent * val
-            latent_grads.append(spec.w_latent * gz)
-        else:
-            latent_grads.append(np.zeros_like(z))
-    bundle = GradientBundle(float(total), param_grads, latent_grads)
-    return bundle.check_finite("loss_and_grads")
 
 
 # ---------------------------------------------------------------------------
@@ -552,24 +356,3 @@ class Adam:
             mhat = m / (1.0 - self.beta1**t)
             vhat = v / (1.0 - self.beta2**t)
             p -= lr * mhat / (np.sqrt(vhat) + self.eps)
-
-    def state_arrays(self):
-        """Flat view of the optimizer state for checkpointing."""
-        out = {}
-        for key in self.m:
-            out[f"adam.m.{key}"] = self.m[key]
-            out[f"adam.v.{key}"] = self.v[key]
-            out[f"adam.t.{key}"] = np.array([self.t[key]], dtype=np.float64)
-        return out
-
-    def load_state_arrays(self, arrays):
-        for name, arr in arrays.items():
-            if not name.startswith("adam."):
-                continue
-            kind, key = name[5:].split(".", 1)
-            if kind == "m":
-                self.m[key] = np.array(arr, dtype=np.float64)
-            elif kind == "v":
-                self.v[key] = np.array(arr, dtype=np.float64)
-            elif kind == "t":
-                self.t[key] = int(arr[0])

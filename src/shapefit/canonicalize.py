@@ -5,6 +5,11 @@ camera frame. A pluggable estimator produces a noisy initial pose into
 *its own* canonical frame; `frame_align` measures the fixed transform
 between that frame and the prior's frame by feeding the complete template
 cloud through the estimator once.
+
+An estimator has a `name`, an `estimate(points, template_points)` method
+and two class attributes: `own_frame` (its poses land in its own
+canonical frame, so they need frame alignment) and `needs_template` (it
+must be given the prior's template cloud, for alignment or registration).
 """
 
 from dataclasses import dataclass
@@ -56,6 +61,7 @@ class PcaEstimator:
 
     name = "pca"
     own_frame = True  # outputs live in the estimator's own canonical frame
+    needs_template = True  # for frame alignment
 
     def estimate(self, points, template_points=None):
         points = np.asarray(points, dtype=np.float64)
@@ -93,6 +99,7 @@ class IcpEstimator:
 
     name = "icp"
     own_frame = False
+    needs_template = True  # the registration target
 
     def __init__(self, max_iterations=50, rejection_factor=3.0, tol=1e-6):
         self.max_iterations = max_iterations
@@ -134,6 +141,7 @@ class NoisyOracleEstimator:
 
     name = "noisy-oracle"
     own_frame = False
+    needs_template = False
 
     def __init__(self, gt_pose, rot_noise_deg=0.0, trans_noise=0.0, seed=0):
         self.gt_pose = gt_pose
@@ -165,38 +173,27 @@ def _kabsch(src, dst):
     return rot, mu_d - rot @ mu_s
 
 
-def estimate_pose(estimator, cloud, template_points=None):
-    """Pose mapping the cloud's (camera) frame into the estimator's
-    canonical frame."""
-    cloud.validate()
-    return estimator.estimate(cloud.points, template_points)
-
-
-def frame_align(estimator, template_cloud, cache=None, category=None):
+def frame_align(estimator, template_cloud):
     """Fixed transform from the estimator's canonical frame to the prior's.
 
     Computed by running the complete template cloud (already in the
-    prior's frame) through the estimator once and inverting the result;
-    cached per (estimator name, category) when a cache dict is supplied.
+    prior's frame) through the estimator once and inverting the result.
     """
-    key = (getattr(estimator, "name", estimator.__class__.__name__), category)
-    if cache is not None and key in cache:
-        return cache[key]
     template_cloud.validate()
     pose = estimator.estimate(template_cloud.points, template_cloud.points)
-    correction = pose.inverse()
-    if cache is not None:
-        cache[key] = correction
-    return correction
+    return pose.inverse()
 
 
-def canonicalize(estimator, cloud, template_points=None, template_cloud=None, cache=None,
-                 category=None):
-    """Full initial pose: camera frame -> prior canonical frame."""
-    pose = estimate_pose(estimator, cloud, template_points)
+def canonicalize(estimator, cloud, template=None):
+    """Full initial pose: camera frame -> prior canonical frame.
+
+    template: the prior's canonical-frame template PointCloud, required
+    by estimators that declare `needs_template`.
+    """
+    cloud.validate()
+    pose = estimator.estimate(cloud.points, None if template is None else template.points)
     if getattr(estimator, "own_frame", False):
-        if template_cloud is None:
+        if template is None:
             raise StructuralError("estimator needs frame alignment but no template given")
-        correction = frame_align(estimator, template_cloud, cache=cache, category=category)
-        pose = correction.compose(pose)
+        pose = frame_align(estimator, template).compose(pose)
     return pose

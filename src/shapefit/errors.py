@@ -1,8 +1,4 @@
-"""Exception taxonomy shared across the package.
-
-CLI exit codes map onto these: usage problems exit 1, DataError exits 2,
-NumericError exits 3.
-"""
+"""Exception taxonomy shared across the package."""
 
 
 class ShapefitError(Exception):

@@ -131,14 +131,6 @@ def hyper_forward(prior, z):
     return params, caches
 
 
-def hyper_weights(prior, z):
-    """Deformation-network weights for a latent code (public, no caches)."""
-    if isinstance(z, LatentCode):
-        z = z.z
-    params, _ = hyper_forward(prior, z)
-    return params
-
-
 def hyper_backward(prior, caches, deform_grads):
     """Push adjoints of the predicted deformation weights through the
     hypernetworks. Returns (per-hyper MLPGrads, latent gradient)."""
@@ -156,23 +148,6 @@ def hyper_backward(prior, caches, deform_grads):
 
 # ---------------------------------------------------------------------------
 # field evaluation
-
-
-def template_eval(prior, x):
-    """Template SDF value and spatial gradient at one point."""
-    return ad.eval_with_spatial_grad(prior.template, x)
-
-
-def deform_eval(weights, x):
-    """Deformation at one point: (v, delta_s, jacobian of v)."""
-    weights.validate()
-    if weights.out_dim != DEFORM_OUT_DIM:
-        raise StructuralError("deformation network must output 4 values")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (3,):
-        raise StructuralError(f"point shape {x.shape}, expected (3,)")
-    out, jac, _ = ad.forward_aug(weights, x[None, :])
-    return out[0, :3].copy(), float(out[0, 3]), jac[0, :3, :].copy()
 
 
 @dataclass
@@ -265,18 +240,6 @@ def compose_backward(
     d_grads, g_pts, _ = ad.backward(deform, ev._d_cache, gy4, gjac4)
     # y = pts + v contributes to the point gradient directly
     return t_grads, d_grads, g_pts + g_y
-
-
-def instance_sdf(prior, z, x):
-    """Composed instance SDF value and spatial gradient at one point."""
-    if isinstance(z, LatentCode):
-        z = z.z
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (3,):
-        raise StructuralError(f"point shape {x.shape}, expected (3,)")
-    deform, _ = hyper_forward(prior, z)
-    ev = compose_forward(prior.template, deform, x[None, :])
-    return ad.FieldEval(float(ev.psi[0]), ev.grad_psi[0].copy())
 
 
 def instance_field(prior, z):

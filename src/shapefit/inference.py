@@ -158,12 +158,12 @@ def template_cloud(prior, resolution=48, n_points=4000, seed=0):
     return PointCloud(sample_mesh_surface(mesh, n_points, seed), "canonical")
 
 
-def reconstruct(prior, depth, estimator, config, template_points=None, frame_cache=None):
+def reconstruct(prior, depth, estimator, config):
     """Full pipeline: lift -> canonicalize -> joint optimize -> extract mesh.
 
-    Failures carry the stage name. template_points (canonical-frame
-    surface samples) are computed from the template field when an
-    estimator needs them and none are given.
+    Failures carry the stage name. The prior's template cloud
+    (canonical-frame surface samples) is computed from the template field
+    for estimators that declare `needs_template`.
     """
     config.validate()
     try:
@@ -171,22 +171,14 @@ def reconstruct(prior, depth, estimator, config, template_points=None, frame_cac
     except Exception as e:
         raise StageError("lift", e) from e
 
-    needs_template = getattr(estimator, "own_frame", False) or estimator.name == "icp"
     tc = None
-    if needs_template:
+    if getattr(estimator, "needs_template", False):
         try:
-            tc = template_points or template_cloud(prior, seed=config.seed)
+            tc = template_cloud(prior, seed=config.seed)
         except Exception as e:
             raise StageError("template-cloud", e) from e
     try:
-        init = canonicalize(
-            estimator,
-            cloud,
-            template_points=tc.points if tc is not None else None,
-            template_cloud=tc,
-            cache=frame_cache,
-            category=prior.category,
-        )
+        init = canonicalize(estimator, cloud, template=tc)
     except Exception as e:
         raise StageError("canonicalize", e) from e
 

@@ -63,30 +63,21 @@ class TriangleMesh:
 
 
 def _evaluate_grid(field, coords, chunk=65536):
-    """Evaluate the scalar field over flattened grid coords, batched when
-    the callable supports it, pointwise otherwise."""
+    """Evaluate the batched scalar field over flattened grid coords, one
+    chunk of points per call."""
     n = coords.shape[0]
     out = np.empty(n)
-    try:
-        probe = np.asarray(field(coords[: min(4, n)]), dtype=np.float64)
-        batched = probe.shape == (min(4, n),)
-    except Exception:
-        batched = False
-    if batched:
-        out[: min(4, n)] = probe
-        for lo in range(min(4, n), n, chunk):
-            hi = min(lo + chunk, n)
-            out[lo:hi] = np.asarray(field(coords[lo:hi]), dtype=np.float64).reshape(hi - lo)
-    else:
-        for i in range(n):
-            out[i] = float(field(coords[i]))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        out[lo:hi] = np.asarray(field(coords[lo:hi]), dtype=np.float64).reshape(hi - lo)
     return out
 
 
 def marching_cubes(field, resolution, bounds=(-1.0, 1.0)):
     """Extract the zero level set of `field` over a cubic grid.
 
-    field: callable mapping (N, 3) points (or a single point) to SDF values.
+    field: callable mapping (N, 3) points to (N,) SDF values; errors it
+    raises propagate.
     resolution: number of cells per axis (>= 8); the grid has resolution+1
     samples per axis over `bounds`.
     """

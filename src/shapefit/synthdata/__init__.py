@@ -18,7 +18,6 @@ from .shapes import (
     RoundedBox,
     ShapeSampleSet,
     Sphere,
-    analytic_sdf,
     intersection,
     leaf,
     make_family,
@@ -28,7 +27,7 @@ from .shapes import (
 
 __all__ = [
     "AnalyticShape", "Box", "CATEGORIES", "Cylinder", "DepthImage", "Ellipsoid",
-    "Intrinsics", "Node", "RoundedBox", "ShapeSampleSet", "Sphere", "analytic_sdf",
+    "Intrinsics", "Node", "RoundedBox", "ShapeSampleSet", "Sphere",
     "default_intrinsics", "hemisphere_camera", "intersection", "leaf", "make_family",
     "occlude", "render_depth", "sample_shape", "union",
 ]

@@ -503,11 +503,6 @@ def sample_shape(shape, n_surface, n_free, seed):
     return ShapeSampleSet(pts, normals, free, sdf).validate()
 
 
-def analytic_sdf(shape, x):
-    """Signed distance of `x` under the shape's oracle."""
-    return shape.sdf(x)
-
-
 # ---------------------------------------------------------------------------
 # families
 

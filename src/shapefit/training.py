@@ -1,4 +1,4 @@
-"""Prior training: SDF regression losses and the auto-decoder loop.
+"""Prior training: the SDF regression loss and the auto-decoder loop.
 
 The full objective combines a four-term SDF regression loss (value
 regression, surface normal alignment, eikonal unit-gradient, and a spike
@@ -6,6 +6,11 @@ penalty discouraging spurious zero crossings off the surface) with
 regularizers for template-normal consistency, latent magnitude,
 deformation smoothness and correction magnitude. Every sum over a point
 set is a mean, so the weights stay decoupled from sample counts.
+
+`shape_terms` is the one implementation of this objective: it returns
+every term's value and, on request, the exact gradients w.r.t. template
+weights, hypernetwork weights and the latent. Test-time fitting of a
+latent and a pose against an observation lives in `inference`.
 """
 
 import csv
@@ -89,72 +94,7 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# loss terms (public, value-only)
-
-
-def _eval_composed(prior, z, points):
-    if isinstance(z, fields.LatentCode):
-        z = z.z
-    deform, h_caches = fields.hyper_forward(prior, z)
-    ev = fields.compose_forward(prior.template, deform, points)
-    return ev, deform, h_caches
-
-
-def sdf_terms(prior, z, samples, weights):
-    """The four SDF-loss components (unweighted), as means per point set."""
-    if samples.surface_normals is None or len(samples.surface_normals) == 0:
-        raise StructuralError("surface samples must carry normals")
-    n_s = len(samples.surface_points)
-    pts = np.concatenate([samples.surface_points, samples.free_points])
-    targets = np.concatenate([np.zeros(n_s), samples.free_sdf])
-    ev, _, _ = _eval_composed(prior, z, pts)
-    t_value = float(np.abs(ev.psi - targets).mean())
-    t_normal = float(ad.term_grad_alignment(ev.grad_psi[:n_s], samples.surface_normals)[0])
-    t_eik = float(np.abs(np.linalg.norm(ev.grad_psi, axis=1) - 1.0).mean())
-    t_spike = float(np.exp(-weights.spike_delta * np.abs(ev.psi[n_s:])).mean())
-    return t_value, t_normal, t_eik, t_spike
-
-
-def loss_sdf(prior, z, samples, weights):
-    """Weighted SDF regression loss over one shape's sample set."""
-    t1, t2, t3, t4 = sdf_terms(prior, z, samples, weights)
-    w = weights.sdf_term_weights
-    return float(w[0] * t1 + w[1] * t2 + w[2] * t3 + w[3] * t4)
-
-
-def loss_normal(prior, z, samples):
-    """Template-normal consistency: the gradient is of the template field
-    evaluated at the deformed point, not of the composed field."""
-    if samples.surface_normals is None or len(samples.surface_normals) == 0:
-        raise StructuralError("surface samples must carry normals")
-    ev, _, _ = _eval_composed(prior, z, samples.surface_points)
-    return float(ad.term_grad_alignment(ev.grad_template, samples.surface_normals)[0])
-
-
-def loss_smooth(deform_weights, points):
-    """Mean Frobenius norm of the deformation Jacobian."""
-    points = np.asarray(points, dtype=np.float64)
-    _, jac, _ = ad.forward_aug(deform_weights, points)
-    return float(np.sqrt((jac[:, :3, :] ** 2).sum(axis=(1, 2))).mean())
-
-
-def loss_correction(deform_weights, points):
-    """Mean |delta_s| of the correction output."""
-    points = np.asarray(points, dtype=np.float64)
-    out = ad.forward(deform_weights, points)
-    return float(np.abs(out[:, 3]).mean())
-
-
-def loss_latent(z):
-    if isinstance(z, fields.LatentCode):
-        z = z.z
-    return float(np.linalg.norm(z))
-
-
-def total_loss(prior, z, samples, weights):
-    """Weighted sum of every loss term for one shape."""
-    terms, _ = shape_terms(prior, z, samples, weights)
-    return terms["total"]
+# the loss
 
 
 def _weighted_total(terms, weights):
@@ -376,33 +316,6 @@ def fit(prior, dataset, config, weights=None, start_epoch=0, optimizer=None, on_
         if on_epoch is not None:
             on_epoch(epoch, prior, optimizer, history)
     return prior, history, optimizer
-
-
-def fit_latent(prior, sample_set, weights=None, iterations=300, lr=1e-3, seed=0, init="zero"):
-    """Auto-decoder inference: optimize a fresh latent against one sample
-    set with the networks frozen. Returns (z, per-iteration history)."""
-    weights = (weights or LossWeights.for_category(prior.category)).validate()
-    rng = substream(seed, "fit-latent")
-    if init == "zero":
-        z = np.zeros(prior.latent_dim)
-    elif init == "mean":
-        mean, std = prior.latent_stats()
-        z = mean.copy()
-    elif init == "learned":
-        mean, std = prior.latent_stats()
-        z = rng.normal(mean, np.maximum(std, 1e-6))
-    else:
-        raise StructuralError(f"unknown latent init mode {init!r}")
-    opt = ad.Adam(lr=lr)
-    history = []
-    for it in range(iterations):
-        terms, grads = shape_terms(prior, z, sample_set, weights, with_grads=True)
-        if not np.isfinite(terms["total"]):
-            raise NumericError(f"latent fitting diverged at iteration {it}")
-        _, _, g_z = grads
-        opt.step({"z": z}, {"z": g_z})
-        history.append(terms)
-    return z, history
 
 
 def write_history_csv(history, path):

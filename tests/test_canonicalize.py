@@ -167,36 +167,16 @@ def test_frame_align_fixed_rotation_stub_inverts():
     np.testing.assert_allclose(fix.matrix(), rot.T, atol=1e-12)
 
 
-def test_frame_align_cache_used():
-    calls = {"n": 0}
-
-    class CountingStub:
-        name = "counting-stub"
-        own_frame = True
-
-        def estimate(self, points, template_points=None):
-            calls["n"] += 1
-            return Pose.identity()
-
-    cloud = canon.PointCloud(asymmetric_cloud(50, seed=12), "canonical")
-    cache = {}
-    stub = CountingStub()
-    canon.frame_align(stub, cloud, cache=cache, category="sphere")
-    canon.frame_align(stub, cloud, cache=cache, category="sphere")
-    assert calls["n"] == 1
-
-
 def test_canonicalize_pca_plus_frame_align_end_to_end():
     template = asymmetric_cloud(900, seed=13)
     tc = canon.PointCloud(template, "canonical")
     rng = substream(14, "e2e")
     est = canon.PcaEstimator()
-    cache = {}
     for _ in range(3):
         rot = random_rotation(rng)
         t = rng.uniform(-0.5, 0.5, 3)
         observed = canon.PointCloud(template @ rot.T + t, "camera")
-        pose = canon.canonicalize(est, observed, template_cloud=tc, cache=cache)
+        pose = canon.canonicalize(est, observed, template=tc)
         gt = Pose.from_matrix(rot, t).inverse()
         deg, trans = pose_error(pose, gt)
         assert deg < 1.0

@@ -24,24 +24,23 @@ def test_template_zeroed_final_layer():
     prior = small_prior(1)
     prior.template.weights[-1][:] = 0.0
     prior.template.biases[-1][:] = 0.0
-    out = fields.template_eval(prior, np.array([0.3, -0.2, 0.5]))
-    assert out.value == 0.0
-    np.testing.assert_array_equal(out.spatial_grad, np.zeros(3))
+    y, jac, _ = ad.forward_aug(prior.template, np.array([[0.3, -0.2, 0.5]]))
+    assert y[0, 0] == 0.0
+    np.testing.assert_array_equal(jac[0, 0], np.zeros(3))
 
 
 def test_template_gradient_matches_fd():
     prior = small_prior(2)
-    rng = substream(3, "x")
-    for _ in range(20):
-        x = rng.uniform(-1, 1, 3)
-        got = fields.template_eval(prior, x).spatial_grad
+    pts = substream(3, "x").uniform(-1, 1, (20, 3))
+    _, jac, _ = ad.forward_aug(prior.template, pts)
+    for x, got in zip(pts, jac[:, 0]):
         want = fd_spatial_grad(lambda p: float(ad.forward(prior.template, p)[0]), x)
         assert rel_err(got, want) < 1e-4
 
 
 def test_hyper_zero_latent_returns_biases():
     prior = small_prior(4)
-    dw = fields.hyper_weights(prior, np.zeros(prior.latent_dim))
+    dw, _ = fields.hyper_forward(prior, np.zeros(prior.latent_dim))
     # hidden biases are zero, so hyper(0) reduces to the final-layer bias,
     # which holds the layout's init weights
     for k in range(dw.n_layers):
@@ -52,8 +51,8 @@ def test_hyper_zero_latent_returns_biases():
 def test_hyper_deterministic():
     prior = small_prior(5)
     z = substream(6, "z").standard_normal(prior.latent_dim)
-    a = fields.hyper_weights(prior, z)
-    b = fields.hyper_weights(prior, z)
+    a, _ = fields.hyper_forward(prior, z)
+    b, _ = fields.hyper_forward(prior, z)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
@@ -61,7 +60,7 @@ def test_hyper_deterministic():
 def test_hyper_latent_dim_mismatch():
     prior = small_prior(7)
     with pytest.raises(StructuralError):
-        fields.hyper_weights(prior, np.zeros(prior.latent_dim + 1))
+        fields.hyper_forward(prior, np.zeros(prior.latent_dim + 1))
 
 
 def test_hyper_lipschitz_perturbation_bound():
@@ -70,8 +69,8 @@ def test_hyper_lipschitz_perturbation_bound():
     z = rng.standard_normal(prior.latent_dim)
     z2 = z.copy()
     z2[3] += 1e-6
-    a = fields.hyper_weights(prior, z)
-    b = fields.hyper_weights(prior, z2)
+    a, _ = fields.hyper_forward(prior, z)
+    b, _ = fields.hyper_forward(prior, z2)
     for k, h in enumerate(prior.hyper):
         # operator-norm product bounds the relu-net Lipschitz constant
         lip = np.prod([np.linalg.norm(w, 2) for w in h.weights])
@@ -83,13 +82,12 @@ def test_hyper_lipschitz_perturbation_bound():
 
 def test_deform_eval_zeroed_final_layer():
     prior = small_prior(10)
-    dw = fields.hyper_weights(prior, np.zeros(prior.latent_dim))
+    dw, _ = fields.hyper_forward(prior, np.zeros(prior.latent_dim))
     dw.weights[-1][:] = 0.0
     dw.biases[-1][:] = 0.0
-    v, ds, jac = fields.deform_eval(dw, np.array([0.1, 0.2, 0.3]))
-    np.testing.assert_array_equal(v, np.zeros(3))
-    assert ds == 0.0
-    np.testing.assert_array_equal(jac, np.zeros((3, 3)))
+    out, jac, _ = ad.forward_aug(dw, np.array([[0.1, 0.2, 0.3]]))
+    np.testing.assert_array_equal(out, np.zeros((1, 4)))
+    np.testing.assert_array_equal(jac, np.zeros((1, 4, 3)))
 
 
 def test_deform_linear_layer_jacobian_exact():
@@ -98,19 +96,19 @@ def test_deform_linear_layer_jacobian_exact():
     w = np.zeros((4, 3))
     w[:3] = a_mat
     net = ad.MLPParams([w], [np.zeros(4)], ("linear",))
-    v, ds, jac = fields.deform_eval(net, rng.uniform(-1, 1, 3))
-    np.testing.assert_allclose(jac, a_mat, atol=1e-15)
+    _, jac, _ = ad.forward_aug(net, rng.uniform(-1, 1, (1, 3)))
+    np.testing.assert_allclose(jac[0, :3], a_mat, atol=1e-15)
 
 
 def test_deform_jacobian_matches_fd():
     prior = small_prior(12)
     z = substream(13, "z").standard_normal(prior.latent_dim) * 0.1
-    dw = fields.hyper_weights(prior, z)
+    dw, _ = fields.hyper_forward(prior, z)
     x = np.array([0.2, -0.3, 0.4])
-    _, _, jac = fields.deform_eval(dw, x)
+    _, jac, _ = ad.forward_aug(dw, x[None])
     for i in range(3):
         want = fd_spatial_grad(lambda p: float(ad.forward(dw, p)[i]), x)
-        assert rel_err(jac[i], want) < 1e-4
+        assert rel_err(jac[0, i], want) < 1e-4
 
 
 def test_instance_sdf_identity_when_deformation_zero():
@@ -118,13 +116,12 @@ def test_instance_sdf_identity_when_deformation_zero():
     z = np.zeros(prior.latent_dim)
     # zero the final hyper biases for the last deform layer => v = 0, ds = 0
     prior.hyper[-1].biases[-1][:] = 0.0
-    rng = substream(15, "x")
-    for _ in range(10):
-        x = rng.uniform(-1, 1, 3)
-        inst = fields.instance_sdf(prior, z, x)
-        temp = fields.template_eval(prior, x)
-        assert inst.value == pytest.approx(temp.value, abs=1e-14)
-        np.testing.assert_allclose(inst.spatial_grad, temp.spatial_grad, atol=1e-13)
+    pts = substream(15, "x").uniform(-1, 1, (10, 3))
+    deform, _ = fields.hyper_forward(prior, z)
+    inst = fields.compose_forward(prior.template, deform, pts)
+    temp, temp_jac, _ = ad.forward_aug(prior.template, pts)
+    np.testing.assert_allclose(inst.psi, temp[:, 0], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(inst.grad_psi, temp_jac[:, 0], atol=1e-13)
 
 
 def test_instance_sdf_constant_correction_shift():
@@ -133,10 +130,10 @@ def test_instance_sdf_constant_correction_shift():
     prior.hyper[-1].biases[-1][:] = 0.0
     c = 0.37
     prior.hyper[-1].biases[-1][-1] = c  # final bias of delta_s output row
-    x = np.array([0.15, 0.25, -0.1])
-    inst = fields.instance_sdf(prior, z, x)
-    temp = fields.template_eval(prior, x)
-    assert inst.value == pytest.approx(temp.value + c, abs=1e-14)
+    x = np.array([[0.15, 0.25, -0.1]])
+    deform, _ = fields.hyper_forward(prior, z)
+    inst = fields.compose_forward(prior.template, deform, x)
+    assert inst.psi[0] == pytest.approx(ad.forward(prior.template, x)[0, 0] + c, abs=1e-14)
 
 
 def test_composed_gradient_matches_fd_many():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shapefit import autodiff as ad
 from shapefit import fields, inference
 from shapefit import synthdata as sd
 from shapefit.canonicalize import NoisyOracleEstimator, PointCloud
@@ -159,3 +160,27 @@ def test_latent_init_modes():
     ])
     # samples follow the empirical latent distribution
     assert np.abs(zs.mean(axis=0) - mean).max() < 4 * std.max() / np.sqrt(200)
+
+
+def test_reconstruct_passes_template_cloud_to_estimator():
+    prior = tiny_prior(24)
+    # a plane template, so the template cloud is the z = 0 square
+    prior.template = ad.MLPParams([np.array([[0.0, 0.0, 1.0]])], [np.zeros(1)], ("linear",))
+    seen = []
+
+    class RecordingEstimator:
+        name = "recording"
+        own_frame = False
+        needs_template = True
+
+        def estimate(self, points, template_points=None):
+            seen.append(template_points)
+            return Pose.identity()
+
+    shape = sd.make_family("sphere", 1, seed=25)[0]
+    cam = Pose.from_matrix(np.eye(3), np.array([0.0, 0.0, 2.5]))
+    depth = sd.render_depth(shape, cam, sd.default_intrinsics(16, 12), (16, 12))
+    cfg = inference.InferenceConfig(iterations=1, eikonal_samples=8, mc_resolution=8, seed=26)
+    inference.reconstruct(prior, depth, RecordingEstimator(), cfg)
+    assert seen[0].shape == (4000, 3)
+    assert np.abs(seen[0][:, 2]).max() < 1e-12

@@ -79,17 +79,16 @@ def test_vertices_lie_on_sign_changing_edges():
         assert s0 == 0 or s1 == 0 or (s0 < 0) != (s1 < 0)
 
 
-def test_pointwise_field_callable_supported():
+def test_pointwise_field_callable_raises():
+    # fields are batched; an error from the field propagates unchanged
     def f(p):
         p = np.asarray(p)
         if p.ndim == 2:
             raise TypeError("scalar field only")
         return float(np.linalg.norm(p) - 0.4)
 
-    mesh = meshing.marching_cubes(f, 12)
-    assert not mesh.is_empty
-    dev = np.abs(np.linalg.norm(mesh.vertices, axis=1) - 0.4)
-    assert dev.max() < 2 * (2.0 / 12)
+    with pytest.raises(TypeError, match="scalar field only"):
+        meshing.marching_cubes(f, 12)
 
 
 def test_degenerate_triangles_removed_and_indices_valid():

@@ -41,21 +41,21 @@ def plane_samples(rng, n_s=50, n_f=80):
     return ShapeSampleSet(surface, normals, free, free[:, 2].copy())
 
 
-def test_exact_plane_field_loss_identities():
+def plane_terms(samples, z=None, **weights):
     prior = plane_prior()
-    rng = substream(2, "plane")
-    samples = plane_samples(rng)
-    w = training.LossWeights()
-    z = np.zeros(prior.latent_dim)
-    t1, t2, t3, t4 = training.sdf_terms(prior, z, samples, w)
-    assert abs(t1) < 1e-12
-    assert abs(t2) < 1e-12
-    assert abs(t3) < 1e-12
-    want_spike = np.exp(-w.spike_delta * np.abs(samples.free_points[:, 2])).mean()
-    assert t4 == pytest.approx(want_spike, abs=1e-12)
-    assert training.loss_normal(prior, z, samples) < 1e-12
+    z = np.zeros(prior.latent_dim) if z is None else z
+    return training.shape_terms(prior, z, samples, training.LossWeights(**weights))[0]
+
+
+def test_exact_plane_field_loss_identities():
+    samples = plane_samples(substream(2, "plane"))
+    terms = plane_terms(samples)
+    for name in ("sdf_value", "sdf_normal", "template_normal"):
+        assert abs(terms[name]) < 1e-12
+    want_spike = np.exp(-training.LossWeights().spike_delta * np.abs(samples.free_points[:, 2])).mean()
+    assert terms["sdf_spike"] == pytest.approx(want_spike, abs=1e-12)
     # exactly zero eikonal for the linear plane field
-    assert t3 == 0.0
+    assert terms["sdf_eikonal"] == 0.0
 
 
 def test_zero_field_spike_is_one():
@@ -63,17 +63,14 @@ def test_zero_field_spike_is_one():
     prior.template.weights[0][:] = 0.0
     sphere = make_family("sphere", 1, seed=3)[0]
     samples = sample_shape(sphere, 50, 60, seed=4)
-    w = training.LossWeights()
-    _, _, _, t4 = training.sdf_terms(prior, np.zeros(prior.latent_dim), samples, w)
-    assert t4 == pytest.approx(1.0, abs=1e-15)
+    terms, _ = training.shape_terms(prior, np.zeros(prior.latent_dim), samples, training.LossWeights())
+    assert terms["sdf_spike"] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_loss_normal_orthogonal_gradient():
-    prior = plane_prior()
-    rng = substream(5, "orth")
-    samples = plane_samples(rng)
+    samples = plane_samples(substream(5, "orth"))
     samples.surface_normals[:] = [1.0, 0.0, 0.0]  # orthogonal to grad T = e_z
-    assert training.loss_normal(prior, np.zeros(prior.latent_dim), samples) == pytest.approx(1.0)
+    assert plane_terms(samples)["template_normal"] == pytest.approx(1.0)
 
 
 def test_loss_smooth_linear_deformation():
@@ -81,20 +78,25 @@ def test_loss_smooth_linear_deformation():
     a_mat = rng.standard_normal((3, 3))
     w = np.zeros((4, 3))
     w[:3] = a_mat
-    net = ad.MLPParams([w], [np.zeros(4)], ("linear",))
-    pts = rng.uniform(-1, 1, (40, 3))
-    got = training.loss_smooth(net, pts)
-    assert got == pytest.approx(np.linalg.norm(a_mat), rel=1e-12)
-    zero = ad.MLPParams([np.zeros((4, 3))], [np.zeros(4)], ("linear",))
-    assert training.loss_smooth(zero, pts) == 0.0
-    assert training.loss_correction(zero, pts) == 0.0
+    prior = plane_prior()
+    # the hypernetwork's hidden layer is zero, so its final bias is the
+    # deformation layer's packed (W, b)
+    prior.hyper[0].biases[-1][:] = ad.pack_params([w], [np.zeros(4)])
+    samples = plane_samples(rng)
+    z = np.zeros(prior.latent_dim)
+    terms, _ = training.shape_terms(prior, z, samples, training.LossWeights())
+    assert terms["smooth"] == pytest.approx(np.linalg.norm(a_mat), rel=1e-12)
+    zero = plane_terms(samples)
+    assert zero["smooth"] == 0.0
+    assert zero["correction"] == 0.0
 
 
 def test_loss_latent_values():
-    assert training.loss_latent(np.zeros(5)) == 0.0
-    z = np.zeros(8)
+    samples = plane_samples(substream(6, "z"))
+    assert plane_terms(samples)["latent"] == 0.0
+    z = np.zeros(6)
     z[0], z[1] = 3.0, 4.0
-    assert training.loss_latent(z) == pytest.approx(5.0)
+    assert plane_terms(samples, z)["latent"] == pytest.approx(5.0)
 
 
 def test_every_term_nonnegative():
@@ -109,21 +111,18 @@ def test_every_term_nonnegative():
 
 
 def test_total_loss_projection():
-    prior = plane_prior()
     samples = plane_samples(substream(11, "p"))
-    z = np.zeros(prior.latent_dim)
-    w = training.LossWeights(
-        sdf_value=1.0, sdf_normal=0.0, sdf_eikonal=0.0, sdf_spike=0.0,
+    terms = plane_terms(
+        samples, sdf_value=1.0, sdf_normal=0.0, sdf_eikonal=0.0, sdf_spike=0.0,
         template_normal=0.0, latent=0.0, smooth=0.0, correction=0.0,
     )
-    total = training.total_loss(prior, z, samples, w)
-    assert total == pytest.approx(training.sdf_terms(prior, z, samples, w)[0], abs=1e-15)
+    assert terms["total"] == pytest.approx(terms["sdf_value"], abs=1e-15)
     # all components zero => total zero
-    w2 = training.LossWeights(
-        sdf_value=1.0, sdf_normal=1.0, sdf_eikonal=1.0, sdf_spike=0.0,
+    terms = plane_terms(
+        samples, sdf_value=1.0, sdf_normal=1.0, sdf_eikonal=1.0, sdf_spike=0.0,
         template_normal=1.0, latent=1.0, smooth=1.0, correction=1.0,
     )
-    assert training.total_loss(prior, z, samples, w2) == pytest.approx(0.0, abs=1e-12)
+    assert terms["total"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_shape_terms_gradients_match_fd():
@@ -183,7 +182,7 @@ def test_missing_normals_raises():
     samples = sample_shape(sphere, 10, 10, seed=18)
     samples.surface_normals = np.zeros((0, 3))
     with pytest.raises(StructuralError):
-        training.loss_sdf(prior, np.zeros(prior.latent_dim), samples, training.LossWeights())
+        training.shape_terms(prior, np.zeros(prior.latent_dim), samples, training.LossWeights())
 
 
 def desk_config(**kw):
