@@ -283,8 +283,8 @@ def backward(params, cache, gy, gjac=None):
 # ---------------------------------------------------------------------------
 # pointwise loss terms
 #
-# Each helper returns (term_value, adjoints...) with the mean already taken
-# over the batch, so combined losses stay decoupled from point counts.
+# Each helper returns (term_value, adjoint) with the mean already taken over
+# the batch, so combined losses stay decoupled from point counts.
 
 
 def term_grad_alignment(jac, normals):
@@ -298,20 +298,18 @@ def term_grad_alignment(jac, normals):
     safe = np.where(norms > 1e-300, norms, 1.0)
     dots = np.einsum("nk,nk->n", jac, normals)
     cos = np.where(norms > 1e-300, dots / safe, 0.0)
-    per_point = 1.0 - cos
-    val = per_point.mean()
+    val = (1.0 - cos).mean()
     gjac = -(normals - (cos / safe)[:, None] * jac) / safe[:, None] / jac.shape[0]
-    return val, per_point, gjac
+    return val, gjac
 
 
-def term_eikonal(jac):
-    """mean | ||g|| - 1 |; adjoint w.r.t. jac."""
+def term_eikonal(jac, weight=1.0):
+    """mean | ||g|| - 1 |; adjoint of weight * term w.r.t. jac."""
     norms = np.linalg.norm(jac, axis=1)
-    per_point = np.abs(norms - 1.0)
-    val = per_point.mean()
+    val = np.abs(norms - 1.0).mean()
     safe = np.where(norms > 1e-300, norms, 1.0)
-    gjac = (np.sign(norms - 1.0) / safe)[:, None] * jac / jac.shape[0]
-    return val, per_point, gjac
+    gjac = weight * (np.sign(norms - 1.0) / safe)[:, None] * jac / jac.shape[0]
+    return val, gjac
 
 
 def term_latent_l2(z):

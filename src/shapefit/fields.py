@@ -156,12 +156,9 @@ class ComposedEval:
 
     psi: np.ndarray  # (N,) composed SDF
     grad_psi: np.ndarray  # (N, 3) spatial gradient of psi w.r.t. x
-    template_at_y: np.ndarray  # (N,) template value at deformed points
     grad_template: np.ndarray  # (N, 3) template gradient at y (unchained)
-    v: np.ndarray  # (N, 3)
     delta_s: np.ndarray  # (N,)
     jac_v: np.ndarray  # (N, 3, 3)
-    grad_delta_s: np.ndarray  # (N, 3)
     _t_cache: object = None
     _d_cache: object = None
 
@@ -184,12 +181,9 @@ def compose_forward(template, deform, pts):
     return ComposedEval(
         psi=t_val + delta_s,
         grad_psi=grad_psi,
-        template_at_y=t_val,
         grad_template=grad_t,
-        v=v,
         delta_s=delta_s,
         jac_v=jac_v,
-        grad_delta_s=grad_ds,
         _t_cache=t_cache,
         _d_cache=d_cache,
     )

@@ -4,8 +4,10 @@ pose against a partial observation, with network weights frozen.
 Per step the observed points are moved into the canonical frame by the
 current pose and the field is penalized for nonzero values there; fresh
 uniform free-space samples keep the field eikonal; the latent stays small.
-Rotations use the continuous 6D parametrization, so plain Adam steps stay
-on the rotation manifold after Gram-Schmidt.
+`view_terms` evaluates this objective with one composed forward and one
+reverse pass over both point sets. Rotations use the continuous 6D
+parametrization, so plain Adam steps stay on the rotation manifold after
+Gram-Schmidt.
 """
 
 import csv
@@ -25,28 +27,26 @@ from .rng import substream
 
 TRACE_FIELDS = ("iteration", "observation", "eikonal", "latent")
 
+# objective weights and Adam step sizes of test-time fitting
+TERM_WEIGHTS = {"observation": 3e3, "eikonal": 5e1, "latent": 5.0}
+LR_SHAPE = 1e-3
+LR_POSE = 1e-2
+
 
 @dataclass
 class InferenceConfig:
     iterations: int = 30
-    lr_shape: float = 0.001
-    lr_pose: float = 0.01
     eikonal_samples: int = 512
     latent_init: str = "learned"  # "learned" | "zero"
     optimize_pose: bool = True
     optimize_latent: bool = True
     max_observed_points: int = 2000
     mc_resolution: int = 128
-    w_observation: float = 3e3
-    w_eikonal: float = 5e1
-    w_latent: float = 5.0
     seed: int = 0
 
     def validate(self):
         if self.iterations < 0:
             raise StructuralError("iterations must be >= 0")
-        if self.lr_shape <= 0 or self.lr_pose <= 0:
-            raise StructuralError("learning rates must be positive")
         if self.latent_init not in ("learned", "zero"):
             raise StructuralError(f"unknown latent init mode {self.latent_init!r}")
         if self.eikonal_samples <= 0 or self.max_observed_points <= 0:
@@ -59,7 +59,7 @@ class ReconstructionResult:
     mesh: object  # TriangleMesh | None until meshing ran
     pose: Pose
     latent: fields.LatentCode
-    trace: list  # per-iteration dicts: observation / eikonal / latent terms
+    trace: list  # per-iteration term dicts of view_terms
 
     def validate(self, iterations=None):
         self.pose.validate()
@@ -75,13 +75,51 @@ def init_latent(prior, config, rng):
     return rng.normal(mean, np.maximum(std, 1e-8))
 
 
+def view_terms(prior, z, r6, t, observed, free):
+    """Test-time objective of one view and its exact gradients.
+
+    The counterpart of `training.shape_terms` with the prior frozen: the
+    observed points (N, 3), camera frame, are posed into the canonical
+    frame by x = R(r6) p + t and their field values pulled to zero; the
+    free samples (M, 3), canonical frame, keep the field eikonal; the
+    latent stays small. Both point sets share one composed forward and one
+    reverse pass, and the pose gradient follows from the point gradient of
+    the observed rows.
+
+    Returns (terms, (g_z, g_r6, g_t)); terms holds each TERM_WEIGHTS term
+    and their weighted total.
+    """
+    n = len(observed)
+    pts = np.concatenate([observed @ rot6d_to_matrix(r6).T + t, free])
+    deform, h_caches = fields.hyper_forward(prior, z)
+    ev = fields.compose_forward(prior.template, deform, pts)
+    eik_term, g_eik = ad.term_eikonal(ev.grad_psi[n:], TERM_WEIGHTS["eikonal"])
+    lat_term, g_lat = ad.term_latent_l2(z)
+    obs_term = float(np.abs(ev.psi[:n]).mean())
+    terms = {"observation": obs_term, "eikonal": float(eik_term), "latent": lat_term}
+    terms["total"] = sum(w * terms[k] for k, w in TERM_WEIGHTS.items())
+
+    d_psi = np.zeros(len(pts))
+    d_psi[:n] = TERM_WEIGHTS["observation"] * np.sign(ev.psi[:n]) / n
+    d_grad_psi = np.concatenate([np.zeros((n, 3)), g_eik])
+    _, d_grads, g_pts = fields.compose_backward(
+        prior.template, deform, ev, d_psi=d_psi, d_grad_psi=d_grad_psi
+    )
+    _, g_z = fields.hyper_backward(prior, h_caches, d_grads)
+    g_x = g_pts[:n]
+    g_r6 = rot6d_backward(r6, g_x.T @ observed)
+    return terms, (g_z + TERM_WEIGHTS["latent"] * g_lat, g_r6, g_x.sum(axis=0))
+
+
 def joint_optimize(prior, observed, init, config):
     """Refine (latent, rotation, translation) against observed points.
 
     observed: PointCloud in the camera frame. init: Pose mapping camera
-    frame -> canonical frame. Network weights stay frozen; a frozen
-    configuration (both optimize flags off or zero iterations) passes the
-    initialization through unchanged.
+    frame -> canonical frame. Each iteration draws fresh free-space
+    samples, evaluates `view_terms` (one forward and one reverse pass) and
+    takes Adam steps; its trace row is the term dict. Network weights stay
+    frozen; a frozen configuration (both optimize flags off or zero
+    iterations) passes the initialization through unchanged.
     """
     config.validate()
     observed.validate()
@@ -98,49 +136,22 @@ def joint_optimize(prior, observed, init, config):
     params = {"z": z, "r6": r6, "t": t}
     trace = []
     for it in range(config.iterations):
-        deform, h_caches = fields.hyper_forward(prior, z)
-        rot = rot6d_to_matrix(r6)
-        x_can = pts @ rot.T + t
-        ev = fields.compose_forward(prior.template, deform, x_can)
-        n = x_can.shape[0]
-        obs_term = float(np.abs(ev.psi).mean())
-        d_psi = config.w_observation * np.sign(ev.psi) / n
-
-        # pose gradient via the chain rule at the observed points
-        g_x = d_psi[:, None] * ev.grad_psi
-        g_rot = g_x.T @ pts
-        g_t = g_x.sum(axis=0)
-        g_r6 = rot6d_backward(r6, g_rot)
-
-        # latent gradient through the observation term
-        _, d_grads, _ = fields.compose_backward(prior.template, deform, ev, d_psi=d_psi)
-        _, g_z = fields.hyper_backward(prior, h_caches, d_grads)
-
-        # eikonal on fresh uniform free-space samples
         free = substream(config.seed, "inference-eikonal", it).uniform(
             -1.0, 1.0, (config.eikonal_samples, 3)
         )
-        ev_f = fields.compose_forward(prior.template, deform, free)
-        eik_term, _, g_eik = ad.term_eikonal(ev_f.grad_psi)
-        _, d_grads_f, _ = fields.compose_backward(
-            prior.template, deform, ev_f, d_grad_psi=config.w_eikonal * g_eik
-        )
-        _, g_z_f = fields.hyper_backward(prior, h_caches, d_grads_f)
-        g_z = g_z + g_z_f
-
-        lat_term, g_lat = ad.term_latent_l2(z)
-        g_z = g_z + config.w_latent * g_lat
-
-        trace.append({"observation": obs_term, "eikonal": float(eik_term), "latent": lat_term})
-        if not (np.isfinite(obs_term) and np.isfinite(eik_term)):
-            raise NumericError(f"inference diverged at iteration {it}")
-        if not (np.isfinite(g_z).all() and np.isfinite(g_r6).all() and np.isfinite(g_t).all()):
-            raise NumericError(f"non-finite gradients at iteration {it}")
+        terms, (g_z, g_r6, g_t) = view_terms(prior, z, r6, t, pts, free)
+        trace.append(terms)
+        bad = [k for k, v in terms.items() if not np.isfinite(v)]
+        if bad:
+            raise NumericError(f"inference diverged at iteration {it}: non-finite terms {bad}")
+        bad = [k for k, g in zip(params, (g_z, g_r6, g_t)) if not np.isfinite(g).all()]
+        if bad:
+            raise NumericError(f"non-finite gradients {bad} at iteration {it}")
 
         if config.optimize_latent:
-            opt.step(params, {"z": g_z}, lr=config.lr_shape)
+            opt.step(params, {"z": g_z}, lr=LR_SHAPE)
         if config.optimize_pose:
-            opt.step(params, {"r6": g_r6, "t": g_t}, lr=config.lr_pose)
+            opt.step(params, {"r6": g_r6, "t": g_t}, lr=LR_POSE)
 
     pose = Pose(r6, t)
     result = ReconstructionResult(None, pose, fields.LatentCode(z, "reconstruction"), trace)

@@ -69,7 +69,12 @@ def _evaluate_grid(field, coords, chunk=65536):
     out = np.empty(n)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        out[lo:hi] = np.asarray(field(coords[lo:hi]), dtype=np.float64).reshape(hi - lo)
+        vals = np.asarray(field(coords[lo:hi]), dtype=np.float64)
+        if vals.size != hi - lo:
+            raise StructuralError(
+                f"field returned {vals.size} values for grid points {lo}:{hi}, expected {hi - lo}"
+            )
+        out[lo:hi] = vals.reshape(hi - lo)
     return out
 
 

@@ -9,8 +9,8 @@ set is a mean, so the weights stay decoupled from sample counts.
 
 `shape_terms` is the one implementation of this objective: it returns
 every term's value and, on request, the exact gradients w.r.t. template
-weights, hypernetwork weights and the latent. Test-time fitting of a
-latent and a pose against an observation lives in `inference`.
+weights, hypernetwork weights and the latent. The objective of fitting a
+latent and a pose to one observation is `inference.view_terms`.
 """
 
 import csv
@@ -22,6 +22,8 @@ from . import autodiff as ad
 from . import fields
 from .errors import NumericError, StructuralError
 from .rng import substream
+
+LATENT_INIT_STD = 0.01  # std of the random codes of unseen training instances
 
 TERM_NAMES = (
     "sdf_value",
@@ -64,10 +66,6 @@ class LossWeights:
         lam3 = {"car": 1e2, "plane": 1e2, "chair": 5e1}.get(category, 1e2)
         return cls(latent=lam2, smooth=lam3)
 
-    @property
-    def sdf_term_weights(self):
-        return np.array([self.sdf_value, self.sdf_normal, self.sdf_eikonal, self.sdf_spike])
-
 
 @dataclass
 class TrainConfig:
@@ -77,9 +75,6 @@ class TrainConfig:
     free_points_per_shape: int = 4000
     lr: float = 1e-4
     lr_latent: float = 1e-4
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
-    latent_init_std: float = 0.01
     seed: int = 0
 
     def validate(self):
@@ -98,16 +93,7 @@ class TrainConfig:
 
 
 def _weighted_total(terms, weights):
-    return (
-        weights.sdf_value * terms["sdf_value"]
-        + weights.sdf_normal * terms["sdf_normal"]
-        + weights.sdf_eikonal * terms["sdf_eikonal"]
-        + weights.sdf_spike * terms["sdf_spike"]
-        + weights.template_normal * terms["template_normal"]
-        + weights.latent * terms["latent"]
-        + weights.smooth * terms["smooth"]
-        + weights.correction * terms["correction"]
-    )
+    return sum(getattr(weights, k) * terms[k] for k in TERM_NAMES)
 
 
 def shape_terms(prior, z, samples, weights, with_grads=False):
@@ -144,15 +130,14 @@ def shape_terms(prior, z, samples, weights, with_grads=False):
     d_psi += weights.sdf_value * np.sign(r) / n
 
     # composed-field normal alignment (cosine) on the surface
-    val, _, g = ad.term_grad_alignment(ev.grad_psi[:n_s], normals)
+    val, g = ad.term_grad_alignment(ev.grad_psi[:n_s], normals)
     terms["sdf_normal"] = float(val)
     d_grad_psi[:n_s] += weights.sdf_normal * g
 
     # eikonal over all sampled points
-    gn = np.linalg.norm(ev.grad_psi, axis=1)
-    terms["sdf_eikonal"] = float(np.abs(gn - 1.0).mean())
-    safe = np.where(gn > 1e-300, gn, 1.0)
-    d_grad_psi += weights.sdf_eikonal * (np.sign(gn - 1.0) / safe)[:, None] * ev.grad_psi / n
+    val, g = ad.term_eikonal(ev.grad_psi, weights.sdf_eikonal)
+    terms["sdf_eikonal"] = float(val)
+    d_grad_psi += g
 
     # spike penalty on free-space points only
     spikes = np.exp(-weights.spike_delta * np.abs(ev.psi[n_s:]))
@@ -163,7 +148,7 @@ def shape_terms(prior, z, samples, weights, with_grads=False):
     )
 
     # template-normal consistency (cosine) at deformed surface points
-    val, _, g = ad.term_grad_alignment(ev.grad_template[:n_s], normals)
+    val, g = ad.term_grad_alignment(ev.grad_template[:n_s], normals)
     terms["template_normal"] = float(val)
     d_grad_template[:n_s] += weights.template_normal * g
 
@@ -204,18 +189,17 @@ def shape_terms(prior, z, samples, weights, with_grads=False):
 # auto-decoder training
 
 
-def _param_dict(prior):
-    """Live views of every trainable array, keyed for the optimizer."""
+def _net_dict(template, hyper):
+    """Template and hypernetwork arrays (parameters or their gradients),
+    keyed for the optimizer."""
     out = {}
-    for k, (w, b) in enumerate(zip(prior.template.weights, prior.template.biases)):
+    for k, (w, b) in enumerate(zip(template.weights, template.biases)):
         out[f"template.{k}.w"] = w
         out[f"template.{k}.b"] = b
-    for i, h in enumerate(prior.hyper):
+    for i, h in enumerate(hyper):
         for k, (w, b) in enumerate(zip(h.weights, h.biases)):
             out[f"hyper.{i}.{k}.w"] = w
             out[f"hyper.{i}.{k}.b"] = b
-    for iid in prior.latents:
-        out[f"latent.{iid}"] = prior.latents[iid]
     return out
 
 
@@ -243,7 +227,7 @@ def init_latents(prior, instance_ids, config):
     for iid in instance_ids:
         if iid not in prior.latents:
             rng = substream(config.seed, "latent-init", iid)
-            prior.latents[iid] = rng.normal(0.0, config.latent_init_std, prior.latent_dim)
+            prior.latents[iid] = rng.normal(0.0, LATENT_INIT_STD, prior.latent_dim)
 
 
 def fit(prior, dataset, config, weights=None, start_epoch=0, optimizer=None, on_epoch=None):
@@ -262,11 +246,12 @@ def fit(prior, dataset, config, weights=None, start_epoch=0, optimizer=None, on_
     weights = (weights or LossWeights.for_category(prior.category)).validate()
     init_latents(prior, [iid for iid, _ in dataset], config)
     prior.validate()
-    params = _param_dict(prior)
+    params = _net_dict(prior.template, prior.hyper)  # live views
+    net_keys = list(params)
+    params.update({f"latent.{iid}": z for iid, z in prior.latents.items()})
     if optimizer is None:
-        optimizer = ad.Adam(lr=config.lr, betas=config.betas, eps=config.eps)
+        optimizer = ad.Adam(lr=config.lr)
     history = []
-    net_keys = [k for k in params if not k.startswith("latent.")]
     for epoch in range(start_epoch, config.epochs):
         rng = substream(config.seed, "train-epoch", epoch)
         order = rng.permutation(len(dataset))
@@ -293,13 +278,13 @@ def fit(prior, dataset, config, weights=None, start_epoch=0, optimizer=None, on_
                         f"epoch {epoch}, shape {iid!r}: non-finite loss terms {bad}"
                     )
                 t_grads, h_grads, g_z = grads
-                for k, (gw, gb) in enumerate(zip(t_grads.weights, t_grads.biases)):
-                    net_grads[f"template.{k}.w"] += gw
-                    net_grads[f"template.{k}.b"] += gb
-                for i, hg in enumerate(h_grads):
-                    for k, (gw, gb) in enumerate(zip(hg.weights, hg.biases)):
-                        net_grads[f"hyper.{i}.{k}.w"] += gw
-                        net_grads[f"hyper.{i}.{k}.b"] += gb
+                shape_grads = _net_dict(t_grads, h_grads)
+                shape_grads[f"latent.{iid}"] = g_z
+                bad = [k for k, g in shape_grads.items() if not np.isfinite(g).all()]
+                if bad:
+                    raise NumericError(f"epoch {epoch}, shape {iid!r}: non-finite gradients {bad}")
+                for k in net_keys:
+                    net_grads[k] += shape_grads[k]
                 latent_grads[f"latent.{iid}"] = g_z
                 for name in TERM_NAMES:
                     epoch_terms[name] += terms[name]

@@ -146,7 +146,7 @@ def test_eikonal_exact_unit_field():
     net = ad.MLPParams([n], [np.zeros(1)], ("linear",))
     batch = substream(10, "b").uniform(-1, 1, (20, 3))
     y, jac, cache = ad.forward_aug(net, batch)
-    val, _, gjac = ad.term_eikonal(jac[:, 0, :])
+    val, gjac = ad.term_eikonal(jac[:, 0, :])
     assert val == 0.0
     grads, _, _ = ad.backward(net, cache, np.zeros_like(y), gjac[:, None, :])
     assert np.all(grads.weights[0] == 0.0)

@@ -91,6 +91,12 @@ def test_pointwise_field_callable_raises():
         meshing.marching_cubes(f, 12)
 
 
+def test_wrong_field_output_size_raises():
+    # 9^3 = 729 grid points in one chunk; the field returns one value too many
+    with pytest.raises(StructuralError, match="730 values for grid points 0:729, expected 729"):
+        meshing.marching_cubes(lambda p: np.zeros(len(p) + 1), 8)
+
+
 def test_degenerate_triangles_removed_and_indices_valid():
     mesh = meshing.marching_cubes(sphere_field(0.5), 32)
     assert mesh.triangle_areas().min() > meshing.MIN_TRIANGLE_AREA

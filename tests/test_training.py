@@ -250,6 +250,26 @@ def test_fit_nan_abort_names_shape():
         training.fit(prior, dataset, desk_config(epochs=1))
 
 
+def test_fit_non_finite_gradient_aborts_before_step(monkeypatch):
+    # a finite loss with a NaN hypernetwork gradient must not reach Adam
+    dataset, _ = make_dataset(1, seed=30, n_pts=120)
+    prior = small_prior(31)
+    real_shape_terms = training.shape_terms
+
+    def poisoned(*args, **kwargs):
+        terms, (t_grads, h_grads, g_z) = real_shape_terms(*args, **kwargs)
+        h_grads[0].weights[1][0, 0] = np.nan
+        return terms, (t_grads, h_grads, g_z)
+
+    monkeypatch.setattr(training, "shape_terms", poisoned)
+    nets = (prior.template, *prior.hyper)
+    before = [ad.pack_params(net.weights, net.biases) for net in nets]
+    with pytest.raises(NumericError, match=r"sphere_0000.*hyper\.0\.1\.w"):
+        training.fit(prior, dataset, desk_config(epochs=1))
+    for net, want in zip(nets, before):
+        np.testing.assert_array_equal(ad.pack_params(net.weights, net.biases), want)
+
+
 def test_history_csv_roundtrip(tmp_path):
     dataset, _ = make_dataset(2, seed=28, n_pts=120)
     _, history, _ = training.fit(small_prior(29), dataset, desk_config(epochs=2))
