@@ -326,17 +326,15 @@ def term_latent_l2(z):
 class Adam:
     """Adam over a dict of named float64 arrays, with lazy per-key state."""
 
-    def __init__(self, lr=1e-4, betas=(0.9, 0.999), eps=1e-8):
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.m = {}
         self.v = {}
         self.t = {}
 
-    def step(self, params, grads, lr=None):
+    def step(self, params, grads, lr):
         """In-place update of every key present in `grads`."""
-        lr = self.lr if lr is None else lr
         for key, g in grads.items():
             p = params[key]
             if key not in self.m:

@@ -1,15 +1,14 @@
 """Depth lifting and canonical-frame initialization.
 
 The learned prior lives in a canonical frame; observations arrive in the
-camera frame. A pluggable estimator produces a noisy initial pose into
-*its own* canonical frame; `frame_align` measures the fixed transform
-between that frame and the prior's frame by feeding the complete template
-cloud through the estimator once.
+camera frame. A pluggable estimator maps camera-frame points to a noisy
+initial pose into the prior's frame.
 
 An estimator has a `name`, an `estimate(points, template_points)` method
-and two class attributes: `own_frame` (its poses land in its own
-canonical frame, so they need frame alignment) and `needs_template` (it
-must be given the prior's template cloud, for alignment or registration).
+and a `needs_template` class attribute: when set, `canonicalize` must be
+given the prior's canonical-frame template cloud, and passes its points
+on (PCA aligns its frame to the template's PCA frame, ICP registers onto
+the template).
 """
 
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .rng import substream
 @dataclass
 class PointCloud:
     points: np.ndarray
-    frame: str = "camera"  # camera | canonical | estimator-canonical
+    frame: str = "camera"  # camera | canonical
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -57,10 +56,14 @@ def lift_depth(depth):
 
 
 class PcaEstimator:
-    """Axis alignment by PCA with third-moment sign disambiguation."""
+    """Axis alignment by PCA with third-moment sign disambiguation.
+
+    Without a template the pose lands in the cloud's own PCA frame. With
+    one, that frame is mapped onto the prior's through the template's PCA
+    frame, which the template points (already in the prior's frame) fix.
+    """
 
     name = "pca"
-    own_frame = True  # outputs live in the estimator's own canonical frame
     needs_template = True  # for frame alignment
 
     def estimate(self, points, template_points=None):
@@ -87,7 +90,10 @@ class PcaEstimator:
             weakest = int(np.argmin(skew))
             evecs[:, weakest] *= -1.0
         rot = evecs.T  # x_est = E^T (x - mu)
-        return Pose.from_matrix(rot, -rot @ mu).validate()
+        pose = Pose.from_matrix(rot, -rot @ mu).validate()
+        if template_points is None:
+            return pose
+        return self.estimate(template_points).inverse().compose(pose)
 
 
 class IcpEstimator:
@@ -98,7 +104,6 @@ class IcpEstimator:
     """
 
     name = "icp"
-    own_frame = False
     needs_template = True  # the registration target
 
     def __init__(self, max_iterations=50, rejection_factor=3.0, tol=1e-6):
@@ -111,10 +116,7 @@ class IcpEstimator:
             raise StructuralError("ICP needs the prior template cloud")
         points = np.asarray(points, dtype=np.float64)
         target = np.asarray(template_points, dtype=np.float64)
-        init_src = PcaEstimator().estimate(points)
-        init_tgt = PcaEstimator().estimate(target)
-        # seed: map camera -> source PCA frame -> target PCA frame ~ canonical
-        pose = init_tgt.inverse().compose(init_src)
+        pose = PcaEstimator().estimate(points, target)
         tree = cKDTree(target)
         prev = np.inf
         for _ in range(self.max_iterations):
@@ -140,7 +142,6 @@ class NoisyOracleEstimator:
     translation; reproduces a controlled initialization-error level."""
 
     name = "noisy-oracle"
-    own_frame = False
     needs_template = False
 
     def __init__(self, gt_pose, rot_noise_deg=0.0, trans_noise=0.0, seed=0):
@@ -173,17 +174,6 @@ def _kabsch(src, dst):
     return rot, mu_d - rot @ mu_s
 
 
-def frame_align(estimator, template_cloud):
-    """Fixed transform from the estimator's canonical frame to the prior's.
-
-    Computed by running the complete template cloud (already in the
-    prior's frame) through the estimator once and inverting the result.
-    """
-    template_cloud.validate()
-    pose = estimator.estimate(template_cloud.points, template_cloud.points)
-    return pose.inverse()
-
-
 def canonicalize(estimator, cloud, template=None):
     """Full initial pose: camera frame -> prior canonical frame.
 
@@ -191,9 +181,8 @@ def canonicalize(estimator, cloud, template=None):
     by estimators that declare `needs_template`.
     """
     cloud.validate()
-    pose = estimator.estimate(cloud.points, None if template is None else template.points)
-    if getattr(estimator, "own_frame", False):
-        if template is None:
-            raise StructuralError("estimator needs frame alignment but no template given")
-        pose = frame_align(estimator, template).compose(pose)
-    return pose
+    if template is not None:
+        template.validate()
+    elif getattr(estimator, "needs_template", False):
+        raise StructuralError(f"estimator {estimator.name!r} needs the prior template cloud")
+    return estimator.estimate(cloud.points, None if template is None else template.points)

@@ -18,6 +18,7 @@ half-written checkpoints behind.
 """
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -110,7 +111,10 @@ def load_container(path):
     out = {}
     for _ in range(nsec):
         (name_len,) = r.unpack("<I")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: section name is not UTF-8: {e}") from e
         (kind,) = r.unpack("<B")
         if kind == _KIND_MLP:
             omega0, n_layers = r.unpack("<dI")
@@ -125,8 +129,8 @@ def load_container(path):
             out[name] = MLPParams(weights, biases, tuple(acts), omega0)
         elif kind == _KIND_ARRAY:
             (ndim,) = r.unpack("<B")
-            shape = r.unpack(f"<{ndim}I") if ndim else ()
-            out[name] = r.f64(int(np.prod(shape)) if ndim else 1).reshape(shape)
+            shape = r.unpack(f"<{ndim}I")
+            out[name] = r.f64(math.prod(shape)).reshape(shape)
         else:
             raise DataError(f"{path}: unknown section kind {kind}")
     return out
@@ -177,34 +181,40 @@ def load_ply(path):
     n_vertex = None
     props = []
     in_vertex = False
-    for line in header.decode("ascii", "replace").splitlines():
-        tok = line.split()
-        if not tok:
-            continue
-        if tok[0] == "format":
-            fmt = tok[1]
-        elif tok[0] == "element":
-            in_vertex = tok[1] == "vertex"
-            if in_vertex:
-                n_vertex = int(tok[2])
-        elif tok[0] == "property" and in_vertex:
-            if tok[1] == "list":
-                raise DataError(f"{path}: list properties on vertices unsupported")
-            props.append((tok[1], tok[2]))
-    if fmt not in ("ascii", "binary_little_endian") or n_vertex is None:
-        raise DataError(f"{path}: unsupported PLY format {fmt!r}")
+    try:
+        for line in header.decode("ascii", "replace").splitlines():
+            tok = line.split()
+            if not tok:
+                continue
+            if tok[0] == "format":
+                fmt = tok[1]
+            elif tok[0] == "element":
+                in_vertex = tok[1] == "vertex"
+                if in_vertex:
+                    n_vertex = int(tok[2])
+            elif tok[0] == "property" and in_vertex:
+                if tok[1] == "list":
+                    raise DataError(f"{path}: list properties on vertices unsupported")
+                props.append((tok[1], tok[2]))
+    except (IndexError, ValueError) as e:
+        raise DataError(f"{path}: malformed PLY header: {e}") from e
+    if fmt not in ("ascii", "binary_little_endian") or n_vertex is None or n_vertex < 0:
+        raise DataError(f"{path}: unsupported PLY format {fmt!r} or vertex count {n_vertex}")
     names = [p[1] for p in props]
     for axis in "xyz":
         if axis not in names:
             raise DataError(f"{path}: vertex property {axis!r} missing")
-    if fmt == "ascii":
-        rows = body.decode("ascii").split()
-        table = np.array(rows, dtype=np.float64).reshape(n_vertex, len(props))
-        cols = {name: table[:, i] for i, (_, name) in enumerate(props)}
-    else:
-        dtype = np.dtype([(name, _PLY_TYPES[t][0]) for t, name in props])
-        table = np.frombuffer(body, dtype=dtype, count=n_vertex)
-        cols = {name: table[name].astype(np.float64) for _, name in props}
+    try:
+        if fmt == "ascii":
+            rows = body.decode("ascii").split()
+            table = np.array(rows, dtype=np.float64).reshape(n_vertex, len(props))
+            cols = {name: table[:, i] for i, (_, name) in enumerate(props)}
+        else:
+            dtype = np.dtype([(name, _PLY_TYPES[t][0]) for t, name in props])
+            table = np.frombuffer(body, dtype=dtype, count=n_vertex)
+            cols = {name: table[name].astype(np.float64) for _, name in props}
+    except (KeyError, ValueError) as e:
+        raise DataError(f"{path}: malformed PLY body for {n_vertex} vertices: {e}") from e
     return np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
 
 
@@ -235,8 +245,15 @@ def load_pfm(path):
         raise DataError(f"{path}: not a PFM file")
     if parts[0] == b"PF":
         raise DataError(f"{path}: color PFM unsupported")
-    w, h = (int(v) for v in parts[1].split())
-    scale = float(parts[2])
+    try:
+        w, h = (int(v) for v in parts[1].split())
+        scale = float(parts[2])
+    except ValueError as e:
+        raise DataError(f"{path}: malformed PFM header: {e}") from e
+    if w < 0 or h < 0 or len(parts[3]) < 4 * w * h:
+        raise DataError(
+            f"{path}: PFM payload of {len(parts[3])} bytes, {w}x{h} image needs {4 * w * h}"
+        )
     dt = "<f4" if scale < 0 else ">f4"
     img = np.frombuffer(parts[3], dtype=dt, count=w * h).reshape(h, w)
     return np.array(img[::-1], dtype=np.float64)
@@ -262,19 +279,23 @@ def load_obj(path):
         with open(path, "r", encoding="ascii") as f:
             for line in f:
                 tok = line.split()
-                if not tok:
+                if not tok or tok[0] not in ("v", "f"):
                     continue
+                if len(tok) < 4:
+                    raise DataError(f"{path}: {tok[0]!r} record with fewer than 3 entries")
                 if tok[0] == "v":
                     vertices.append([float(v) for v in tok[1:4]])
-                elif tok[0] == "f":
-                    idx = [int(t.split("/")[0]) - 1 for t in tok[1:4]]
-                    triangles.append(idx)
+                else:
+                    triangles.append([int(t.split("/")[0]) - 1 for t in tok[1:4]])
     except OSError as e:
         raise DataError(f"cannot read OBJ {path}: {e}") from e
-    return (
-        np.array(vertices, dtype=np.float64).reshape(-1, 3),
-        np.array(triangles, dtype=np.int64).reshape(-1, 3),
-    )
+    except ValueError as e:  # also non-ASCII bytes (UnicodeDecodeError)
+        raise DataError(f"{path}: malformed OBJ: {e}") from e
+    vertices = np.array(vertices, dtype=np.float64).reshape(-1, 3)
+    triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
+    if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
+        raise DataError(f"{path}: face index outside the {len(vertices)} vertices")
+    return vertices, triangles
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +316,16 @@ def mask_to_rle(mask):
 
 
 def rle_to_mask(runs, shape):
-    total = int(np.prod(shape))
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    value = False
-    for run in runs:
-        if value:
-            flat[pos : pos + run] = True
-        pos += run
-        value = not value
-    if pos != total:
-        raise DataError(f"RLE covers {pos} pixels, mask has {total}")
-    return flat.reshape(shape)
+    """Inverse of `mask_to_rle`: alternating False/True runs of non-negative
+    integer lengths that cover the mask exactly."""
+    total = math.prod(shape)
+    runs = np.asarray(runs)
+    bad = runs.size and (runs.dtype.kind not in "iu" or runs.min() < 0 or runs.max() > total)
+    if runs.ndim != 1 or bad:
+        raise DataError(f"RLE runs must be a list of integers in [0, {total}]")
+    if runs.sum() != total:
+        raise DataError(f"RLE covers {runs.sum()} pixels, mask has {total}")
+    return np.repeat(np.arange(runs.size) % 2 == 1, runs.astype(np.int64)).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

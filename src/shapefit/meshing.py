@@ -30,6 +30,11 @@ _EDGE_CORNERS = np.array(
         [0, 4], [1, 5], [2, 6], [3, 7],
     ]
 )
+# each edge runs along one axis: that axis, and the offset of the corner it
+# starts from (its lower end)
+_EDGE_STEP = _CORNERS[_EDGE_CORNERS[:, 1]] - _CORNERS[_EDGE_CORNERS[:, 0]]
+_EDGE_AXIS = np.abs(_EDGE_STEP).argmax(axis=1)
+_EDGE_LOW = _CORNERS[np.where(_EDGE_STEP.sum(axis=1) > 0, _EDGE_CORNERS[:, 0], _EDGE_CORNERS[:, 1])]
 
 MIN_TRIANGLE_AREA = 1e-12
 WELD_TOLERANCE = 1e-7
@@ -112,50 +117,20 @@ def marching_cubes(field, resolution, bounds=(-1.0, 1.0)):
     if active[0].size == 0:
         return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     cfg = config[active]
-    ax, ay, az = (a.astype(np.int64) for a in active)
+    cells = np.stack(active, axis=1).astype(np.int64)  # (C, 3) lower cell corners
 
-    # global edge ids: 3 orientations on the (npts^3) vertex lattice
-    def edge_id(ix, iy, iz, orient):
-        return ((ix * npts + iy) * npts + iz) * 3 + orient
-
-    orient_of = np.zeros(12, dtype=np.int64)  # axis along which each edge runs
-    base_corner = _EDGE_CORNERS[:, 0]
-    for e in range(12):
-        delta = _CORNERS[_EDGE_CORNERS[e, 1]] - _CORNERS[_EDGE_CORNERS[e, 0]]
-        orient_of[e] = int(np.nonzero(delta)[0][0]) if delta.any() else 0
-    # edges run along +axis from their lower corner
-    edge_low = np.where(
-        (_CORNERS[_EDGE_CORNERS[:, 1]] - _CORNERS[_EDGE_CORNERS[:, 0]]).sum(axis=1) > 0,
-        _EDGE_CORNERS[:, 0],
-        _EDGE_CORNERS[:, 1],
-    )
-
+    # global edge id of each crossed cell edge: its lower grid point on the
+    # (npts^3) lattice, times 3 orientations
     flags = np.asarray(EDGE_FLAGS, dtype=np.int32)[cfg]
-    cell_edge_gid = np.zeros((ax.size, 12), dtype=np.int64)
-    for e in range(12):
-        cx = ax + _CORNERS[edge_low[e], 0]
-        cy = ay + _CORNERS[edge_low[e], 1]
-        cz = az + _CORNERS[edge_low[e], 2]
-        cell_edge_gid[:, e] = edge_id(cx, cy, cz, orient_of[e])
-
-    # interpolate one vertex per crossed global edge
     crossed = (flags[:, None] & (1 << np.arange(12))) != 0
-    gids = cell_edge_gid[crossed]
     rows, cols = np.nonzero(crossed)
-    uniq, inverse = np.unique(gids, return_inverse=True)
-    first = np.zeros(uniq.size, dtype=np.int64)
-    first[inverse[::-1]] = np.arange(gids.size - 1, -1, -1)
-    src_row, src_edge = rows[first], cols[first]
-    low = edge_low[src_edge]
-    p0 = np.stack(
-        [
-            ax[src_row] + _CORNERS[low, 0],
-            ay[src_row] + _CORNERS[low, 1],
-            az[src_row] + _CORNERS[low, 2],
-        ],
-        axis=1,
-    )
-    o = orient_of[src_edge]
+    start = cells[rows] + _EDGE_LOW[cols]
+    gids = ((start[:, 0] * npts + start[:, 1]) * npts + start[:, 2]) * 3 + _EDGE_AXIS[cols]
+
+    # interpolate one vertex per crossed global edge, from its first cell
+    _, first, inverse = np.unique(gids, return_index=True, return_inverse=True)
+    p0 = start[first]
+    o = _EDGE_AXIS[cols[first]]
     p1 = p0.copy()
     p1[np.arange(p1.shape[0]), o] += 1
     v0 = grid[p0[:, 0], p0[:, 1], p0[:, 2]]
@@ -166,7 +141,7 @@ def marching_cubes(field, resolution, bounds=(-1.0, 1.0)):
     verts = lo + cell * (p0 + t[:, None] * (np.eye(3)[o]))
 
     # map each cell-local edge to its vertex index, then emit triangles
-    edge_vertex = np.full((ax.size, 12), -1, dtype=np.int64)
+    edge_vertex = np.full((len(cells), 12), -1, dtype=np.int64)
     edge_vertex[rows, cols] = inverse
     tri_table = np.asarray(TRIANGLES, dtype=np.int64)[cfg]  # (C, 16)
     tri_list = []

@@ -14,20 +14,16 @@ from .shapes import (
     Box,
     Cylinder,
     Ellipsoid,
-    Node,
     RoundedBox,
     ShapeSampleSet,
     Sphere,
-    intersection,
-    leaf,
     make_family,
     sample_shape,
-    union,
 )
 
 __all__ = [
     "AnalyticShape", "Box", "CATEGORIES", "Cylinder", "DepthImage", "Ellipsoid",
-    "Intrinsics", "Node", "RoundedBox", "ShapeSampleSet", "Sphere",
-    "default_intrinsics", "hemisphere_camera", "intersection", "leaf", "make_family",
-    "occlude", "render_depth", "sample_shape", "union",
+    "Intrinsics", "RoundedBox", "ShapeSampleSet", "Sphere",
+    "default_intrinsics", "hemisphere_camera", "make_family",
+    "occlude", "render_depth", "sample_shape",
 ]

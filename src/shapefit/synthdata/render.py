@@ -26,13 +26,6 @@ class Intrinsics:
             raise StructuralError("focal lengths must be positive")
         return self
 
-    def to_json(self):
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy}
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(doc["fx"], doc["fy"], doc["cx"], doc["cy"]).validate()
-
 
 def default_intrinsics(width, height, fov_deg=50.0):
     f = 0.5 * width / np.tan(np.radians(fov_deg) / 2)

@@ -1,13 +1,13 @@
 """Procedural analytic shapes with exact signed-distance oracles.
 
-Primitives have closed-form (or machine-precision iterative) SDFs; trees
-combine them with union/intersection plus per-node uniform scale and
-offset. The union SDF (min of children) is exact outside and a
-conservative lower bound inside, so surface sampling only accepts points
-where a single child attains the minimum.
+A shape is a union of primitives placed in the canonical frame. Each
+primitive has a closed-form (or machine-precision iterative) SDF. The
+union SDF (min over primitives) is exact outside and a conservative lower
+bound inside, so surface sampling only accepts points where a single
+primitive attains the minimum.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from ..rng import substream
 # margin kept between samples and primitive edges/rims so that normals and
 # finite-difference gradients at sample points are well defined
 EDGE_MARGIN = 1e-4
-# minimum |sdf| every other leaf must have for a surface sample (unique-min rule)
+# minimum |sdf| every other primitive must have for a surface sample (unique-min rule)
 UNIQUE_GAP = 1e-4
 _SURFACE_TOL = 1e-9
 
@@ -265,92 +265,32 @@ _PRIMITIVES = {cls.kind: cls for cls in (Sphere, Box, RoundedBox, Cylinder, Elli
 
 
 # ---------------------------------------------------------------------------
-# tree nodes
-
-
-@dataclass
-class Node:
-    """Interior node: union or intersection of children, with an optional
-    uniform scale and offset applied to this subtree."""
-
-    op: str  # "union" | "intersection" | "leaf"
-    children: list = field(default_factory=list)
-    primitive: object = None
-    scale: float = 1.0
-    offset: np.ndarray = None
-
-    def __post_init__(self):
-        if self.offset is None:
-            self.offset = np.zeros(3)
-        self.offset = np.asarray(self.offset, dtype=np.float64)
-        if self.scale <= 0:
-            raise StructuralError("node scale must be positive")
-        if self.op not in ("union", "intersection", "leaf"):
-            raise StructuralError(f"unknown node op {self.op!r}")
-
-    def _local(self, p):
-        return (p - self.offset) / self.scale
-
-    def sdf(self, p):
-        q = self._local(p)
-        if self.op == "leaf":
-            return self.scale * self.primitive.sdf(q)
-        ds = np.stack([c.sdf(q) for c in self.children])
-        agg = ds.min(axis=0) if self.op == "union" else ds.max(axis=0)
-        return self.scale * agg
-
-
-def leaf(primitive, scale=1.0, offset=(0.0, 0.0, 0.0)):
-    return Node("leaf", primitive=primitive, scale=scale, offset=np.asarray(offset, float))
-
-
-def union(*children):
-    return Node("union", children=list(children))
-
-
-def intersection(*children):
-    return Node("intersection", children=list(children))
-
-
-def _collect_leaves(node, scale=1.0, offset=None):
-    """Flatten the tree into (primitive, world_scale, world_offset) triples."""
-    offset = np.zeros(3) if offset is None else offset
-    s = scale * node.scale
-    o = offset + scale * node.offset
-    if node.op == "leaf":
-        return [(node.primitive, s, o)]
-    out = []
-    for c in node.children:
-        out.extend(_collect_leaves(c, s, o))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # shapes
 
 
 @dataclass
 class AnalyticShape:
-    """A primitive tree in the canonical frame (identity pose, unit cube)."""
+    """A union of primitives in the canonical frame (identity pose, unit cube)."""
 
-    root: Node
+    primitives: list
     category: str = "custom"
     name: str = "shape"
 
+    def __post_init__(self):
+        if not self.primitives:
+            raise StructuralError(f"shape {self.name} has no primitives")
+
+    def _distances(self, p):
+        """(K, N) signed distance from each of the N points to each primitive."""
+        return np.stack([prim.sdf(p) for prim in self.primitives])
+
     def sdf(self, x):
         p, single = _pts(x)
-        d = self.root.sdf(p)
+        d = self._distances(p).min(axis=0)
         return float(d[0]) if single else d
 
-    def leaves(self):
-        return _collect_leaves(self.root)
-
     def bbox(self):
-        los, his = [], []
-        for prim, s, o in self.leaves():
-            lo, hi = prim.bbox()
-            los.append(s * lo + o)
-            his.append(s * hi + o)
+        los, his = zip(*(prim.bbox() for prim in self.primitives))
         return np.min(los, axis=0), np.max(his, axis=0)
 
     def bounding_radius(self):
@@ -365,47 +305,32 @@ class AnalyticShape:
 
     # -- sampling ----------------------------------------------------------
 
-    def _leaf_distances(self, pts):
-        cols = []
-        for prim, s, o in self.leaves():
-            cols.append(s * prim.sdf((pts - o) / s))
-        return np.stack(cols, axis=1)
-
     def sample_surface(self, n, rng, max_rounds=60):
         """Surface points with outward unit normals.
 
-        Candidates are drawn per leaf (area-weighted), then kept only when
-        they lie on the composite surface and every other leaf is at least
-        UNIQUE_GAP away, so the min/max combination is attained uniquely.
+        Candidates are drawn per primitive (area-weighted), then kept only
+        when they lie on that primitive and every other primitive is at
+        least UNIQUE_GAP away, so the union's minimum is attained uniquely.
         """
-        leaves = self.leaves()
-        areas = np.array([prim.area() * s**2 for prim, s, o in leaves])
+        areas = np.array([prim.area() for prim in self.primitives])
         weights = areas / areas.sum()
         got_p, got_n = [], []
         remaining = n
         for _ in range(max_rounds):
             draw = max(2 * remaining, 64)
             counts = rng.multinomial(draw, weights)
-            for col, ((prim, s, o), cnt) in enumerate(zip(leaves, counts)):
+            for k, (prim, cnt) in enumerate(zip(self.primitives, counts)):
                 if cnt == 0:
                     continue
-                local = prim.sample_surface(cnt, rng)
-                world = s * local + o
-                d = self._leaf_distances(world)
-                ok = np.abs(d[:, col]) < _SURFACE_TOL
-                ok &= np.abs(self.root.sdf(world)) < _SURFACE_TOL
-                if d.shape[1] > 1:
-                    others = np.delete(d, col, axis=1)
-                    if self.root.op == "intersection":
-                        ok &= others.max(axis=1) < -UNIQUE_GAP
-                    else:
-                        ok &= others.min(axis=1) > UNIQUE_GAP
+                pts = prim.sample_surface(cnt, rng)
+                d = self._distances(pts)
+                ok = np.abs(d[k]) < _SURFACE_TOL
+                if len(d) > 1:
+                    ok &= np.delete(d, k, axis=0).min(axis=0) > UNIQUE_GAP
                 if not ok.any():
                     continue
-                pts = world[ok]
-                normals = prim.normal((pts - o) / s)
-                got_p.append(pts)
-                got_n.append(normals)
+                got_p.append(pts[ok])
+                got_n.append(prim.normal(pts[ok]))
             have = sum(len(p) for p in got_p)
             if have >= n:
                 break
@@ -422,50 +347,36 @@ class AnalyticShape:
     def sample_free(self, n, rng):
         """Uniform free-space points in the cube with oracle SDF attached."""
         pts = rng.uniform(-1.0, 1.0, (n, 3))
-        return pts, self.root.sdf(pts)
+        return pts, self.sdf(pts)
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
-        return {"category": self.category, "name": self.name, "root": _node_to_json(self.root)}
+        return {
+            "category": self.category,
+            "name": self.name,
+            "primitives": [_primitive_to_json(prim) for prim in self.primitives],
+        }
 
     @classmethod
     def from_json(cls, doc):
         try:
-            return cls(_node_from_json(doc["root"]), doc["category"], doc["name"])
-        except (KeyError, TypeError) as e:
+            prims = [_primitive_from_json(p) for p in doc["primitives"]]
+            return cls(prims, doc["category"], doc["name"])
+        except (KeyError, TypeError, StructuralError) as e:
             raise DataError(f"malformed shape document: {e}") from e
 
 
-def _node_to_json(node):
-    base = {"scale": float(node.scale), "offset": [float(v) for v in node.offset]}
-    if node.op == "leaf":
-        prim = node.primitive
-        doc = {"type": prim.kind, **base}
-        for f in ("center", "half_extents", "radii"):
-            if hasattr(prim, f):
-                doc[f] = [float(v) for v in np.asarray(getattr(prim, f))]
-        for f in ("radius", "half_height", "round_radius"):
-            if hasattr(prim, f):
-                doc[f] = float(getattr(prim, f))
-        if hasattr(prim, "axis"):
-            doc["axis"] = int(prim.axis)
-        return doc
-    return {"type": node.op, **base, "children": [_node_to_json(c) for c in node.children]}
+def _primitive_to_json(prim):
+    doc = {f.name: np.asarray(getattr(prim, f.name)).tolist() for f in fields(prim)}
+    return {"type": prim.kind, **doc}
 
 
-def _node_from_json(doc):
+def _primitive_from_json(doc):
     kind = doc["type"]
-    scale = doc.get("scale", 1.0)
-    offset = doc.get("offset", (0.0, 0.0, 0.0))
-    if kind in ("union", "intersection"):
-        children = [_node_from_json(c) for c in doc["children"]]
-        return Node(kind, children=children, scale=scale, offset=offset)
     if kind not in _PRIMITIVES:
         raise DataError(f"unknown primitive type {kind!r}")
-    cls = _PRIMITIVES[kind]
-    kwargs = {k: doc[k] for k in doc if k not in ("type", "scale", "offset", "children")}
-    return Node("leaf", primitive=cls(**kwargs), scale=scale, offset=offset)
+    return _PRIMITIVES[kind](**{k: v for k, v in doc.items() if k != "type"})
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +437,7 @@ def make_family(category, count, seed):
 
 def _make_sphere(rng, name):
     r = rng.uniform(0.3, 0.6)
-    return AnalyticShape(leaf(Sphere(np.zeros(3), r)), "sphere", name)
+    return AnalyticShape([Sphere(np.zeros(3), r)], "sphere", name)
 
 
 def _make_car(rng, name):
@@ -534,51 +445,46 @@ def _make_car(rng, name):
     rr = rng.uniform(0.04, 0.08)
     wheel_r = rng.uniform(0.09, 0.13)
     body_z = -0.04 + rng.uniform(0.0, 0.04)
-    body = leaf(RoundedBox(np.array([0.0, 0.0, body_z]), half - rr, rr))
-    cabin = leaf(
-        RoundedBox(
-            np.array([rng.uniform(-0.1, 0.1), 0.0, body_z + half[2] + 0.06]),
-            np.array([half[0] * 0.45, half[1] * 0.8, 0.07]),
-            0.03,
-        )
+    body = RoundedBox(np.array([0.0, 0.0, body_z]), half - rr, rr)
+    cabin = RoundedBox(
+        np.array([rng.uniform(-0.1, 0.1), 0.0, body_z + half[2] + 0.06]),
+        np.array([half[0] * 0.45, half[1] * 0.8, 0.07]),
+        0.03,
     )
     wheels = []
     zw = body_z - half[2]
     for sx in (-1, 1):
         for sy in (-1, 1):
             c = np.array([sx * half[0] * 0.62, sy * half[1], zw])
-            wheels.append(leaf(Cylinder(c, axis=1, radius=wheel_r, half_height=0.05)))
-    return AnalyticShape(union(body, cabin, *wheels), "car", name)
+            wheels.append(Cylinder(c, axis=1, radius=wheel_r, half_height=0.05))
+    return AnalyticShape([body, cabin, *wheels], "car", name)
 
 
 def _make_chair(rng, name):
     seat_h = rng.uniform(-0.1, 0.05)
-    seat = leaf(Box(np.array([0.0, 0.0, seat_h]), np.array([0.35, 0.35, 0.045])))
-    back = leaf(
-        Box(
-            np.array([-0.35 + 0.045, 0.0, seat_h + 0.38]),
-            np.array([0.045, 0.33, rng.uniform(0.3, 0.42)]),
-        )
+    seat = Box(np.array([0.0, 0.0, seat_h]), np.array([0.35, 0.35, 0.045]))
+    back = Box(
+        np.array([-0.35 + 0.045, 0.0, seat_h + 0.38]),
+        np.array([0.045, 0.33, rng.uniform(0.3, 0.42)]),
     )
     legs = []
     leg_len = (seat_h + 0.8) / 2
     for sx in (-1, 1):
         for sy in (-1, 1):
             c = np.array([sx * 0.3, sy * 0.3, seat_h - leg_len])
-            legs.append(leaf(Box(c, np.array([0.04, 0.04, leg_len]))))
+            legs.append(Box(c, np.array([0.04, 0.04, leg_len])))
     parts = [seat, back, *legs]
     if rng.random() < 0.5:  # optional armrests
         for sy in (-1, 1):
-            parts.append(
-                leaf(Box(np.array([0.05, sy * 0.33, seat_h + 0.22]), np.array([0.25, 0.035, 0.03])))
-            )
-    return AnalyticShape(union(*parts), "chair", name)
+            arm = Box(np.array([0.05, sy * 0.33, seat_h + 0.22]), np.array([0.25, 0.035, 0.03]))
+            parts.append(arm)
+    return AnalyticShape(parts, "chair", name)
 
 
 def _make_plane(rng, name):
-    body = leaf(Ellipsoid(np.zeros(3), np.array([rng.uniform(0.55, 0.7), 0.09, 0.09])))
+    body = Ellipsoid(np.zeros(3), np.array([rng.uniform(0.55, 0.7), 0.09, 0.09]))
     span = rng.uniform(0.5, 0.7)
-    wing = leaf(Box(np.array([0.05, 0.0, 0.0]), np.array([rng.uniform(0.1, 0.15), span, 0.015])))
-    tail = leaf(Box(np.array([-0.55, 0.0, 0.1]), np.array([0.06, 0.18, 0.012])))
-    fin = leaf(Box(np.array([-0.55, 0.0, 0.12]), np.array([0.06, 0.012, 0.1])))
-    return AnalyticShape(union(body, wing, tail, fin), "plane", name)
+    wing = Box(np.array([0.05, 0.0, 0.0]), np.array([rng.uniform(0.1, 0.15), span, 0.015]))
+    tail = Box(np.array([-0.55, 0.0, 0.1]), np.array([0.06, 0.18, 0.012]))
+    fin = Box(np.array([-0.55, 0.0, 0.12]), np.array([0.06, 0.012, 0.1]))
+    return AnalyticShape([body, wing, tail, fin], "plane", name)

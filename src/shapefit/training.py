@@ -250,7 +250,7 @@ def fit(prior, dataset, config, weights=None, start_epoch=0, optimizer=None, on_
     net_keys = list(params)
     params.update({f"latent.{iid}": z for iid, z in prior.latents.items()})
     if optimizer is None:
-        optimizer = ad.Adam(lr=config.lr)
+        optimizer = ad.Adam()
     history = []
     for epoch in range(start_epoch, config.epochs):
         rng = substream(config.seed, "train-epoch", epoch)

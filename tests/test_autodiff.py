@@ -240,10 +240,10 @@ def test_jacobian_chain_through_input_jacobian():
 
 def test_adam_moves_toward_minimum():
     params = {"x": np.array([4.0])}
-    opt = ad.Adam(lr=0.1)
+    opt = ad.Adam()
     for _ in range(200):
         grads = {"x": 2.0 * params["x"]}
-        opt.step(params, grads)
+        opt.step(params, grads, lr=0.1)
     assert abs(params["x"][0]) < 0.1
 
 

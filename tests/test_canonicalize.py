@@ -139,32 +139,30 @@ def test_noisy_oracle_exact_noise_magnitude():
 
 
 def test_frame_align_identity_stub():
-    class IdentityStub:
-        name = "identity-stub"
-        own_frame = True
-
-        def estimate(self, points, template_points=None):
-            return Pose.identity()
-
-    cloud = canon.PointCloud(asymmetric_cloud(100, seed=10), "canonical")
-    fix = canon.frame_align(IdentityStub(), cloud)
-    deg, trans = pose_error(fix, Pose.identity())
+    # a cloud aligned to itself as the template: the PCA frames cancel
+    t = asymmetric_cloud(100, seed=10)
+    pose = canon.PcaEstimator().estimate(t, t)
+    deg, trans = pose_error(pose, Pose.identity())
     assert deg < 1e-9 and trans < 1e-12
 
 
 def test_frame_align_fixed_rotation_stub_inverts():
+    # the template is the cloud rotated by R, so the frame alignment is R
     rot = rotation_about_axis([0, 0, 1], np.pi / 2)
+    t = asymmetric_cloud(100, seed=11)
+    pose = canon.PcaEstimator().estimate(t, t @ rot.T)
+    np.testing.assert_allclose(pose.matrix(), rot, atol=1e-12)
+    np.testing.assert_allclose(pose.translation, 0.0, atol=1e-12)
 
-    class RotStub:
-        name = "rot-stub"
-        own_frame = True
 
-        def estimate(self, points, template_points=None):
-            return Pose.from_matrix(rot, np.zeros(3))
-
-    cloud = canon.PointCloud(asymmetric_cloud(100, seed=11), "canonical")
-    fix = canon.frame_align(RotStub(), cloud)
-    np.testing.assert_allclose(fix.matrix(), rot.T, atol=1e-12)
+def test_canonicalize_requires_and_validates_template():
+    cloud = canon.PointCloud(asymmetric_cloud(100, seed=12), "camera")
+    bad = canon.PointCloud(np.full((4, 3), np.nan), "canonical")
+    for est in (canon.PcaEstimator(), canon.IcpEstimator()):
+        with pytest.raises(StructuralError, match="template"):
+            canon.canonicalize(est, cloud)
+        with pytest.raises(StructuralError, match="non-finite"):
+            canon.canonicalize(est, cloud, template=bad)
 
 
 def test_canonicalize_pca_plus_frame_align_end_to_end():

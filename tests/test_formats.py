@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shapefit import autodiff as ad
 from shapefit import formats
@@ -98,3 +100,91 @@ def test_json_roundtrip_deterministic(tmp_path):
     formats.save_json(p2, doc)
     assert p1.read_bytes() == p2.read_bytes()
     assert formats.load_json(p1) == doc
+
+
+# ---------------------------------------------------------------------------
+# damaged files: every reader fails with DataError or returns well-formed data
+
+
+def _write_valid(fmt, path):
+    rng = substream(7, fmt)
+    if fmt == "pfm":
+        formats.save_pfm(path, rng.uniform(0, 3, (3, 4)))
+    elif fmt in ("ply-binary", "ply-ascii"):
+        formats.save_ply(path, rng.uniform(-1, 1, (4, 3)), binary=fmt == "ply-binary")
+    elif fmt == "obj":
+        formats.save_obj(path, rng.uniform(-1, 1, (4, 3)), [[0, 1, 2], [1, 2, 3]])
+    else:
+        formats.save_container(path, {"n": ad.siren_init([1, 1], rng), "t": rng.standard_normal(2)})
+
+
+_LOAD = {
+    "pfm": formats.load_pfm, "ply-binary": formats.load_ply, "ply-ascii": formats.load_ply,
+    "obj": formats.load_obj, "container": formats.load_container,
+}
+
+
+def _records(fmt, out):
+    """The loaded data as a list of records (pixels, vertices, faces,
+    sections), after checking it has the reader's documented form."""
+    if fmt == "pfm":
+        assert out.ndim == 2 and out.dtype == np.float64
+        return out.ravel().tolist()
+    if fmt.startswith("ply"):
+        assert out.ndim == 2 and out.shape[1] == 3 and out.dtype == np.float64
+        return out.tolist()
+    if fmt == "obj":
+        v, t = out
+        assert v.shape[1] == 3 and v.dtype == np.float64
+        assert t.shape[1] == 3 and t.dtype == np.int64
+        assert t.size == 0 or (t.min() >= 0 and t.max() < len(v))
+        return v.tolist() + t.tolist()
+    recs = []
+    for name, obj in out.items():
+        assert isinstance(name, str)
+        if isinstance(obj, ad.MLPParams):
+            recs.append((name, [w.tolist() for w in obj.weights], [b.tolist() for b in obj.biases],
+                         obj.activations, obj.omega0))
+        else:
+            assert isinstance(obj, np.ndarray) and obj.dtype == np.float64
+            recs.append((name, obj.tolist()))
+    return recs
+
+
+@pytest.mark.parametrize("fmt", sorted(_LOAD))
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(truncate=st.booleans(), at=st.integers(0, 2**20), xor=st.integers(1, 255))
+@example(truncate=False, at=20, xor=0x80)  # container: first section-name byte not UTF-8
+def test_reader_damaged_file_raises_data_error_or_loads(fmt, truncate, at, xor, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / f"damaged.{fmt}"
+    _write_valid(fmt, path)
+    valid = path.read_bytes()
+    want = _records(fmt, _LOAD[fmt](path))
+    at %= len(valid)
+    damaged = bytearray(valid[:at] if truncate else valid)
+    if not truncate:
+        damaged[at] ^= xor
+    path.write_bytes(bytes(damaged))
+    try:
+        got = _records(fmt, _LOAD[fmt](path))
+    except DataError:
+        return
+    if not truncate:
+        return  # a flipped payload byte changes values, not the form
+    # a truncated file loads only as the original, except that text formats
+    # may lose trailing records or cut digits off the last one read
+    assert fmt in ("ply-ascii", "obj"), f"{fmt} truncated to {at} bytes loaded"
+    assert len(got) <= len(want)
+    assert got[:-1] == want[: max(len(got) - 1, 0)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-3, 8), max_size=6))
+@example([5, -2, 1])
+def test_rle_bad_runs_raise_data_error_or_cover_mask(runs):
+    try:
+        back = formats.rle_to_mask(runs, (2, 2))
+    except DataError:
+        return
+    assert min(runs, default=0) >= 0 and sum(runs) == 4
+    assert back.shape == (2, 2) and back.sum() == sum(runs[1::2])

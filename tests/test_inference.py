@@ -162,7 +162,6 @@ def test_reconstruct_passes_template_cloud_to_estimator():
 
     class RecordingEstimator:
         name = "recording"
-        own_frame = False
         needs_template = True
 
         def estimate(self, points, template_points=None):

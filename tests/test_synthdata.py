@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from shapefit import synthdata as sd
-from shapefit.errors import StructuralError
+from shapefit.errors import DataError, StructuralError
 from shapefit.geometry import Pose, look_at, random_rotation
 from shapefit.rng import substream
 
@@ -10,7 +12,7 @@ from oracles import fd_spatial_grad, ray_sphere_depth
 
 
 def unit_sphere(r=0.5):
-    return sd.AnalyticShape(sd.leaf(sd.Sphere(np.zeros(3), r)), "sphere", "s")
+    return sd.AnalyticShape([sd.Sphere(np.zeros(3), r)], "sphere", "s")
 
 
 def test_sphere_sdf_hand_values():
@@ -20,20 +22,20 @@ def test_sphere_sdf_hand_values():
 
 
 def test_box_sdf_corner_value():
-    shape = sd.AnalyticShape(sd.leaf(sd.Box(np.zeros(3), np.array([0.2, 0.2, 0.2]))))
+    shape = sd.AnalyticShape([sd.Box(np.zeros(3), np.array([0.2, 0.2, 0.2]))])
     got = shape.sdf(np.array([0.5, 0.5, 0.5]))
     assert got == pytest.approx(np.linalg.norm([0.3, 0.3, 0.3]), abs=1e-12)
 
 
 def test_cylinder_sdf_values():
-    shape = sd.AnalyticShape(sd.leaf(sd.Cylinder(np.zeros(3), axis=2, radius=0.3, half_height=0.4)))
+    shape = sd.AnalyticShape([sd.Cylinder(np.zeros(3), axis=2, radius=0.3, half_height=0.4)])
     assert shape.sdf(np.array([0.5, 0.0, 0.0])) == pytest.approx(0.2)
     assert shape.sdf(np.array([0.0, 0.0, 0.9])) == pytest.approx(0.5)
     assert shape.sdf(np.array([0.0, 0.0, 0.0])) == pytest.approx(-0.3)
 
 
 def test_ellipsoid_sdf_against_sphere_case():
-    ell = sd.AnalyticShape(sd.leaf(sd.Ellipsoid(np.zeros(3), np.array([0.4, 0.4, 0.4]))))
+    ell = sd.AnalyticShape([sd.Ellipsoid(np.zeros(3), np.array([0.4, 0.4, 0.4]))])
     sph = unit_sphere(0.4)
     pts = substream(0, "pts").uniform(-1, 1, (200, 3))
     np.testing.assert_allclose(ell.sdf(pts), sph.sdf(pts), atol=1e-9)
@@ -43,7 +45,7 @@ def test_ellipsoid_sdf_is_true_distance():
     # distance to a dense surface sampling bounds the SDF from above;
     # for an exact SDF the two agree closely
     radii = np.array([0.6, 0.3, 0.2])
-    ell = sd.AnalyticShape(sd.leaf(sd.Ellipsoid(np.zeros(3), radii)))
+    ell = sd.AnalyticShape([sd.Ellipsoid(np.zeros(3), radii)])
     rng = substream(1, "dirs")
     dirs = rng.standard_normal((20000, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -69,10 +71,10 @@ def test_sphere_sdf_rotation_invariant():
 
 def test_union_min_of_children():
     two = sd.AnalyticShape(
-        sd.union(
-            sd.leaf(sd.Sphere(np.array([0.4, 0, 0]), 0.2)),
-            sd.leaf(sd.Sphere(np.array([-0.4, 0, 0]), 0.2)),
-        )
+        [
+            sd.Sphere(np.array([0.4, 0, 0]), 0.2),
+            sd.Sphere(np.array([-0.4, 0, 0]), 0.2),
+        ]
     )
     pts = substream(3, "u").uniform(-1, 1, (50, 3))
     d1 = np.linalg.norm(pts - [0.4, 0, 0], axis=1) - 0.2
@@ -93,7 +95,7 @@ def test_make_family_deterministic_and_bounded():
 
 def test_sphere_family_radius_range():
     fam = sd.make_family("sphere", 30, seed=5)
-    radii = [s.leaves()[0][0].radius for s in fam]
+    radii = [s.primitives[0].radius for s in fam]
     assert all(0.3 <= r <= 0.6 for r in radii)
 
 
@@ -151,13 +153,45 @@ def test_surface_normals_match_fd_gradient():
             np.testing.assert_allclose(n, g, atol=1e-4)
 
 
+def test_synthdata_exports_resolve():
+    for name in sd.__all__:
+        assert getattr(sd, name) is not None, name
+
+
+def test_empty_shape_raises():
+    with pytest.raises(StructuralError, match="no primitives"):
+        sd.AnalyticShape([], "custom", "empty")
+
+
 def test_shape_json_roundtrip():
     for cat in sd.CATEGORIES:
         shape = sd.make_family(cat, 2, seed=3)[1]
-        doc = shape.to_json()
+        doc = json.loads(json.dumps(shape.to_json()))
+        assert set(doc) == {"category", "name", "primitives"}
+        assert [p["type"] for p in doc["primitives"]] == [p.kind for p in shape.primitives]
         back = sd.AnalyticShape.from_json(doc)
+        assert (back.category, back.name) == (shape.category, shape.name)
+        assert back.to_json() == doc
         pts = substream(4, "rt").uniform(-1, 1, (50, 3))
         np.testing.assert_array_equal(back.sdf(pts), shape.sdf(pts))
+        for a, b in zip(back.bbox(), shape.bbox()):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_malformed_shape_document_raises():
+    good = sd.make_family("car", 1, seed=3)[0].to_json()
+    prim = good["primitives"][0]
+    bad_docs = [
+        {"category": "car", "name": "old", "root": {"type": "union", "children": []}},
+        {**good, "primitives": []},
+        {**good, "primitives": "sphere"},
+        {**good, "primitives": [{**prim, "type": "torus"}]},
+        {**good, "primitives": [{**prim, "colour": 1}]},
+        {k: v for k, v in good.items() if k != "name"},
+    ]
+    for doc in bad_docs:
+        with pytest.raises(DataError):
+            sd.AnalyticShape.from_json(doc)
 
 
 # ---------------------------------------------------------------------------
