@@ -11,7 +11,16 @@ general computation graph, no GPU path and no second-order derivatives.
 One private layer loop runs every forward pass; `forward` (values only,
 nothing kept), `forward_cached` (values plus the intermediates `backward`
 needs) and `forward_aug` (values, Jacobians and intermediates) are its
-three entry points.
+three entry points. The keeping entry points store each layer's input,
+its activation derivative (omega cos(omega pre) for sine layers) and, with
+Jacobians, the input and pre-activation Jacobians, so `backward` evaluates
+no activation again.
+
+Inside the forward and reverse loops a Jacobian with respect to K base
+coordinates is held K-major, as a (K, N, width) array. Each layer's
+tangent step, its adjoint and the Jacobian part of its weight gradient
+are then single GEMMs over K*N rows. Callers see (N, width, K): arrays
+are transposed only at the `forward_aug` / `backward` boundary.
 
 All arithmetic is float64 and fully vectorized over the point batch, so
 identical inputs produce bit-identical outputs.
@@ -148,10 +157,18 @@ def unpack_params(vec, like):
 
 @dataclass
 class ForwardCache:
-    """Intermediates retained for the reverse pass."""
+    """Intermediates retained for the reverse pass.
 
-    x: np.ndarray
-    layers: list = field(default_factory=list)  # (z_prev, jac_prev, pre, jac_pre)
+    layers[k] is (z_prev, jac_prev, deriv, jac_pre) of layer k: its input
+    values (N, in), input Jacobian (K, N, in), activation derivative at the
+    pre-activation (omega cos(omega pre) for sine, the mask pre > 0 for
+    ReLU, None for linear) and pre-activation Jacobian (K, N, out). The
+    Jacobians are None without tracking. `out` is the network output; with
+    the next layer's z_prev it supplies sin(omega pre) of every sine layer.
+    """
+
+    layers: list = field(default_factory=list)
+    out: np.ndarray = None
     track_jac: bool = False
 
 
@@ -165,37 +182,50 @@ def _as_batch(x, in_dim):
     return x, single
 
 
+def _gemm(a, w):
+    """(K, N, i) @ (i, o) -> (K, N, o) as one (K*N, i) GEMM."""
+    return (a.reshape(-1, a.shape[2]) @ w).reshape(a.shape[0], a.shape[1], w.shape[1])
+
+
 def _layers(params, x, jac=None, keep=False):
     """The forward layer loop shared by every entry point below.
 
-    Propagates the Jacobian `jac` (N, in, K) alongside the values when it
-    is given. With `keep`, returns a ForwardCache holding each layer's
-    (z_prev, jac_prev, pre, jac_pre); otherwise nothing is retained, so a
+    Propagates the K-major Jacobian `jac` (K, N, in) alongside the values
+    when it is given. With `keep`, returns a ForwardCache; otherwise
+    nothing is retained and no activation derivative is formed, so a
     value-only pass over a large batch holds one layer at a time.
     """
-    cache = ForwardCache(x=x, track_jac=jac is not None) if keep else None
+    cache = ForwardCache(track_jac=jac is not None) if keep else None
+    need_deriv = keep or jac is not None
     omega = params.omega0
     z = x
-    jac_pre = None
     for w, b, act in zip(params.weights, params.biases, params.activations):
         pre = z @ w.T + b
+        jac_prev, jac_pre, deriv = jac, None, None
         if jac is not None:
-            jac_pre = np.matmul(w, jac)
-        if keep:
-            cache.layers.append((z, jac, pre, jac_pre))
+            jac_pre = _gemm(jac, w.T)
         if act == ACT_SINE:
             # omega * pre is formed twice rather than held: in a value-only
             # pass that extra (N, width) array would raise peak memory
+            if need_deriv:
+                deriv = omega * np.cos(omega * pre)
             if jac is not None:
-                jac = (omega * np.cos(omega * pre))[:, :, None] * jac_pre
-            z = np.sin(omega * pre)
+                jac = deriv * jac_pre
+            z_next = np.sin(omega * pre)
         elif act == ACT_RELU:
-            z = np.maximum(pre, 0.0)
+            if need_deriv:
+                deriv = pre > 0.0
             if jac is not None:
-                jac = np.where((pre > 0.0)[:, :, None], jac_pre, 0.0)
+                jac = np.where(deriv, jac_pre, 0.0)
+            z_next = np.maximum(pre, 0.0)
         else:
-            z = pre
             jac = jac_pre
+            z_next = pre
+        if keep:
+            cache.layers.append((z, jac_prev, deriv, jac_pre))
+        z = z_next
+    if keep:
+        cache.out = z
     return z, jac, cache
 
 
@@ -206,22 +236,19 @@ def forward(params, x):
     return z[0] if single else z
 
 
-def forward_aug(params, x, jac_in=None):
-    """Evaluate the network and the Jacobian of its output.
+def forward_aug(params, x):
+    """Evaluate the network and its Jacobian with respect to the input.
 
-    jac_in: (N, in, K) Jacobian of the input w.r.t. K base coordinates;
-    identity (K = in) when omitted. Returns (y, jac, cache) with
-    y (N, out), jac (N, out, K).
+    Returns (y, jac, cache) with y (N, out) and jac (N, out, in). Inside
+    the layer loop the Jacobian is K-major, (K, N, width) with K = in, so
+    that each layer's tangent step is one GEMM over K*N rows; `jac` is a
+    transposed view of that array.
     """
     x, _ = _as_batch(x, params.in_dim)
-    n = x.shape[0]
-    if jac_in is None:
-        jac = np.broadcast_to(np.eye(params.in_dim), (n, params.in_dim, params.in_dim)).copy()
-    else:
-        jac = np.asarray(jac_in, dtype=np.float64)
-        if jac.shape[:2] != (n, params.in_dim):
-            raise StructuralError(f"jac_in shape {jac.shape} incompatible with ({n}, {params.in_dim}, K)")
-    return _layers(params, x, jac, keep=True)
+    k_dim = params.in_dim
+    jac = np.ascontiguousarray(np.broadcast_to(np.eye(k_dim)[:, None, :], (k_dim, x.shape[0], k_dim)))
+    y, jac, cache = _layers(params, x, jac, keep=True)
+    return y, jac.transpose(1, 2, 0), cache
 
 
 def forward_cached(params, x):
@@ -231,53 +258,57 @@ def forward_cached(params, x):
     return z, cache
 
 
-def backward(params, cache, gy, gjac=None):
+def backward(params, cache, gy, gjac=None, inputs_only=False):
     """Reverse pass through a forward_aug / forward_cached computation.
 
     gy: (N, out) adjoint of the output values; gjac: (N, out, K) adjoint of
-    the output Jacobian (zero if omitted). Returns (MLPGrads, gx, gjac_in)
-    where gx (N, in) and gjac_in (N, in, K) are the adjoints of the inputs;
-    gjac_in is None when the forward did not track Jacobians.
+    the output Jacobian of a forward_aug cache (zero if omitted). Returns
+    (MLPGrads, gx) with gx (N, in) the adjoint of the input points. With
+    `inputs_only` the weight and bias gradients are skipped and the first
+    item is None.
+
+    The Jacobian adjoints run K-major like the forward pass: per layer, the
+    weight gradient's Jacobian term and the adjoint step are each one GEMM
+    over K*N rows. The activation derivatives come from the cache, and
+    sin(omega pre) of a sine layer is the next layer's input (or the output).
     """
     omega = params.omega0
     gz = np.asarray(gy, dtype=np.float64)
-    track = cache.track_jac
-    if gjac is None and track:
-        k_dim = cache.layers[0][1].shape[2]
-        gjac = np.zeros((gz.shape[0], params.out_dim, k_dim))
-    gweights = [None] * params.n_layers
-    gbiases = [None] * params.n_layers
-    for k in range(params.n_layers - 1, -1, -1):
+    track = cache.track_jac and gjac is not None
+    if track:
+        gjac = np.ascontiguousarray(np.asarray(gjac, dtype=np.float64).transpose(2, 0, 1))
+    n_layers = params.n_layers
+    gweights = [None] * n_layers
+    gbiases = [None] * n_layers
+    for k in range(n_layers - 1, -1, -1):
         w = params.weights[k]
         act = params.activations[k]
-        z_prev, jac_prev, pre, jac_pre = cache.layers[k]
+        z_prev, jac_prev, deriv, jac_pre = cache.layers[k]
         if act == ACT_SINE:
-            c = omega * np.cos(omega * pre)
-            gpre = gz * c
+            gpre = gz * deriv
             if track:
                 # d/dpre of jac_out = -omega^2 sin(omega pre) * jac_pre
-                gpre = gpre - (omega * omega) * np.sin(omega * pre) * np.einsum(
-                    "nok,nok->no", gjac, jac_pre
-                )
-                gjac_pre = gjac * c[:, :, None]
+                sin = cache.layers[k + 1][0] if k + 1 < n_layers else cache.out
+                gpre = gpre - (omega * omega) * sin * (gjac * jac_pre).sum(axis=0)
+                gjac_pre = gjac * deriv
         elif act == ACT_RELU:
-            m = pre > 0.0
-            gpre = np.where(m, gz, 0.0)
+            gpre = np.where(deriv, gz, 0.0)
             if track:
-                gjac_pre = np.where(m[:, :, None], gjac, 0.0)
+                gjac_pre = np.where(deriv, gjac, 0.0)
         else:
             gpre = gz
             if track:
                 gjac_pre = gjac
-        gw = gpre.T @ z_prev
-        gb = gpre.sum(axis=0)
+        if not inputs_only:
+            gw = gpre.T @ z_prev
+            if track:
+                gw += gjac_pre.reshape(-1, w.shape[0]).T @ jac_prev.reshape(-1, w.shape[1])
+            gweights[k] = gw
+            gbiases[k] = gpre.sum(axis=0)
         gz = gpre @ w
-        if track:
-            gw = gw + np.einsum("nok,nik->oi", gjac_pre, jac_prev)
-            gjac = np.matmul(w.T, gjac_pre)
-        gweights[k] = gw
-        gbiases[k] = gb
-    return MLPGrads(gweights, gbiases), gz, (gjac if track else None)
+        if track and k > 0:
+            gjac = _gemm(gjac_pre, w)
+    return (None if inputs_only else MLPGrads(gweights, gbiases)), gz
 
 
 # ---------------------------------------------------------------------------

@@ -131,19 +131,21 @@ def hyper_forward(prior, z):
     return params, caches
 
 
-def hyper_backward(prior, caches, deform_grads):
+def hyper_backward(prior, caches, deform_grads, inputs_only=False):
     """Push adjoints of the predicted deformation weights through the
-    hypernetworks. Returns (per-hyper MLPGrads, latent gradient)."""
+    hypernetworks. Returns (per-hyper MLPGrads, latent gradient); with
+    `inputs_only` only the latent gradient is computed and the first item
+    is None."""
     g_z = np.zeros(prior.latent_dim)
     hyper_grads = []
     for k, (h, cache) in enumerate(zip(prior.hyper, caches)):
         flat = np.concatenate(
             [deform_grads.weights[k].ravel(), deform_grads.biases[k]]
         )
-        grads, gz, _ = ad.backward(h, cache, flat[None, :])
+        grads, gz = ad.backward(h, cache, flat[None, :], inputs_only=inputs_only)
         hyper_grads.append(grads)
         g_z += gz[0]
-    return hyper_grads, g_z
+    return (None if inputs_only else hyper_grads), g_z
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +208,15 @@ def compose_backward(
     d_grad_template=None,
     d_jac_v=None,
     d_delta_s=None,
+    inputs_only=False,
 ):
     """Adjoint of compose_forward.
 
     Inputs are adjoints of the ComposedEval fields (None = zero). Returns
     (template MLPGrads, deform MLPGrads, gradient w.r.t. the input points).
+    With `inputs_only` the template's weight gradients are skipped and
+    returned as None; the deformation's are always computed, since they are
+    the adjoint that `hyper_backward` pushes into the latent.
     """
     n = ev.psi.shape[0]
     d_psi = np.zeros(n) if d_psi is None else d_psi
@@ -228,10 +234,12 @@ def compose_backward(
     if d_jac_v is not None:
         g_jac_v += d_jac_v
     g_grad_ds = d_grad_psi
-    t_grads, g_y, _ = ad.backward(template, ev._t_cache, g_tval[:, None], g_grad_t[:, None, :])
+    t_grads, g_y = ad.backward(
+        template, ev._t_cache, g_tval[:, None], g_grad_t[:, None, :], inputs_only=inputs_only
+    )
     gy4 = np.concatenate([g_y, g_ds[:, None]], axis=1)
     gjac4 = np.concatenate([g_jac_v, g_grad_ds[:, None, :]], axis=1)
-    d_grads, g_pts, _ = ad.backward(deform, ev._d_cache, gy4, gjac4)
+    d_grads, g_pts = ad.backward(deform, ev._d_cache, gy4, gjac4)
     # y = pts + v contributes to the point gradient directly
     return t_grads, d_grads, g_pts + g_y
 

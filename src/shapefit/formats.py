@@ -166,7 +166,11 @@ _PLY_TYPES = {
 
 
 def load_ply(path):
-    """Read x,y,z vertex coordinates from an ASCII or binary-LE PLY file."""
+    """Read x,y,z vertex coordinates from an ASCII or binary-LE PLY file.
+
+    The vertex element must come first; later elements (faces, edges) are
+    ignored.
+    """
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -180,7 +184,7 @@ def load_ply(path):
     fmt = None
     n_vertex = None
     props = []
-    in_vertex = False
+    in_vertex = seen_element = False
     try:
         for line in header.decode("ascii", "replace").splitlines():
             tok = line.split()
@@ -191,7 +195,10 @@ def load_ply(path):
             elif tok[0] == "element":
                 in_vertex = tok[1] == "vertex"
                 if in_vertex:
+                    if seen_element:
+                        raise DataError(f"{path}: the vertex element must come first")
                     n_vertex = int(tok[2])
+                seen_element = True
             elif tok[0] == "property" and in_vertex:
                 if tok[1] == "list":
                     raise DataError(f"{path}: list properties on vertices unsupported")
@@ -206,7 +213,8 @@ def load_ply(path):
             raise DataError(f"{path}: vertex property {axis!r} missing")
     try:
         if fmt == "ascii":
-            rows = body.decode("ascii").split()
+            # one line per vertex; lines of later elements are not read
+            rows = [line.split() for line in body.decode("ascii").splitlines()[:n_vertex]]
             table = np.array(rows, dtype=np.float64).reshape(n_vertex, len(props))
             cols = {name: table[:, i] for i, (_, name) in enumerate(props)}
         else:
@@ -285,8 +293,9 @@ def load_obj(path):
                     raise DataError(f"{path}: {tok[0]!r} record with fewer than 3 entries")
                 if tok[0] == "v":
                     vertices.append([float(v) for v in tok[1:4]])
-                else:
-                    triangles.append([int(t.split("/")[0]) - 1 for t in tok[1:4]])
+                else:  # fan-triangulate a polygon
+                    idx = [int(t.split("/")[0]) - 1 for t in tok[1:]]
+                    triangles.extend([idx[0], a, b] for a, b in zip(idx[1:-1], idx[2:]))
     except OSError as e:
         raise DataError(f"cannot read OBJ {path}: {e}") from e
     except ValueError as e:  # also non-ASCII bytes (UnicodeDecodeError)

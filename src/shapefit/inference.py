@@ -103,9 +103,9 @@ def view_terms(prior, z, r6, t, observed, free):
     d_psi[:n] = TERM_WEIGHTS["observation"] * np.sign(ev.psi[:n]) / n
     d_grad_psi = np.concatenate([np.zeros((n, 3)), g_eik])
     _, d_grads, g_pts = fields.compose_backward(
-        prior.template, deform, ev, d_psi=d_psi, d_grad_psi=d_grad_psi
+        prior.template, deform, ev, d_psi=d_psi, d_grad_psi=d_grad_psi, inputs_only=True
     )
-    _, g_z = fields.hyper_backward(prior, h_caches, d_grads)
+    _, g_z = fields.hyper_backward(prior, h_caches, d_grads, inputs_only=True)
     g_x = g_pts[:n]
     g_r6 = rot6d_backward(r6, g_x.T @ observed)
     return terms, (g_z + TERM_WEIGHTS["latent"] * g_lat, g_r6, g_x.sum(axis=0))

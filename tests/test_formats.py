@@ -81,6 +81,41 @@ def test_obj_roundtrip(tmp_path):
     assert "f 1 2 3" in text  # 1-based indices
 
 
+def test_obj_polygon_faces_fan_triangulated(tmp_path):
+    path = tmp_path / "quad.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0 2 0\nf 1 2 3 4\nf 1/1 3/3 4/4 5/5 2/2\n")
+    _, t = formats.load_obj(path)
+    np.testing.assert_array_equal(t, [[0, 1, 2], [0, 2, 3], [0, 2, 3], [0, 3, 4], [0, 4, 1]])
+
+
+def test_ply_later_elements_ignored_ascii_and_binary(tmp_path):
+    verts = np.array([[0.0, 0.5, 1.0], [-1.0, 2.0, 0.25], [3.0, -0.5, 4.0]])
+    header = (
+        "ply\nformat {} 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+        "property float z\nelement face 1\nproperty list uchar int vertex_indices\nend_header\n"
+    )
+    ascii_path, binary_path = tmp_path / "a.ply", tmp_path / "b.ply"
+    ascii_body = "".join(f"{x} {y} {z}\n" for x, y, z in verts) + "3 0 1 2\n"
+    ascii_path.write_bytes((header.format("ascii") + ascii_body).encode("ascii"))
+    face = np.array([3], "<u1").tobytes() + np.array([0, 1, 2], "<i4").tobytes()
+    binary_path.write_bytes(
+        header.format("binary_little_endian").encode("ascii") + verts.astype("<f4").tobytes() + face
+    )
+    a, b = formats.load_ply(ascii_path), formats.load_ply(binary_path)
+    np.testing.assert_array_equal(a, verts)
+    np.testing.assert_array_equal(a, b)
+
+
+def test_ply_vertex_element_after_another_raises(tmp_path):
+    path = tmp_path / "late.ply"
+    path.write_bytes(
+        b"ply\nformat ascii 1.0\nelement face 0\nproperty list uchar int vertex_indices\n"
+        b"element vertex 1\nproperty float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n"
+    )
+    with pytest.raises(DataError, match="first"):
+        formats.load_ply(path)
+
+
 def test_mask_rle_roundtrip():
     rng = substream(6, "rle")
     for _ in range(20):
