@@ -1,4 +1,4 @@
-"""On-disk formats: checkpoint container, PLY, PFM, OBJ, mask RLE.
+"""On-disk formats: checkpoint container, PLY, PFM, OBJ, JSON.
 
 Checkpoint container layout (all little-endian):
 
@@ -305,36 +305,6 @@ def load_obj(path):
     if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
         raise DataError(f"{path}: face index outside the {len(vertices)} vertices")
     return vertices, triangles
-
-
-# ---------------------------------------------------------------------------
-# boolean mask run-length encoding (for depth-image sidecars)
-
-
-def mask_to_rle(mask):
-    """Run lengths of the row-major flattened mask, starting with False."""
-    flat = np.asarray(mask, dtype=bool).ravel()
-    if flat.size == 0:
-        return []
-    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate([[0], changes, [flat.size]])
-    runs = np.diff(bounds).tolist()
-    if flat[0]:
-        runs = [0] + runs
-    return [int(r) for r in runs]
-
-
-def rle_to_mask(runs, shape):
-    """Inverse of `mask_to_rle`: alternating False/True runs of non-negative
-    integer lengths that cover the mask exactly."""
-    total = math.prod(shape)
-    runs = np.asarray(runs)
-    bad = runs.size and (runs.dtype.kind not in "iu" or runs.min() < 0 or runs.max() > total)
-    if runs.ndim != 1 or bad:
-        raise DataError(f"RLE runs must be a list of integers in [0, {total}]")
-    if runs.sum() != total:
-        raise DataError(f"RLE covers {runs.sum()} pixels, mask has {total}")
-    return np.repeat(np.arange(runs.size) % 2 == 1, runs.astype(np.int64)).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

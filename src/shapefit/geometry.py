@@ -103,6 +103,8 @@ class Pose:
         return Pose.from_matrix(r_s @ r_o, r_s @ other.translation + self.translation)
 
     def validate(self):
+        if not np.isfinite(self.rot6d).all():
+            raise StructuralError("rot6d has non-finite entries")
         rot = self.matrix()
         if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
             raise StructuralError("derived rotation is not orthonormal")

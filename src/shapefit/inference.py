@@ -41,6 +41,9 @@ class InferenceConfig:
     optimize_pose: bool = True
     optimize_latent: bool = True
     max_observed_points: int = 2000
+    # final mesh; coarse to fine, so res 128 evaluates about 8% of the 129^3
+    # grid points on a trained car prior: 2.6 s against 31 s dense (one
+    # BLAS thread, 2-core x86 VM, the 1.2M-parameter bench prior)
     mc_resolution: int = 128
     seed: int = 0
 

@@ -5,11 +5,29 @@ Vertices are indexed per global grid edge, so vertices shared between
 neighboring cells are welded exactly; a final pass drops degenerate
 triangles. Ambiguous configurations use the standard table resolution
 (no asymptotic decider), which is fine for point-based evaluation.
-"""
+
+The grid is filled coarse to fine, as in the sign-change refinement of
+Occupancy Networks (Mescheder et al., CVPR 2019):
+- The field is first evaluated on a coarse lattice of every `stride`-th
+  grid index plus the last one, with stride = resolution // COARSE_CELLS
+  (at least 1), so the coarse grid has about 32 cells per axis.
+- Coarse blocks whose corners change sign, dilated by one block in every
+  direction, form the active region; each grid point of the region is
+  evaluated once.
+- Closure: while a crossed cell of the region has a face neighbour outside
+  it, that neighbour's block joins the region and its points are evaluated.
+- The table code runs over the crossed cells of the region in C order, so
+  vertices and triangles equal those of a dense evaluation whenever every
+  surface component reaches the region.
+The limit: a component that no coarse point sees, such as a small closed
+surface lying between coarse points far from any other sign change, can be
+missed. Below resolution 2 * COARSE_CELLS the stride is 1, every grid point
+is evaluated, and nothing can be missed."""
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from ._mc_tables import EDGE_FLAGS, TRIANGLES
 from .errors import NumericError, StructuralError
@@ -37,6 +55,7 @@ _EDGE_AXIS = np.abs(_EDGE_STEP).argmax(axis=1)
 _EDGE_LOW = _CORNERS[np.where(_EDGE_STEP.sum(axis=1) > 0, _EDGE_CORNERS[:, 0], _EDGE_CORNERS[:, 1])]
 
 MIN_TRIANGLE_AREA = 1e-12
+COARSE_CELLS = 32  # coarse grid cells per axis (stride = resolution // COARSE_CELLS)
 WELD_TOLERANCE = 1e-7
 
 
@@ -83,37 +102,90 @@ def _evaluate_grid(field, coords, chunk=65536):
     return out
 
 
-def marching_cubes(field, resolution, bounds=(-1.0, 1.0)):
-    """Extract the zero level set of `field` over a cubic grid.
-
-    field: callable mapping (N, 3) points to (N,) SDF values; errors it
-    raises propagate.
-    resolution: number of cells per axis (>= 8); the grid has resolution+1
-    samples per axis over `bounds`.
-    """
-    if resolution < 8:
-        raise StructuralError("marching cubes resolution must be >= 8")
-    lo, hi = bounds
-    npts = resolution + 1
-    axis = np.linspace(lo, hi, npts)
-    cell = (hi - lo) / resolution
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    coords = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+def _fill(field, axis, grid, need):
+    """Evaluate `field` at every point marked in `need` whose value in `grid`
+    is still unknown (NaN), and store the values."""
+    idx = np.nonzero(need & np.isnan(grid))
+    coords = np.stack([axis[i] for i in idx], axis=1)
     values = _evaluate_grid(field, coords)
     bad = ~np.isfinite(values)
     if bad.any():
         where = coords[np.flatnonzero(bad)[0]]
         raise NumericError(f"field returned a non-finite value at grid point {where}")
-    grid = values.reshape(npts, npts, npts)
+    grid[idx] = values
 
-    # cube configuration index per cell: bit c set when corner c is inside
+
+def _cell_configs(grid):
+    """Cube configuration index per cell of a cubic grid: bit c set when
+    corner c is inside (negative; NaN counts as outside)."""
+    res = grid.shape[0] - 1
     inside = grid < 0.0
-    config = np.zeros((resolution, resolution, resolution), dtype=np.int32)
+    config = np.zeros((res, res, res), dtype=np.int32)
     for c, (dx, dy, dz) in enumerate(_CORNERS):
-        config |= (
-            inside[dx : dx + resolution, dy : dy + resolution, dz : dz + resolution] << c
-        ).astype(np.int32)
-    active = np.nonzero((config != 0) & (config != 255))
+        config |= (inside[dx : dx + res, dy : dy + res, dz : dz + res] << c).astype(np.int32)
+    return config
+
+
+def _crossed(config):
+    """Cells whose corners change sign."""
+    return (config != 0) & (config != 255)
+
+
+def marching_cubes(field, resolution, bounds=(-1.0, 1.0)):
+    """Extract the zero level set of `field` over a cubic grid.
+
+    field: callable mapping (N, 3) points to (N,) SDF values; errors it
+    raises propagate.
+    resolution: integer number of cells per axis (>= 8); the grid has
+    resolution+1 samples per axis over `bounds` (finite, lo < hi).
+    The field is evaluated coarse to fine (see the module docstring).
+    """
+    if not isinstance(resolution, (int, np.integer)):
+        raise StructuralError(f"marching cubes resolution must be an integer, got {resolution!r}")
+    if resolution < 8:
+        raise StructuralError("marching cubes resolution must be >= 8")
+    lo, hi = (float(b) for b in bounds)
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise StructuralError(f"marching cubes bounds must be finite with lo < hi, got {bounds!r}")
+    npts = resolution + 1
+    axis = np.linspace(lo, hi, npts)
+    cell = (hi - lo) / resolution
+
+    # coarse lattice: every stride-th grid index and the last one; coarse
+    # block b spans cells coarse[b] .. coarse[b + 1] - 1 on each axis
+    stride = max(1, resolution // COARSE_CELLS)
+    coarse = np.unique(np.append(np.arange(0, npts, stride), resolution))
+    block_of = np.searchsorted(coarse, np.arange(resolution), side="right") - 1
+    grid = np.full((npts, npts, npts), np.nan)
+    need = np.zeros(grid.shape, dtype=bool)
+    need[np.ix_(coarse, coarse, coarse)] = True
+    _fill(field, axis, grid, need)
+    blocks = ndimage.binary_dilation(
+        _crossed(_cell_configs(grid[np.ix_(coarse, coarse, coarse)])), np.ones((3, 3, 3), dtype=bool)
+    )
+    while True:
+        region = blocks[np.ix_(block_of, block_of, block_of)]  # cells of the active blocks
+        need[:] = False
+        for dx, dy, dz in _CORNERS:
+            need[dx : dx + resolution, dy : dy + resolution, dz : dz + resolution] |= region
+        _fill(field, axis, grid, need)
+        config = _cell_configs(grid)
+        crossed = _crossed(config) & region
+        # closure: the surface leaves a crossed cell only through a face, so
+        # a face neighbour outside the region pulls its block in
+        grow = ndimage.binary_dilation(crossed) & ~region
+        if not grow.any():
+            break
+        blocks[tuple(block_of[i] for i in np.nonzero(grow))] = True
+    return _triangulate(grid, config, crossed, lo, cell)
+
+
+def _triangulate(grid, config, crossed, lo, cell):
+    """Table lookup over the `crossed` cells in C order, one vertex per
+    crossed grid edge, then weld and drop degenerate triangles. Every
+    corner of a crossed cell must hold a value in `grid`."""
+    npts = grid.shape[0]
+    active = np.nonzero(crossed)
     if active[0].size == 0:
         return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     cfg = config[active]
@@ -122,8 +194,8 @@ def marching_cubes(field, resolution, bounds=(-1.0, 1.0)):
     # global edge id of each crossed cell edge: its lower grid point on the
     # (npts^3) lattice, times 3 orientations
     flags = np.asarray(EDGE_FLAGS, dtype=np.int32)[cfg]
-    crossed = (flags[:, None] & (1 << np.arange(12))) != 0
-    rows, cols = np.nonzero(crossed)
+    cut = (flags[:, None] & (1 << np.arange(12))) != 0
+    rows, cols = np.nonzero(cut)
     start = cells[rows] + _EDGE_LOW[cols]
     gids = ((start[:, 0] * npts + start[:, 1]) * npts + start[:, 2]) * 3 + _EDGE_AXIS[cols]
 
@@ -189,7 +261,10 @@ def sample_mesh_surface(mesh, n, seed):
         raise StructuralError("sample count must be positive")
     rng = substream(seed, "mesh-sample")
     areas = mesh.triangle_areas()
-    probs = areas / areas.sum()
+    total = areas.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise StructuralError(f"cannot sample a mesh whose total triangle area is {total}")
+    probs = areas / total
     choice = rng.choice(len(areas), size=n, p=probs)
     a = mesh.vertices[mesh.triangles[choice, 0]]
     b = mesh.vertices[mesh.triangles[choice, 1]]

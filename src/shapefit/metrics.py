@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import StructuralError
+from .errors import NumericError, StructuralError
 
 CHAMFER_SCALE = 1e4
 DEFAULT_TAU = 0.01
@@ -21,6 +21,8 @@ def _check_cloud(pts, name):
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
         raise StructuralError(f"{name} must be a non-empty (N, 3) point cloud")
+    if not np.isfinite(pts).all():
+        raise NumericError(f"{name} has non-finite coordinates")
     return pts
 
 

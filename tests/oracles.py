@@ -1,10 +1,14 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately brute-force / finite-difference, separate
-from the library's analytic code paths.
+from the library's analytic code paths. The one exception is
+`dense_marching_cubes`, which shares the table code on purpose: it checks
+which cells the coarse-to-fine extraction visits, not the table.
 """
 
 import numpy as np
+
+from shapefit import meshing
 
 
 def fd_spatial_grad(fn, x, h=1e-5):
@@ -109,3 +113,17 @@ def ray_sphere_depth(origin, direction, radius):
         return None
     t = -b - np.sqrt(disc)
     return float(t) if t > 0 else None
+
+
+def dense_marching_cubes(field, resolution, bounds=(-1.0, 1.0)):
+    """Marching cubes with the field evaluated at every grid point and the
+    library's table code run over every crossed cell: the reference the
+    coarse-to-fine extraction must reproduce bit for bit."""
+    lo, hi = bounds
+    npts = resolution + 1
+    axis = np.linspace(lo, hi, npts)
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    coords = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+    grid = meshing._evaluate_grid(field, coords).reshape(npts, npts, npts)
+    config = meshing._cell_configs(grid)
+    return meshing._triangulate(grid, config, meshing._crossed(config), lo, (hi - lo) / resolution)

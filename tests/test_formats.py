@@ -116,17 +116,6 @@ def test_ply_vertex_element_after_another_raises(tmp_path):
         formats.load_ply(path)
 
 
-def test_mask_rle_roundtrip():
-    rng = substream(6, "rle")
-    for _ in range(20):
-        mask = rng.random((13, 17)) < rng.uniform(0.1, 0.9)
-        runs = formats.mask_to_rle(mask)
-        back = formats.rle_to_mask(runs, mask.shape)
-        np.testing.assert_array_equal(back, mask)
-    assert formats.mask_to_rle(np.zeros((2, 2), dtype=bool)) == [4]
-    assert formats.mask_to_rle(np.ones((2, 2), dtype=bool)) == [0, 4]
-
-
 def test_json_roundtrip_deterministic(tmp_path):
     doc = {"b": [1, 2, 3], "a": {"x": 0.5}}
     p1 = tmp_path / "a.json"
@@ -211,15 +200,3 @@ def test_reader_damaged_file_raises_data_error_or_loads(fmt, truncate, at, xor, 
     assert fmt in ("ply-ascii", "obj"), f"{fmt} truncated to {at} bytes loaded"
     assert len(got) <= len(want)
     assert got[:-1] == want[: max(len(got) - 1, 0)]
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.lists(st.integers(-3, 8), max_size=6))
-@example([5, -2, 1])
-def test_rle_bad_runs_raise_data_error_or_cover_mask(runs):
-    try:
-        back = formats.rle_to_mask(runs, (2, 2))
-    except DataError:
-        return
-    assert min(runs, default=0) >= 0 and sum(runs) == 4
-    assert back.shape == (2, 2) and back.sum() == sum(runs[1::2])

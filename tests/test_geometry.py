@@ -80,6 +80,14 @@ def test_pose_transform_inverse_compose():
     pose.validate()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pose_validate_rejects_non_finite_rot6d(bad):
+    r6 = np.array([1.0, 0, 0, 0, 1.0, 0])
+    r6[4] = bad
+    with pytest.raises(StructuralError, match="rot6d"):
+        geo.Pose(r6, np.zeros(3)).validate()
+
+
 def test_look_at_points_camera_at_target():
     pose = geo.look_at(np.array([0.0, 0.0, 2.0]))
     # target (origin) maps to (0, 0, distance) on the camera z-axis

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from shapefit import meshing
+from shapefit import fields, meshing, training
 from shapefit.errors import NumericError, StructuralError
 from shapefit.rng import substream
+from shapefit.synthdata import make_family, sample_shape
+
+from oracles import dense_marching_cubes
 
 
 def sphere_field(r=0.5):
@@ -58,6 +61,106 @@ def test_nonfinite_field_raises_with_location():
 def test_resolution_too_low_raises():
     with pytest.raises(StructuralError):
         meshing.marching_cubes(sphere_field(), 4)
+
+
+@pytest.mark.parametrize("resolution", [8.5, 16.0, "16", None])
+def test_non_integer_resolution_raises(resolution):
+    with pytest.raises(StructuralError, match="integer"):
+        meshing.marching_cubes(sphere_field(), resolution)
+
+
+def test_numpy_integer_resolution_accepted():
+    a = meshing.marching_cubes(sphere_field(), np.int64(16))
+    b = meshing.marching_cubes(sphere_field(), 16)
+    np.testing.assert_array_equal(a.vertices, b.vertices)
+
+
+@pytest.mark.parametrize("bounds", [(1.0, -1.0), (0.0, 0.0), (-1.0, np.inf), (np.nan, 1.0)])
+def test_bad_bounds_raise(bounds):
+    with pytest.raises(StructuralError, match="bounds"):
+        meshing.marching_cubes(sphere_field(), 16, bounds)
+
+
+def counted(field):
+    """The field plus a list holding the number of points it was asked for."""
+    n = [0]
+
+    def f(pts):
+        n[0] += len(pts)
+        return field(pts)
+
+    return f, n
+
+
+def assert_same_mesh(got, want):
+    assert not want.is_empty
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.triangles.tobytes() == want.triangles.tobytes()
+
+
+@pytest.mark.parametrize("category", ["car", "chair", "plane"])
+def test_coarse_to_fine_matches_dense_analytic(category):
+    # res 64 runs at stride 2; this plane needs two closure steps
+    shape = make_family(category, 1, seed=0)[0]
+    field, n = counted(shape.sdf)
+    assert_same_mesh(meshing.marching_cubes(field, 64), dense_marching_cubes(shape.sdf, 64))
+    assert n[0] < 0.3 * 65**3
+
+
+@pytest.mark.parametrize("resolution", [67, 130])
+def test_coarse_to_fine_short_last_block(resolution):
+    # the stride (2, 4) does not divide the resolution, so the last coarse
+    # block is shorter; the sphere crosses the upper faces of the cube
+    def corner_sphere(pts):
+        return np.linalg.norm(pts - 0.9, axis=1) - 0.5
+
+    assert_same_mesh(
+        meshing.marching_cubes(corner_sphere, resolution), dense_marching_cubes(corner_sphere, resolution)
+    )
+
+
+def test_coarse_to_fine_matches_dense_trained_field():
+    prior = fields.init_prior(
+        "car", latent_dim=8, template_hidden=(16, 16), deform_hidden=(10, 10),
+        hyper_hidden=16, omega0=5.0, seed=3,
+    )
+    shapes = make_family("car", 2, seed=3)
+    data = [(s.name, sample_shape(s, 200, 200, seed=4)) for s in shapes]
+    cfg = training.TrainConfig(
+        epochs=20, batch_shapes=2, surface_points_per_shape=200, free_points_per_shape=200,
+        lr=1e-3, lr_latent=1e-3, seed=0,
+    )
+    prior, _, _ = training.fit(prior, data, cfg)
+    exact = fields.instance_field(prior, prior.latents[shapes[0].name])
+    field, n = counted(exact)
+    assert_same_mesh(meshing.marching_cubes(field, 64), dense_marching_cubes(exact, 64))
+    assert n[0] < 0.5 * 65**3
+
+
+def test_coarse_to_fine_evaluates_few_points():
+    field, n = counted(sphere_field(0.5))
+    mesh = meshing.marching_cubes(field, 128)
+    assert not mesh.is_empty
+    assert n[0] < 0.15 * 129**3
+
+
+def test_below_stride_two_every_point_evaluated():
+    field, n = counted(sphere_field(0.5))
+    meshing.marching_cubes(field, 2 * meshing.COARSE_CELLS - 1)
+    assert n[0] == (2 * meshing.COARSE_CELLS) ** 3
+
+
+def test_small_sphere_between_coarse_points_missed():
+    # the documented limit: at res 64 coarse points sit 1/16 apart; a sphere
+    # of radius 0.02 around a coarse block's centre holds one fine point
+    # and no coarse point, so no coarse block changes sign
+    centre = -1.0 + 16.5 / 16
+
+    def small(pts):
+        return np.linalg.norm(pts - centre, axis=1) - 0.02
+
+    assert not dense_marching_cubes(small, 64).is_empty
+    assert meshing.marching_cubes(small, 64).is_empty
 
 
 def test_vertices_lie_on_sign_changing_edges():
@@ -142,3 +245,11 @@ def test_sample_deterministic_and_errors():
     empty = meshing.TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     with pytest.raises(StructuralError):
         meshing.sample_mesh_surface(empty, 10, seed=0)
+
+
+def test_sample_zero_area_mesh_raises():
+    # collinear vertices: every triangle has zero area
+    verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
+    mesh = meshing.TriangleMesh(verts, np.array([[0, 1, 2], [1, 2, 3]]))
+    with pytest.raises(StructuralError, match="area"):
+        meshing.sample_mesh_surface(mesh, 10, seed=0)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shapefit import metrics
-from shapefit.errors import StructuralError
+from shapefit.errors import NumericError, StructuralError
 from shapefit.geometry import Pose, random_rotation, rotation_about_axis
 from shapefit.rng import substream
 
@@ -40,6 +41,37 @@ def test_chamfer_symmetry():
 def test_chamfer_empty_raises():
     with pytest.raises(StructuralError):
         metrics.chamfer(np.zeros((0, 3)), np.zeros((5, 3)))
+
+
+_coord = st.floats(-1e3, 1e3) | st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+def _cloud(n):
+    return arrays(np.float64, (n, 3), elements=_coord)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 12).flatmap(_cloud), st.integers(1, 12).flatmap(_cloud))
+def test_metrics_on_arbitrary_clouds(a, b):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        for fn in (metrics.chamfer, metrics.fscore):
+            with pytest.raises(NumericError, match="non-finite"):
+                fn(a, b)
+        return
+    assert metrics.chamfer(a, b) == brute_force_chamfer(a, b)
+    f = metrics.fscore(a, b, 0.5)
+    assert f == pytest.approx(brute_force_fscore(a, b, 0.5), abs=1e-15)
+    assert 0.0 <= f <= 1.0
+
+
+def test_nan_point_raises_numeric_error_naming_cloud():
+    a = substream(9, "nan").uniform(-1, 1, (20, 3))
+    b = a.copy()
+    b[7, 1] = np.nan
+    with pytest.raises(NumericError, match="cloud B"):
+        metrics.chamfer(a, b)
+    with pytest.raises(NumericError, match="prediction"):
+        metrics.fscore(b, a)
 
 
 def test_fscore_identical_clouds():
