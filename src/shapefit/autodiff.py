@@ -77,9 +77,6 @@ class MLPParams:
     def layer_sizes(self):
         return [self.in_dim] + [w.shape[0] for w in self.weights]
 
-    def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     def validate(self):
         if not self.weights or len(self.weights) != len(self.biases):
             raise StructuralError("weights and biases must be non-empty and aligned")
@@ -103,12 +100,12 @@ class MLPParams:
         return self
 
 
-def siren_init(layer_sizes, rng, omega0=30.0, final_activation=ACT_LINEAR):
+def siren_init(layer_sizes, rng, omega0=30.0):
     """Standard sinusoidal-network init.
 
     First layer uniform in [-1/in, 1/in]; later layers uniform in
-    [-sqrt(6/in)/omega0, sqrt(6/in)/omega0]. The last layer uses
-    `final_activation`, all earlier layers are sine.
+    [-sqrt(6/in)/omega0, sqrt(6/in)/omega0]. The last layer is linear, all
+    earlier layers are sine.
     """
     weights, biases, acts = [], [], []
     n = len(layer_sizes) - 1
@@ -120,7 +117,7 @@ def siren_init(layer_sizes, rng, omega0=30.0, final_activation=ACT_LINEAR):
             bound = np.sqrt(6.0 / fan_in) / omega0
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(rng.uniform(-bound, bound, size=fan_out))
-        acts.append(final_activation if k == n - 1 else ACT_SINE)
+        acts.append(ACT_LINEAR if k == n - 1 else ACT_SINE)
     return MLPParams(weights, biases, tuple(acts), omega0)
 
 
@@ -135,20 +132,6 @@ class MLPGrads:
 def pack_params(weights, biases):
     """Flatten per-layer (W, b) pairs into one vector: row-major W then b."""
     return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(weights, biases)])
-
-
-def unpack_params(vec, like):
-    """Inverse of pack_params, shaped after the MLPParams `like`."""
-    weights, biases = [], []
-    off = 0
-    for w, b in zip(like.weights, like.biases):
-        weights.append(vec[off : off + w.size].reshape(w.shape))
-        off += w.size
-        biases.append(vec[off : off + b.size].copy())
-        off += b.size
-    if off != vec.size:
-        raise StructuralError(f"parameter vector has {vec.size} entries, expected {off}")
-    return weights, biases
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .rng import substream
 @dataclass
 class PointCloud:
     points: np.ndarray
-    frame: str = "camera"  # camera | canonical
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -48,7 +47,7 @@ def lift_depth(depth):
     pts = np.stack(
         [d * (xs - intr.cx) / intr.fx, d * (ys - intr.cy) / intr.fy, d], axis=1
     )
-    return PointCloud(pts, "camera").validate()
+    return PointCloud(pts).validate()
 
 
 # ---------------------------------------------------------------------------

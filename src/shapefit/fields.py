@@ -28,7 +28,6 @@ DEFORM_OUT_DIM = 4  # (v_x, v_y, v_z, delta_s)
 @dataclass
 class LatentCode:
     z: np.ndarray
-    instance_id: str = ""
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=np.float64).reshape(-1)
@@ -246,8 +245,6 @@ def compose_backward(
 
 def instance_field(prior, z):
     """Batched value-only field closure for one latent (for meshing)."""
-    if isinstance(z, LatentCode):
-        z = z.z
     deform, _ = hyper_forward(prior, z)
 
     def field_fn(pts):
@@ -273,9 +270,6 @@ def save_prior(prior, path):
     sidecar = {
         "category": prior.category,
         "latent_dim": prior.latent_dim,
-        "template_sizes": prior.template.layer_sizes,
-        "deform_sizes": prior.deform_layout.layer_sizes,
-        "omega0": prior.template.omega0,
         "instance_ids": ids,
         "meta": prior.meta,
     }

@@ -1,4 +1,5 @@
-"""On-disk formats: checkpoint container, PLY, PFM, OBJ, JSON.
+"""On-disk formats: checkpoint container, PFM depth and JSON (read and
+written), PLY point clouds and OBJ meshes (written only).
 
 Checkpoint container layout (all little-endian):
 
@@ -140,90 +141,17 @@ def load_container(path):
 # PLY point clouds
 
 
-def save_ply(path, points, binary=True):
-    """Write an (N, 3) point cloud as PLY with float x,y,z properties."""
+def save_ply(path, points):
+    """Write an (N, 3) point cloud as binary little-endian PLY with float
+    x,y,z properties."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise DataError(f"PLY expects (N, 3) points, got {points.shape}")
-    fmt = "binary_little_endian" if binary else "ascii"
     header = (
-        f"ply\nformat {fmt} 1.0\nelement vertex {len(points)}\n"
+        f"ply\nformat binary_little_endian 1.0\nelement vertex {len(points)}\n"
         "property float x\nproperty float y\nproperty float z\nend_header\n"
     ).encode("ascii")
-    if binary:
-        body = np.ascontiguousarray(points, dtype="<f4").tobytes()
-    else:
-        body = "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in points).encode("ascii")
-    _atomic_write(path, header + body)
-
-
-_PLY_TYPES = {
-    "float": ("<f4", 4), "float32": ("<f4", 4), "double": ("<f8", 8), "float64": ("<f8", 8),
-    "int": ("<i4", 4), "int32": ("<i4", 4), "uint": ("<u4", 4), "uint32": ("<u4", 4),
-    "short": ("<i2", 2), "ushort": ("<u2", 2), "int16": ("<i2", 2), "uint16": ("<u2", 2),
-    "char": ("<i1", 1), "uchar": ("<u1", 1), "int8": ("<i1", 1), "uint8": ("<u1", 1),
-}
-
-
-def load_ply(path):
-    """Read x,y,z vertex coordinates from an ASCII or binary-LE PLY file.
-
-    The vertex element must come first; later elements (faces, edges) are
-    ignored.
-    """
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError as e:
-        raise DataError(f"cannot read PLY {path}: {e}") from e
-    end = data.find(b"end_header\n")
-    if not data.startswith(b"ply") or end < 0:
-        raise DataError(f"{path}: not a PLY file")
-    header = data[: end + len(b"end_header\n")]
-    body = data[len(header):]
-    fmt = None
-    n_vertex = None
-    props = []
-    in_vertex = seen_element = False
-    try:
-        for line in header.decode("ascii", "replace").splitlines():
-            tok = line.split()
-            if not tok:
-                continue
-            if tok[0] == "format":
-                fmt = tok[1]
-            elif tok[0] == "element":
-                in_vertex = tok[1] == "vertex"
-                if in_vertex:
-                    if seen_element:
-                        raise DataError(f"{path}: the vertex element must come first")
-                    n_vertex = int(tok[2])
-                seen_element = True
-            elif tok[0] == "property" and in_vertex:
-                if tok[1] == "list":
-                    raise DataError(f"{path}: list properties on vertices unsupported")
-                props.append((tok[1], tok[2]))
-    except (IndexError, ValueError) as e:
-        raise DataError(f"{path}: malformed PLY header: {e}") from e
-    if fmt not in ("ascii", "binary_little_endian") or n_vertex is None or n_vertex < 0:
-        raise DataError(f"{path}: unsupported PLY format {fmt!r} or vertex count {n_vertex}")
-    names = [p[1] for p in props]
-    for axis in "xyz":
-        if axis not in names:
-            raise DataError(f"{path}: vertex property {axis!r} missing")
-    try:
-        if fmt == "ascii":
-            # one line per vertex; lines of later elements are not read
-            rows = [line.split() for line in body.decode("ascii").splitlines()[:n_vertex]]
-            table = np.array(rows, dtype=np.float64).reshape(n_vertex, len(props))
-            cols = {name: table[:, i] for i, (_, name) in enumerate(props)}
-        else:
-            dtype = np.dtype([(name, _PLY_TYPES[t][0]) for t, name in props])
-            table = np.frombuffer(body, dtype=dtype, count=n_vertex)
-            cols = {name: table[name].astype(np.float64) for _, name in props}
-    except (KeyError, ValueError) as e:
-        raise DataError(f"{path}: malformed PLY body for {n_vertex} vertices: {e}") from e
-    return np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
+    _atomic_write(path, header + np.ascontiguousarray(points, dtype="<f4").tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -279,32 +207,6 @@ def save_obj(path, vertices, triangles):
     for i, j, k in np.asarray(triangles, dtype=np.int64):
         lines.append(f"f {i + 1} {j + 1} {k + 1}")
     _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
-
-
-def load_obj(path):
-    vertices, triangles = [], []
-    try:
-        with open(path, "r", encoding="ascii") as f:
-            for line in f:
-                tok = line.split()
-                if not tok or tok[0] not in ("v", "f"):
-                    continue
-                if len(tok) < 4:
-                    raise DataError(f"{path}: {tok[0]!r} record with fewer than 3 entries")
-                if tok[0] == "v":
-                    vertices.append([float(v) for v in tok[1:4]])
-                else:  # fan-triangulate a polygon
-                    idx = [int(t.split("/")[0]) - 1 for t in tok[1:]]
-                    triangles.extend([idx[0], a, b] for a, b in zip(idx[1:-1], idx[2:]))
-    except OSError as e:
-        raise DataError(f"cannot read OBJ {path}: {e}") from e
-    except ValueError as e:  # also non-ASCII bytes (UnicodeDecodeError)
-        raise DataError(f"{path}: malformed OBJ: {e}") from e
-    vertices = np.array(vertices, dtype=np.float64).reshape(-1, 3)
-    triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
-    if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
-        raise DataError(f"{path}: face index outside the {len(vertices)} vertices")
-    return vertices, triangles
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import StructuralError
 
 _DEGENERATE_NORM = 1e-9
+_ROTATION_TOL = 1e-6  # |R^T R - I| accepted by Pose.from_matrix
 
 
 def rot6d_to_matrix(r6):
@@ -84,7 +85,15 @@ class Pose:
 
     @classmethod
     def from_matrix(cls, rot, translation):
-        return cls(matrix_to_rot6d(rot), np.asarray(translation, dtype=np.float64))
+        """Pose of a proper rotation matrix: orthonormal with determinant +1."""
+        r6 = matrix_to_rot6d(rot)
+        rot = np.asarray(rot, dtype=np.float64)
+        err = np.abs(rot.T @ rot - np.eye(3)).max()
+        if not err <= _ROTATION_TOL:
+            raise StructuralError(f"matrix is not a rotation: |R^T R - I| = {err:.3g}")
+        if not np.linalg.det(rot) > 0:
+            raise StructuralError("matrix is not a rotation: determinant -1 (a reflection)")
+        return cls(r6, np.asarray(translation, dtype=np.float64))
 
     def matrix(self):
         return rot6d_to_matrix(self.rot6d)
@@ -115,15 +124,6 @@ class Pose:
         return self
 
 
-def random_rotation(rng):
-    """Uniform random rotation via QR of a Gaussian matrix."""
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 2] = -q[:, 2]
-    return q
-
-
 def rotation_about_axis(axis, angle_rad):
     """Rodrigues rotation about a (not necessarily unit) axis."""
     axis = np.asarray(axis, dtype=np.float64)
@@ -133,22 +133,21 @@ def rotation_about_axis(axis, angle_rad):
     return np.eye(3) + np.sin(angle_rad) * k + (1 - np.cos(angle_rad)) * (k @ k)
 
 
-def look_at(eye, target=(0.0, 0.0, 0.0), up=(0.0, 0.0, 1.0)):
-    """Camera-from-world pose for a pinhole camera at `eye` facing `target`.
+def look_at(eye):
+    """Camera-from-world pose for a pinhole camera at `eye` facing the
+    origin, with +z up (+y up when the camera looks along the z axis).
 
     Camera convention: +z forward, +x right, +y down in the image.
     """
     eye = np.asarray(eye, dtype=np.float64)
-    fwd = np.asarray(target, dtype=np.float64) - eye
+    fwd = -eye
     n = np.linalg.norm(fwd)
     if n < _DEGENERATE_NORM:
-        raise StructuralError("camera eye coincides with target")
+        raise StructuralError("camera eye coincides with the origin")
     fwd = fwd / n
-    up = np.asarray(up, dtype=np.float64)
+    up = np.array([0.0, 0.0, 1.0])
     if np.linalg.norm(np.cross(up, fwd)) < 1e-6:
         up = np.array([0.0, 1.0, 0.0])
-        if np.linalg.norm(np.cross(up, fwd)) < 1e-6:
-            up = np.array([1.0, 0.0, 0.0])
     right = np.cross(up, fwd)
     right /= np.linalg.norm(right)
     down = np.cross(fwd, right)

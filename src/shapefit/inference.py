@@ -22,7 +22,7 @@ from .canonicalize import PointCloud, canonicalize, lift_depth
 from .errors import NumericError, StageError, StructuralError
 from .formats import save_container, save_json, save_obj
 from .geometry import Pose, rot6d_backward, rot6d_to_matrix
-from .meshing import marching_cubes, sample_mesh_surface
+from .meshing import check_resolution, marching_cubes, sample_mesh_surface
 from .rng import substream
 
 TRACE_FIELDS = ("iteration", "observation", "eikonal", "latent")
@@ -31,6 +31,9 @@ TRACE_FIELDS = ("iteration", "observation", "eikonal", "latent")
 TERM_WEIGHTS = {"observation": 3e3, "eikonal": 5e1, "latent": 5.0}
 LR_SHAPE = 1e-3
 LR_POSE = 1e-2
+# the template cloud that PCA and ICP align to: surface samples of a res-48 mesh
+TEMPLATE_MC_RESOLUTION = 48
+TEMPLATE_POINTS = 4000
 
 
 @dataclass
@@ -54,6 +57,7 @@ class InferenceConfig:
             raise StructuralError(f"unknown latent init mode {self.latent_init!r}")
         if self.eikonal_samples <= 0 or self.max_observed_points <= 0:
             raise StructuralError("sample counts must be positive")
+        check_resolution(self.mc_resolution)
         return self
 
 
@@ -157,19 +161,19 @@ def joint_optimize(prior, observed, init, config):
             opt.step(params, {"r6": g_r6, "t": g_t}, lr=LR_POSE)
 
     pose = Pose(r6, t)
-    result = ReconstructionResult(None, pose, fields.LatentCode(z, "reconstruction"), trace)
+    result = ReconstructionResult(None, pose, fields.LatentCode(z), trace)
     return result.validate(config.iterations)
 
 
-def template_cloud(prior, resolution=48, n_points=4000, seed=0):
+def template_cloud(prior, seed=0):
     """Surface samples of the prior's template zero level set (canonical)."""
     def field_fn(pts):
         return ad.forward(prior.template, pts)[:, 0]
 
-    mesh = marching_cubes(field_fn, resolution)
+    mesh = marching_cubes(field_fn, TEMPLATE_MC_RESOLUTION)
     if mesh.is_empty:
         raise StructuralError("template field has no zero level set to sample")
-    return PointCloud(sample_mesh_surface(mesh, n_points, seed), "canonical")
+    return PointCloud(sample_mesh_surface(mesh, TEMPLATE_POINTS, seed))
 
 
 def reconstruct(prior, depth, estimator, config):

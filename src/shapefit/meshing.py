@@ -131,6 +131,14 @@ def _crossed(config):
     return (config != 0) & (config != 255)
 
 
+def check_resolution(resolution):
+    """Raise StructuralError unless `resolution` is an integer >= 8."""
+    if not isinstance(resolution, (int, np.integer)):
+        raise StructuralError(f"marching cubes resolution must be an integer, got {resolution!r}")
+    if resolution < 8:
+        raise StructuralError(f"marching cubes resolution must be >= 8, got {resolution}")
+
+
 def marching_cubes(field, resolution, bounds=(-1.0, 1.0)):
     """Extract the zero level set of `field` over a cubic grid.
 
@@ -140,10 +148,7 @@ def marching_cubes(field, resolution, bounds=(-1.0, 1.0)):
     resolution+1 samples per axis over `bounds` (finite, lo < hi).
     The field is evaluated coarse to fine (see the module docstring).
     """
-    if not isinstance(resolution, (int, np.integer)):
-        raise StructuralError(f"marching cubes resolution must be an integer, got {resolution!r}")
-    if resolution < 8:
-        raise StructuralError("marching cubes resolution must be >= 8")
+    check_resolution(resolution)
     lo, hi = (float(b) for b in bounds)
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise StructuralError(f"marching cubes bounds must be finite with lo < hi, got {bounds!r}")

@@ -104,9 +104,9 @@ class EvalReport:
     tau: float = DEFAULT_TAU
     records: list = field(default_factory=list)
 
-    def add(self, name, pred_points, gt_points, est_pose=None, gt_pose=None, normalize=True):
-        pred, gt = (normalize_pair(pred_points, gt_points) if normalize
-                    else (np.asarray(pred_points), np.asarray(gt_points)))
+    def add(self, name, pred_points, gt_points, est_pose=None, gt_pose=None):
+        """Score one shape on clouds scaled by `normalize_pair`."""
+        pred, gt = normalize_pair(pred_points, gt_points)
         deg = trans = None
         if est_pose is not None and gt_pose is not None:
             deg, trans = pose_error(est_pose, gt_pose)

@@ -27,8 +27,10 @@ class Intrinsics:
         return self
 
 
-def default_intrinsics(width, height, fov_deg=50.0):
-    f = 0.5 * width / np.tan(np.radians(fov_deg) / 2)
+def default_intrinsics(width, height):
+    """Square pixels, principal point at the image centre, 50-degree
+    horizontal field of view."""
+    f = 0.5 * width / np.tan(np.radians(50.0) / 2)
     return Intrinsics(f, f, (width - 1) / 2.0, (height - 1) / 2.0)
 
 
@@ -43,14 +45,6 @@ class DepthImage:
     mask: np.ndarray  # (H, W) bool
     intrinsics: Intrinsics
     camera_pose: Pose
-
-    @property
-    def width(self):
-        return self.depth.shape[1]
-
-    @property
-    def height(self):
-        return self.depth.shape[0]
 
     def validate(self):
         if self.depth.shape != self.mask.shape:
@@ -71,6 +65,8 @@ def render_depth(shape, camera_pose, intrinsics, resolution, noise_sigma=0.0, se
     pixel through the intrinsics reproduces the hit point exactly.
     """
     width, height = resolution
+    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in resolution):
+        raise StructuralError(f"image resolution must be two integers >= 1, got {resolution!r}")
     intrinsics.validate()
     rot = camera_pose.matrix()
     origin = -rot.T @ camera_pose.translation  # camera center, canonical frame
@@ -135,11 +131,12 @@ def render_depth(shape, camera_pose, intrinsics, resolution, noise_sigma=0.0, se
     ).validate()
 
 
-def hemisphere_camera(rng, distance=(1.8, 2.6), elevation_deg=(15.0, 70.0)):
-    """Random camera on the upper viewing hemisphere, looking at the origin."""
+def hemisphere_camera(rng):
+    """Random camera on the upper viewing hemisphere, looking at the origin:
+    any azimuth, 15-70 degrees elevation, 1.8-2.6 from the origin."""
     azimuth = rng.uniform(0.0, 2 * np.pi)
-    elevation = np.radians(rng.uniform(*elevation_deg))
-    d = rng.uniform(*distance)
+    elevation = np.radians(rng.uniform(15.0, 70.0))
+    d = rng.uniform(1.8, 2.6)
     eye = d * np.array(
         [np.cos(elevation) * np.cos(azimuth), np.cos(elevation) * np.sin(azimuth), np.sin(elevation)]
     )

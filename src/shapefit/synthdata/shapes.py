@@ -7,7 +7,7 @@ bound inside, so surface sampling only accepts points where a single
 primitive attains the minimum.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ EDGE_MARGIN = 1e-4
 # minimum |sdf| every other primitive must have for a surface sample (unique-min rule)
 UNIQUE_GAP = 1e-4
 _SURFACE_TOL = 1e-9
+MAX_SAMPLING_ROUNDS = 60  # candidate draws before surface sampling gives up
 
 
 def _pts(x):
@@ -37,8 +38,6 @@ class Sphere:
     center: np.ndarray
     radius: float
 
-    kind = "sphere"
-
     def sdf(self, p):
         return np.linalg.norm(p - np.asarray(self.center), axis=1) - self.radius
 
@@ -46,7 +45,7 @@ class Sphere:
         d = p - np.asarray(self.center)
         return d / np.linalg.norm(d, axis=1, keepdims=True)
 
-    def sample_surface(self, n, rng, margin=EDGE_MARGIN):
+    def sample_surface(self, n, rng):
         dirs = rng.standard_normal((n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return np.asarray(self.center) + self.radius * dirs
@@ -63,8 +62,6 @@ class Sphere:
 class Box:
     center: np.ndarray
     half_extents: np.ndarray
-
-    kind = "box"
 
     def sdf(self, p):
         q = np.abs(p - np.asarray(self.center)) - np.asarray(self.half_extents)
@@ -88,14 +85,14 @@ class Box:
             out[rows, axis] = sign
         return out
 
-    def sample_surface(self, n, rng, margin=EDGE_MARGIN):
+    def sample_surface(self, n, rng):
         h = np.asarray(self.half_extents, dtype=np.float64)
         areas = 4 * np.array([h[1] * h[2], h[0] * h[2], h[0] * h[1]])
         areas = np.repeat(areas, 2)  # +face, -face per axis
         face = rng.choice(6, size=n, p=areas / areas.sum())
         axis = face // 2
         sign = np.where(face % 2 == 0, 1.0, -1.0)
-        pts = rng.uniform(-1.0, 1.0, (n, 3)) * np.maximum(h - margin, 0.0)
+        pts = rng.uniform(-1.0, 1.0, (n, 3)) * np.maximum(h - EDGE_MARGIN, 0.0)
         pts[np.arange(n), axis] = sign * h[axis]
         return np.asarray(self.center) + pts
 
@@ -111,13 +108,15 @@ class Box:
 
 @dataclass
 class RoundedBox:
-    """Minkowski sum of a box and a sphere: exact SDF is box minus radius."""
+    """Minkowski sum of a box and a sphere: exact SDF is box minus radius.
+
+    `sample_surface` offsets samples of the core box's faces only, so the
+    rounded edges and corners get no samples, and `area` (that of the box
+    grown by the radius) overstates the true area."""
 
     center: np.ndarray
     half_extents: np.ndarray  # inner core, before rounding
     round_radius: float
-
-    kind = "rounded_box"
 
     def _core(self):
         return Box(self.center, self.half_extents)
@@ -128,9 +127,9 @@ class RoundedBox:
     def normal(self, p):
         return self._core().normal(p)
 
-    def sample_surface(self, n, rng, margin=EDGE_MARGIN):
+    def sample_surface(self, n, rng):
         core = self._core()
-        pts = core.sample_surface(n, rng, margin=margin)
+        pts = core.sample_surface(n, rng)
         return pts + self.round_radius * core.normal(pts)
 
     def area(self):
@@ -150,8 +149,6 @@ class Cylinder:
     axis: int
     radius: float
     half_height: float
-
-    kind = "cylinder"
 
     def _decompose(self, p):
         d = p - np.asarray(self.center)
@@ -179,7 +176,7 @@ class Cylinder:
         n[cap, self.axis] = np.sign(d[cap, self.axis])
         return n
 
-    def sample_surface(self, n, rng, margin=EDGE_MARGIN):
+    def sample_surface(self, n, rng):
         r, hh = self.radius, self.half_height
         area_side = 2 * np.pi * r * 2 * hh
         area_caps = 2 * np.pi * r**2
@@ -190,10 +187,10 @@ class Cylinder:
         ns = on_side.sum()
         pts[on_side, perp[0]] = r * np.cos(theta[on_side])
         pts[on_side, perp[1]] = r * np.sin(theta[on_side])
-        pts[on_side, self.axis] = rng.uniform(-(hh - margin), hh - margin, ns)
+        pts[on_side, self.axis] = rng.uniform(-(hh - EDGE_MARGIN), hh - EDGE_MARGIN, ns)
         caps = ~on_side
         nc = caps.sum()
-        rad = np.sqrt(rng.random(nc)) * max(r - margin, 0.0)
+        rad = np.sqrt(rng.random(nc)) * max(r - EDGE_MARGIN, 0.0)
         pts[caps, perp[0]] = rad * np.cos(theta[caps])
         pts[caps, perp[1]] = rad * np.sin(theta[caps])
         pts[caps, self.axis] = np.where(rng.random(nc) < 0.5, hh, -hh)
@@ -217,7 +214,6 @@ class Ellipsoid:
     center: np.ndarray
     radii: np.ndarray
 
-    kind = "ellipsoid"
     _BISECT_ITERS = 100
 
     def sdf(self, p):
@@ -245,7 +241,7 @@ class Ellipsoid:
         d = (p - np.asarray(self.center)) / np.square(self.radii)
         return d / np.linalg.norm(d, axis=1, keepdims=True)
 
-    def sample_surface(self, n, rng, margin=EDGE_MARGIN):
+    def sample_surface(self, n, rng):
         dirs = rng.standard_normal((n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return np.asarray(self.center) + np.asarray(self.radii) * dirs
@@ -259,9 +255,6 @@ class Ellipsoid:
         c = np.asarray(self.center, dtype=np.float64)
         r = np.asarray(self.radii, dtype=np.float64)
         return c - r, c + r
-
-
-_PRIMITIVES = {cls.kind: cls for cls in (Sphere, Box, RoundedBox, Cylinder, Ellipsoid)}
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +298,7 @@ class AnalyticShape:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_surface(self, n, rng, max_rounds=60):
+    def sample_surface(self, n, rng):
         """Surface points with outward unit normals.
 
         Candidates are drawn per primitive (area-weighted), then kept only
@@ -316,7 +309,7 @@ class AnalyticShape:
         weights = areas / areas.sum()
         got_p, got_n = [], []
         remaining = n
-        for _ in range(max_rounds):
+        for _ in range(MAX_SAMPLING_ROUNDS):
             draw = max(2 * remaining, 64)
             counts = rng.multinomial(draw, weights)
             for k, (prim, cnt) in enumerate(zip(self.primitives, counts)):
@@ -337,7 +330,7 @@ class AnalyticShape:
             remaining = n - have
         else:
             raise DataError(
-                f"surface sampling for {self.name} exhausted {max_rounds} rounds; "
+                f"surface sampling for {self.name} exhausted {MAX_SAMPLING_ROUNDS} rounds; "
                 f"got {sum(len(p) for p in got_p)}/{n} points"
             )
         pts = np.concatenate(got_p)[:n]
@@ -348,35 +341,6 @@ class AnalyticShape:
         """Uniform free-space points in the cube with oracle SDF attached."""
         pts = rng.uniform(-1.0, 1.0, (n, 3))
         return pts, self.sdf(pts)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self):
-        return {
-            "category": self.category,
-            "name": self.name,
-            "primitives": [_primitive_to_json(prim) for prim in self.primitives],
-        }
-
-    @classmethod
-    def from_json(cls, doc):
-        try:
-            prims = [_primitive_from_json(p) for p in doc["primitives"]]
-            return cls(prims, doc["category"], doc["name"])
-        except (KeyError, TypeError, StructuralError) as e:
-            raise DataError(f"malformed shape document: {e}") from e
-
-
-def _primitive_to_json(prim):
-    doc = {f.name: np.asarray(getattr(prim, f.name)).tolist() for f in fields(prim)}
-    return {"type": prim.kind, **doc}
-
-
-def _primitive_from_json(doc):
-    kind = doc["type"]
-    if kind not in _PRIMITIVES:
-        raise DataError(f"unknown primitive type {kind!r}")
-    return _PRIMITIVES[kind](**{k: v for k, v in doc.items() if k != "type"})
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +386,8 @@ CATEGORIES = ("sphere", "car", "chair", "plane")
 
 def make_family(category, count, seed):
     """Deterministic list of same-category shapes with varied parameters."""
-    if count <= 0:
-        raise StructuralError("family count must be positive")
+    if not isinstance(count, (int, np.integer)) or count <= 0:
+        raise StructuralError(f"family count must be a positive integer, got {count!r}")
     if category not in CATEGORIES:
         raise StructuralError(f"unknown category {category!r}, expected one of {CATEGORIES}")
     rng = substream(seed, "family", category)

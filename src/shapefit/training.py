@@ -106,8 +106,6 @@ def shape_terms(prior, z, samples, weights, with_grads=False):
     weights.validate()
     if samples.surface_normals is None or len(samples.surface_normals) == 0:
         raise StructuralError("surface samples must carry normals")
-    if isinstance(z, fields.LatentCode):
-        z = z.z
     n_s = len(samples.surface_points)
     pts = np.concatenate([samples.surface_points, samples.free_points])
     n = pts.shape[0]
@@ -315,10 +313,3 @@ def write_history_csv(history, path):
         for row in history:
             writer.writerow({k: row[k] for k in fields_})
 
-
-def read_history_csv(path):
-    with open(path, "r", newline="") as f:
-        return [
-            {k: (int(v) if k == "epoch" else float(v)) for k, v in row.items()}
-            for row in csv.DictReader(f)
-        ]

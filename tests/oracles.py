@@ -11,6 +11,33 @@ import numpy as np
 from shapefit import meshing
 
 
+def random_rotation(rng):
+    """Uniform random rotation via QR of a Gaussian matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 2] = -q[:, 2]
+    return q
+
+
+def unpack_params(vec, like):
+    """Inverse of `autodiff.pack_params`, shaped after the MLPParams `like`."""
+    weights, biases = [], []
+    off = 0
+    for w, b in zip(like.weights, like.biases):
+        weights.append(vec[off : off + w.size].reshape(w.shape))
+        off += w.size
+        biases.append(vec[off : off + b.size].copy())
+        off += b.size
+    assert off == vec.size, f"parameter vector has {vec.size} entries, expected {off}"
+    return weights, biases
+
+
+def n_params(params):
+    """Number of weights and biases of an MLPParams."""
+    return sum(w.size + b.size for w, b in zip(params.weights, params.biases))
+
+
 def fd_spatial_grad(fn, x, h=1e-5):
     """Central finite differences of a scalar function of a 3-vector."""
     x = np.asarray(x, dtype=np.float64)

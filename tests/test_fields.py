@@ -6,7 +6,7 @@ from shapefit import fields
 from shapefit.errors import StructuralError
 from shapefit.rng import substream
 
-from oracles import fd_spatial_grad, rel_err
+from oracles import fd_spatial_grad, rel_err, unpack_params
 
 
 def small_prior(seed=0, latent_dim=8):
@@ -199,7 +199,7 @@ def test_compose_backward_matches_fd_on_params():
     base_t = ad.pack_params(prior.template.weights, prior.template.biases)
 
     def loss_t(vec):
-        w, b = ad.unpack_params(vec, prior.template)
+        w, b = unpack_params(vec, prior.template)
         t = ad.MLPParams(w, b, prior.template.activations, prior.template.omega0)
         return full_loss(t, prior.hyper, z0)
 
@@ -213,7 +213,7 @@ def test_compose_backward_matches_fd_on_params():
     base_h = ad.pack_params(prior.hyper[0].weights, prior.hyper[0].biases)
 
     def loss_h(vec):
-        w, b = ad.unpack_params(vec, prior.hyper[0])
+        w, b = unpack_params(vec, prior.hyper[0])
         h0 = ad.MLPParams(w, b, prior.hyper[0].activations, prior.hyper[0].omega0)
         return full_loss(prior.template, [h0] + prior.hyper[1:], z0)
 

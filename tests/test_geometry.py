@@ -5,7 +5,7 @@ from shapefit import geometry as geo
 from shapefit.errors import StructuralError
 from shapefit.rng import substream
 
-from oracles import fd_grad_vector, rel_err
+from oracles import fd_grad_vector, random_rotation, rel_err
 
 
 def test_rot6d_identity():
@@ -28,7 +28,7 @@ def test_rot6d_scale_invariance():
 def test_rot6d_roundtrip_100_random_rotations():
     rng = substream(1, "rot")
     for _ in range(100):
-        rot = geo.random_rotation(rng)
+        rot = random_rotation(rng)
         r6 = geo.matrix_to_rot6d(rot)
         back = geo.rot6d_to_matrix(r6)
         assert np.abs(back - rot).max() < 1e-10
@@ -54,7 +54,7 @@ def test_rot6d_backward_matches_fd():
     rng = substream(3, "bwd")
     for _ in range(10):
         r6 = rng.standard_normal(6)
-        target = geo.random_rotation(rng)
+        target = random_rotation(rng)
 
         def loss_of(v):
             return float(np.sum((geo.rot6d_to_matrix(v) - target) ** 2))
@@ -67,7 +67,7 @@ def test_rot6d_backward_matches_fd():
 
 def test_pose_transform_inverse_compose():
     rng = substream(4, "pose")
-    rot = geo.random_rotation(rng)
+    rot = random_rotation(rng)
     t = rng.standard_normal(3)
     pose = geo.Pose.from_matrix(rot, t)
     pts = rng.standard_normal((50, 3))
@@ -86,6 +86,22 @@ def test_pose_validate_rejects_non_finite_rot6d(bad):
     r6[4] = bad
     with pytest.raises(StructuralError, match="rot6d"):
         geo.Pose(r6, np.zeros(3)).validate()
+
+
+@pytest.mark.parametrize(
+    "rot",
+    [np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), np.ones((3, 3)), np.eye(3) + 1e-5, np.full((3, 3), np.nan)],
+    ids=["reflection", "scaled", "ones", "off-by-1e-5", "nan"],
+)
+def test_from_matrix_rejects_non_rotations(rot):
+    with pytest.raises(StructuralError, match="not a rotation"):
+        geo.Pose.from_matrix(rot, np.zeros(3))
+
+
+def test_from_matrix_accepts_rotations_within_tolerance():
+    rot = geo.rotation_about_axis([1.0, 2.0, 3.0], 0.7)
+    pose = geo.Pose.from_matrix(rot + 1e-9, np.zeros(3))
+    np.testing.assert_allclose(pose.matrix(), rot, atol=1e-8)
 
 
 def test_look_at_points_camera_at_target():

@@ -23,7 +23,7 @@ def observed_sphere_cloud(seed=1, n=300, r=0.45):
     rng = substream(seed, "obs")
     dirs = rng.standard_normal((n, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return PointCloud(r * dirs, "camera")
+    return PointCloud(r * dirs)
 
 
 def test_zero_iterations_passthrough():
@@ -104,6 +104,23 @@ def test_nan_abort_reports_iteration():
     cfg = inference.InferenceConfig(iterations=3, latent_init="zero", eikonal_samples=16, seed=19)
     with np.errstate(all="ignore"), pytest.raises(Exception, match="iteration"):
         inference.joint_optimize(prior, obs, Pose.identity(), cfg)
+
+
+@pytest.mark.parametrize("res", [4, 7, 16.0, "32", None])
+def test_config_rejects_resolution_marching_cubes_rejects(res):
+    with pytest.raises(StructuralError, match="marching cubes resolution"):
+        inference.InferenceConfig(mc_resolution=res).validate()
+    with pytest.raises(StructuralError, match="marching cubes resolution"):
+        inference.marching_cubes(lambda p: np.ones(len(p)), res)
+
+
+def test_reconstruct_bad_resolution_fails_before_lifting():
+    img = sd.DepthImage(
+        np.zeros((8, 8)), np.zeros((8, 8), dtype=bool), sd.default_intrinsics(8, 8), Pose.identity()
+    )
+    cfg = inference.InferenceConfig(iterations=1, mc_resolution=4, seed=21)
+    with pytest.raises(StructuralError, match="resolution"):
+        inference.reconstruct(tiny_prior(20), img, NoisyOracleEstimator(Pose.identity()), cfg)
 
 
 def test_reconstruct_empty_mask_stage_tagged():

@@ -6,10 +6,10 @@ from hypothesis.extra.numpy import arrays
 
 from shapefit import metrics
 from shapefit.errors import NumericError, StructuralError
-from shapefit.geometry import Pose, random_rotation, rotation_about_axis
+from shapefit.geometry import Pose, rotation_about_axis
 from shapefit.rng import substream
 
-from oracles import brute_force_chamfer, brute_force_fscore, quat_angle_deg
+from oracles import brute_force_chamfer, brute_force_fscore, quat_angle_deg, random_rotation
 
 
 def test_chamfer_identical_clouds_zero():

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import re
 import tomllib
 from pathlib import Path
 
@@ -10,3 +12,67 @@ def test_console_scripts_import():
     for target in scripts.values():
         module, attr = target.split(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+ROOT = Path(__file__).parents[1]
+# public I/O with no caller yet, kept for the command line that will read
+# depth and write clouds, meshes and histories (ROADMAP item 3)
+NOT_YET_CALLED = {
+    "save_pfm": "ROADMAP item 3: CLI depth input",
+    "load_pfm": "ROADMAP item 3: CLI depth input",
+    "save_ply": "ROADMAP item 3: CLI lifted-cloud output",
+    "write_history_csv": "ROADMAP item 3: CLI training history output",
+    "save_result": "ROADMAP item 3: CLI reconstruction output",
+}
+
+
+def _references(tree, skip=None):
+    """Names a module uses: Name ids, attribute names and dotted-identifier
+    strings (how perfbench's tracer names the functions it wraps), outside
+    the definition `skip` and `__all__`."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip or (
+            isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        ):
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                found.update(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_public_names_have_a_caller():
+    # every module-level public function and class of the package is used
+    # by the package itself or by the benchmark, not only by tests
+    modules = {
+        p: ast.parse(p.read_text())
+        for p in sorted((ROOT / "src" / "shapefit").rglob("*.py"))
+        if p.name != "_mc_tables.py"
+    }
+    bench = set()
+    for p in sorted((ROOT / "perfbench").glob("*.py")):
+        if not p.name.startswith("test_"):
+            bench |= _references(ast.parse(p.read_text()))
+    refs = {path: _references(tree) for path, tree in modules.items()}
+    unused = []
+    for path, tree in modules.items():
+        elsewhere = bench.union(*(r for p, r in refs.items() if p != path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name in elsewhere or node.name in NOT_YET_CALLED:
+                continue
+            if node.name not in _references(tree, skip=node):
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert not unused, "public names with no caller outside tests: " + ", ".join(unused)
+    assert set(NOT_YET_CALLED) <= {
+        n.name for t in modules.values() for n in t.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+    }

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from shapefit.errors import NumericError, StructuralError
 from shapefit.rng import substream
 from shapefit.synthdata import ShapeSampleSet, make_family, sample_shape
 
-from oracles import fd_grad_vector, rel_err
+from oracles import fd_grad_vector, rel_err, unpack_params
 
 
 def small_prior(seed=0, latent_dim=6):
@@ -142,7 +144,7 @@ def test_shape_terms_gradients_match_fd():
     base_t = ad.pack_params(prior.template.weights, prior.template.biases)
 
     def loss_t(vec):
-        ws, bs = ad.unpack_params(vec, prior.template)
+        ws, bs = unpack_params(vec, prior.template)
         saved = prior.template
         prior.template = ad.MLPParams(ws, bs, saved.activations, saved.omega0)
         try:
@@ -157,7 +159,7 @@ def test_shape_terms_gradients_match_fd():
     base_h = ad.pack_params(prior.hyper[0].weights, prior.hyper[0].biases)
 
     def loss_h(vec):
-        ws, bs = ad.unpack_params(vec, prior.hyper[0])
+        ws, bs = unpack_params(vec, prior.hyper[0])
         saved = prior.hyper[0]
         prior.hyper[0] = ad.MLPParams(ws, bs, saved.activations, saved.omega0)
         try:
@@ -275,6 +277,9 @@ def test_history_csv_roundtrip(tmp_path):
     _, history, _ = training.fit(small_prior(29), dataset, desk_config(epochs=2))
     path = tmp_path / "loss.csv"
     training.write_history_csv(history, str(path))
-    back = training.read_history_csv(str(path))
+    with open(path, newline="") as f:
+        back = list(csv.DictReader(f))
     assert len(back) == 2
-    assert back[0]["total"] == pytest.approx(history[0]["total"], rel=1e-15)
+    assert list(back[0]) == ["epoch", *training.TERM_NAMES, "total"]
+    assert int(back[1]["epoch"]) == 1
+    assert float(back[0]["total"]) == pytest.approx(history[0]["total"], rel=1e-15)
