@@ -152,17 +152,13 @@ class ForwardCache:
 
     layers: list = field(default_factory=list)
     out: np.ndarray = None
-    track_jac: bool = False
 
 
 def _as_batch(x, in_dim):
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != in_dim:
-        raise StructuralError(f"input shape {x.shape} incompatible with network input dim {in_dim}")
-    return x, single
+        raise StructuralError(f"input shape {x.shape} is not (N, {in_dim}), the network input dim")
+    return x
 
 
 def _gemm(a, w):
@@ -178,7 +174,7 @@ def _layers(params, x, jac=None, keep=False):
     nothing is retained and no activation derivative is formed, so a
     value-only pass over a large batch holds one layer at a time.
     """
-    cache = ForwardCache(track_jac=jac is not None) if keep else None
+    cache = ForwardCache() if keep else None
     need_deriv = keep or jac is not None
     omega = params.omega0
     z = x
@@ -213,10 +209,9 @@ def _layers(params, x, jac=None, keep=False):
 
 
 def forward(params, x):
-    """Value-only evaluation. x: (N, in) or (in,) -> (N, out) or (out,)."""
-    x, single = _as_batch(x, params.in_dim)
-    z, _, _ = _layers(params, x)
-    return z[0] if single else z
+    """Value-only evaluation. x: (N, in) -> (N, out)."""
+    z, _, _ = _layers(params, _as_batch(x, params.in_dim))
+    return z
 
 
 def forward_aug(params, x):
@@ -227,7 +222,7 @@ def forward_aug(params, x):
     that each layer's tangent step is one GEMM over K*N rows; `jac` is a
     transposed view of that array.
     """
-    x, _ = _as_batch(x, params.in_dim)
+    x = _as_batch(x, params.in_dim)
     k_dim = params.in_dim
     jac = np.ascontiguousarray(np.broadcast_to(np.eye(k_dim)[:, None, :], (k_dim, x.shape[0], k_dim)))
     y, jac, cache = _layers(params, x, jac, keep=True)
@@ -236,8 +231,7 @@ def forward_aug(params, x):
 
 def forward_cached(params, x):
     """Value-only evaluation retaining intermediates for backward()."""
-    x, _ = _as_batch(x, params.in_dim)
-    z, _, cache = _layers(params, x, keep=True)
+    z, _, cache = _layers(params, _as_batch(x, params.in_dim), keep=True)
     return z, cache
 
 
@@ -257,7 +251,7 @@ def backward(params, cache, gy, gjac=None, inputs_only=False):
     """
     omega = params.omega0
     gz = np.asarray(gy, dtype=np.float64)
-    track = cache.track_jac and gjac is not None
+    track = cache.layers[0][1] is not None and gjac is not None  # a forward_aug cache
     if track:
         gjac = np.ascontiguousarray(np.asarray(gjac, dtype=np.float64).transpose(2, 0, 1))
     n_layers = params.n_layers

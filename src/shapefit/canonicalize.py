@@ -37,10 +37,11 @@ class PointCloud:
 
 
 def lift_depth(depth):
-    """Back-project the masked pixels of a DepthImage to the camera frame."""
-    mask = depth.mask
+    """Back-project the positive-depth pixels of a DepthImage to the camera
+    frame. A non-finite or negative depth raises DataError."""
+    mask = depth.validate().mask
     if not mask.any():
-        raise DataError("depth image has an empty mask")
+        raise DataError("depth image has no positive-depth pixel")
     ys, xs = np.nonzero(mask)
     d = depth.depth[ys, xs]
     intr = depth.intrinsics

@@ -1,5 +1,7 @@
 """Exception taxonomy shared across the package."""
 
+import numpy as np
+
 
 class ShapefitError(Exception):
     """Base class for all library errors."""
@@ -24,3 +26,9 @@ class StageError(ShapefitError):
         super().__init__(f"stage '{stage}': {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def check_count(name, value, minimum=1):
+    """Raise StructuralError naming `name` unless `value` is an integer >= `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise StructuralError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, StructuralError
+from .errors import DataError, StructuralError, check_count
 from .formats import load_container, load_json, save_container, save_json
 from .rng import substream
 
@@ -37,32 +37,47 @@ class LatentCode:
 
 @dataclass
 class ShapePrior:
-    """Trained (or freshly initialized) category prior."""
+    """Trained (or freshly initialized) category prior: the template, the
+    hypernetworks and the latent table, and nothing they determine.
+
+    The hypernetworks fix the deformation net: the latent size is their
+    input size, and hyper[k] predicts the out_k * (in_k + 1) packed weights
+    and biases of deformation layer k (in_k -> out_k), with in_0 = 3 and a
+    last out_k of DEFORM_OUT_DIM. Every layer but the last (linear) is sine,
+    at the template's omega0.
+    """
 
     category: str
-    latent_dim: int
     template: ad.MLPParams
-    deform_layout: ad.MLPParams  # shapes/tags; actual weights come from hyper
     hyper: list  # one MLPParams (relu net) per deformation layer
     latents: dict = field(default_factory=dict)  # instance id -> (n,) array
-    meta: dict = field(default_factory=dict)
+
+    @property
+    def latent_dim(self):
+        return self.hyper[0].in_dim
+
+    def deform_shapes(self):
+        """(out_k, in_k) of each deformation layer, read off the hypernetworks."""
+        shapes, fan_in = [], 3
+        for k, h in enumerate(self.hyper):
+            fan_out, rest = divmod(h.out_dim, fan_in + 1)
+            if rest or fan_out == 0:
+                raise StructuralError(
+                    f"hypernetwork {k} output size {h.out_dim} is not out * ({fan_in} + 1)"
+                )
+            shapes.append((fan_out, fan_in))
+            fan_in = fan_out
+        if fan_in != DEFORM_OUT_DIM:
+            raise StructuralError(f"deformation network must output (v, delta_s) in R^4, got {fan_in}")
+        return shapes
 
     def validate(self):
         self.template.validate()
-        self.deform_layout.validate()
-        if self.deform_layout.out_dim != DEFORM_OUT_DIM:
-            raise StructuralError("deformation network must output (v, delta_s) in R^4")
-        if len(self.hyper) != self.deform_layout.n_layers:
-            raise StructuralError("one hypernetwork required per deformation layer")
         for k, h in enumerate(self.hyper):
             h.validate()
             if h.in_dim != self.latent_dim:
                 raise StructuralError(f"hypernetwork {k} input dim != latent dim")
-            want = self.deform_layout.weights[k].size + self.deform_layout.biases[k].size
-            if h.out_dim != want:
-                raise StructuralError(
-                    f"hypernetwork {k} output size {h.out_dim} != layer parameter count {want}"
-                )
+        self.deform_shapes()
         for iid, z in self.latents.items():
             if z.shape != (self.latent_dim,):
                 raise StructuralError(f"latent {iid!r} has shape {z.shape}")
@@ -85,13 +100,15 @@ def init_prior(
     omega0=30.0,
     seed=0,
 ):
-    """Fresh prior with sinusoidal template/deformation nets and zero-centred
-    hypernetworks that reproduce a standard sine-net init at z = 0."""
+    """Fresh prior: a sine template net, and zero-centred hypernetworks that
+    reproduce a standard sine-net deformation init at z = 0."""
+    check_count("latent_dim", latent_dim)
     rng = substream(seed, "init")
     template = ad.siren_init([3, *template_hidden, 1], rng, omega0=omega0)
     layout = ad.siren_init([3, *deform_hidden, DEFORM_OUT_DIM], rng, omega0=omega0)
     # start the deformation at exactly zero so the composition is the
-    # identity and the correction term does not inject early noise
+    # identity and the correction term does not inject early noise; the
+    # layout only seeds the hypernetworks' final biases and is not kept
     layout.weights[-1][:] = 0.0
     layout.biases[-1][:] = 0.0
     hyper = []
@@ -103,7 +120,7 @@ def init_prior(
         scale = 1e-2 * np.sqrt(6.0 / hyper_hidden)
         w1 = rng.uniform(-scale, scale, size=(target.size, hyper_hidden))
         hyper.append(ad.MLPParams([w0, w1], [b0, target], ("relu", "linear")))
-    return ShapePrior(category, latent_dim, template, layout, hyper).validate()
+    return ShapePrior(category, template, hyper).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +133,15 @@ def hyper_forward(prior, z):
     if z.shape != (prior.latent_dim,):
         raise StructuralError(f"latent has shape {z.shape}, expected ({prior.latent_dim},)")
     weights, biases, caches = [], [], []
-    for k, h in enumerate(prior.hyper):
+    shapes = prior.deform_shapes()
+    for (fan_out, fan_in), h in zip(shapes, prior.hyper):
         out, cache = ad.forward_cached(h, z[None, :])
-        w_like = prior.deform_layout.weights[k]
-        b_like = prior.deform_layout.biases[k]
         flat = out[0]
-        weights.append(flat[: w_like.size].reshape(w_like.shape))
-        biases.append(flat[w_like.size :].copy())
+        weights.append(flat[: fan_out * fan_in].reshape(fan_out, fan_in))
+        biases.append(flat[fan_out * fan_in :].copy())
         caches.append(cache)
-    params = ad.MLPParams(
-        weights, biases, prior.deform_layout.activations, prior.deform_layout.omega0
-    )
-    return params, caches
+    acts = (ad.ACT_SINE,) * (len(shapes) - 1) + (ad.ACT_LINEAR,)
+    return ad.MLPParams(weights, biases, acts, prior.template.omega0), caches
 
 
 def hyper_backward(prior, caches, deform_grads, inputs_only=False):
@@ -260,40 +274,37 @@ def instance_field(prior, z):
 def save_prior(prior, path):
     """Binary container at `path` plus a JSON sidecar at `path` + '.json'."""
     prior.validate()
-    sections = {"template": prior.template, "deform_layout": prior.deform_layout}
+    sections = {"template": prior.template}
     for k, h in enumerate(prior.hyper):
         sections[f"hyper.{k}"] = h
     ids = sorted(prior.latents)
     if ids:
         sections["latent_table"] = np.stack([prior.latents[i] for i in ids])
     save_container(path, sections)
-    sidecar = {
-        "category": prior.category,
-        "latent_dim": prior.latent_dim,
-        "instance_ids": ids,
-        "meta": prior.meta,
-    }
-    save_json(str(path) + ".json", sidecar)
+    save_json(str(path) + ".json", {"category": prior.category, "instance_ids": ids})
 
 
 def load_prior(path):
     sections = load_container(path)
     sidecar = load_json(str(path) + ".json")
     try:
-        hyper = [sections[f"hyper.{k}"] for k in range(len(sections["deform_layout"].weights))]
-        latents = {}
+        hyper = [sections[f"hyper.{k}"] for k in range(sum(n.startswith("hyper.") for n in sections))]
         ids = sidecar["instance_ids"]
-        if ids:
-            table = sections["latent_table"]
-            latents = {iid: table[i].copy() for i, iid in enumerate(ids)}
+        table = sections.get("latent_table", ())
+        if not (
+            isinstance(ids, list)
+            and all(isinstance(i, str) for i in ids)
+            and len(set(ids)) == len(ids) == len(table)
+        ):
+            raise DataError(
+                f"checkpoint {path}: instance_ids must be {len(table)} distinct strings, "
+                f"one per latent-table row, got {ids!r:.80}"
+            )
         prior = ShapePrior(
             category=sidecar["category"],
-            latent_dim=int(sidecar["latent_dim"]),
             template=sections["template"],
-            deform_layout=sections["deform_layout"],
             hyper=hyper,
-            latents=latents,
-            meta=sidecar.get("meta", {}),
+            latents={iid: table[i].copy() for i, iid in enumerate(ids)},
         )
     except KeyError as e:
         raise DataError(f"checkpoint {path} is missing section {e}") from e

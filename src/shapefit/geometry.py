@@ -80,10 +80,6 @@ class Pose:
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
 
     @classmethod
-    def identity(cls):
-        return cls(np.array([1.0, 0, 0, 0, 1.0, 0]), np.zeros(3))
-
-    @classmethod
     def from_matrix(cls, rot, translation):
         """Pose of a proper rotation matrix: orthonormal with determinant +1."""
         r6 = matrix_to_rot6d(rot)

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fields
 from .canonicalize import PointCloud, canonicalize, lift_depth
-from .errors import NumericError, StageError, StructuralError
+from .errors import NumericError, StageError, StructuralError, check_count
 from .formats import save_container, save_json, save_obj
 from .geometry import Pose, rot6d_backward, rot6d_to_matrix
 from .meshing import check_resolution, marching_cubes, sample_mesh_surface
@@ -40,9 +40,7 @@ TEMPLATE_POINTS = 4000
 class InferenceConfig:
     iterations: int = 30
     eikonal_samples: int = 512
-    latent_init: str = "learned"  # "learned" | "zero"
     optimize_pose: bool = True
-    optimize_latent: bool = True
     max_observed_points: int = 2000
     # final mesh; coarse to fine, so res 128 evaluates about 8% of the 129^3
     # grid points on a trained car prior: 2.6 s against 31 s dense (one
@@ -51,12 +49,9 @@ class InferenceConfig:
     seed: int = 0
 
     def validate(self):
-        if self.iterations < 0:
-            raise StructuralError("iterations must be >= 0")
-        if self.latent_init not in ("learned", "zero"):
-            raise StructuralError(f"unknown latent init mode {self.latent_init!r}")
-        if self.eikonal_samples <= 0 or self.max_observed_points <= 0:
-            raise StructuralError("sample counts must be positive")
+        check_count("iterations", self.iterations, 0)
+        check_count("eikonal_samples", self.eikonal_samples)
+        check_count("max_observed_points", self.max_observed_points)
         check_resolution(self.mc_resolution)
         return self
 
@@ -75,9 +70,8 @@ class ReconstructionResult:
         return self
 
 
-def init_latent(prior, config, rng):
-    if config.latent_init == "zero":
-        return np.zeros(prior.latent_dim)
+def init_latent(prior, rng):
+    """A latent drawn from the prior's empirical latent distribution."""
     mean, std = prior.latent_stats()
     return rng.normal(mean, np.maximum(std, 1e-8))
 
@@ -125,8 +119,8 @@ def joint_optimize(prior, observed, init, config):
     frame -> canonical frame. Each iteration draws fresh free-space
     samples, evaluates `view_terms` (one forward and one reverse pass) and
     takes Adam steps; its trace row is the term dict. Network weights stay
-    frozen; a frozen configuration (both optimize flags off or zero
-    iterations) passes the initialization through unchanged.
+    frozen; with `optimize_pose` off the pose stays at `init`, and zero
+    iterations return the initial latent and pose unchanged.
     """
     config.validate()
     observed.validate()
@@ -136,7 +130,7 @@ def joint_optimize(prior, observed, init, config):
     if len(pts) > config.max_observed_points:
         pick = rng.choice(len(pts), size=config.max_observed_points, replace=False)
         pts = pts[pick]
-    z = init_latent(prior, config, rng)
+    z = init_latent(prior, rng)
     r6 = init.rot6d.copy()
     t = init.translation.copy()
     opt = ad.Adam()
@@ -155,8 +149,7 @@ def joint_optimize(prior, observed, init, config):
         if bad:
             raise NumericError(f"non-finite gradients {bad} at iteration {it}")
 
-        if config.optimize_latent:
-            opt.step(params, {"z": g_z}, lr=LR_SHAPE)
+        opt.step(params, {"z": g_z}, lr=LR_SHAPE)
         if config.optimize_pose:
             opt.step(params, {"r6": g_r6, "t": g_t}, lr=LR_POSE)
 

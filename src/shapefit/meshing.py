@@ -1,10 +1,12 @@
 """Marching-cubes isosurface extraction and mesh surface sampling.
 
-Classic 256-case table with linear interpolation along cell edges.
-Vertices are indexed per global grid edge, so vertices shared between
-neighboring cells are welded exactly; a final pass drops degenerate
-triangles. Ambiguous configurations use the standard table resolution
-(no asymptotic decider), which is fine for point-based evaluation.
+The grid always spans the canonical cube [-1, 1]^3, where every shape and
+prior lives. Classic 256-case table with linear interpolation along cell
+edges. Vertices are indexed per global grid edge, so vertices shared
+between neighboring cells are welded exactly; a final pass drops
+degenerate triangles. Ambiguous configurations use the standard table
+resolution (no asymptotic decider), which is fine for point-based
+evaluation.
 
 The grid is filled coarse to fine, as in the sign-change refinement of
 Occupancy Networks (Mescheder et al., CVPR 2019):
@@ -30,7 +32,7 @@ import numpy as np
 from scipy import ndimage
 
 from ._mc_tables import EDGE_FLAGS, TRIANGLES
-from .errors import NumericError, StructuralError
+from .errors import NumericError, StructuralError, check_count
 from .rng import substream
 
 # cube corner offsets and the corner pair of each of the 12 edges
@@ -133,28 +135,21 @@ def _crossed(config):
 
 def check_resolution(resolution):
     """Raise StructuralError unless `resolution` is an integer >= 8."""
-    if not isinstance(resolution, (int, np.integer)):
-        raise StructuralError(f"marching cubes resolution must be an integer, got {resolution!r}")
-    if resolution < 8:
-        raise StructuralError(f"marching cubes resolution must be >= 8, got {resolution}")
+    check_count("marching cubes resolution", resolution, 8)
 
 
-def marching_cubes(field, resolution, bounds=(-1.0, 1.0)):
-    """Extract the zero level set of `field` over a cubic grid.
+def marching_cubes(field, resolution):
+    """Extract the zero level set of `field` over the canonical cube [-1, 1]^3.
 
     field: callable mapping (N, 3) points to (N,) SDF values; errors it
     raises propagate.
     resolution: integer number of cells per axis (>= 8); the grid has
-    resolution+1 samples per axis over `bounds` (finite, lo < hi).
+    resolution+1 samples per axis.
     The field is evaluated coarse to fine (see the module docstring).
     """
     check_resolution(resolution)
-    lo, hi = (float(b) for b in bounds)
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise StructuralError(f"marching cubes bounds must be finite with lo < hi, got {bounds!r}")
     npts = resolution + 1
-    axis = np.linspace(lo, hi, npts)
-    cell = (hi - lo) / resolution
+    axis = np.linspace(-1.0, 1.0, npts)
 
     # coarse lattice: every stride-th grid index and the last one; coarse
     # block b spans cells coarse[b] .. coarse[b + 1] - 1 on each axis
@@ -182,13 +177,14 @@ def marching_cubes(field, resolution, bounds=(-1.0, 1.0)):
         if not grow.any():
             break
         blocks[tuple(block_of[i] for i in np.nonzero(grow))] = True
-    return _triangulate(grid, config, crossed, lo, cell)
+    return _triangulate(grid, config, crossed)
 
 
-def _triangulate(grid, config, crossed, lo, cell):
+def _triangulate(grid, config, crossed):
     """Table lookup over the `crossed` cells in C order, one vertex per
     crossed grid edge, then weld and drop degenerate triangles. Every
-    corner of a crossed cell must hold a value in `grid`."""
+    corner of a crossed cell must hold a value in `grid`, which spans
+    [-1, 1]^3."""
     npts = grid.shape[0]
     active = np.nonzero(crossed)
     if active[0].size == 0:
@@ -215,7 +211,7 @@ def _triangulate(grid, config, crossed, lo, cell):
     denom = v1 - v0
     t = np.where(np.abs(denom) > 0, -v0 / np.where(denom == 0, 1.0, denom), 0.5)
     t = np.clip(t, 0.0, 1.0)
-    verts = lo + cell * (p0 + t[:, None] * (np.eye(3)[o]))
+    verts = -1.0 + 2.0 / (npts - 1) * (p0 + t[:, None] * (np.eye(3)[o]))
 
     # map each cell-local edge to its vertex index, then emit triangles
     edge_vertex = np.full((len(cells), 12), -1, dtype=np.int64)
@@ -262,8 +258,7 @@ def sample_mesh_surface(mesh, n, seed):
     """Area-weighted uniform surface samples, deterministic per seed."""
     if mesh.is_empty:
         raise StructuralError("cannot sample an empty mesh")
-    if n <= 0:
-        raise StructuralError("sample count must be positive")
+    check_count("sample count", n)
     rng = substream(seed, "mesh-sample")
     areas = mesh.triangle_areas()
     total = areas.sum()

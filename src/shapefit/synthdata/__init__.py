@@ -14,7 +14,6 @@ from .shapes import (
     Box,
     Cylinder,
     Ellipsoid,
-    RoundedBox,
     ShapeSampleSet,
     Sphere,
     make_family,
@@ -23,7 +22,7 @@ from .shapes import (
 
 __all__ = [
     "AnalyticShape", "Box", "CATEGORIES", "Cylinder", "DepthImage", "Ellipsoid",
-    "Intrinsics", "RoundedBox", "ShapeSampleSet", "Sphere",
+    "Intrinsics", "ShapeSampleSet", "Sphere",
     "default_intrinsics", "hemisphere_camera", "make_family",
     "occlude", "render_depth", "sample_shape",
 ]

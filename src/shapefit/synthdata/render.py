@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError, StructuralError
-from ..geometry import Pose, look_at
+from ..errors import DataError, StructuralError, check_count
+from ..geometry import look_at
 from ..rng import substream
 
 HIT_THRESHOLD = 1e-4
@@ -36,37 +36,40 @@ def default_intrinsics(width, height):
 
 @dataclass
 class DepthImage:
-    """Per-pixel z-depth (meters, 0 where invalid) with the camera model.
-
-    `camera_pose` maps canonical-frame points into the camera frame.
-    """
+    """Per-pixel z-depth (meters) with the camera model: a single depth
+    image. A pixel with no return holds 0, so the valid pixels are exactly
+    the positive ones (`mask`)."""
 
     depth: np.ndarray  # (H, W) float64
-    mask: np.ndarray  # (H, W) bool
     intrinsics: Intrinsics
-    camera_pose: Pose
+
+    @property
+    def mask(self):
+        return self.depth > 0
 
     def validate(self):
-        if self.depth.shape != self.mask.shape:
-            raise StructuralError("depth and mask shapes differ")
-        if (self.depth[self.mask] <= 0).any():
-            raise StructuralError("masked pixels must have positive depth")
+        if self.depth.ndim != 2:
+            raise StructuralError(f"depth must be an (H, W) image, got shape {self.depth.shape}")
+        bad = np.argwhere(~(np.isfinite(self.depth) & (self.depth >= 0)))
+        if len(bad):
+            y, x = bad[0]
+            raise DataError(f"depth pixel ({y}, {x}) is {self.depth[y, x]}; depths must be finite and >= 0")
         self.intrinsics.validate()
         return self
-
-    def copy(self):
-        return DepthImage(self.depth.copy(), self.mask.copy(), self.intrinsics, self.camera_pose)
 
 
 def render_depth(shape, camera_pose, intrinsics, resolution, noise_sigma=0.0, seed=0):
     """Sphere-trace the shape's SDF to a DepthImage at (width, height).
 
-    Depth is the camera-frame z coordinate of the first hit, so lifting a
-    pixel through the intrinsics reproduces the hit point exactly.
+    `camera_pose` maps canonical-frame points into the camera frame; the
+    image does not keep it. Depth is the camera-frame z coordinate of the
+    first hit, so lifting a pixel through the intrinsics reproduces the hit
+    point exactly. With `noise_sigma` > 0, Gaussian range noise is added to
+    the hits (clipped to stay positive), so the valid pixels do not move.
     """
     width, height = resolution
-    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in resolution):
-        raise StructuralError(f"image resolution must be two integers >= 1, got {resolution!r}")
+    for v in resolution:
+        check_count("image resolution", v)
     intrinsics.validate()
     rot = camera_pose.matrix()
     origin = -rot.T @ camera_pose.translation  # camera center, canonical frame
@@ -126,9 +129,7 @@ def render_depth(shape, camera_pose, intrinsics, resolution, noise_sigma=0.0, se
         depth[hit] += rng.normal(0.0, noise_sigma, size=int(hit.sum()))
         np.clip(depth, 1e-6, None, out=depth)
         depth[~hit] = 0.0
-    return DepthImage(
-        depth.reshape(height, width), hit.reshape(height, width), intrinsics, camera_pose
-    ).validate()
+    return DepthImage(depth.reshape(height, width), intrinsics).validate()
 
 
 def hemisphere_camera(rng):
@@ -144,11 +145,12 @@ def hemisphere_camera(rng):
 
 
 def occlude(depth, ratio, seed):
-    """Invalidate a random axis-aligned rectangle covering `ratio` of the
-    masked pixels (within 2%). ratio == 0 is an internal bypass returning
+    """Zero the depth in a random axis-aligned rectangle covering `ratio` of
+    the valid pixels (within 2%). ratio == 0 is an internal bypass returning
     an unchanged copy."""
+    out = DepthImage(depth.depth.copy(), depth.intrinsics)
     if ratio == 0:
-        return depth.copy()
+        return out
     if not 0.05 <= ratio <= 0.85:
         raise StructuralError(f"occlusion ratio {ratio} outside [0.05, 0.85]")
     rng = substream(seed, "occlude")
@@ -166,9 +168,7 @@ def occlude(depth, ratio, seed):
         rect = _fit_rectangle(mask, cy, cx, aspect, target, tol)
         if rect is not None:
             y0, y1, x0, x1 = rect
-            out = depth.copy()
             out.depth[y0:y1, x0:x1] = 0.0
-            out.mask[y0:y1, x0:x1] = False
             return out
     raise DataError(f"could not place an occluder covering {ratio:.0%} of the mask")
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError, StructuralError
+from ..errors import DataError, StructuralError, check_count
 from ..rng import substream
 
 # margin kept between samples and primitive edges/rims so that normals and
@@ -21,12 +21,6 @@ EDGE_MARGIN = 1e-4
 UNIQUE_GAP = 1e-4
 _SURFACE_TOL = 1e-9
 MAX_SAMPLING_ROUNDS = 60  # candidate draws before surface sampling gives up
-
-
-def _pts(x):
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    return (x[None, :] if single else x), single
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +54,23 @@ class Sphere:
 
 @dataclass
 class Box:
+    """Axis-aligned box, rounded by `round_radius`: the Minkowski sum of the
+    core box (`half_extents`) and a sphere, whose exact SDF is the core's
+    minus the radius.
+
+    With a radius, `sample_surface` offsets samples of the core's flat faces
+    only, so the rounded edges and corners get no samples, and `area` (that
+    of the box grown by the radius) overstates the true area."""
+
     center: np.ndarray
     half_extents: np.ndarray
+    round_radius: float = 0.0
 
     def sdf(self, p):
         q = np.abs(p - np.asarray(self.center)) - np.asarray(self.half_extents)
         outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
         inside = np.minimum(q.max(axis=1), 0.0)
-        return outside + inside
+        return outside + inside - self.round_radius
 
     def normal(self, p):
         d = p - np.asarray(self.center)
@@ -94,51 +97,17 @@ class Box:
         sign = np.where(face % 2 == 0, 1.0, -1.0)
         pts = rng.uniform(-1.0, 1.0, (n, 3)) * np.maximum(h - EDGE_MARGIN, 0.0)
         pts[np.arange(n), axis] = sign * h[axis]
-        return np.asarray(self.center) + pts
-
-    def area(self):
-        h = self.half_extents
-        return 8 * (h[0] * h[1] + h[1] * h[2] + h[0] * h[2])
-
-    def bbox(self):
-        c = np.asarray(self.center, dtype=np.float64)
-        h = np.asarray(self.half_extents, dtype=np.float64)
-        return c - h, c + h
-
-
-@dataclass
-class RoundedBox:
-    """Minkowski sum of a box and a sphere: exact SDF is box minus radius.
-
-    `sample_surface` offsets samples of the core box's faces only, so the
-    rounded edges and corners get no samples, and `area` (that of the box
-    grown by the radius) overstates the true area."""
-
-    center: np.ndarray
-    half_extents: np.ndarray  # inner core, before rounding
-    round_radius: float
-
-    def _core(self):
-        return Box(self.center, self.half_extents)
-
-    def sdf(self, p):
-        return self._core().sdf(p) - self.round_radius
-
-    def normal(self, p):
-        return self._core().normal(p)
-
-    def sample_surface(self, n, rng):
-        core = self._core()
-        pts = core.sample_surface(n, rng)
-        return pts + self.round_radius * core.normal(pts)
+        pts = np.asarray(self.center) + pts
+        return pts + self.round_radius * self.normal(pts)
 
     def area(self):
         h = np.asarray(self.half_extents) + self.round_radius
         return 8 * (h[0] * h[1] + h[1] * h[2] + h[0] * h[2])
 
     def bbox(self):
-        lo, hi = self._core().bbox()
-        return lo - self.round_radius, hi + self.round_radius
+        c = np.asarray(self.center, dtype=np.float64)
+        h = np.asarray(self.half_extents, dtype=np.float64)
+        return c - h - self.round_radius, c + h + self.round_radius
 
 
 @dataclass
@@ -266,7 +235,6 @@ class AnalyticShape:
     """A union of primitives in the canonical frame (identity pose, unit cube)."""
 
     primitives: list
-    category: str = "custom"
     name: str = "shape"
 
     def __post_init__(self):
@@ -277,10 +245,11 @@ class AnalyticShape:
         """(K, N) signed distance from each of the N points to each primitive."""
         return np.stack([prim.sdf(p) for prim in self.primitives])
 
-    def sdf(self, x):
-        p, single = _pts(x)
-        d = self._distances(p).min(axis=0)
-        return float(d[0]) if single else d
+    def sdf(self, p):
+        p = np.asarray(p, dtype=np.float64)
+        if p.ndim != 2 or p.shape[1] != 3:
+            raise StructuralError(f"shape SDF needs (N, 3) points, got shape {p.shape}")
+        return self._distances(p).min(axis=0)
 
     def bbox(self):
         los, his = zip(*(prim.bbox() for prim in self.primitives))
@@ -290,9 +259,9 @@ class AnalyticShape:
         lo, hi = self.bbox()
         return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
 
-    def validate_unit_cube(self, tol=1e-9):
+    def validate_unit_cube(self):
         lo, hi = self.bbox()
-        if (lo < -1 - tol).any() or (hi > 1 + tol).any():
+        if (lo < -1 - 1e-9).any() or (hi > 1 + 1e-9).any():
             raise StructuralError(f"shape {self.name} exceeds the unit cube: [{lo}, {hi}]")
         return self
 
@@ -370,8 +339,8 @@ class ShapeSampleSet:
 
 def sample_shape(shape, n_surface, n_free, seed):
     """Draw a ShapeSampleSet from the analytic oracle, deterministic per seed."""
-    if n_surface <= 0 or n_free <= 0:
-        raise StructuralError("sample counts must be positive")
+    check_count("surface sample count", n_surface)
+    check_count("free sample count", n_free)
     rng = substream(seed, "sample", shape.name)
     pts, normals = shape.sample_surface(n_surface, rng)
     free, sdf = shape.sample_free(n_free, rng)
@@ -386,8 +355,7 @@ CATEGORIES = ("sphere", "car", "chair", "plane")
 
 def make_family(category, count, seed):
     """Deterministic list of same-category shapes with varied parameters."""
-    if not isinstance(count, (int, np.integer)) or count <= 0:
-        raise StructuralError(f"family count must be a positive integer, got {count!r}")
+    check_count("family count", count)
     if category not in CATEGORIES:
         raise StructuralError(f"unknown category {category!r}, expected one of {CATEGORIES}")
     rng = substream(seed, "family", category)
@@ -401,7 +369,7 @@ def make_family(category, count, seed):
 
 def _make_sphere(rng, name):
     r = rng.uniform(0.3, 0.6)
-    return AnalyticShape([Sphere(np.zeros(3), r)], "sphere", name)
+    return AnalyticShape([Sphere(np.zeros(3), r)], name)
 
 
 def _make_car(rng, name):
@@ -409,8 +377,8 @@ def _make_car(rng, name):
     rr = rng.uniform(0.04, 0.08)
     wheel_r = rng.uniform(0.09, 0.13)
     body_z = -0.04 + rng.uniform(0.0, 0.04)
-    body = RoundedBox(np.array([0.0, 0.0, body_z]), half - rr, rr)
-    cabin = RoundedBox(
+    body = Box(np.array([0.0, 0.0, body_z]), half - rr, rr)
+    cabin = Box(
         np.array([rng.uniform(-0.1, 0.1), 0.0, body_z + half[2] + 0.06]),
         np.array([half[0] * 0.45, half[1] * 0.8, 0.07]),
         0.03,
@@ -421,7 +389,7 @@ def _make_car(rng, name):
         for sy in (-1, 1):
             c = np.array([sx * half[0] * 0.62, sy * half[1], zw])
             wheels.append(Cylinder(c, axis=1, radius=wheel_r, half_height=0.05))
-    return AnalyticShape([body, cabin, *wheels], "car", name)
+    return AnalyticShape([body, cabin, *wheels], name)
 
 
 def _make_chair(rng, name):
@@ -442,7 +410,7 @@ def _make_chair(rng, name):
         for sy in (-1, 1):
             arm = Box(np.array([0.05, sy * 0.33, seat_h + 0.22]), np.array([0.25, 0.035, 0.03]))
             parts.append(arm)
-    return AnalyticShape(parts, "chair", name)
+    return AnalyticShape(parts, name)
 
 
 def _make_plane(rng, name):
@@ -451,4 +419,4 @@ def _make_plane(rng, name):
     wing = Box(np.array([0.05, 0.0, 0.0]), np.array([rng.uniform(0.1, 0.15), span, 0.015]))
     tail = Box(np.array([-0.55, 0.0, 0.1]), np.array([0.06, 0.18, 0.012]))
     fin = Box(np.array([-0.55, 0.0, 0.12]), np.array([0.06, 0.012, 0.1]))
-    return AnalyticShape([body, wing, tail, fin], "plane", name)
+    return AnalyticShape([body, wing, tail, fin], name)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fields
-from .errors import NumericError, StructuralError
+from .errors import NumericError, StructuralError, check_count
 from .rng import substream
 
 LATENT_INIT_STD = 0.01  # std of the random codes of unseen training instances
@@ -78,11 +78,9 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if self.epochs < 0:
-            raise StructuralError("epochs must be >= 0")
+        check_count("epochs", self.epochs, 0)
         for name in ("batch_shapes", "surface_points_per_shape", "free_points_per_shape"):
-            if getattr(self, name) <= 0:
-                raise StructuralError(f"{name} must be positive")
+            check_count(name, getattr(self, name))
         if self.lr <= 0 or self.lr_latent <= 0:
             raise StructuralError("learning rates must be positive")
         return self
@@ -228,12 +226,13 @@ def init_latents(prior, instance_ids, config):
             prior.latents[iid] = rng.normal(0.0, LATENT_INIT_STD, prior.latent_dim)
 
 
-def fit(prior, dataset, config, weights=None, start_epoch=0, optimizer=None, on_epoch=None):
-    """Jointly optimize template weights, hypernetwork weights and latents.
+def fit(prior, dataset, config, on_epoch=None):
+    """Jointly optimize template weights, hypernetwork weights and latents
+    from a fresh Adam state, with the prior category's loss weights.
 
     dataset: list of (instance_id, ShapeSampleSet). Per-epoch randomness is
-    derived statelessly from (seed, epoch), so training can resume from any
-    epoch boundary and reproduce the uninterrupted trace.
+    derived statelessly from (seed, epoch). `on_epoch(epoch, prior,
+    optimizer, history)` is called after every epoch.
 
     Returns (prior, history, optimizer); history has one row of term means
     per epoch.
@@ -241,16 +240,15 @@ def fit(prior, dataset, config, weights=None, start_epoch=0, optimizer=None, on_
     config.validate()
     if not dataset:
         raise StructuralError("dataset is empty")
-    weights = (weights or LossWeights.for_category(prior.category)).validate()
+    weights = LossWeights.for_category(prior.category).validate()
     init_latents(prior, [iid for iid, _ in dataset], config)
     prior.validate()
     params = _net_dict(prior.template, prior.hyper)  # live views
     net_keys = list(params)
     params.update({f"latent.{iid}": z for iid, z in prior.latents.items()})
-    if optimizer is None:
-        optimizer = ad.Adam()
+    optimizer = ad.Adam()
     history = []
-    for epoch in range(start_epoch, config.epochs):
+    for epoch in range(config.epochs):
         rng = substream(config.seed, "train-epoch", epoch)
         order = rng.permutation(len(dataset))
         epoch_terms = {name: 0.0 for name in (*TERM_NAMES, "total")}

@@ -9,6 +9,12 @@ which cells the coarse-to-fine extraction visits, not the table.
 import numpy as np
 
 from shapefit import meshing
+from shapefit.geometry import Pose
+
+
+def identity_pose():
+    """The identity Pose."""
+    return Pose(np.array([1.0, 0, 0, 0, 1.0, 0]), np.zeros(3))
 
 
 def random_rotation(rng):
@@ -142,15 +148,14 @@ def ray_sphere_depth(origin, direction, radius):
     return float(t) if t > 0 else None
 
 
-def dense_marching_cubes(field, resolution, bounds=(-1.0, 1.0)):
+def dense_marching_cubes(field, resolution):
     """Marching cubes with the field evaluated at every grid point and the
     library's table code run over every crossed cell: the reference the
     coarse-to-fine extraction must reproduce bit for bit."""
-    lo, hi = bounds
     npts = resolution + 1
-    axis = np.linspace(lo, hi, npts)
+    axis = np.linspace(-1.0, 1.0, npts)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     coords = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
     grid = meshing._evaluate_grid(field, coords).reshape(npts, npts, npts)
     config = meshing._cell_configs(grid)
-    return meshing._triangulate(grid, config, meshing._crossed(config), lo, (hi - lo) / resolution)
+    return meshing._triangulate(grid, config, meshing._crossed(config))

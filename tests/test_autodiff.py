@@ -35,7 +35,7 @@ def test_spatial_grad_matches_fd_random_points():
     pts = rng.uniform(-1, 1, size=(100, 3))
     _, jac, _ = ad.forward_aug(net, pts)
     for x, got in zip(pts, jac[:, 0]):
-        want = fd_spatial_grad(lambda p: float(ad.forward(net, p)[0]), x)
+        want = fd_spatial_grad(lambda p: ad.forward(net, p[None])[0, 0], x)
         assert rel_err(got, want) < 1e-4
 
 
@@ -44,7 +44,7 @@ def test_forward_batched_matches_single():
     rng = substream(4, "pts")
     pts = rng.uniform(-1, 1, size=(17, 3))
     batch = ad.forward(net, pts)
-    singles = np.stack([ad.forward(net, p) for p in pts])
+    singles = np.concatenate([ad.forward(net, p[None]) for p in pts])
     # BLAS may round differently per batch shape; agreement to ~1 ulp is enough
     np.testing.assert_allclose(batch, singles, rtol=1e-14, atol=1e-16)
 
@@ -52,8 +52,9 @@ def test_forward_batched_matches_single():
 def test_dimension_mismatch_raises():
     net = tiny_net(5)
     for entry in (ad.forward, ad.forward_cached, ad.forward_aug):
-        with pytest.raises(StructuralError):
-            entry(net, np.zeros((1, 4)))
+        for x in (np.zeros((1, 4)), np.zeros(3)):
+            with pytest.raises(StructuralError):
+                entry(net, x)
 
 
 def test_determinism_bit_identical():
@@ -218,7 +219,7 @@ def test_backward_input_gradient():
     y, jac, cache = ad.forward_aug(net, x[None, :])
     gy = np.ones((1, 1))
     _, gx = ad.backward(net, cache, gy)
-    want = fd_spatial_grad(lambda p: float(ad.forward(net, p)[0]), x)
+    want = fd_spatial_grad(lambda p: ad.forward(net, p[None])[0, 0], x)
     assert rel_err(gx[0], want) < 1e-4
     # and it equals the tracked spatial jacobian
     assert rel_err(gx[0], jac[0, 0]) < 1e-12

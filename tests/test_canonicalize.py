@@ -8,16 +8,14 @@ from shapefit.geometry import Pose, look_at, rotation_about_axis
 from shapefit.metrics import pose_error
 from shapefit.rng import substream
 
-from oracles import random_rotation
+from oracles import identity_pose, random_rotation
 
 
 def test_lift_depth_principal_point():
     intr = sd.Intrinsics(100.0, 100.0, 32.0, 32.0)
     depth = np.zeros((64, 64))
-    mask = np.zeros((64, 64), dtype=bool)
     depth[32, 32] = 2.0
-    mask[32, 32] = True
-    img = sd.DepthImage(depth, mask, intr, Pose.identity())
+    img = sd.DepthImage(depth, intr)
     pc = canon.lift_depth(img)
     np.testing.assert_allclose(pc.points, [[0.0, 0.0, 2.0]])
 
@@ -25,10 +23,8 @@ def test_lift_depth_principal_point():
 def test_lift_depth_unit_tangent():
     intr = sd.Intrinsics(30.0, 30.0, 10.0, 10.0)
     depth = np.zeros((64, 64))
-    mask = np.zeros((64, 64), dtype=bool)
     depth[10, 40] = 1.0  # u = cx + fx
-    mask[10, 40] = True
-    img = sd.DepthImage(depth, mask, intr, Pose.identity())
+    img = sd.DepthImage(depth, intr)
     pc = canon.lift_depth(img)
     np.testing.assert_allclose(pc.points, [[1.0, 0.0, 1.0]])
 
@@ -48,11 +44,17 @@ def test_lift_depth_projection_roundtrip():
 
 
 def test_lift_depth_empty_mask_raises():
-    img = sd.DepthImage(
-        np.zeros((8, 8)), np.zeros((8, 8), dtype=bool), sd.default_intrinsics(8, 8), Pose.identity()
-    )
+    img = sd.DepthImage(np.zeros((8, 8)), sd.default_intrinsics(8, 8))
     with pytest.raises(DataError):
         canon.lift_depth(img)
+
+
+def test_lift_depth_rejects_nan_pixel():
+    # a NaN is not "no return": it fails instead of being dropped
+    depth = np.ones((8, 8))
+    depth[1, 6] = np.nan
+    with pytest.raises(DataError, match=r"pixel \(1, 6\)"):
+        canon.lift_depth(sd.DepthImage(depth, sd.default_intrinsics(8, 8)))
 
 
 def asymmetric_cloud(n=600, seed=3):
@@ -109,7 +111,7 @@ def test_icp_recovers_transform_full_overlap():
 def test_icp_identity_when_already_canonical():
     template = asymmetric_cloud(500, seed=7)
     pose = canon.IcpEstimator().estimate(template, template_points=template)
-    deg, trans = pose_error(pose, Pose.identity())
+    deg, trans = pose_error(pose, identity_pose())
     assert deg < 1.0
     assert trans < 1e-3
 
@@ -143,7 +145,7 @@ def test_frame_align_identity_stub():
     # a cloud aligned to itself as the template: the PCA frames cancel
     t = asymmetric_cloud(100, seed=10)
     pose = canon.PcaEstimator().estimate(t, t)
-    deg, trans = pose_error(pose, Pose.identity())
+    deg, trans = pose_error(pose, identity_pose())
     assert deg < 1e-9 and trans < 1e-12
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from shapefit import autodiff as ad
 from shapefit import fields
-from shapefit.errors import StructuralError
+from shapefit.errors import DataError, StructuralError
+from shapefit.formats import load_json, save_json
 from shapefit.rng import substream
 
 from oracles import fd_spatial_grad, rel_err, unpack_params
@@ -34,7 +35,7 @@ def test_template_gradient_matches_fd():
     pts = substream(3, "x").uniform(-1, 1, (20, 3))
     _, jac, _ = ad.forward_aug(prior.template, pts)
     for x, got in zip(pts, jac[:, 0]):
-        want = fd_spatial_grad(lambda p: float(ad.forward(prior.template, p)[0]), x)
+        want = fd_spatial_grad(lambda p: ad.forward(prior.template, p[None])[0, 0], x)
         assert rel_err(got, want) < 1e-4
 
 
@@ -107,7 +108,7 @@ def test_deform_jacobian_matches_fd():
     x = np.array([0.2, -0.3, 0.4])
     _, jac, _ = ad.forward_aug(dw, x[None])
     for i in range(3):
-        want = fd_spatial_grad(lambda p: float(ad.forward(dw, p)[i]), x)
+        want = fd_spatial_grad(lambda p: ad.forward(dw, p[None])[0, i], x)
         assert rel_err(jac[0, i], want) < 1e-4
 
 
@@ -163,9 +164,7 @@ def test_compose_backward_matches_fd_on_params():
     z0 = rng.standard_normal(4) * 0.5
 
     def full_loss(template, hyper_list, z):
-        probe = fields.ShapePrior(
-            "sphere", 4, template, prior.deform_layout, hyper_list, {}
-        )
+        probe = fields.ShapePrior("sphere", template, hyper_list)
         deform, _ = fields.hyper_forward(probe, z)
         ev = fields.compose_forward(template, deform, pts)
         # touch every output path: psi, grad_psi, grad_template, jac_v, delta_s
@@ -233,7 +232,6 @@ def test_prior_checkpoint_roundtrip(tmp_path):
     prior = small_prior(22)
     rng = substream(23, "lat")
     prior.latents = {"a": rng.standard_normal(8), "b": rng.standard_normal(8)}
-    prior.meta = {"seed": 22, "loss_weights": [3e3, 1e2, 5e1, 5e2]}
     path = tmp_path / "prior.bin"
     fields.save_prior(prior, path)
     back = fields.load_prior(path)
@@ -245,3 +243,41 @@ def test_prior_checkpoint_roundtrip(tmp_path):
     a_field = fields.instance_field(prior, z)
     b_field = fields.instance_field(back, z)
     np.testing.assert_array_equal(a_field(pts), b_field(pts))
+
+
+def test_init_prior_rejects_non_integer_latent_dim():
+    with pytest.raises(StructuralError, match="latent_dim"):
+        small_prior(latent_dim=2.5)
+
+
+def test_deform_layout_is_read_off_the_hypernetworks():
+    prior = small_prior(24)
+    assert prior.latent_dim == 8
+    assert prior.deform_shapes() == [(12, 3), (12, 12), (4, 12)]
+    deform, _ = fields.hyper_forward(prior, np.zeros(8))
+    assert deform.activations == ("sine", "sine", "linear")
+    assert deform.omega0 == prior.template.omega0
+
+
+@pytest.mark.parametrize("drop", [0, -1])
+def test_validate_rejects_hypernetworks_that_do_not_factor(drop):
+    # without its first or last hypernetwork, the output sizes no longer
+    # chain from 3 inputs to DEFORM_OUT_DIM outputs
+    prior = small_prior(25)
+    del prior.hyper[drop]
+    with pytest.raises(StructuralError, match="hypernetwork|deformation"):
+        prior.validate()
+
+
+@pytest.mark.parametrize("ids", [["a", "b", "c"], ["a"], "ab", ["a", "a"], ["a", 2]])
+def test_load_prior_rejects_instance_ids_that_do_not_match_the_table(tmp_path, ids):
+    prior = small_prior(26)
+    rng = substream(27, "lat")
+    prior.latents = {"a": rng.standard_normal(8), "b": rng.standard_normal(8)}
+    path = tmp_path / "prior.bin"
+    fields.save_prior(prior, path)
+    sidecar = load_json(str(path) + ".json")
+    sidecar["instance_ids"] = ids
+    save_json(str(path) + ".json", sidecar)
+    with pytest.raises(DataError, match="instance_ids"):
+        fields.load_prior(path)

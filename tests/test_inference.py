@@ -9,7 +9,7 @@ from shapefit.errors import StageError, StructuralError
 from shapefit.geometry import Pose, rotation_about_axis
 from shapefit.rng import substream
 
-from oracles import fd_grad_vector, rel_err
+from oracles import fd_grad_vector, identity_pose, rel_err
 
 
 def tiny_prior(seed=0):
@@ -31,11 +31,11 @@ def test_zero_iterations_passthrough():
     prior.latents = {"a": np.full(8, 0.25)}
     obs = observed_sphere_cloud(3)
     init = Pose.from_matrix(rotation_about_axis([0, 0, 1], 0.3), np.array([0.1, 0, 0]))
-    cfg = inference.InferenceConfig(iterations=0, latent_init="zero", seed=5)
+    cfg = inference.InferenceConfig(iterations=0, seed=5)
     res = inference.joint_optimize(prior, obs, init, cfg)
     np.testing.assert_array_equal(res.pose.rot6d, init.rot6d)
     np.testing.assert_array_equal(res.pose.translation, init.translation)
-    np.testing.assert_array_equal(res.latent.z, np.zeros(8))
+    np.testing.assert_array_equal(res.latent.z, inference.init_latent(prior, substream(5, "inference")))
     assert res.trace == []
 
 
@@ -43,9 +43,9 @@ def test_trace_length_matches_iterations():
     prior = tiny_prior(4)
     obs = observed_sphere_cloud(5, n=100)
     cfg = inference.InferenceConfig(
-        iterations=7, latent_init="zero", eikonal_samples=64, seed=6, mc_resolution=16
+        iterations=7, eikonal_samples=64, seed=6, mc_resolution=16
     )
-    res = inference.joint_optimize(prior, obs, Pose.identity(), cfg)
+    res = inference.joint_optimize(prior, obs, identity_pose(), cfg)
     assert len(res.trace) == 7
     res.pose.validate()
 
@@ -53,14 +53,13 @@ def test_trace_length_matches_iterations():
 def test_frozen_flags_keep_values():
     prior = tiny_prior(7)
     obs = observed_sphere_cloud(8, n=80)
-    cfg = inference.InferenceConfig(
-        iterations=5, latent_init="zero", optimize_pose=False, optimize_latent=False,
-        eikonal_samples=32, seed=9,
-    )
-    init = Pose.identity()
+    cfg = inference.InferenceConfig(iterations=5, optimize_pose=False, eikonal_samples=32, seed=9)
+    init = Pose.from_matrix(rotation_about_axis([0, 1, 0], 0.2), np.array([0.0, 0.05, 0]))
     res = inference.joint_optimize(prior, obs, init, cfg)
     np.testing.assert_array_equal(res.pose.rot6d, init.rot6d)
-    np.testing.assert_array_equal(res.latent.z, np.zeros(8))
+    np.testing.assert_array_equal(res.pose.translation, init.translation)
+    # the flag freezes the pose only: the latent still moves
+    assert not np.array_equal(res.latent.z, inference.init_latent(prior, substream(9, "inference")))
     assert len(res.trace) == 5
 
 
@@ -69,8 +68,8 @@ def test_joint_optimize_deterministic():
     prior.latents = {"a": substream(11, "l").standard_normal(8) * 0.05}
     obs = observed_sphere_cloud(12, n=120)
     cfg = inference.InferenceConfig(iterations=6, eikonal_samples=64, seed=13)
-    r1 = inference.joint_optimize(prior, obs, Pose.identity(), cfg)
-    r2 = inference.joint_optimize(prior, obs, Pose.identity(), cfg)
+    r1 = inference.joint_optimize(prior, obs, identity_pose(), cfg)
+    r2 = inference.joint_optimize(prior, obs, identity_pose(), cfg)
     np.testing.assert_array_equal(r1.latent.z, r2.latent.z)
     np.testing.assert_array_equal(r1.pose.rot6d, r2.pose.rot6d)
     assert r1.trace == r2.trace
@@ -101,9 +100,15 @@ def test_nan_abort_reports_iteration():
     prior = tiny_prior(17)
     prior.template.weights[-1][:] = 1e308
     obs = observed_sphere_cloud(18, n=40)
-    cfg = inference.InferenceConfig(iterations=3, latent_init="zero", eikonal_samples=16, seed=19)
+    cfg = inference.InferenceConfig(iterations=3, eikonal_samples=16, seed=19)
     with np.errstate(all="ignore"), pytest.raises(Exception, match="iteration"):
-        inference.joint_optimize(prior, obs, Pose.identity(), cfg)
+        inference.joint_optimize(prior, obs, identity_pose(), cfg)
+
+
+@pytest.mark.parametrize("field", ["iterations", "eikonal_samples", "max_observed_points"])
+def test_config_rejects_non_integer_counts(field):
+    with pytest.raises(StructuralError, match=field):
+        inference.InferenceConfig(**{field: 2.5}).validate()
 
 
 @pytest.mark.parametrize("res", [4, 7, 16.0, "32", None])
@@ -115,21 +120,16 @@ def test_config_rejects_resolution_marching_cubes_rejects(res):
 
 
 def test_reconstruct_bad_resolution_fails_before_lifting():
-    img = sd.DepthImage(
-        np.zeros((8, 8)), np.zeros((8, 8), dtype=bool), sd.default_intrinsics(8, 8), Pose.identity()
-    )
+    img = sd.DepthImage(np.zeros((8, 8)), sd.default_intrinsics(8, 8))
     cfg = inference.InferenceConfig(iterations=1, mc_resolution=4, seed=21)
     with pytest.raises(StructuralError, match="resolution"):
-        inference.reconstruct(tiny_prior(20), img, NoisyOracleEstimator(Pose.identity()), cfg)
+        inference.reconstruct(tiny_prior(20), img, NoisyOracleEstimator(identity_pose()), cfg)
 
 
 def test_reconstruct_empty_mask_stage_tagged():
     prior = tiny_prior(20)
-    img = sd.DepthImage(
-        np.zeros((8, 8)), np.zeros((8, 8), dtype=bool),
-        sd.default_intrinsics(8, 8), Pose.identity(),
-    )
-    est = NoisyOracleEstimator(Pose.identity())
+    img = sd.DepthImage(np.zeros((8, 8)), sd.default_intrinsics(8, 8))
+    est = NoisyOracleEstimator(identity_pose())
     cfg = inference.InferenceConfig(iterations=1, mc_resolution=16, seed=21)
     with pytest.raises(StageError) as exc:
         inference.reconstruct(prior, img, est, cfg)
@@ -143,7 +143,7 @@ def test_save_result_bundle(tmp_path):
         np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]]), np.array([[0, 1, 2]])
     )
     res = inference.ReconstructionResult(
-        mesh, Pose.identity(), fields.LatentCode(np.zeros(4)),
+        mesh, identity_pose(), fields.LatentCode(np.zeros(4)),
         [{"observation": 1.0, "eikonal": 0.5, "latent": 0.0}],
     )
     inference.save_result(res, str(tmp_path), "shape0")
@@ -159,14 +159,8 @@ def test_latent_init_modes():
     prior = tiny_prior(22)
     rng = substream(23, "l")
     prior.latents = {f"s{i}": rng.standard_normal(8) for i in range(6)}
-    cfg_zero = inference.InferenceConfig(latent_init="zero", seed=1)
-    z0 = inference.init_latent(prior, cfg_zero, substream(1, "a"))
-    assert np.array_equal(z0, np.zeros(8))
-    cfg_learned = inference.InferenceConfig(latent_init="learned", seed=1)
     mean, std = prior.latent_stats()
-    zs = np.stack([
-        inference.init_latent(prior, cfg_learned, substream(i, "b")) for i in range(200)
-    ])
+    zs = np.stack([inference.init_latent(prior, substream(i, "b")) for i in range(200)])
     # samples follow the empirical latent distribution
     assert np.abs(zs.mean(axis=0) - mean).max() < 4 * std.max() / np.sqrt(200)
 
@@ -183,7 +177,7 @@ def test_reconstruct_passes_template_cloud_to_estimator():
 
         def estimate(self, points, template_points=None):
             seen.append(template_points)
-            return Pose.identity()
+            return identity_pose()
 
     shape = sd.make_family("sphere", 1, seed=25)[0]
     cam = Pose.from_matrix(np.eye(3), np.array([0.0, 0.0, 2.5]))

@@ -75,12 +75,6 @@ def test_numpy_integer_resolution_accepted():
     np.testing.assert_array_equal(a.vertices, b.vertices)
 
 
-@pytest.mark.parametrize("bounds", [(1.0, -1.0), (0.0, 0.0), (-1.0, np.inf), (np.nan, 1.0)])
-def test_bad_bounds_raise(bounds):
-    with pytest.raises(StructuralError, match="bounds"):
-        meshing.marching_cubes(sphere_field(), 16, bounds)
-
-
 def counted(field):
     """The field plus a list holding the number of points it was asked for."""
     n = [0]
@@ -253,3 +247,10 @@ def test_sample_zero_area_mesh_raises():
     mesh = meshing.TriangleMesh(verts, np.array([[0, 1, 2], [1, 2, 3]]))
     with pytest.raises(StructuralError, match="area"):
         meshing.sample_mesh_surface(mesh, 10, seed=0)
+
+
+@pytest.mark.parametrize("n", [2.5, 0, "10"])
+def test_sample_count_must_be_a_positive_integer(n):
+    mesh = meshing.marching_cubes(sphere_field(0.5), 16)
+    with pytest.raises(StructuralError, match="sample count"):
+        meshing.sample_mesh_surface(mesh, n, seed=0)

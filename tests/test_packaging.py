@@ -16,13 +16,15 @@ def test_console_scripts_import():
 
 ROOT = Path(__file__).parents[1]
 # public I/O with no caller yet, kept for the command line that will read
-# depth and write clouds, meshes and histories (ROADMAP item 3)
+# depth and write clouds, meshes and histories (ROADMAP item 3) and for the
+# reproduction table's report (ROADMAP item 4)
 NOT_YET_CALLED = {
     "save_pfm": "ROADMAP item 3: CLI depth input",
     "load_pfm": "ROADMAP item 3: CLI depth input",
     "save_ply": "ROADMAP item 3: CLI lifted-cloud output",
     "write_history_csv": "ROADMAP item 3: CLI training history output",
     "save_result": "ROADMAP item 3: CLI reconstruction output",
+    "EvalReport.to_json": "ROADMAP item 4: the reproduction table's machine-readable report",
 }
 
 
@@ -49,9 +51,22 @@ def _references(tree, skip=None):
     return found
 
 
+def _public_definitions(tree):
+    """(name, node) of each module-level public function and class, and of
+    each public method of a public class as "Class.method"."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_public_names_have_a_caller():
-    # every module-level public function and class of the package is used
-    # by the package itself or by the benchmark, not only by tests
+    # every public function, class and method of the package is used by
+    # the package itself or by the benchmark, not only by tests
     modules = {
         p: ast.parse(p.read_text())
         for p in sorted((ROOT / "src" / "shapefit").rglob("*.py"))
@@ -63,16 +78,14 @@ def test_public_names_have_a_caller():
             bench |= _references(ast.parse(p.read_text()))
     refs = {path: _references(tree) for path, tree in modules.items()}
     unused = []
+    defined = set()
     for path, tree in modules.items():
         elsewhere = bench.union(*(r for p, r in refs.items() if p != path))
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            if node.name in elsewhere or node.name in NOT_YET_CALLED:
+        for qualname, node in _public_definitions(tree):
+            defined.add(qualname)
+            if node.name in elsewhere or qualname in NOT_YET_CALLED:
                 continue
             if node.name not in _references(tree, skip=node):
-                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {qualname}")
     assert not unused, "public names with no caller outside tests: " + ", ".join(unused)
-    assert set(NOT_YET_CALLED) <= {
-        n.name for t in modules.values() for n in t.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
-    }
+    assert set(NOT_YET_CALLED) <= defined

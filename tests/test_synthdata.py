@@ -4,34 +4,32 @@ import numpy as np
 import pytest
 
 from shapefit import synthdata as sd
-from shapefit.errors import StructuralError
-from shapefit.geometry import Pose, look_at
+from shapefit.errors import DataError, StructuralError
+from shapefit.geometry import look_at
 from shapefit.rng import substream
 
 from oracles import fd_spatial_grad, random_rotation, ray_sphere_depth
 
 
 def unit_sphere(r=0.5):
-    return sd.AnalyticShape([sd.Sphere(np.zeros(3), r)], "sphere", "s")
+    return sd.AnalyticShape([sd.Sphere(np.zeros(3), r)], "s")
 
 
 def test_sphere_sdf_hand_values():
     s = unit_sphere(0.5)
-    assert s.sdf(np.array([1.0, 0, 0])) == pytest.approx(0.5)
-    assert s.sdf(np.array([0.0, 0, 0])) == pytest.approx(-0.5)
+    np.testing.assert_allclose(s.sdf(np.array([[1.0, 0, 0], [0.0, 0, 0]])), [0.5, -0.5])
 
 
 def test_box_sdf_corner_value():
     shape = sd.AnalyticShape([sd.Box(np.zeros(3), np.array([0.2, 0.2, 0.2]))])
-    got = shape.sdf(np.array([0.5, 0.5, 0.5]))
-    assert got == pytest.approx(np.linalg.norm([0.3, 0.3, 0.3]), abs=1e-12)
+    got = shape.sdf(np.array([[0.5, 0.5, 0.5]]))
+    assert got[0] == pytest.approx(np.linalg.norm([0.3, 0.3, 0.3]), abs=1e-12)
 
 
 def test_cylinder_sdf_values():
     shape = sd.AnalyticShape([sd.Cylinder(np.zeros(3), axis=2, radius=0.3, half_height=0.4)])
-    assert shape.sdf(np.array([0.5, 0.0, 0.0])) == pytest.approx(0.2)
-    assert shape.sdf(np.array([0.0, 0.0, 0.9])) == pytest.approx(0.5)
-    assert shape.sdf(np.array([0.0, 0.0, 0.0])) == pytest.approx(-0.3)
+    pts = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.9], [0.0, 0.0, 0.0]])
+    np.testing.assert_allclose(shape.sdf(pts), [0.2, 0.5, -0.3])
 
 
 def test_ellipsoid_sdf_against_sphere_case():
@@ -87,7 +85,7 @@ def test_make_family_deterministic_and_bounded():
         fam1 = sd.make_family(cat, 5, seed=11)
         fam2 = sd.make_family(cat, 5, seed=11)
         for a, b in zip(fam1, fam2):
-            assert (a.category, a.name) == (b.category, b.name)
+            assert a.name == b.name
             assert [type(p) for p in a.primitives] == [type(p) for p in b.primitives]
             for pa, pb in zip(a.primitives, b.primitives):
                 for f in dataclasses.fields(pa):
@@ -154,7 +152,7 @@ def test_surface_samples_eikonal_property():
         shape = sd.make_family(cat, 1, seed=31)[0]
         pts, _ = shape.sample_surface(40, substream(8, cat))
         for p in pts[:25]:
-            g = fd_spatial_grad(lambda q: shape.sdf(q), p, h=1e-5)
+            g = fd_spatial_grad(lambda q: shape.sdf(q[None])[0], p, h=1e-5)
             assert abs(np.linalg.norm(g) - 1.0) < 1e-4
 
 
@@ -163,7 +161,7 @@ def test_surface_normals_match_fd_gradient():
         shape = sd.make_family(cat, 1, seed=13)[0]
         ss = sd.sample_shape(shape, 60, 10, seed=2)
         for p, n in zip(ss.surface_points[:20], ss.surface_normals[:20]):
-            g = fd_spatial_grad(lambda q: shape.sdf(q), p, h=1e-6)
+            g = fd_spatial_grad(lambda q: shape.sdf(q[None])[0], p, h=1e-6)
             g = g / np.linalg.norm(g)
             np.testing.assert_allclose(n, g, atol=1e-4)
 
@@ -175,7 +173,18 @@ def test_synthdata_exports_resolve():
 
 def test_empty_shape_raises():
     with pytest.raises(StructuralError, match="no primitives"):
-        sd.AnalyticShape([], "custom", "empty")
+        sd.AnalyticShape([], "empty")
+
+
+def test_shape_sdf_rejects_a_single_point():
+    with pytest.raises(StructuralError, match=r"\(N, 3\)"):
+        unit_sphere().sdf(np.zeros(3))
+
+
+@pytest.mark.parametrize("counts", [(10.5, 10), (10, 2.5), (0, 10), (10, True)])
+def test_sample_shape_rejects_non_integer_counts(counts):
+    with pytest.raises(StructuralError, match="sample count"):
+        sd.sample_shape(unit_sphere(), *counts, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +269,39 @@ def test_render_depth_rejects_bad_resolution(resolution):
         sd.render_depth(unit_sphere(0.5), pose, sd.default_intrinsics(8, 8), resolution)
 
 
+def test_render_depth_noise():
+    shape = sd.make_family("car", 1, seed=3)[0]
+    pose = sd.hemisphere_camera(substream(4, "cam"))
+    intr = sd.default_intrinsics(96, 72)
+    sigma = 0.01
+    clean = sd.render_depth(shape, pose, intr, (96, 72))
+    noisy = sd.render_depth(shape, pose, intr, (96, 72), noise_sigma=sigma, seed=5)
+    again = sd.render_depth(shape, pose, intr, (96, 72), noise_sigma=sigma, seed=5)
+    np.testing.assert_array_equal(noisy.depth, again.depth)
+    # noise moves depths, never the set of hit pixels
+    np.testing.assert_array_equal(noisy.mask, clean.mask)
+    hits = clean.mask
+    assert (noisy.depth[hits] > 0).all() and (noisy.depth[~hits] == 0).all()
+    assert hits.sum() >= 1000
+    diff = noisy.depth[hits] - clean.depth[hits]
+    assert abs(diff.std() - sigma) < 0.1 * sigma
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_depth_image_rejects_non_finite_or_negative_depth(bad):
+    depth = np.ones((6, 8))
+    depth[2, 3] = bad
+    depth[4, 5] = bad
+    with pytest.raises(DataError, match=r"pixel \(2, 3\)"):
+        sd.DepthImage(depth, sd.default_intrinsics(8, 6)).validate()
+
+
 # ---------------------------------------------------------------------------
 # occlusion
 
 
 def full_mask_image(n=100):
-    depth = np.ones((n, n))
-    mask = np.ones((n, n), dtype=bool)
-    return sd.DepthImage(depth, mask, sd.default_intrinsics(n, n), Pose.identity())
+    return sd.DepthImage(np.ones((n, n)), sd.default_intrinsics(n, n))
 
 
 def test_occlude_zero_ratio_bypass():

@@ -24,9 +24,7 @@ def plane_prior():
     """Prior whose composed field is exactly psi(x) = x_3."""
     prior = small_prior(1)
     prior.template = ad.MLPParams([np.array([[0.0, 0.0, 1.0]])], [np.zeros(1)], ("linear",))
-    # rebuild a 1-layer deformation layout with zero output and its hyper net
-    layout = ad.MLPParams([np.zeros((4, 3))], [np.zeros(4)], ("linear",))
-    prior.deform_layout = layout
+    # one zero hypernetwork: a single linear (3 -> 4) deformation layer, zero output
     w0 = np.zeros((8, prior.latent_dim))
     b0 = np.zeros(8)
     w1 = np.zeros((16, 8))
@@ -224,19 +222,14 @@ def test_fit_loss_decreases():
     assert np.all(np.diff(windows) <= 0)
 
 
-def test_fit_resume_matches_uninterrupted():
-    dataset, _ = make_dataset(3, seed=23, n_pts=150)
-    cfg = desk_config(epochs=6)
-    p_full = small_prior(24)
-    _, h_full, _ = training.fit(p_full, dataset, cfg)
-
-    p_resume = small_prior(24)
-    cfg_a = desk_config(epochs=3)
-    _, h_a, opt = training.fit(p_resume, dataset, cfg_a)
-    _, h_b, _ = training.fit(p_resume, dataset, cfg, start_epoch=3, optimizer=opt)
-    stitched = h_a + h_b
-    for full, part in zip(h_full, stitched):
-        assert full["total"] == pytest.approx(part["total"], abs=1e-8)
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", 1.5), ("batch_shapes", 2.5), ("surface_points_per_shape", 20.5),
+     ("free_points_per_shape", 0), ("epochs", -1)],
+)
+def test_config_rejects_bad_counts(field, value):
+    with pytest.raises(StructuralError, match=field):
+        desk_config(**{field: value}).validate()
 
 
 def test_fit_empty_dataset_raises():
