@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import StructuralError, check_real
 
 ACT_SINE = "sine"
 ACT_RELU = "relu"
@@ -82,8 +82,7 @@ class MLPParams:
             raise StructuralError("weights and biases must be non-empty and aligned")
         if len(self.activations) != len(self.weights):
             raise StructuralError("one activation tag required per layer")
-        if not self.omega0 > 0:
-            raise StructuralError(f"omega0 must be positive, got {self.omega0}")
+        check_real("omega0", self.omega0, strict=True)
         prev_out = None
         for k, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
             if act not in _ACTIVATIONS:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataError, StructuralError
+from .errors import DataError, StructuralError, check_count
 from .geometry import Pose, rotation_about_axis
 from .rng import substream
 
@@ -107,6 +107,7 @@ class IcpEstimator:
     needs_template = True  # the registration target
 
     def __init__(self, max_iterations=50, rejection_factor=3.0, tol=1e-6):
+        check_count("max_iterations", max_iterations, 0)
         self.max_iterations = max_iterations
         self.rejection_factor = rejection_factor
         self.tol = tol

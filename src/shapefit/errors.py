@@ -1,5 +1,8 @@
 """Exception taxonomy shared across the package."""
 
+import math
+import numbers
+
 import numpy as np
 
 
@@ -32,3 +35,11 @@ def check_count(name, value, minimum=1):
     """Raise StructuralError naming `name` unless `value` is an integer >= `minimum`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise StructuralError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(name, value, minimum=0.0, strict=False):
+    """Raise StructuralError naming `name` unless `value` is a finite real
+    >= `minimum`, or > `minimum` when `strict`."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    if not real or (value <= minimum if strict else value < minimum):
+        raise StructuralError(f"{name} = {value!r} must be finite and {'>' if strict else '>='} {minimum}")

@@ -11,6 +11,14 @@ and a scalar SDF correction, so the instance SDF is
 Forward evaluation tracks spatial Jacobians through the composition;
 `compose_backward` and `hyper_backward` push loss adjoints all the way to
 template weights, hypernetwork weights and the latent code.
+
+This module alone knows how a prior's networks are built and named: the
+template (R^3 -> R) and the deformation net are sine layers then a linear
+output, the hypernetworks ReLU layers then a linear output, and layer k is
+named `template.{k}.w` / `.b`, or `hyper.{i}.{k}.w` / `.b` in hypernetwork
+i, both in the optimizer of `training.fit` and in a checkpoint. A
+checkpoint's JSON sidecar holds the category, the instance id of each
+`latent_table` row and the template's omega0.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +31,12 @@ from .formats import load_container, load_json, save_container, save_json
 from .rng import substream
 
 DEFORM_OUT_DIM = 4  # (v_x, v_y, v_z, delta_s)
+LATENT_INIT_STD = 0.01  # std of the latent code of an instance not yet trained
+
+
+def _activations(hidden, n_layers):
+    """A prior network's activations: `hidden` on every layer but the last, which is linear."""
+    return (hidden,) * (n_layers - 1) + (ad.ACT_LINEAR,)
 
 
 @dataclass
@@ -43,8 +57,7 @@ class ShapePrior:
     The hypernetworks fix the deformation net: the latent size is their
     input size, and hyper[k] predicts the out_k * (in_k + 1) packed weights
     and biases of deformation layer k (in_k -> out_k), with in_0 = 3 and a
-    last out_k of DEFORM_OUT_DIM. Every layer but the last (linear) is sine,
-    at the template's omega0.
+    last out_k of DEFORM_OUT_DIM.
     """
 
     category: str
@@ -72,9 +85,14 @@ class ShapePrior:
         return shapes
 
     def validate(self):
-        self.template.validate()
+        t = self.template
+        t.validate()
+        if (t.in_dim, t.out_dim) != (3, 1) or t.activations != _activations(ad.ACT_SINE, t.n_layers):
+            raise StructuralError(f"template is not sine then linear from R^3 to R: {t.layer_sizes}, {t.activations}")
         for k, h in enumerate(self.hyper):
             h.validate()
+            if h.activations != _activations(ad.ACT_RELU, h.n_layers):
+                raise StructuralError(f"hypernetwork {k} must be relu then linear, got {h.activations}")
             if h.in_dim != self.latent_dim:
                 raise StructuralError(f"hypernetwork {k} input dim != latent dim")
         self.deform_shapes()
@@ -86,7 +104,7 @@ class ShapePrior:
     def latent_stats(self):
         """Empirical mean and per-dimension std of the trained latent table."""
         if not self.latents:
-            return np.zeros(self.latent_dim), np.full(self.latent_dim, 0.01)
+            return np.zeros(self.latent_dim), np.full(self.latent_dim, LATENT_INIT_STD)
         table = np.stack(list(self.latents.values()))
         return table.mean(axis=0), table.std(axis=0)
 
@@ -119,7 +137,7 @@ def init_prior(
         b0 = np.zeros(hyper_hidden)  # zero hidden bias: hyper(0) == final bias
         scale = 1e-2 * np.sqrt(6.0 / hyper_hidden)
         w1 = rng.uniform(-scale, scale, size=(target.size, hyper_hidden))
-        hyper.append(ad.MLPParams([w0, w1], [b0, target], ("relu", "linear")))
+        hyper.append(ad.MLPParams([w0, w1], [b0, target], _activations(ad.ACT_RELU, 2)))
     return ShapePrior(category, template, hyper).validate()
 
 
@@ -140,7 +158,7 @@ def hyper_forward(prior, z):
         weights.append(flat[: fan_out * fan_in].reshape(fan_out, fan_in))
         biases.append(flat[fan_out * fan_in :].copy())
         caches.append(cache)
-    acts = (ad.ACT_SINE,) * (len(shapes) - 1) + (ad.ACT_LINEAR,)
+    acts = _activations(ad.ACT_SINE, len(shapes))
     return ad.MLPParams(weights, biases, acts, prior.template.omega0), caches
 
 
@@ -268,27 +286,51 @@ def instance_field(prior, z):
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
+# array names and checkpoints
+
+
+def named_arrays(template, hyper):
+    """Template and hypernetwork weights and biases (or their gradients) by the module docstring's names."""
+    out = {}
+    for prefix, net in [("template", template), *((f"hyper.{i}", h) for i, h in enumerate(hyper))]:
+        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+            out[f"{prefix}.{k}.w"] = w
+            out[f"{prefix}.{k}.b"] = b
+    return out
+
+
+def _count(sections, prefix):
+    """1 + the largest index k of a `prefix.k...` section name, or 1 if there is none."""
+    ks = [name[len(prefix) + 1 :].split(".")[0] for name in sections if name.startswith(prefix + ".")]
+    return 1 + max((int(k) for k in ks if k.isdecimal()), default=0)
+
+
+def _load_net(sections, prefix, hidden, omega0=30.0):
+    """The network stored as `prefix.k.w` / `.b`; a KeyError names a missing section."""
+    n = _count(sections, prefix)
+    weights = [sections[f"{prefix}.{k}.w"] for k in range(n)]
+    biases = [sections[f"{prefix}.{k}.b"] for k in range(n)]
+    return ad.MLPParams(weights, biases, _activations(hidden, n), omega0)
 
 
 def save_prior(prior, path):
     """Binary container at `path` plus a JSON sidecar at `path` + '.json'."""
     prior.validate()
-    sections = {"template": prior.template}
-    for k, h in enumerate(prior.hyper):
-        sections[f"hyper.{k}"] = h
+    sections = named_arrays(prior.template, prior.hyper)
     ids = sorted(prior.latents)
     if ids:
         sections["latent_table"] = np.stack([prior.latents[i] for i in ids])
     save_container(path, sections)
-    save_json(str(path) + ".json", {"category": prior.category, "instance_ids": ids})
+    save_json(str(path) + ".json", {"category": prior.category, "instance_ids": ids,
+                                    "omega0": float(prior.template.omega0)})
 
 
 def load_prior(path):
+    """Read a prior `save_prior` wrote; any missing or malformed part raises DataError."""
     sections = load_container(path)
     sidecar = load_json(str(path) + ".json")
     try:
-        hyper = [sections[f"hyper.{k}"] for k in range(sum(n.startswith("hyper.") for n in sections))]
+        hyper = [_load_net(sections, f"hyper.{i}", ad.ACT_RELU) for i in range(_count(sections, "hyper"))]
         ids = sidecar["instance_ids"]
         table = sections.get("latent_table", ())
         if not (
@@ -302,10 +344,12 @@ def load_prior(path):
             )
         prior = ShapePrior(
             category=sidecar["category"],
-            template=sections["template"],
+            template=_load_net(sections, "template", ad.ACT_SINE, sidecar["omega0"]),
             hyper=hyper,
             latents={iid: table[i].copy() for i, iid in enumerate(ids)},
-        )
+        ).validate()
     except KeyError as e:
-        raise DataError(f"checkpoint {path} is missing section {e}") from e
-    return prior.validate()
+        raise DataError(f"checkpoint {path} is missing section or sidecar key {e}") from e
+    except StructuralError as e:
+        raise DataError(f"checkpoint {path} does not hold a valid prior: {e}") from e
+    return prior

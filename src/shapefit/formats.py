@@ -1,18 +1,15 @@
 """On-disk formats: checkpoint container, PFM depth and JSON (read and
 written), PLY point clouds and OBJ meshes (written only).
 
-Checkpoint container layout (all little-endian):
+Checkpoint container layout (all little-endian): named float64 arrays, whose
+meaning is the caller's (`fields` names a prior's networks layer by layer):
 
     magic     8 bytes   b"SHAPEFIT"
-    version   u32       currently 1
+    version   u32       2 (any other version is rejected)
     nsections u32
     section, repeated nsections times:
         name_len u32, name utf-8 bytes
-        kind     u8        0 = mlp, 1 = array
-        mlp:   omega0 f64, n_layers u32, then per layer:
-               act u8 (0 sine, 1 relu, 2 linear), out u32, in u32,
-               weights f64[out*in] row-major, bias f64[out]
-        array: ndim u8, dims u32[ndim], data f64 row-major
+        ndim u8, dims u32[ndim], data f64[prod(dims)] row-major
 
 Writes are atomic (temp file + rename) so interrupted runs never leave
 half-written checkpoints behind.
@@ -26,15 +23,10 @@ import tempfile
 
 import numpy as np
 
-from .autodiff import ACT_LINEAR, ACT_RELU, ACT_SINE, MLPParams
 from .errors import DataError
 
 MAGIC = b"SHAPEFIT"
-VERSION = 1
-_KIND_MLP = 0
-_KIND_ARRAY = 1
-_ACT_CODE = {ACT_SINE: 0, ACT_RELU: 1, ACT_LINEAR: 2}
-_ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
+VERSION = 2
 
 
 def _atomic_write(path, data: bytes):
@@ -57,23 +49,15 @@ def _atomic_write(path, data: bytes):
 
 
 def save_container(path, sections: dict):
-    """Write named MLPParams / float arrays to the binary container."""
+    """Write named float arrays to the binary container, in dict order."""
     parts = [MAGIC, struct.pack("<II", VERSION, len(sections))]
-    for name, obj in sections.items():
+    for name, arr in sections.items():
         nb = name.encode("utf-8")
+        arr = np.asarray(arr, dtype=np.float64)
         parts.append(struct.pack("<I", len(nb)))
         parts.append(nb)
-        if isinstance(obj, MLPParams):
-            parts.append(struct.pack("<Bd I", _KIND_MLP, obj.omega0, obj.n_layers))
-            for w, b, act in zip(obj.weights, obj.biases, obj.activations):
-                parts.append(struct.pack("<BII", _ACT_CODE[act], w.shape[0], w.shape[1]))
-                parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-                parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        else:
-            arr = np.asarray(obj, dtype=np.float64)
-            parts.append(struct.pack("<BB", _KIND_ARRAY, arr.ndim))
-            parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        parts.append(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     _atomic_write(path, b"".join(parts))
 
 
@@ -92,12 +76,9 @@ class _Reader:
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def f64(self, count):
-        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
-
 
 def load_container(path):
-    """Read a container back into {name: MLPParams | ndarray}."""
+    """Read a container back into {name: float64 ndarray}."""
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -116,24 +97,10 @@ def load_container(path):
             name = r.take(name_len).decode("utf-8")
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: section name is not UTF-8: {e}") from e
-        (kind,) = r.unpack("<B")
-        if kind == _KIND_MLP:
-            omega0, n_layers = r.unpack("<dI")
-            weights, biases, acts = [], [], []
-            for _ in range(n_layers):
-                act, n_out, n_in = r.unpack("<BII")
-                if act not in _ACT_NAME:
-                    raise DataError(f"{path}: unknown activation code {act}")
-                weights.append(r.f64(n_out * n_in).reshape(n_out, n_in))
-                biases.append(r.f64(n_out))
-                acts.append(_ACT_NAME[act])
-            out[name] = MLPParams(weights, biases, tuple(acts), omega0)
-        elif kind == _KIND_ARRAY:
-            (ndim,) = r.unpack("<B")
-            shape = r.unpack(f"<{ndim}I")
-            out[name] = r.f64(math.prod(shape)).reshape(shape)
-        else:
-            raise DataError(f"{path}: unknown section kind {kind}")
+        (ndim,) = r.unpack("<B")
+        shape = r.unpack(f"<{ndim}I")
+        data = r.take(8 * math.prod(shape))
+        out[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
     return out
 
 
@@ -186,6 +153,8 @@ def load_pfm(path):
         scale = float(parts[2])
     except ValueError as e:
         raise DataError(f"{path}: malformed PFM header: {e}") from e
+    if scale == 0 or not math.isfinite(scale):
+        raise DataError(f"{path}: PFM scale {scale} is not finite and non-zero")
     if w < 0 or h < 0 or len(parts[3]) < 4 * w * h:
         raise DataError(
             f"{path}: PFM payload of {len(parts[3])} bytes, {w}x{h} image needs {4 * w * h}"

@@ -1,12 +1,12 @@
 """Marching-cubes isosurface extraction and mesh surface sampling.
 
 The grid always spans the canonical cube [-1, 1]^3, where every shape and
-prior lives. Classic 256-case table with linear interpolation along cell
-edges. Vertices are indexed per global grid edge, so vertices shared
-between neighboring cells are welded exactly; a final pass drops
-degenerate triangles. Ambiguous configurations use the standard table
-resolution (no asymptotic decider), which is fine for point-based
-evaluation.
+prior lives. Classic 256-case triangle table, with linear interpolation
+along each cell edge whose corners differ in sign. Vertices are indexed per
+global grid edge, so vertices shared between neighboring cells are welded
+exactly; a final pass drops degenerate triangles. Ambiguous configurations
+use the standard table resolution (no asymptotic decider), which is fine
+for point-based evaluation.
 
 The grid is filled coarse to fine, as in the sign-change refinement of
 Occupancy Networks (Mescheder et al., CVPR 2019):
@@ -31,12 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from ._mc_tables import EDGE_FLAGS, TRIANGLES
+from ._mc_tables import TRIANGLES
 from .errors import NumericError, StructuralError, check_count
 from .rng import substream
 
 # cube corner offsets and the corner pair of each of the 12 edges
-# (orientation matches the lookup tables)
+# (orientation matches the triangle table)
 _CORNERS = np.array(
     [
         [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
@@ -192,11 +192,10 @@ def _triangulate(grid, config, crossed):
     cfg = config[active]
     cells = np.stack(active, axis=1).astype(np.int64)  # (C, 3) lower cell corners
 
-    # global edge id of each crossed cell edge: its lower grid point on the
-    # (npts^3) lattice, times 3 orientations
-    flags = np.asarray(EDGE_FLAGS, dtype=np.int32)[cfg]
-    cut = (flags[:, None] & (1 << np.arange(12))) != 0
-    rows, cols = np.nonzero(cut)
+    # an edge is crossed when its two corners differ in sign; its global id
+    # is its lower grid point on the (npts^3) lattice, times 3 orientations
+    c0, c1 = _EDGE_CORNERS.T
+    rows, cols = np.nonzero(((cfg[:, None] >> c0) ^ (cfg[:, None] >> c1)) & 1)
     start = cells[rows] + _EDGE_LOW[cols]
     gids = ((start[:, 0] * npts + start[:, 1]) * npts + start[:, 2]) * 3 + _EDGE_AXIS[cols]
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import NumericError, StructuralError
+from .errors import NumericError, StructuralError, check_real
 
 CHAMFER_SCALE = 1e4
 DEFAULT_TAU = 0.01
@@ -45,8 +45,7 @@ def fscore(pred, gt, tau=DEFAULT_TAU):
     """F1 of point matches within `tau` (strict inequality)."""
     pred = _check_cloud(pred, "prediction")
     gt = _check_cloud(gt, "ground truth")
-    if tau <= 0:
-        raise StructuralError("tau must be positive")
+    check_real("tau", tau, strict=True)
     tau_sq = tau * tau
     precision = float(np.mean(_nn_sq_dists(pred, gt) < tau_sq))
     recall = float(np.mean(_nn_sq_dists(gt, pred) < tau_sq))
@@ -144,22 +143,3 @@ class EvalReport:
             "count": len(self.records),
             "records": [r.to_json() for r in self.records],
         }
-
-    def table(self):
-        """Aligned text table, one row per shape plus a mean row."""
-        header = f"{'shape':<24} {'CD(x1e4)':>10} {'F@' + format(self.tau, '.0%'):>8}"
-        has_pose = any(r.pose_deg is not None for r in self.records)
-        if has_pose:
-            header += f" {'rot(deg)':>9} {'trans':>8}"
-        lines = [header, "-" * len(header)]
-        for r in self.records:
-            line = f"{r.name:<24} {r.chamfer_x1e4:>10.3f} {r.f1:>8.3f}"
-            if has_pose:
-                deg = f"{r.pose_deg:>9.2f}" if r.pose_deg is not None else f"{'-':>9}"
-                tr = f"{r.pose_trans:>8.4f}" if r.pose_trans is not None else f"{'-':>8}"
-                line += f" {deg} {tr}"
-            lines.append(line)
-        mean = f"{'mean':<24} {self.chamfer_x1e4:>10.3f} {self.f1:>8.3f}"
-        lines.append("-" * len(header))
-        lines.append(mean)
-        return "\n".join(lines)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError, StructuralError, check_count
+from ..errors import DataError, StructuralError, check_count, check_real
 from ..geometry import look_at
 from ..rng import substream
 
@@ -22,8 +22,8 @@ class Intrinsics:
     cy: float
 
     def validate(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise StructuralError("focal lengths must be positive")
+        check_real("focal length fx", self.fx, strict=True)
+        check_real("focal length fy", self.fy, strict=True)
         return self
 
 
@@ -70,6 +70,7 @@ def render_depth(shape, camera_pose, intrinsics, resolution, noise_sigma=0.0, se
     width, height = resolution
     for v in resolution:
         check_count("image resolution", v)
+    check_real("noise_sigma", noise_sigma)
     intrinsics.validate()
     rot = camera_pose.matrix()
     origin = -rot.T @ camera_pose.translation  # camera center, canonical frame

@@ -20,10 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fields
-from .errors import NumericError, StructuralError, check_count
+from .errors import NumericError, StructuralError, check_count, check_real
 from .rng import substream
-
-LATENT_INIT_STD = 0.01  # std of the random codes of unseen training instances
 
 TERM_NAMES = (
     "sdf_value",
@@ -53,10 +51,8 @@ class LossWeights:
 
     def validate(self):
         for name, value in asdict(self).items():
-            if value < 0:
-                raise StructuralError(f"loss weight {name} must be >= 0")
-        if self.spike_delta < 10:
-            raise StructuralError("spike_delta must be >= 10 (sharp spike penalty)")
+            check_real(f"loss weight {name}", value)
+        check_real("spike_delta", self.spike_delta, 10.0)  # a sharp spike penalty
         return self
 
     @classmethod
@@ -81,8 +77,8 @@ class TrainConfig:
         check_count("epochs", self.epochs, 0)
         for name in ("batch_shapes", "surface_points_per_shape", "free_points_per_shape"):
             check_count(name, getattr(self, name))
-        if self.lr <= 0 or self.lr_latent <= 0:
-            raise StructuralError("learning rates must be positive")
+        for name in ("lr", "lr_latent"):
+            check_real(name, getattr(self, name), strict=True)
         return self
 
 
@@ -185,20 +181,6 @@ def shape_terms(prior, z, samples, weights, with_grads=False):
 # auto-decoder training
 
 
-def _net_dict(template, hyper):
-    """Template and hypernetwork arrays (parameters or their gradients),
-    keyed for the optimizer."""
-    out = {}
-    for k, (w, b) in enumerate(zip(template.weights, template.biases)):
-        out[f"template.{k}.w"] = w
-        out[f"template.{k}.b"] = b
-    for i, h in enumerate(hyper):
-        for k, (w, b) in enumerate(zip(h.weights, h.biases)):
-            out[f"hyper.{i}.{k}.w"] = w
-            out[f"hyper.{i}.{k}.b"] = b
-    return out
-
-
 def _subsample(sample_set, n_surface, n_free, rng):
     ns = len(sample_set.surface_points)
     nf = len(sample_set.free_points)
@@ -223,7 +205,7 @@ def init_latents(prior, instance_ids, config):
     for iid in instance_ids:
         if iid not in prior.latents:
             rng = substream(config.seed, "latent-init", iid)
-            prior.latents[iid] = rng.normal(0.0, LATENT_INIT_STD, prior.latent_dim)
+            prior.latents[iid] = rng.normal(0.0, fields.LATENT_INIT_STD, prior.latent_dim)
 
 
 def fit(prior, dataset, config, on_epoch=None):
@@ -243,7 +225,7 @@ def fit(prior, dataset, config, on_epoch=None):
     weights = LossWeights.for_category(prior.category).validate()
     init_latents(prior, [iid for iid, _ in dataset], config)
     prior.validate()
-    params = _net_dict(prior.template, prior.hyper)  # live views
+    params = fields.named_arrays(prior.template, prior.hyper)  # live views
     net_keys = list(params)
     params.update({f"latent.{iid}": z for iid, z in prior.latents.items()})
     optimizer = ad.Adam()
@@ -274,7 +256,7 @@ def fit(prior, dataset, config, on_epoch=None):
                         f"epoch {epoch}, shape {iid!r}: non-finite loss terms {bad}"
                     )
                 t_grads, h_grads, g_z = grads
-                shape_grads = _net_dict(t_grads, h_grads)
+                shape_grads = fields.named_arrays(t_grads, h_grads)
                 shape_grads[f"latent.{iid}"] = g_z
                 bad = [k for k, g in shape_grads.items() if not np.isfinite(g).all()]
                 if bad:

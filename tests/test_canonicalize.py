@@ -116,6 +116,13 @@ def test_icp_identity_when_already_canonical():
     assert trans < 1e-3
 
 
+@pytest.mark.parametrize("iterations", [2.5, -1, "50"])
+def test_icp_rejects_a_bad_iteration_count(iterations):
+    template = asymmetric_cloud(100, seed=9)
+    with pytest.raises(StructuralError, match="max_iterations"):
+        canon.IcpEstimator(max_iterations=iterations).estimate(template, template_points=template)
+
+
 def test_partial_sphere_translation_only():
     # rotation is unobservable on a half sphere; translation must be right
     rng = substream(8, "half")

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from shapefit import autodiff as ad
 from shapefit import fields
 from shapefit.errors import DataError, StructuralError
-from shapefit.formats import load_json, save_json
+from shapefit.formats import load_container, load_json, save_container, save_json
 from shapefit.rng import substream
 
 from oracles import fd_spatial_grad, rel_err, unpack_params
@@ -280,4 +282,64 @@ def test_load_prior_rejects_instance_ids_that_do_not_match_the_table(tmp_path, i
     sidecar["instance_ids"] = ids
     save_json(str(path) + ".json", sidecar)
     with pytest.raises(DataError, match="instance_ids"):
+        fields.load_prior(path)
+
+
+def _saved_prior(tmp_path, seed):
+    prior = small_prior(seed)
+    prior.latents = {"a": substream(seed, "lat").standard_normal(8)}
+    path = tmp_path / "prior.bin"
+    fields.save_prior(prior, path)
+    return path
+
+
+def test_checkpoint_sections_are_the_optimizer_names(tmp_path):
+    prior = small_prior(28)
+    path = _saved_prior(tmp_path, 28)
+    names = list(fields.named_arrays(prior.template, prior.hyper))
+    assert names[:2] == ["template.0.w", "template.0.b"] and names[-1] == "hyper.2.1.b"
+    assert list(load_container(path)) == names + ["latent_table"]
+
+
+@pytest.mark.parametrize(
+    "net, acts",
+    [("template", ("relu", "relu", "linear")), ("template", ("sine", "sine", "sine")),
+     ("hyper", ("sine", "linear")), ("hyper", ("relu", "relu"))],
+)
+def test_save_prior_rejects_networks_with_other_activations(tmp_path, net, acts):
+    prior = small_prior(29)
+    if net == "template":
+        prior.template.activations = acts
+    else:
+        prior.hyper[1].activations = acts
+    with pytest.raises(StructuralError, match="template|hypernetwork 1"):
+        fields.save_prior(prior, tmp_path / "prior.bin")
+
+
+@pytest.mark.parametrize(
+    "drop, message",
+    [("template", "template.0.w"), ("template.1.w", "template.1.w"), ("template.2.b", "template.2.b"),
+     ("hyper", "hyper.0.0.w"), ("hyper.1.1.w", "hyper.1.1.w"), ("hyper.2.0.b", "hyper.2.0.b"),
+     ("template.2", "not sine then linear from R^3 to R")],
+)
+def test_load_prior_names_a_missing_section(tmp_path, drop, message):
+    # `drop` removes that section, or every section under that prefix
+    path = _saved_prior(tmp_path, 30)
+    kept = {k: v for k, v in load_container(path).items() if k != drop and not k.startswith(drop + ".")}
+    save_container(path, kept)
+    with pytest.raises(DataError, match=re.escape(message)):
+        fields.load_prior(path)
+
+
+@pytest.mark.parametrize("omega0", [None, "30", float("nan")])
+def test_load_prior_needs_the_template_omega0_in_the_sidecar(tmp_path, omega0):
+    path = _saved_prior(tmp_path, 31)
+    sidecar = load_json(str(path) + ".json")
+    assert sidecar["omega0"] == 30.0
+    if omega0 is None:
+        del sidecar["omega0"]
+    else:
+        sidecar["omega0"] = omega0
+    save_json(str(path) + ".json", sidecar)
+    with pytest.raises(DataError, match="omega0"):
         fields.load_prior(path)

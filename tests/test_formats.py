@@ -1,29 +1,41 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shapefit import autodiff as ad
 from shapefit import formats
 from shapefit.errors import DataError
 from shapefit.rng import substream
 
 
-def test_container_roundtrip_mlp_and_arrays(tmp_path):
+def test_container_roundtrip_arrays(tmp_path):
     rng = substream(0, "c")
-    net = ad.siren_init([3, 8, 8, 1], rng)
-    table = rng.standard_normal((5, 16))
+    arrays = {
+        "net.0.w": rng.standard_normal((8, 3)),
+        "net.0.b": rng.standard_normal(8),
+        "table": rng.standard_normal((5, 16)),
+        "cube": rng.standard_normal((2, 3, 4)),
+        "scalar": np.array([3.0]),
+        "zero-d": np.array(-1.5),
+        "empty": np.zeros((0, 4)),
+    }
     path = tmp_path / "ckpt.bin"
-    formats.save_container(path, {"net": net, "table": table, "scalar": np.array([3.0])})
+    formats.save_container(path, arrays)
     back = formats.load_container(path)
-    assert set(back) == {"net", "table", "scalar"}
-    for w0, w1 in zip(net.weights, back["net"].weights):
-        np.testing.assert_array_equal(w0, w1)
-    for b0, b1 in zip(net.biases, back["net"].biases):
-        np.testing.assert_array_equal(b0, b1)
-    assert back["net"].activations == net.activations
-    assert back["net"].omega0 == net.omega0
-    np.testing.assert_array_equal(back["table"], table)
+    assert list(back) == list(arrays)
+    for name, arr in arrays.items():
+        assert back[name].dtype == np.float64
+        assert back[name].shape == arr.shape
+        np.testing.assert_array_equal(back[name], arr)
+
+
+def test_container_rejects_version_1(tmp_path):
+    path = tmp_path / "old.bin"
+    path.write_bytes(formats.MAGIC + struct.pack("<II", 1, 0))
+    with pytest.raises(DataError, match="unsupported container version 1"):
+        formats.load_container(path)
 
 
 def test_container_rejects_garbage(tmp_path):
@@ -35,11 +47,11 @@ def test_container_rejects_garbage(tmp_path):
 
 def test_container_byte_identical_rewrites(tmp_path):
     rng = substream(1, "d")
-    net = ad.siren_init([3, 4, 1], rng)
+    arrays = {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(4)}
     p1 = tmp_path / "a.bin"
     p2 = tmp_path / "b.bin"
-    formats.save_container(p1, {"net": net})
-    formats.save_container(p2, {"net": net})
+    formats.save_container(p1, arrays)
+    formats.save_container(p2, arrays)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -78,6 +90,16 @@ def test_pfm_roundtrip(tmp_path):
     np.testing.assert_array_equal(back, img.astype(np.float64))
 
 
+@pytest.mark.parametrize("scale", [b"0", b"-0.0", b"nan", b"inf", b"-inf"])
+def test_pfm_rejects_zero_or_non_finite_scale(tmp_path, scale):
+    # the sign of the scale is the byte order; a scale with no sign, or no
+    # finite value, loaded silently as big-endian garbage
+    path = tmp_path / "depth.pfm"
+    path.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + np.arange(4, dtype="<f4").tobytes())
+    with pytest.raises(DataError, match="scale"):
+        formats.load_pfm(path)
+
+
 def test_obj_roundtrip(tmp_path):
     verts = substream(5, "obj").uniform(-1, 1, (12, 3))
     tris = np.array([[0, 1, 2], [3, 4, 5], [0, 4, 11]])
@@ -113,7 +135,7 @@ def _write_valid(fmt, path):
     if fmt == "pfm":
         formats.save_pfm(path, rng.uniform(0, 3, (3, 4)))
     else:
-        formats.save_container(path, {"n": ad.siren_init([1, 1], rng), "t": rng.standard_normal(2)})
+        formats.save_container(path, {"n": rng.standard_normal((1, 1)), "t": rng.standard_normal(2)})
 
 
 _LOAD = {"pfm": formats.load_pfm, "container": formats.load_container}
@@ -126,14 +148,10 @@ def _records(fmt, out):
         assert out.ndim == 2 and out.dtype == np.float64
         return out.ravel().tolist()
     recs = []
-    for name, obj in out.items():
+    for name, arr in out.items():
         assert isinstance(name, str)
-        if isinstance(obj, ad.MLPParams):
-            recs.append((name, [w.tolist() for w in obj.weights], [b.tolist() for b in obj.biases],
-                         obj.activations, obj.omega0))
-        else:
-            assert isinstance(obj, np.ndarray) and obj.dtype == np.float64
-            recs.append((name, obj.tolist()))
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        recs.append((name, arr.tolist()))
     return recs
 
 

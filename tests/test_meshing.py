@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shapefit import fields, meshing, training
+from shapefit._mc_tables import TRIANGLES
 from shapefit.errors import NumericError, StructuralError
 from shapefit.rng import substream
 from shapefit.synthdata import make_family, sample_shape
@@ -174,6 +175,16 @@ def test_vertices_lie_on_sign_changing_edges():
         hi[axis] += cell
         s0, s1 = float(f(lo[None])[0]), float(f(hi[None])[0])
         assert s0 == 0 or s1 == 0 or (s0 < 0) != (s1 < 0)
+
+
+def test_triangle_table_uses_exactly_the_sign_changing_edges():
+    # `_triangulate` finds a configuration's crossed edges from its corner
+    # bits; that is sound because, in every one of the 256 configurations,
+    # the triangles use exactly the edges whose two corners differ in sign
+    for cfg, tris in enumerate(TRIANGLES):
+        inside = [cfg >> c & 1 for c in range(8)]
+        changing = {e for e, (c0, c1) in enumerate(meshing._EDGE_CORNERS) if inside[c0] != inside[c1]}
+        assert {e for e in tris if e >= 0} == changing, f"configuration {cfg}"
 
 
 def test_pointwise_field_callable_raises():

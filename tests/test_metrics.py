@@ -174,4 +174,13 @@ def test_eval_report_identical_clouds():
     assert rec.f1 == 1.0
     doc = report.to_json()
     assert doc["count"] == 1
-    assert "shape0" in report.table()
+    assert doc["records"][0]["name"] == "shape0"
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -0.01])
+def test_fscore_rejects_tau_that_is_not_finite_and_positive(tau):
+    pts = substream(9, "tau").uniform(-1, 1, (50, 3))
+    with pytest.raises(StructuralError, match="tau"):
+        metrics.fscore(pts, pts, tau=tau)
+    with pytest.raises(StructuralError, match="tau"):
+        metrics.EvalReport(tau=tau).add("shape0", pts, pts)

@@ -29,10 +29,13 @@ NOT_YET_CALLED = {
 
 
 def _references(tree, skip=None):
-    """Names a module uses: Name ids, attribute names and dotted-identifier
-    strings (how perfbench's tracer names the functions it wraps), outside
-    the definition `skip` and `__all__`."""
-    found = set()
+    """Names a module uses, outside the definition `skip` and `__all__`, as
+    (loaded names, attribute names). Attribute names include the parts of
+    dotted-identifier strings (how perfbench's tracer names the functions it
+    wraps). A function or class counts as used through either set, a method
+    only through the second, so a local variable or parameter that shares a
+    public name does not hide it."""
+    names, attrs = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -40,15 +43,15 @@ def _references(tree, skip=None):
             isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
         ):
             continue
-        if isinstance(node, ast.Name):
-            found.add(node.id)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
-                found.update(node.value.split("."))
+                attrs.update(node.value.split("."))
         stack.extend(ast.iter_child_nodes(node))
-    return found
+    return names, attrs
 
 
 def _public_definitions(tree):
@@ -72,20 +75,24 @@ def test_public_names_have_a_caller():
         for p in sorted((ROOT / "src" / "shapefit").rglob("*.py"))
         if p.name != "_mc_tables.py"
     }
-    bench = set()
-    for p in sorted((ROOT / "perfbench").glob("*.py")):
-        if not p.name.startswith("test_"):
-            bench |= _references(ast.parse(p.read_text()))
+    bench = [
+        _references(ast.parse(p.read_text()))
+        for p in sorted((ROOT / "perfbench").glob("*.py"))
+        if not p.name.startswith("test_")
+    ]
     refs = {path: _references(tree) for path, tree in modules.items()}
     unused = []
     defined = set()
     for path, tree in modules.items():
-        elsewhere = bench.union(*(r for p, r in refs.items() if p != path))
+        elsewhere = bench + [r for p, r in refs.items() if p != path]
         for qualname, node in _public_definitions(tree):
             defined.add(qualname)
-            if node.name in elsewhere or qualname in NOT_YET_CALLED:
+            is_method = "." in qualname
+            uses = [*elsewhere, _references(tree, skip=node)]
+            if qualname in NOT_YET_CALLED or any(
+                node.name in attrs or (not is_method and node.name in names) for names, attrs in uses
+            ):
                 continue
-            if node.name not in _references(tree, skip=node):
-                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {qualname}")
+            unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {qualname}")
     assert not unused, "public names with no caller outside tests: " + ", ".join(unused)
     assert set(NOT_YET_CALLED) <= defined

@@ -287,6 +287,21 @@ def test_render_depth_noise():
     assert abs(diff.std() - sigma) < 0.1 * sigma
 
 
+@pytest.mark.parametrize("sigma", [-0.05, np.nan, np.inf])
+def test_render_depth_rejects_bad_noise_sigma(sigma):
+    pose = look_at(np.array([0.0, 0.0, 2.0]))
+    with pytest.raises(StructuralError, match="noise_sigma"):
+        sd.render_depth(unit_sphere(0.5), pose, sd.default_intrinsics(8, 8), (8, 8), noise_sigma=sigma)
+
+
+@pytest.mark.parametrize(
+    "values, field", [((np.nan, 10, 1, 1), "fx"), ((np.inf, 10, 1, 1), "fx"), ((10, 0, 1, 1), "fy")]
+)
+def test_intrinsics_reject_non_finite_or_non_positive_focal_lengths(values, field):
+    with pytest.raises(StructuralError, match=field):
+        sd.Intrinsics(*values).validate()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
 def test_depth_image_rejects_non_finite_or_negative_depth(bad):
     depth = np.ones((6, 8))

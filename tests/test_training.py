@@ -232,6 +232,22 @@ def test_config_rejects_bad_counts(field, value):
         desk_config(**{field: value}).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value", [("lr", np.nan), ("lr", np.inf), ("lr", 0.0), ("lr_latent", np.nan)]
+)
+def test_config_rejects_learning_rates_that_are_not_finite_and_positive(field, value):
+    with pytest.raises(StructuralError, match=field):
+        desk_config(**{field: value}).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("sdf_value", np.nan), ("smooth", -1.0), ("spike_delta", np.nan), ("spike_delta", 5.0)]
+)
+def test_loss_weights_reject_nan_and_out_of_range_values(field, value):
+    with pytest.raises(StructuralError, match=field):
+        training.LossWeights(**{field: value}).validate()
+
+
 def test_fit_empty_dataset_raises():
     with pytest.raises(StructuralError):
         training.fit(small_prior(25), [], desk_config())
