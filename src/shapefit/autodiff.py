@@ -1,12 +1,13 @@
-"""Differentiable evaluation of small dense MLPs with sinusoidal activations.
+"""Differentiable evaluation of small dense MLPs.
 
-The forward pass optionally carries, next to each layer activation, its
-Jacobian with respect to a set of base coordinates (normally the 3D input
-point). Losses may therefore reference the spatial gradient of the field.
-A hand-written reverse pass differentiates this augmented computation,
-yielding exact first-order gradients for every weight, bias and latent
-input. Only the fixed layer structure below is supported; there is no
-general computation graph, no GPU path and no second-order derivatives.
+Every network has one form: hidden layers of one activation, sine
+(sin(omega0 (W x + b))) or ReLU, and a linear output layer. The forward
+pass optionally carries, next to each layer activation, its Jacobian with
+respect to a set of base coordinates (normally the 3D input point). Losses
+may therefore reference the spatial gradient of the field. A hand-written
+reverse pass differentiates this augmented computation, yielding exact
+first-order gradients for every weight, bias and latent input. There is
+no general computation graph, no GPU path and no second-order derivatives.
 
 One private layer loop runs every forward pass; `forward` (values only,
 nothing kept), `forward_cached` (values plus the intermediates `backward`
@@ -26,7 +27,7 @@ All arithmetic is float64 and fully vectorized over the point batch, so
 identical inputs produce bit-identical outputs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +35,6 @@ from .errors import StructuralError, check_real
 
 ACT_SINE = "sine"
 ACT_RELU = "relu"
-ACT_LINEAR = "linear"
-_ACTIVATIONS = (ACT_SINE, ACT_RELU, ACT_LINEAR)
 
 
 # ---------------------------------------------------------------------------
@@ -46,20 +45,19 @@ _ACTIVATIONS = (ACT_SINE, ACT_RELU, ACT_LINEAR)
 class MLPParams:
     """Weights of one dense MLP.
 
-    weights[k] has shape (out_k, in_k), biases[k] shape (out_k,). The
-    activation tag of layer k is one of "sine", "relu", "linear"; sine
-    layers compute sin(omega0 * (W x + b)).
+    weights[k] has shape (out_k, in_k), biases[k] shape (out_k,).
+    `activation` ("sine" or "relu") applies to every layer but the last,
+    which is linear; sine layers compute sin(omega0 * (W x + b)).
     """
 
     weights: list
     biases: list
-    activations: tuple
+    activation: str
     omega0: float = 30.0
 
     def __post_init__(self):
         self.weights = [np.ascontiguousarray(w, dtype=np.float64) for w in self.weights]
         self.biases = [np.ascontiguousarray(b, dtype=np.float64) for b in self.biases]
-        self.activations = tuple(self.activations)
 
     @property
     def n_layers(self):
@@ -80,13 +78,11 @@ class MLPParams:
     def validate(self):
         if not self.weights or len(self.weights) != len(self.biases):
             raise StructuralError("weights and biases must be non-empty and aligned")
-        if len(self.activations) != len(self.weights):
-            raise StructuralError("one activation tag required per layer")
+        if self.activation not in (ACT_SINE, ACT_RELU):
+            raise StructuralError(f"unknown activation tag {self.activation!r}")
         check_real("omega0", self.omega0, strict=True)
         prev_out = None
-        for k, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
-            if act not in _ACTIVATIONS:
-                raise StructuralError(f"layer {k}: unknown activation tag {act!r}")
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise StructuralError(f"layer {k}: weight {w.shape} / bias {b.shape} mismatch")
             if prev_out is not None and w.shape[1] != prev_out:
@@ -100,15 +96,13 @@ class MLPParams:
 
 
 def siren_init(layer_sizes, rng, omega0=30.0):
-    """Standard sinusoidal-network init.
+    """Standard sinusoidal-network init: a sine net with a linear output.
 
     First layer uniform in [-1/in, 1/in]; later layers uniform in
-    [-sqrt(6/in)/omega0, sqrt(6/in)/omega0]. The last layer is linear, all
-    earlier layers are sine.
+    [-sqrt(6/in)/omega0, sqrt(6/in)/omega0].
     """
-    weights, biases, acts = [], [], []
-    n = len(layer_sizes) - 1
-    for k in range(n):
+    weights, biases = [], []
+    for k in range(len(layer_sizes) - 1):
         fan_in, fan_out = layer_sizes[k], layer_sizes[k + 1]
         if k == 0:
             bound = 1.0 / fan_in
@@ -116,8 +110,7 @@ def siren_init(layer_sizes, rng, omega0=30.0):
             bound = np.sqrt(6.0 / fan_in) / omega0
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(rng.uniform(-bound, bound, size=fan_out))
-        acts.append(ACT_LINEAR if k == n - 1 else ACT_SINE)
-    return MLPParams(weights, biases, tuple(acts), omega0)
+    return MLPParams(weights, biases, ACT_SINE, omega0)
 
 
 @dataclass
@@ -137,22 +130,6 @@ def pack_params(weights, biases):
 # forward / backward
 
 
-@dataclass
-class ForwardCache:
-    """Intermediates retained for the reverse pass.
-
-    layers[k] is (z_prev, jac_prev, deriv, jac_pre) of layer k: its input
-    values (N, in), input Jacobian (K, N, in), activation derivative at the
-    pre-activation (omega cos(omega pre) for sine, the mask pre > 0 for
-    ReLU, None for linear) and pre-activation Jacobian (K, N, out). The
-    Jacobians are None without tracking. `out` is the network output; with
-    the next layer's z_prev it supplies sin(omega pre) of every sine layer.
-    """
-
-    layers: list = field(default_factory=list)
-    out: np.ndarray = None
-
-
 def _as_batch(x, in_dim):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != in_dim:
@@ -169,20 +146,30 @@ def _layers(params, x, jac=None, keep=False):
     """The forward layer loop shared by every entry point below.
 
     Propagates the K-major Jacobian `jac` (K, N, in) alongside the values
-    when it is given. With `keep`, returns a ForwardCache; otherwise
-    nothing is retained and no activation derivative is formed, so a
-    value-only pass over a large batch holds one layer at a time.
+    when it is given. With `keep`, the returned cache is a list whose item
+    k is (z_prev, jac_prev, deriv, jac_pre) of layer k: its input values
+    (N, in), input Jacobian (K, N, in), activation derivative at the
+    pre-activation (omega cos(omega pre) for sine, the mask pre > 0 for
+    ReLU, None for the linear output) and pre-activation Jacobian
+    (K, N, out); the Jacobians are None without tracking. Without `keep`
+    the cache is None, nothing is retained and no activation derivative is
+    formed, so a value-only pass over a large batch holds one layer at a
+    time.
     """
-    cache = ForwardCache() if keep else None
+    cache = [] if keep else None
     need_deriv = keep or jac is not None
+    sine = params.activation == ACT_SINE
     omega = params.omega0
+    last = params.n_layers - 1
     z = x
-    for w, b, act in zip(params.weights, params.biases, params.activations):
+    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         pre = z @ w.T + b
         jac_prev, jac_pre, deriv = jac, None, None
         if jac is not None:
-            jac_pre = _gemm(jac, w.T)
-        if act == ACT_SINE:
+            jac = jac_pre = _gemm(jac, w.T)
+        if k == last:
+            z_next = pre
+        elif sine:
             # omega * pre is formed twice rather than held: in a value-only
             # pass that extra (N, width) array would raise peak memory
             if need_deriv:
@@ -190,20 +177,15 @@ def _layers(params, x, jac=None, keep=False):
             if jac is not None:
                 jac = deriv * jac_pre
             z_next = np.sin(omega * pre)
-        elif act == ACT_RELU:
+        else:
             if need_deriv:
                 deriv = pre > 0.0
             if jac is not None:
                 jac = np.where(deriv, jac_pre, 0.0)
             z_next = np.maximum(pre, 0.0)
-        else:
-            jac = jac_pre
-            z_next = pre
         if keep:
-            cache.layers.append((z, jac_prev, deriv, jac_pre))
+            cache.append((z, jac_prev, deriv, jac_pre))
         z = z_next
-    if keep:
-        cache.out = z
     return z, jac, cache
 
 
@@ -246,11 +228,12 @@ def backward(params, cache, gy, gjac=None, inputs_only=False):
     The Jacobian adjoints run K-major like the forward pass: per layer, the
     weight gradient's Jacobian term and the adjoint step are each one GEMM
     over K*N rows. The activation derivatives come from the cache, and
-    sin(omega pre) of a sine layer is the next layer's input (or the output).
+    sin(omega pre) of a sine layer is the next layer's input.
     """
     omega = params.omega0
+    sine = params.activation == ACT_SINE
     gz = np.asarray(gy, dtype=np.float64)
-    track = cache.layers[0][1] is not None and gjac is not None  # a forward_aug cache
+    track = cache[0][1] is not None and gjac is not None  # a forward_aug cache
     if track:
         gjac = np.ascontiguousarray(np.asarray(gjac, dtype=np.float64).transpose(2, 0, 1))
     n_layers = params.n_layers
@@ -258,23 +241,22 @@ def backward(params, cache, gy, gjac=None, inputs_only=False):
     gbiases = [None] * n_layers
     for k in range(n_layers - 1, -1, -1):
         w = params.weights[k]
-        act = params.activations[k]
-        z_prev, jac_prev, deriv, jac_pre = cache.layers[k]
-        if act == ACT_SINE:
-            gpre = gz * deriv
-            if track:
-                # d/dpre of jac_out = -omega^2 sin(omega pre) * jac_pre
-                sin = cache.layers[k + 1][0] if k + 1 < n_layers else cache.out
-                gpre = gpre - (omega * omega) * sin * (gjac * jac_pre).sum(axis=0)
-                gjac_pre = gjac * deriv
-        elif act == ACT_RELU:
-            gpre = np.where(deriv, gz, 0.0)
-            if track:
-                gjac_pre = np.where(deriv, gjac, 0.0)
-        else:
+        z_prev, jac_prev, deriv, jac_pre = cache[k]
+        if k == n_layers - 1:
             gpre = gz
             if track:
                 gjac_pre = gjac
+        elif sine:
+            gpre = gz * deriv
+            if track:
+                # d/dpre of jac_out = -omega^2 sin(omega pre) * jac_pre
+                sin = cache[k + 1][0]
+                gpre = gpre - (omega * omega) * sin * (gjac * jac_pre).sum(axis=0)
+                gjac_pre = gjac * deriv
+        else:
+            gpre = np.where(deriv, gz, 0.0)
+            if track:
+                gjac_pre = np.where(deriv, gjac, 0.0)
         if not inputs_only:
             gw = gpre.T @ z_prev
             if track:

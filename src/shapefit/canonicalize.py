@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataError, StructuralError, check_count
+from .errors import DataError, StructuralError, check_count, check_real
 from .geometry import Pose, rotation_about_axis
 from .rng import substream
 
@@ -108,6 +108,8 @@ class IcpEstimator:
 
     def __init__(self, max_iterations=50, rejection_factor=3.0, tol=1e-6):
         check_count("max_iterations", max_iterations, 0)
+        check_real("rejection_factor", rejection_factor, strict=True)
+        check_real("tol", tol)
         self.max_iterations = max_iterations
         self.rejection_factor = rejection_factor
         self.tol = tol
@@ -146,6 +148,8 @@ class NoisyOracleEstimator:
     needs_template = False
 
     def __init__(self, gt_pose, rot_noise_deg=0.0, trans_noise=0.0, seed=0):
+        check_real("rot_noise_deg", rot_noise_deg)
+        check_real("trans_noise", trans_noise)
         self.gt_pose = gt_pose
         self.rot_noise_deg = rot_noise_deg
         self.trans_noise = trans_noise

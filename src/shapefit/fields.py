@@ -13,8 +13,8 @@ Forward evaluation tracks spatial Jacobians through the composition;
 template weights, hypernetwork weights and the latent code.
 
 This module alone knows how a prior's networks are built and named: the
-template (R^3 -> R) and the deformation net are sine layers then a linear
-output, the hypernetworks ReLU layers then a linear output, and layer k is
+template (R^3 -> R) and the deformation net are sine nets, the
+hypernetworks ReLU nets (each with a linear output layer), and layer k is
 named `template.{k}.w` / `.b`, or `hyper.{i}.{k}.w` / `.b` in hypernetwork
 i, both in the optimizer of `training.fit` and in a checkpoint. A
 checkpoint's JSON sidecar holds the category, the instance id of each
@@ -32,11 +32,6 @@ from .rng import substream
 
 DEFORM_OUT_DIM = 4  # (v_x, v_y, v_z, delta_s)
 LATENT_INIT_STD = 0.01  # std of the latent code of an instance not yet trained
-
-
-def _activations(hidden, n_layers):
-    """A prior network's activations: `hidden` on every layer but the last, which is linear."""
-    return (hidden,) * (n_layers - 1) + (ad.ACT_LINEAR,)
 
 
 @dataclass
@@ -86,14 +81,14 @@ class ShapePrior:
 
     def validate(self):
         t = self.template
-        t.validate()
-        if (t.in_dim, t.out_dim) != (3, 1) or t.activations != _activations(ad.ACT_SINE, t.n_layers):
-            raise StructuralError(f"template is not sine then linear from R^3 to R: {t.layer_sizes}, {t.activations}")
+        if t.activation != ad.ACT_SINE:
+            raise StructuralError(f"template must be a sine net, got {t.activation!r}")
+        if (t.validate().in_dim, t.out_dim) != (3, 1):
+            raise StructuralError(f"template is not sine then linear from R^3 to R: layer sizes {t.layer_sizes}")
         for k, h in enumerate(self.hyper):
-            h.validate()
-            if h.activations != _activations(ad.ACT_RELU, h.n_layers):
-                raise StructuralError(f"hypernetwork {k} must be relu then linear, got {h.activations}")
-            if h.in_dim != self.latent_dim:
+            if h.activation != ad.ACT_RELU:
+                raise StructuralError(f"hypernetwork {k} must be a relu net, got {h.activation!r}")
+            if h.validate().in_dim != self.latent_dim:
                 raise StructuralError(f"hypernetwork {k} input dim != latent dim")
         self.deform_shapes()
         for iid, z in self.latents.items():
@@ -137,7 +132,7 @@ def init_prior(
         b0 = np.zeros(hyper_hidden)  # zero hidden bias: hyper(0) == final bias
         scale = 1e-2 * np.sqrt(6.0 / hyper_hidden)
         w1 = rng.uniform(-scale, scale, size=(target.size, hyper_hidden))
-        hyper.append(ad.MLPParams([w0, w1], [b0, target], _activations(ad.ACT_RELU, 2)))
+        hyper.append(ad.MLPParams([w0, w1], [b0, target], ad.ACT_RELU))
     return ShapePrior(category, template, hyper).validate()
 
 
@@ -158,8 +153,7 @@ def hyper_forward(prior, z):
         weights.append(flat[: fan_out * fan_in].reshape(fan_out, fan_in))
         biases.append(flat[fan_out * fan_in :].copy())
         caches.append(cache)
-    acts = _activations(ad.ACT_SINE, len(shapes))
-    return ad.MLPParams(weights, biases, acts, prior.template.omega0), caches
+    return ad.MLPParams(weights, biases, ad.ACT_SINE, prior.template.omega0), caches
 
 
 def hyper_backward(prior, caches, deform_grads, inputs_only=False):
@@ -305,12 +299,12 @@ def _count(sections, prefix):
     return 1 + max((int(k) for k in ks if k.isdecimal()), default=0)
 
 
-def _load_net(sections, prefix, hidden, omega0=30.0):
+def _load_net(sections, prefix, activation, omega0=30.0):
     """The network stored as `prefix.k.w` / `.b`; a KeyError names a missing section."""
     n = _count(sections, prefix)
     weights = [sections[f"{prefix}.{k}.w"] for k in range(n)]
     biases = [sections[f"{prefix}.{k}.b"] for k in range(n)]
-    return ad.MLPParams(weights, biases, _activations(hidden, n), omega0)
+    return ad.MLPParams(weights, biases, activation, omega0)
 
 
 def save_prior(prior, path):
@@ -329,6 +323,8 @@ def load_prior(path):
     """Read a prior `save_prior` wrote; any missing or malformed part raises DataError."""
     sections = load_container(path)
     sidecar = load_json(str(path) + ".json")
+    if not isinstance(sidecar, dict):
+        raise DataError(f"checkpoint {path}: sidecar {path}.json is not a JSON object")
     try:
         hyper = [_load_net(sections, f"hyper.{i}", ad.ACT_RELU) for i in range(_count(sections, "hyper"))]
         ids = sidecar["instance_ids"]

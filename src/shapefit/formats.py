@@ -97,6 +97,8 @@ def load_container(path):
             name = r.take(name_len).decode("utf-8")
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: section name is not UTF-8: {e}") from e
+        if name in out:
+            raise DataError(f"{path}: section name {name!r} is repeated")
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
         data = r.take(8 * math.prod(shape))

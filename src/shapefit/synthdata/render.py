@@ -24,6 +24,8 @@ class Intrinsics:
     def validate(self):
         check_real("focal length fx", self.fx, strict=True)
         check_real("focal length fy", self.fy, strict=True)
+        check_real("principal point cx", self.cx, minimum=-np.inf)
+        check_real("principal point cy", self.cy, minimum=-np.inf)
         return self
 
 

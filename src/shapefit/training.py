@@ -8,8 +8,8 @@ deformation smoothness and correction magnitude. Every sum over a point
 set is a mean, so the weights stay decoupled from sample counts.
 
 `shape_terms` is the one implementation of this objective: it returns
-every term's value and, on request, the exact gradients w.r.t. template
-weights, hypernetwork weights and the latent. The objective of fitting a
+every term's value and the exact gradients w.r.t. template weights,
+hypernetwork weights and the latent. The objective of fitting a
 latent and a pose to one observation is `inference.view_terms`.
 """
 
@@ -90,12 +90,11 @@ def _weighted_total(terms, weights):
     return sum(getattr(weights, k) * terms[k] for k in TERM_NAMES)
 
 
-def shape_terms(prior, z, samples, weights, with_grads=False):
-    """Evaluate every loss term for one shape; optionally also the exact
-    gradients w.r.t. template weights, hypernetwork weights and the latent.
+def shape_terms(prior, z, samples, weights):
+    """Evaluate every loss term for one shape and its exact gradients
+    w.r.t. template weights, hypernetwork weights and the latent.
 
-    Returns (terms_dict, grads) where grads is None or a tuple
-    (template_grads, hyper_grads, latent_grad).
+    Returns (terms_dict, (template_grads, hyper_grads, latent_grad)).
     """
     weights.validate()
     if samples.surface_normals is None or len(samples.surface_normals) == 0:
@@ -159,8 +158,6 @@ def shape_terms(prior, z, samples, weights, with_grads=False):
     terms["latent"] = z_norm
 
     terms["total"] = float(_weighted_total(terms, weights))
-    if not with_grads:
-        return terms, None
 
     t_grads, d_grads, _ = fields.compose_backward(
         prior.template,
@@ -247,15 +244,12 @@ def fit(prior, dataset, config, on_epoch=None):
                     config.free_points_per_shape,
                     rng,
                 )
-                terms, grads = shape_terms(
-                    prior, prior.latents[iid], sub, weights, with_grads=True
-                )
+                terms, (t_grads, h_grads, g_z) = shape_terms(prior, prior.latents[iid], sub, weights)
                 if not np.isfinite(terms["total"]):
                     bad = [t for t, v in terms.items() if not np.isfinite(v)]
                     raise NumericError(
                         f"epoch {epoch}, shape {iid!r}: non-finite loss terms {bad}"
                     )
-                t_grads, h_grads, g_z = grads
                 shape_grads = fields.named_arrays(t_grads, h_grads)
                 shape_grads[f"latent.{iid}"] = g_z
                 bad = [k for k, g in shape_grads.items() if not np.isfinite(g).all()]

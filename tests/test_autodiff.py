@@ -15,14 +15,18 @@ def tiny_net(seed=0, sizes=(3, 4, 1), omega0=30.0):
 
 
 def test_identity_linear_layer():
-    net = ad.MLPParams([np.array([[1.0, 0, 0]])], [np.zeros(1)], ("linear",))
+    # a one-layer net is its linear output layer, whatever its activation
+    net = ad.MLPParams([np.array([[1.0, 0, 0]])], [np.zeros(1)], "sine")
     y, jac, _ = ad.forward_aug(net, np.array([[0.3, 0.0, 0.0]]))
     assert y[0, 0] == pytest.approx(0.3, abs=0)
     np.testing.assert_allclose(jac[0, 0], [1.0, 0.0, 0.0])
 
 
 def test_sine_layer_at_zero():
-    net = ad.MLPParams([np.array([[1.0, 0, 0]])], [np.zeros(1)], ("sine",), omega0=30.0)
+    # one sine layer read out through an identity linear output layer
+    net = ad.MLPParams(
+        [np.array([[1.0, 0, 0]]), np.eye(1)], [np.zeros(1), np.zeros(1)], "sine", omega0=30.0
+    )
     y, jac, _ = ad.forward_aug(net, np.zeros((1, 3)))
     # sin(30 * w.x) at x=0: value 0, gradient 30 * w
     assert y[0, 0] == 0.0
@@ -66,31 +70,32 @@ def test_determinism_bit_identical():
     assert np.array_equal(jac_a, jac_b)
 
 
-def mixed_net(seed):
-    """Sine, ReLU and linear layers in one network."""
+def mixed_net(seed, activation):
+    """Two hidden layers of `activation` and a linear output, random weights."""
     rng = substream(seed, "mixed")
     sizes = (3, 6, 5, 2)
     return ad.MLPParams(
         [rng.standard_normal((o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
         [rng.standard_normal(o) for o in sizes[1:]],
-        ("sine", "relu", "linear"),
+        activation,
         omega0=2.0,
     )
 
 
 def test_forward_entry_points_agree():
-    net = mixed_net(30)
-    pts = substream(31, "pts").uniform(-1, 1, (25, 3))
-    y = ad.forward(net, pts)
-    y_cached, cache = ad.forward_cached(net, pts)
-    y_aug, _, cache_aug = ad.forward_aug(net, pts)
-    assert np.array_equal(y, y_cached) and np.array_equal(y, y_aug)
-    gy = substream(32, "gy").standard_normal(y.shape)
-    grads, gx = ad.backward(net, cache, gy)
-    grads_aug, gx_aug = ad.backward(net, cache_aug, gy)
-    for a, b in zip(grads.weights + grads.biases, grads_aug.weights + grads_aug.biases):
-        assert np.array_equal(a, b)
-    assert np.array_equal(gx, gx_aug)
+    for activation in (ad.ACT_SINE, ad.ACT_RELU):
+        net = mixed_net(30, activation)
+        pts = substream(31, "pts").uniform(-1, 1, (25, 3))
+        y = ad.forward(net, pts)
+        y_cached, cache = ad.forward_cached(net, pts)
+        y_aug, _, cache_aug = ad.forward_aug(net, pts)
+        assert np.array_equal(y, y_cached) and np.array_equal(y, y_aug)
+        gy = substream(32, "gy").standard_normal(y.shape)
+        grads, gx = ad.backward(net, cache, gy)
+        grads_aug, gx_aug = ad.backward(net, cache_aug, gy)
+        for a, b in zip(grads.weights + grads.biases, grads_aug.weights + grads_aug.biases):
+            assert np.array_equal(a, b)
+        assert np.array_equal(gx, gx_aug)
 
 
 def test_pure_latent_term_gradient():
@@ -105,7 +110,7 @@ def test_pure_latent_term_gradient():
     )
     z = np.zeros(8)
     z[0] = 1.0
-    terms, (_, _, g_z) = training.shape_terms(prior, z, samples, w, with_grads=True)
+    terms, (_, _, g_z) = training.shape_terms(prior, z, samples, w)
     assert terms["total"] == pytest.approx(1.0)
     np.testing.assert_allclose(g_z, z)
 
@@ -125,7 +130,7 @@ def check_param_grads_fd(net, batch, with_jac):
 
     def of_vec(vec):
         w, b = unpack_params(vec, net)
-        return functional(ad.MLPParams(w, b, net.activations, net.omega0))
+        return functional(ad.MLPParams(w, b, net.activation, net.omega0))
 
     cache = ad.forward_aug(net, batch)[2] if with_jac else ad.forward_cached(net, batch)[1]
     grads, _ = ad.backward(net, cache, gy, gjac)
@@ -144,7 +149,7 @@ def test_param_grads_match_fd():
 def test_eikonal_exact_unit_field():
     # field psi(x) = n.x with ||n|| = 1: eikonal loss and all grads vanish
     n = np.array([[0.6, 0.8, 0.0]])
-    net = ad.MLPParams([n], [np.zeros(1)], ("linear",))
+    net = ad.MLPParams([n], [np.zeros(1)], "sine")  # one layer: linear
     batch = substream(10, "b").uniform(-1, 1, (20, 3))
     y, jac, cache = ad.forward_aug(net, batch)
     val, gjac = ad.term_eikonal(jac[:, 0, :])
@@ -205,7 +210,7 @@ def test_relu_net_grads_match_fd():
     net = ad.MLPParams(
         [rng.standard_normal((5, 3)), rng.standard_normal((1, 5))],
         [rng.standard_normal(5), rng.standard_normal(1)],
-        ("relu", "linear"),
+        "relu",
     )
     batch = rng.uniform(-1, 1, (8, 3)) + 0.05  # keep away from relu kinks
     check_param_grads_fd(net, batch, with_jac=False)
@@ -226,14 +231,14 @@ def test_backward_input_gradient():
 
 
 def wide_sine_net(seed):
-    """Sine net with unequal widths and 4 outputs, so that a transposed or
-    mis-reshaped (K, N, width) block has the wrong values, not the wrong shape."""
+    """Sine net with unequal widths and 4 linear outputs, so that a transposed
+    or mis-reshaped (K, N, width) block has the wrong values, not the wrong shape."""
     rng = substream(seed, "wide")
     sizes = (3, 5, 7, 4)
     return ad.MLPParams(
         [rng.standard_normal((o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
         [rng.standard_normal(o) for o in sizes[1:]],
-        ("sine", "sine", "sine"),
+        "sine",
         omega0=1.5,
     )
 
@@ -296,3 +301,11 @@ def test_pack_unpack_roundtrip():
         np.testing.assert_array_equal(w0, w1)
     for b0, b1 in zip(net.biases, b):
         np.testing.assert_array_equal(b0, b1)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "linear", ("sine", "linear")])
+def test_validate_rejects_an_unknown_activation(activation):
+    net = tiny_net(21)
+    net.activation = activation
+    with pytest.raises(StructuralError, match="unknown activation tag"):
+        net.validate()

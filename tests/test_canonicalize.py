@@ -123,6 +123,27 @@ def test_icp_rejects_a_bad_iteration_count(iterations):
         canon.IcpEstimator(max_iterations=iterations).estimate(template, template_points=template)
 
 
+@pytest.mark.parametrize(
+    "setting, field",
+    [({"rejection_factor": np.nan}, "rejection_factor"), ({"rejection_factor": 0.0}, "rejection_factor"),
+     ({"rejection_factor": -1.0}, "rejection_factor"), ({"tol": np.nan}, "tol"), ({"tol": -1e-6}, "tol")],
+)
+def test_icp_rejects_bad_rejection_factor_and_tolerance(setting, field):
+    # a NaN rejection factor used to reject every match and return the PCA seed
+    with pytest.raises(StructuralError, match=field):
+        canon.IcpEstimator(**setting)
+
+
+@pytest.mark.parametrize(
+    "setting, field",
+    [({"rot_noise_deg": np.nan}, "rot_noise_deg"), ({"rot_noise_deg": -1.0}, "rot_noise_deg"),
+     ({"trans_noise": np.inf}, "trans_noise"), ({"trans_noise": -0.1}, "trans_noise")],
+)
+def test_noisy_oracle_rejects_bad_noise_levels(setting, field):
+    with pytest.raises(StructuralError, match=field):
+        canon.NoisyOracleEstimator(identity_pose(), **setting)
+
+
 def test_partial_sphere_translation_only():
     # rotation is unobservable on a half sphere; translation must be right
     rng = substream(8, "half")

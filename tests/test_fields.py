@@ -98,7 +98,7 @@ def test_deform_linear_layer_jacobian_exact():
     a_mat = rng.standard_normal((3, 3))
     w = np.zeros((4, 3))
     w[:3] = a_mat
-    net = ad.MLPParams([w], [np.zeros(4)], ("linear",))
+    net = ad.MLPParams([w], [np.zeros(4)], "sine")  # one layer: linear
     _, jac, _ = ad.forward_aug(net, rng.uniform(-1, 1, (1, 3)))
     np.testing.assert_allclose(jac[0, :3], a_mat, atol=1e-15)
 
@@ -201,7 +201,7 @@ def test_compose_backward_matches_fd_on_params():
 
     def loss_t(vec):
         w, b = unpack_params(vec, prior.template)
-        t = ad.MLPParams(w, b, prior.template.activations, prior.template.omega0)
+        t = ad.MLPParams(w, b, prior.template.activation, prior.template.omega0)
         return full_loss(t, prior.hyper, z0)
 
     from oracles import fd_grad_vector
@@ -215,7 +215,7 @@ def test_compose_backward_matches_fd_on_params():
 
     def loss_h(vec):
         w, b = unpack_params(vec, prior.hyper[0])
-        h0 = ad.MLPParams(w, b, prior.hyper[0].activations, prior.hyper[0].omega0)
+        h0 = ad.MLPParams(w, b, prior.hyper[0].activation, prior.hyper[0].omega0)
         return full_loss(prior.template, [h0] + prior.hyper[1:], z0)
 
     want_h = fd_grad_vector(loss_h, base_h, h=1e-6)
@@ -257,7 +257,7 @@ def test_deform_layout_is_read_off_the_hypernetworks():
     assert prior.latent_dim == 8
     assert prior.deform_shapes() == [(12, 3), (12, 12), (4, 12)]
     deform, _ = fields.hyper_forward(prior, np.zeros(8))
-    assert deform.activations == ("sine", "sine", "linear")
+    assert deform.activation == "sine"
     assert deform.omega0 == prior.template.omega0
 
 
@@ -302,16 +302,15 @@ def test_checkpoint_sections_are_the_optimizer_names(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "net, acts",
-    [("template", ("relu", "relu", "linear")), ("template", ("sine", "sine", "sine")),
-     ("hyper", ("sine", "linear")), ("hyper", ("relu", "relu"))],
+    "net, activation",
+    [("template", "relu"), ("template", "tanh"), ("hyper", "sine"), ("hyper", "tanh")],
 )
-def test_save_prior_rejects_networks_with_other_activations(tmp_path, net, acts):
+def test_save_prior_rejects_networks_with_other_activations(tmp_path, net, activation):
     prior = small_prior(29)
     if net == "template":
-        prior.template.activations = acts
+        prior.template.activation = activation
     else:
-        prior.hyper[1].activations = acts
+        prior.hyper[1].activation = activation
     with pytest.raises(StructuralError, match="template|hypernetwork 1"):
         fields.save_prior(prior, tmp_path / "prior.bin")
 
@@ -328,6 +327,14 @@ def test_load_prior_names_a_missing_section(tmp_path, drop, message):
     kept = {k: v for k, v in load_container(path).items() if k != drop and not k.startswith(drop + ".")}
     save_container(path, kept)
     with pytest.raises(DataError, match=re.escape(message)):
+        fields.load_prior(path)
+
+
+@pytest.mark.parametrize("sidecar", [[1, 2], "car", 3, None])
+def test_load_prior_rejects_a_sidecar_that_is_not_an_object(tmp_path, sidecar):
+    path = _saved_prior(tmp_path, 32)
+    save_json(str(path) + ".json", sidecar)
+    with pytest.raises(DataError, match=re.escape(f"{path}.json is not a JSON object")):
         fields.load_prior(path)
 
 

@@ -38,6 +38,15 @@ def test_container_rejects_version_1(tmp_path):
         formats.load_container(path)
 
 
+def test_container_rejects_a_repeated_section_name(tmp_path):
+    # save_container takes a dict, so only a damaged or foreign file repeats a name
+    section = struct.pack("<I", 1) + b"x" + struct.pack("<BI", 1, 1) + struct.pack("<d", 1.0)
+    path = tmp_path / "twice.bin"
+    path.write_bytes(formats.MAGIC + struct.pack("<II", formats.VERSION, 2) + section + section)
+    with pytest.raises(DataError, match="section name 'x' is repeated"):
+        formats.load_container(path)
+
+
 def test_container_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a checkpoint at all")

@@ -168,7 +168,7 @@ def test_latent_init_modes():
 def test_reconstruct_passes_template_cloud_to_estimator():
     prior = tiny_prior(24)
     # a plane template, so the template cloud is the z = 0 square
-    prior.template = ad.MLPParams([np.array([[0.0, 0.0, 1.0]])], [np.zeros(1)], ("linear",))
+    prior.template = ad.MLPParams([np.array([[0.0, 0.0, 1.0]])], [np.zeros(1)], "sine")  # one layer: linear
     seen = []
 
     class RecordingEstimator:

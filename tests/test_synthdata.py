@@ -302,6 +302,20 @@ def test_intrinsics_reject_non_finite_or_non_positive_focal_lengths(values, fiel
         sd.Intrinsics(*values).validate()
 
 
+@pytest.mark.parametrize(
+    "values, field", [((20, 20, np.nan, 10), "cx"), ((20, 20, 10, -np.inf), "cy"), ((20, 20, np.inf, 10), "cx")]
+)
+def test_render_depth_rejects_a_non_finite_principal_point(values, field):
+    # a NaN principal point used to render an image with no hit and no error
+    shape = sd.make_family("car", 1, seed=0)[0]
+    with pytest.raises(StructuralError, match=f"principal point {field}"):
+        sd.render_depth(shape, look_at([0.0, 0.5, 2.5]), sd.Intrinsics(*values), (24, 24))
+
+
+def test_intrinsics_accept_a_principal_point_outside_the_image():
+    assert sd.Intrinsics(20, 20, -3.5, 40.0).validate().cx == -3.5
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
 def test_depth_image_rejects_non_finite_or_negative_depth(bad):
     depth = np.ones((6, 8))

@@ -23,13 +23,13 @@ def small_prior(seed=0, latent_dim=6):
 def plane_prior():
     """Prior whose composed field is exactly psi(x) = x_3."""
     prior = small_prior(1)
-    prior.template = ad.MLPParams([np.array([[0.0, 0.0, 1.0]])], [np.zeros(1)], ("linear",))
+    prior.template = ad.MLPParams([np.array([[0.0, 0.0, 1.0]])], [np.zeros(1)], "sine")  # one layer: linear
     # one zero hypernetwork: a single linear (3 -> 4) deformation layer, zero output
     w0 = np.zeros((8, prior.latent_dim))
     b0 = np.zeros(8)
     w1 = np.zeros((16, 8))
     b1 = np.zeros(16)
-    prior.hyper = [ad.MLPParams([w0, w1], [b0, b1], ("relu", "linear"))]
+    prior.hyper = [ad.MLPParams([w0, w1], [b0, b1], "relu")]
     return prior.validate()
 
 
@@ -135,16 +135,14 @@ def test_shape_terms_gradients_match_fd():
     w = training.LossWeights(spike_delta=10.0)
     rng = substream(15, "z")
     z0 = rng.standard_normal(4) * 0.3
-    terms, (t_grads, h_grads, g_z) = training.shape_terms(
-        prior, z0, samples, w, with_grads=True
-    )
+    terms, (t_grads, h_grads, g_z) = training.shape_terms(prior, z0, samples, w)
 
     base_t = ad.pack_params(prior.template.weights, prior.template.biases)
 
     def loss_t(vec):
         ws, bs = unpack_params(vec, prior.template)
         saved = prior.template
-        prior.template = ad.MLPParams(ws, bs, saved.activations, saved.omega0)
+        prior.template = ad.MLPParams(ws, bs, saved.activation, saved.omega0)
         try:
             return training.shape_terms(prior, z0, samples, w)[0]["total"]
         finally:
@@ -159,7 +157,7 @@ def test_shape_terms_gradients_match_fd():
     def loss_h(vec):
         ws, bs = unpack_params(vec, prior.hyper[0])
         saved = prior.hyper[0]
-        prior.hyper[0] = ad.MLPParams(ws, bs, saved.activations, saved.omega0)
+        prior.hyper[0] = ad.MLPParams(ws, bs, saved.activation, saved.omega0)
         try:
             return training.shape_terms(prior, z0, samples, w)[0]["total"]
         finally:
