@@ -4,11 +4,11 @@ The learned prior lives in a canonical frame; observations arrive in the
 camera frame. A pluggable estimator maps camera-frame points to a noisy
 initial pose into the prior's frame.
 
-An estimator has a `name`, an `estimate(points, template_points)` method
-and a `needs_template` class attribute: when set, `canonicalize` must be
-given the prior's canonical-frame template cloud, and passes its points
-on (PCA aligns its frame to the template's PCA frame, ICP registers onto
-the template).
+An estimator has a `name` and an `estimate(points, template)` method;
+`template()` returns the prior's canonical-frame template points, and the
+estimator alone decides whether to call it: PCA aligns its frame to the
+template's PCA frame, ICP registers onto the template, and the noisy
+oracle never calls it, so no template is built for it.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataError, StructuralError, check_count, check_real
+from .errors import DataError, StructuralError, check_count, check_real, check_shape
 from .geometry import Pose, rotation_about_axis
 from .rng import substream
 
@@ -26,7 +26,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        self.points = check_shape("points", self.points, ("N", 3))
 
     def validate(self):
         if len(self.points) == 0:
@@ -55,45 +55,45 @@ def lift_depth(depth):
 # pose estimators
 
 
+def _pca_pose(points):
+    """Pose into the cloud's own PCA frame: centroid at 0, axes by variance, signs by skew."""
+    points = np.asarray(points, dtype=np.float64)
+    mu = points.mean(axis=0)
+    centered = points - mu
+    cov = centered.T @ centered / len(points)
+    evals, evecs = np.linalg.eigh(cov)
+    order = np.argsort(evals)[::-1]
+    evals = evals[order]
+    evecs = evecs[:, order]
+    if evals[0] <= 0 or evals[2] / evals[0] < 1e-12:
+        axis = int(np.argmin(evals))
+        raise StructuralError(f"degenerate point covariance: principal axis {axis} has no extent")
+    # resolve each axis sign by the skewness of projections; ties keep +
+    proj = centered @ evecs
+    skew = (proj**3).sum(axis=0)
+    flip = skew < 0
+    evecs[:, flip] *= -1.0
+    skew = np.abs(skew)
+    if np.linalg.det(evecs) < 0:
+        weakest = int(np.argmin(skew))
+        evecs[:, weakest] *= -1.0
+    rot = evecs.T  # x_est = E^T (x - mu)
+    return Pose.from_matrix(rot, -rot @ mu).validate()
+
+
 class PcaEstimator:
     """Axis alignment by PCA with third-moment sign disambiguation.
 
-    Without a template the pose lands in the cloud's own PCA frame. With
-    one, that frame is mapped onto the prior's through the template's PCA
-    frame, which the template points (already in the prior's frame) fix.
+    The cloud's PCA frame is mapped onto the prior's through the
+    template's PCA frame, which the template points (already in the
+    prior's frame) fix.
     """
 
     name = "pca"
-    needs_template = True  # for frame alignment
 
-    def estimate(self, points, template_points=None):
-        points = np.asarray(points, dtype=np.float64)
-        mu = points.mean(axis=0)
-        centered = points - mu
-        cov = centered.T @ centered / len(points)
-        evals, evecs = np.linalg.eigh(cov)
-        order = np.argsort(evals)[::-1]
-        evals = evals[order]
-        evecs = evecs[:, order]
-        if evals[0] <= 0 or evals[2] / evals[0] < 1e-12:
-            axis = int(np.argmin(evals))
-            raise StructuralError(
-                f"degenerate point covariance: principal axis {axis} has no extent"
-            )
-        # resolve each axis sign by the skewness of projections; ties keep +
-        proj = centered @ evecs
-        skew = (proj**3).sum(axis=0)
-        flip = skew < 0
-        evecs[:, flip] *= -1.0
-        skew = np.abs(skew)
-        if np.linalg.det(evecs) < 0:
-            weakest = int(np.argmin(skew))
-            evecs[:, weakest] *= -1.0
-        rot = evecs.T  # x_est = E^T (x - mu)
-        pose = Pose.from_matrix(rot, -rot @ mu).validate()
-        if template_points is None:
-            return pose
-        return self.estimate(template_points).inverse().compose(pose)
+    def estimate(self, points, template):
+        pose = _pca_pose(points)
+        return _pca_pose(template()).inverse().compose(pose)
 
 
 class IcpEstimator:
@@ -104,7 +104,6 @@ class IcpEstimator:
     """
 
     name = "icp"
-    needs_template = True  # the registration target
 
     def __init__(self, max_iterations=50, rejection_factor=3.0, tol=1e-6):
         check_count("max_iterations", max_iterations, 0)
@@ -114,12 +113,10 @@ class IcpEstimator:
         self.rejection_factor = rejection_factor
         self.tol = tol
 
-    def estimate(self, points, template_points=None):
-        if template_points is None:
-            raise StructuralError("ICP needs the prior template cloud")
+    def estimate(self, points, template):
+        target = np.asarray(template(), dtype=np.float64)
         points = np.asarray(points, dtype=np.float64)
-        target = np.asarray(template_points, dtype=np.float64)
-        pose = PcaEstimator().estimate(points, target)
+        pose = PcaEstimator().estimate(points, lambda: target)
         tree = cKDTree(target)
         prev = np.inf
         for _ in range(self.max_iterations):
@@ -145,7 +142,6 @@ class NoisyOracleEstimator:
     translation; reproduces a controlled initialization-error level."""
 
     name = "noisy-oracle"
-    needs_template = False
 
     def __init__(self, gt_pose, rot_noise_deg=0.0, trans_noise=0.0, seed=0):
         check_real("rot_noise_deg", rot_noise_deg)
@@ -155,7 +151,7 @@ class NoisyOracleEstimator:
         self.trans_noise = trans_noise
         self.seed = seed
 
-    def estimate(self, points, template_points=None):
+    def estimate(self, points, template):
         rng = substream(self.seed, "pose-noise")
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
@@ -179,15 +175,12 @@ def _kabsch(src, dst):
     return rot, mu_d - rot @ mu_s
 
 
-def canonicalize(estimator, cloud, template=None):
+def canonicalize(estimator, cloud, template):
     """Full initial pose: camera frame -> prior canonical frame.
 
-    template: the prior's canonical-frame template PointCloud, required
-    by estimators that declare `needs_template`.
+    template: a function of no arguments that returns the prior's
+    canonical-frame template PointCloud; it runs, and its cloud is
+    validated, only if the estimator asks for the template points.
     """
     cloud.validate()
-    if template is not None:
-        template.validate()
-    elif getattr(estimator, "needs_template", False):
-        raise StructuralError(f"estimator {estimator.name!r} needs the prior template cloud")
-    return estimator.estimate(cloud.points, None if template is None else template.points)
+    return estimator.estimate(cloud.points, lambda: template().validate().points)

@@ -43,3 +43,12 @@ def check_real(name, value, minimum=0.0, strict=False):
     real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     if not real or (value <= minimum if strict else value < minimum):
         raise StructuralError(f"{name} = {value!r} must be finite and {'>' if strict else '>='} {minimum}")
+
+
+def check_shape(name, value, shape, dtype=np.float64):
+    """`value` as a `dtype` array; raise StructuralError naming `name` unless
+    its shape is `shape`, where "N" stands for any length."""
+    arr = np.asarray(value, dtype=dtype)
+    if arr.ndim != len(shape) or any(want not in ("N", got) for want, got in zip(shape, arr.shape)):
+        raise StructuralError(f"{name} has shape {arr.shape}, expected {'x'.join(map(str, shape))}")
+    return arr

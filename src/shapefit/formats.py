@@ -194,5 +194,5 @@ def load_json(path):
             return json.load(f)
     except OSError as e:
         raise DataError(f"cannot read JSON {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: invalid JSON: {e}") from e

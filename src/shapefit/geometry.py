@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import StructuralError, check_shape
 
 _DEGENERATE_NORM = 1e-9
 _ROTATION_TOL = 1e-6  # |R^T R - I| accepted by Pose.from_matrix
@@ -18,9 +18,7 @@ _ROTATION_TOL = 1e-6  # |R^T R - I| accepted by Pose.from_matrix
 
 def rot6d_to_matrix(r6):
     """Gram-Schmidt two 3-vectors into a rotation matrix (columns b1,b2,b3)."""
-    r6 = np.asarray(r6, dtype=np.float64)
-    if r6.shape != (6,):
-        raise StructuralError(f"rot6d must have shape (6,), got {r6.shape}")
+    r6 = check_shape("rot6d", r6, (6,))
     a1, a2 = r6[:3], r6[3:]
     n1 = np.linalg.norm(a1)
     if n1 < _DEGENERATE_NORM:
@@ -37,9 +35,7 @@ def rot6d_to_matrix(r6):
 
 def matrix_to_rot6d(rot):
     """First two columns of a rotation matrix, flattened."""
-    rot = np.asarray(rot, dtype=np.float64)
-    if rot.shape != (3, 3):
-        raise StructuralError(f"rotation matrix must be 3x3, got {rot.shape}")
+    rot = check_shape("rotation matrix", rot, (3, 3))
     return np.concatenate([rot[:, 0], rot[:, 1]])
 
 
@@ -76,8 +72,8 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        self.rot6d = np.asarray(self.rot6d, dtype=np.float64).reshape(6)
-        self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        self.rot6d = check_shape("rot6d", self.rot6d, (6,))
+        self.translation = check_shape("translation", self.translation, (3,))
 
     @classmethod
     def from_matrix(cls, rot, translation):

@@ -63,9 +63,9 @@ class ReconstructionResult:
     latent: fields.LatentCode
     trace: list  # per-iteration term dicts of view_terms
 
-    def validate(self, iterations=None):
+    def validate(self, iterations):
         self.pose.validate()
-        if iterations is not None and len(self.trace) != iterations:
+        if len(self.trace) != iterations:
             raise StructuralError("loss trace length != iteration count")
         return self
 
@@ -158,7 +158,7 @@ def joint_optimize(prior, observed, init, config):
     return result.validate(config.iterations)
 
 
-def template_cloud(prior, seed=0):
+def template_cloud(prior, seed):
     """Surface samples of the prior's template zero level set (canonical)."""
     def field_fn(pts):
         return ad.forward(prior.template, pts)[:, 0]
@@ -169,40 +169,28 @@ def template_cloud(prior, seed=0):
     return PointCloud(sample_mesh_surface(mesh, TEMPLATE_POINTS, seed))
 
 
+def _stage(name, fn, *args):
+    """fn(*args), any failure raised as a StageError naming the stage."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        raise StageError(name, e) from e
+
+
 def reconstruct(prior, depth, estimator, config):
     """Full pipeline: lift -> canonicalize -> joint optimize -> extract mesh.
 
-    Failures carry the stage name. The prior's template cloud
-    (canonical-frame surface samples) is computed from the template field
-    for estimators that declare `needs_template`.
+    Failures carry the stage name. The prior's template cloud (surface
+    samples of the template field) is built only when the estimator asks
+    for it, so a template failure is a canonicalize failure.
     """
     config.validate()
-    try:
-        cloud = lift_depth(depth)
-    except Exception as e:
-        raise StageError("lift", e) from e
-
-    tc = None
-    if getattr(estimator, "needs_template", False):
-        try:
-            tc = template_cloud(prior, seed=config.seed)
-        except Exception as e:
-            raise StageError("template-cloud", e) from e
-    try:
-        init = canonicalize(estimator, cloud, template=tc)
-    except Exception as e:
-        raise StageError("canonicalize", e) from e
-
-    try:
-        result = joint_optimize(prior, cloud, init, config)
-    except Exception as e:
-        raise StageError("joint-optimize", e) from e
-
-    try:
-        field_fn = fields.instance_field(prior, result.latent.z)
-        result.mesh = marching_cubes(field_fn, config.mc_resolution)
-    except Exception as e:
-        raise StageError("meshing", e) from e
+    cloud = _stage("lift", lift_depth, depth)
+    init = _stage("canonicalize", canonicalize, estimator, cloud, lambda: template_cloud(prior, config.seed))
+    result = _stage("joint-optimize", joint_optimize, prior, cloud, init, config)
+    result.mesh = _stage(
+        "meshing", lambda: marching_cubes(fields.instance_field(prior, result.latent.z), config.mc_resolution)
+    )
     return result
 
 

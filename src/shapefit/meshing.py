@@ -32,7 +32,7 @@ import numpy as np
 from scipy import ndimage
 
 from ._mc_tables import TRIANGLES
-from .errors import NumericError, StructuralError, check_count
+from .errors import NumericError, StructuralError, check_count, check_shape
 from .rng import substream
 
 # cube corner offsets and the corner pair of each of the 12 edges
@@ -67,8 +67,8 @@ class TriangleMesh:
     triangles: np.ndarray  # (T, 3) int
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        self.vertices = check_shape("vertices", self.vertices, ("N", 3))
+        self.triangles = check_shape("triangles", self.triangles, ("N", 3), np.int64)
 
     @property
     def is_empty(self):

@@ -143,16 +143,21 @@ def _write_valid(fmt, path):
     rng = substream(7, fmt)
     if fmt == "pfm":
         formats.save_pfm(path, rng.uniform(0, 3, (3, 4)))
+    elif fmt == "json":
+        formats.save_json(path, {"category": "car", "stats": rng.standard_normal(2).tolist()})
     else:
         formats.save_container(path, {"n": rng.standard_normal((1, 1)), "t": rng.standard_normal(2)})
 
 
-_LOAD = {"pfm": formats.load_pfm, "container": formats.load_container}
+_LOAD = {"pfm": formats.load_pfm, "container": formats.load_container, "json": formats.load_json}
 
 
 def _records(fmt, out):
-    """The loaded data as a list of records (pixels or sections), after
-    checking it has the reader's documented form."""
+    """The loaded data as a list of records (pixels, sections or the one
+    JSON value), after checking it has the reader's documented form."""
+    if fmt == "json":
+        assert isinstance(out, (dict, list, str, int, float, bool, type(None)))
+        return [out]
     if fmt == "pfm":
         assert out.ndim == 2 and out.dtype == np.float64
         return out.ravel().tolist()
@@ -168,6 +173,7 @@ def _records(fmt, out):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(truncate=st.booleans(), at=st.integers(0, 2**20), xor=st.integers(1, 255))
 @example(truncate=False, at=20, xor=0x80)  # container: first section-name byte not UTF-8
+@example(truncate=False, at=0, xor=0x84)  # json: "{" becomes 0xff, not UTF-8
 def test_reader_damaged_file_raises_data_error_or_loads(fmt, truncate, at, xor, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / f"damaged.{fmt}"
     _write_valid(fmt, path)
@@ -183,5 +189,6 @@ def test_reader_damaged_file_raises_data_error_or_loads(fmt, truncate, at, xor, 
     except DataError:
         return
     # a flipped payload byte changes values, not the form; a truncated file
-    # of either binary format never loads
-    assert not truncate, f"{fmt} truncated to {at} bytes loaded"
+    # of either binary format never loads (a JSON file cut after its closing
+    # brace still parses)
+    assert not truncate or fmt == "json", f"{fmt} truncated to {at} bytes loaded"

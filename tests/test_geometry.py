@@ -89,6 +89,19 @@ def test_pose_validate_rejects_non_finite_rot6d(bad):
 
 
 @pytest.mark.parametrize(
+    "r6, t, field",
+    [(np.zeros(5), np.zeros(3), "rot6d"), (np.zeros((2, 3)), np.zeros(3), "rot6d"),
+     (np.array([1.0, 0, 0, 0, 1.0, 0]), np.zeros(4), "translation"),
+     (np.array([1.0, 0, 0, 0, 1.0, 0]), np.zeros((3, 1)), "translation")],
+    ids=["rot6d-5", "rot6d-2x3", "translation-4", "translation-3x1"],
+)
+def test_pose_rejects_a_wrong_shape(r6, t, field):
+    # a (2, 3) rot6d used to be flattened; five entries failed in reshape
+    with pytest.raises(StructuralError, match=field):
+        geo.Pose(r6, t)
+
+
+@pytest.mark.parametrize(
     "rot",
     [np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), np.ones((3, 3)), np.eye(3) + 1e-5, np.full((3, 3), np.nan)],
     ids=["reflection", "scaled", "ones", "off-by-1e-5", "nan"],

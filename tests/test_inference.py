@@ -4,7 +4,7 @@ import pytest
 from shapefit import autodiff as ad
 from shapefit import fields, inference
 from shapefit import synthdata as sd
-from shapefit.canonicalize import NoisyOracleEstimator, PointCloud
+from shapefit.canonicalize import NoisyOracleEstimator, PcaEstimator, PointCloud
 from shapefit.errors import StageError, StructuralError
 from shapefit.geometry import Pose, rotation_about_axis
 from shapefit.rng import substream
@@ -165,6 +165,12 @@ def test_latent_init_modes():
     assert np.abs(zs.mean(axis=0) - mean).max() < 4 * std.max() / np.sqrt(200)
 
 
+def sphere_view():
+    shape = sd.make_family("sphere", 1, seed=25)[0]
+    cam = Pose.from_matrix(np.eye(3), np.array([0.0, 0.0, 2.5]))
+    return sd.render_depth(shape, cam, sd.default_intrinsics(16, 12), (16, 12))
+
+
 def test_reconstruct_passes_template_cloud_to_estimator():
     prior = tiny_prior(24)
     # a plane template, so the template cloud is the z = 0 square
@@ -173,16 +179,32 @@ def test_reconstruct_passes_template_cloud_to_estimator():
 
     class RecordingEstimator:
         name = "recording"
-        needs_template = True
 
-        def estimate(self, points, template_points=None):
-            seen.append(template_points)
+        def estimate(self, points, template):
+            seen.append(template())
             return identity_pose()
 
-    shape = sd.make_family("sphere", 1, seed=25)[0]
-    cam = Pose.from_matrix(np.eye(3), np.array([0.0, 0.0, 2.5]))
-    depth = sd.render_depth(shape, cam, sd.default_intrinsics(16, 12), (16, 12))
     cfg = inference.InferenceConfig(iterations=1, eikonal_samples=8, mc_resolution=8, seed=26)
-    inference.reconstruct(prior, depth, RecordingEstimator(), cfg)
+    inference.reconstruct(prior, sphere_view(), RecordingEstimator(), cfg)
     assert seen[0].shape == (4000, 3)
     assert np.abs(seen[0][:, 2]).max() < 1e-12
+
+
+def test_reconstruct_builds_no_template_cloud_for_the_noisy_oracle(monkeypatch):
+    def template_cloud(prior, seed):
+        raise AssertionError("template cloud built for an estimator that never asks for it")
+
+    monkeypatch.setattr(inference, "template_cloud", template_cloud)
+    cfg = inference.InferenceConfig(iterations=1, eikonal_samples=8, mc_resolution=8, seed=27)
+    res = inference.reconstruct(tiny_prior(27), sphere_view(), NoisyOracleEstimator(identity_pose()), cfg)
+    assert len(res.trace) == 1
+
+
+def test_reconstruct_template_failure_is_a_canonicalize_failure():
+    prior = tiny_prior(28)
+    # a constant template field: no zero level set to sample a cloud from
+    prior.template = ad.MLPParams([np.zeros((1, 3))], [np.ones(1)], "sine")  # one layer: linear
+    cfg = inference.InferenceConfig(iterations=1, eikonal_samples=8, mc_resolution=8, seed=29)
+    with pytest.raises(StageError, match="template") as exc:
+        inference.reconstruct(prior, sphere_view(), PcaEstimator(), cfg)
+    assert exc.value.stage == "canonicalize"

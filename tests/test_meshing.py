@@ -252,6 +252,18 @@ def test_sample_deterministic_and_errors():
         meshing.sample_mesh_surface(empty, 10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "verts, tris, field",
+    [(np.zeros((2, 6)), np.zeros((1, 3)), "vertices"), (np.zeros((4, 3)), np.zeros((1, 6)), "triangles"),
+     (np.zeros(3), np.zeros((1, 3)), "vertices"), (np.zeros((3, 3)), np.array([0, 1, 2]), "triangles")],
+    ids=["vertices-2x6", "triangles-1x6", "vertices-flat", "triangles-flat"],
+)
+def test_triangle_mesh_rejects_a_wrong_shape(verts, tris, field):
+    # a (2, 6) vertex array used to become 4 vertices without an error
+    with pytest.raises(StructuralError, match=field):
+        meshing.TriangleMesh(verts, tris)
+
+
 def test_sample_zero_area_mesh_raises():
     # collinear vertices: every triangle has zero area
     verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])

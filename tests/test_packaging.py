@@ -16,15 +16,15 @@ def test_console_scripts_import():
 
 ROOT = Path(__file__).parents[1]
 # public I/O with no caller yet, kept for the command line that will read
-# depth and write clouds, meshes and histories (ROADMAP item 3) and for the
-# reproduction table's report (ROADMAP item 4)
+# depth and write clouds, meshes and histories (ROADMAP item 2) and for the
+# reproduction table's report (ROADMAP item 5)
 NOT_YET_CALLED = {
-    "save_pfm": "ROADMAP item 3: CLI depth input",
-    "load_pfm": "ROADMAP item 3: CLI depth input",
-    "save_ply": "ROADMAP item 3: CLI lifted-cloud output",
-    "write_history_csv": "ROADMAP item 3: CLI training history output",
-    "save_result": "ROADMAP item 3: CLI reconstruction output",
-    "EvalReport.to_json": "ROADMAP item 4: the reproduction table's machine-readable report",
+    "save_pfm": "ROADMAP item 2: CLI depth input",
+    "load_pfm": "ROADMAP item 2: CLI depth input",
+    "save_ply": "ROADMAP item 2: CLI lifted-cloud output",
+    "write_history_csv": "ROADMAP item 2: CLI training history output",
+    "save_result": "ROADMAP item 2: CLI reconstruction output",
+    "EvalReport.to_json": "ROADMAP item 5: the reproduction table's machine-readable report",
 }
 
 
