@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError, check_real
+from .errors import StructuralError, check_real, check_shape
 
 ACT_SINE = "sine"
 ACT_RELU = "relu"
@@ -81,17 +81,12 @@ class MLPParams:
         if self.activation not in (ACT_SINE, ACT_RELU):
             raise StructuralError(f"unknown activation tag {self.activation!r}")
         check_real("omega0", self.omega0, strict=True)
-        prev_out = None
+        width = "N"  # the previous layer's output size
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise StructuralError(f"layer {k}: weight {w.shape} / bias {b.shape} mismatch")
-            if prev_out is not None and w.shape[1] != prev_out:
-                raise StructuralError(
-                    f"layer {k}: input dim {w.shape[1]} != previous output {prev_out}"
-                )
+            width = check_shape(f"layer {k} weight", w, ("N", width)).shape[0]
+            check_shape(f"layer {k} bias", b, (width,))
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise StructuralError(f"layer {k}: non-finite parameter entries")
-            prev_out = w.shape[0]
         return self
 
 
@@ -128,13 +123,6 @@ def pack_params(weights, biases):
 
 # ---------------------------------------------------------------------------
 # forward / backward
-
-
-def _as_batch(x, in_dim):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != in_dim:
-        raise StructuralError(f"input shape {x.shape} is not (N, {in_dim}), the network input dim")
-    return x
 
 
 def _gemm(a, w):
@@ -191,7 +179,7 @@ def _layers(params, x, jac=None, keep=False):
 
 def forward(params, x):
     """Value-only evaluation. x: (N, in) -> (N, out)."""
-    z, _, _ = _layers(params, _as_batch(x, params.in_dim))
+    z, _, _ = _layers(params, check_shape("network input", x, ("N", params.in_dim)))
     return z
 
 
@@ -203,7 +191,7 @@ def forward_aug(params, x):
     that each layer's tangent step is one GEMM over K*N rows; `jac` is a
     transposed view of that array.
     """
-    x = _as_batch(x, params.in_dim)
+    x = check_shape("network input", x, ("N", params.in_dim))
     k_dim = params.in_dim
     jac = np.ascontiguousarray(np.broadcast_to(np.eye(k_dim)[:, None, :], (k_dim, x.shape[0], k_dim)))
     y, jac, cache = _layers(params, x, jac, keep=True)
@@ -212,7 +200,7 @@ def forward_aug(params, x):
 
 def forward_cached(params, x):
     """Value-only evaluation retaining intermediates for backward()."""
-    z, _, cache = _layers(params, _as_batch(x, params.in_dim), keep=True)
+    z, _, cache = _layers(params, check_shape("network input", x, ("N", params.in_dim)), keep=True)
     return z, cache
 
 

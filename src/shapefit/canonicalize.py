@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataError, StructuralError, check_count, check_real, check_shape
+from .errors import DataError, StructuralError, check_cloud, check_count, check_real, check_shape
 from .geometry import Pose, rotation_about_axis
 from .rng import substream
 
@@ -29,10 +29,7 @@ class PointCloud:
         self.points = check_shape("points", self.points, ("N", 3))
 
     def validate(self):
-        if len(self.points) == 0:
-            raise StructuralError("point cloud is empty")
-        if not np.isfinite(self.points).all():
-            raise StructuralError("point cloud has non-finite entries")
+        check_cloud("point cloud", self.points)
         return self
 
 
@@ -183,4 +180,4 @@ def canonicalize(estimator, cloud, template):
     validated, only if the estimator asks for the template points.
     """
     cloud.validate()
-    return estimator.estimate(cloud.points, lambda: template().validate().points)
+    return estimator.estimate(cloud.points, lambda: check_cloud("template cloud", template().points))

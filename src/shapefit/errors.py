@@ -1,4 +1,11 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the argument checks.
+
+A malformed argument (a wrong shape, no points, a non-finite entry, a
+setting out of range) is a StructuralError naming the argument, raised by
+the `check_*` functions below, the only code that tests an array's shape.
+NumericError is only for non-finite values the package computes itself:
+a loss, a gradient, or a field value in marching cubes.
+"""
 
 import math
 import numbers
@@ -19,7 +26,7 @@ class DataError(ShapefitError):
 
 
 class NumericError(ShapefitError):
-    """Non-finite values encountered during optimization or evaluation."""
+    """Non-finite computed values: a loss, a gradient, a field value."""
 
 
 class StageError(ShapefitError):
@@ -47,8 +54,25 @@ def check_real(name, value, minimum=0.0, strict=False):
 
 def check_shape(name, value, shape, dtype=np.float64):
     """`value` as a `dtype` array; raise StructuralError naming `name` unless
-    its shape is `shape`, where "N" stands for any length."""
-    arr = np.asarray(value, dtype=dtype)
+    its shape is `shape`, where "N" stands for any length, and the
+    conversion to `dtype` keeps every value."""
+    raw = np.asarray(value)
+    with np.errstate(invalid="ignore"):
+        arr = raw.astype(dtype, copy=False)
     if arr.ndim != len(shape) or any(want not in ("N", got) for want, got in zip(shape, arr.shape)):
         raise StructuralError(f"{name} has shape {arr.shape}, expected {'x'.join(map(str, shape))}")
+    if arr.dtype.kind in "iu" and arr.dtype != raw.dtype and not np.array_equal(arr, raw):
+        raise StructuralError(f"{name} has entries that are not {arr.dtype} values")
     return arr
+
+
+def check_cloud(name, value):
+    """`value` as an (N, 3) float64 point cloud; raise StructuralError naming
+    `name` unless it holds at least one point and every entry is finite."""
+    pts = check_shape(name, value, ("N", 3))
+    if len(pts) == 0:
+        raise StructuralError(f"{name} has no points")
+    if not np.isfinite(pts).all():
+        row = np.argwhere(~np.isfinite(pts))[0, 0]
+        raise StructuralError(f"{name} has non-finite entries, first at point {row}")
+    return pts

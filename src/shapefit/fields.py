@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, StructuralError, check_count
+from .errors import DataError, StructuralError, check_count, check_shape
 from .formats import load_container, load_json, save_container, save_json
 from .rng import substream
 
@@ -39,7 +39,7 @@ class LatentCode:
     z: np.ndarray
 
     def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64).reshape(-1)
+        self.z = check_shape("latent", self.z, ("N",))
         if not np.isfinite(self.z).all():
             raise StructuralError("latent code has non-finite entries")
 
@@ -92,8 +92,7 @@ class ShapePrior:
                 raise StructuralError(f"hypernetwork {k} input dim != latent dim")
         self.deform_shapes()
         for iid, z in self.latents.items():
-            if z.shape != (self.latent_dim,):
-                raise StructuralError(f"latent {iid!r} has shape {z.shape}")
+            check_shape(f"latent {iid!r}", z, (self.latent_dim,))
         return self
 
     def latent_stats(self):
@@ -142,9 +141,7 @@ def init_prior(
 
 def hyper_forward(prior, z):
     """Predict deformation weights from a latent code, keeping caches."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (prior.latent_dim,):
-        raise StructuralError(f"latent has shape {z.shape}, expected ({prior.latent_dim},)")
+    z = check_shape("latent", z, (prior.latent_dim,))
     weights, biases, caches = [], [], []
     shapes = prior.deform_shapes()
     for (fan_out, fan_in), h in zip(shapes, prior.hyper):
@@ -164,9 +161,7 @@ def hyper_backward(prior, caches, deform_grads, inputs_only=False):
     g_z = np.zeros(prior.latent_dim)
     hyper_grads = []
     for k, (h, cache) in enumerate(zip(prior.hyper, caches)):
-        flat = np.concatenate(
-            [deform_grads.weights[k].ravel(), deform_grads.biases[k]]
-        )
+        flat = ad.pack_params([deform_grads.weights[k]], [deform_grads.biases[k]])
         grads, gz = ad.backward(h, cache, flat[None, :], inputs_only=inputs_only)
         hyper_grads.append(grads)
         g_z += gz[0]

@@ -23,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_shape
 
 MAGIC = b"SHAPEFIT"
 VERSION = 2
@@ -113,9 +113,7 @@ def load_container(path):
 def save_ply(path, points):
     """Write an (N, 3) point cloud as binary little-endian PLY with float
     x,y,z properties."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise DataError(f"PLY expects (N, 3) points, got {points.shape}")
+    points = check_shape("PLY points", points, ("N", 3))
     header = (
         f"ply\nformat binary_little_endian 1.0\nelement vertex {len(points)}\n"
         "property float x\nproperty float y\nproperty float z\nend_header\n"
@@ -129,9 +127,7 @@ def save_ply(path, points):
 
 def save_pfm(path, image):
     """Write a 2D float image as grayscale PFM (little-endian)."""
-    image = np.asarray(image, dtype=np.float32)
-    if image.ndim != 2:
-        raise DataError(f"PFM expects a 2D image, got shape {image.shape}")
+    image = check_shape("PFM image", image, ("N", "N"), np.float32)
     h, w = image.shape
     header = f"Pf\n{w} {h}\n-1.0\n".encode("ascii")
     # PFM stores rows bottom-to-top

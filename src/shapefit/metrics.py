@@ -11,19 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import NumericError, StructuralError, check_real
+from .errors import StructuralError, check_cloud, check_real
 
 CHAMFER_SCALE = 1e4
 DEFAULT_TAU = 0.01
-
-
-def _check_cloud(pts, name):
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-        raise StructuralError(f"{name} must be a non-empty (N, 3) point cloud")
-    if not np.isfinite(pts).all():
-        raise NumericError(f"{name} has non-finite coordinates")
-    return pts
 
 
 def _nn_sq_dists(a, b):
@@ -36,15 +27,15 @@ def _nn_sq_dists(a, b):
 
 def chamfer(a, b):
     """Bidirectional chamfer distance, squared-distance convention, x1e4."""
-    a = _check_cloud(a, "cloud A")
-    b = _check_cloud(b, "cloud B")
+    a = check_cloud("cloud A", a)
+    b = check_cloud("cloud B", b)
     return float((_nn_sq_dists(a, b).mean() + _nn_sq_dists(b, a).mean()) * CHAMFER_SCALE)
 
 
 def fscore(pred, gt, tau=DEFAULT_TAU):
     """F1 of point matches within `tau` (strict inequality)."""
-    pred = _check_cloud(pred, "prediction")
-    gt = _check_cloud(gt, "ground truth")
+    pred = check_cloud("prediction", pred)
+    gt = check_cloud("ground truth", gt)
     check_real("tau", tau, strict=True)
     tau_sq = tau * tau
     precision = float(np.mean(_nn_sq_dists(pred, gt) < tau_sq))
@@ -67,8 +58,8 @@ def pose_error(est, gt):
 def normalize_pair(pred, gt):
     """Scale and center both clouds by the ground-truth bounding cube so a
     threshold of 0.01 reads as 1% of the cube side."""
-    gt = _check_cloud(gt, "ground truth")
-    pred = _check_cloud(pred, "prediction")
+    gt = check_cloud("ground truth", gt)
+    pred = check_cloud("prediction", pred)
     lo = gt.min(axis=0)
     hi = gt.max(axis=0)
     center = (lo + hi) / 2

@@ -9,6 +9,8 @@ import zlib
 
 import numpy as np
 
+from .errors import check_count
+
 
 def substream(seed, *names):
     """Return a Generator for the sub-stream identified by `names`.
@@ -16,6 +18,7 @@ def substream(seed, *names):
     Names may be strings or ints. The same (seed, names) always yields the
     same stream regardless of how many other streams were drawn before it.
     """
+    check_count("seed", seed, 0)
     keys = [int(seed) & 0xFFFFFFFF]
     for name in names:
         if isinstance(name, (int, np.integer)):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError, StructuralError, check_count, check_real
+from ..errors import DataError, StructuralError, check_count, check_real, check_shape
 from ..geometry import look_at
 from ..rng import substream
 
@@ -50,8 +50,7 @@ class DepthImage:
         return self.depth > 0
 
     def validate(self):
-        if self.depth.ndim != 2:
-            raise StructuralError(f"depth must be an (H, W) image, got shape {self.depth.shape}")
+        check_shape("depth", self.depth, ("N", "N"))
         bad = np.argwhere(~(np.isfinite(self.depth) & (self.depth >= 0)))
         if len(bad):
             y, x = bad[0]
@@ -69,7 +68,7 @@ def render_depth(shape, camera_pose, intrinsics, resolution, noise_sigma=0.0, se
     point exactly. With `noise_sigma` > 0, Gaussian range noise is added to
     the hits (clipped to stay positive), so the valid pixels do not move.
     """
-    width, height = resolution
+    width, height = check_shape("image resolution", resolution, (2,), np.int64)
     for v in resolution:
         check_count("image resolution", v)
     check_real("noise_sigma", noise_sigma)

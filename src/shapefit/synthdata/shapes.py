@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError, StructuralError, check_count
+from ..errors import DataError, StructuralError, check_cloud, check_count, check_shape
 from ..rng import substream
 
 # margin kept between samples and primitive edges/rims so that normals and
@@ -246,10 +246,7 @@ class AnalyticShape:
         return np.stack([prim.sdf(p) for prim in self.primitives])
 
     def sdf(self, p):
-        p = np.asarray(p, dtype=np.float64)
-        if p.ndim != 2 or p.shape[1] != 3:
-            raise StructuralError(f"shape SDF needs (N, 3) points, got shape {p.shape}")
-        return self._distances(p).min(axis=0)
+        return self._distances(check_shape("points", p, ("N", 3))).min(axis=0)
 
     def bbox(self):
         los, his = zip(*(prim.bbox() for prim in self.primitives))
@@ -327,8 +324,8 @@ class ShapeSampleSet:
     free_sdf: np.ndarray  # (F,)
 
     def validate(self):
-        if len(self.surface_points) == 0 or len(self.free_points) == 0:
-            raise StructuralError("sample set must contain surface and free points")
+        check_cloud("surface points", self.surface_points)
+        check_cloud("free points", self.free_points)
         norms = np.linalg.norm(self.surface_normals, axis=1)
         if np.abs(norms - 1.0).max() > 1e-9:
             raise StructuralError("surface normals are not unit length")

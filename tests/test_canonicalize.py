@@ -202,7 +202,7 @@ def test_canonicalize_requires_and_validates_template():
     cloud = canon.PointCloud(asymmetric_cloud(100, seed=12))
     bad = canon.PointCloud(np.full((4, 3), np.nan))
     for est in (canon.PcaEstimator(), canon.IcpEstimator()):
-        with pytest.raises(StructuralError, match="non-finite"):
+        with pytest.raises(StructuralError, match="template cloud has non-finite"):
             canon.canonicalize(est, cloud, lambda: bad)
 
 

@@ -1,0 +1,51 @@
+"""The one rule for array arguments: a wrongly shaped array is a
+StructuralError whose message names the argument."""
+
+import numpy as np
+import pytest
+
+from shapefit import autodiff as ad
+from shapefit import canonicalize as canon
+from shapefit import fields, formats, meshing, metrics
+from shapefit import synthdata as sd
+from shapefit.errors import StructuralError, check_cloud
+from shapefit.geometry import Pose
+from shapefit.rng import substream
+
+NET = ad.siren_init([3, 4, 1], substream(0, "net"))
+PRIOR = fields.init_prior("sphere", latent_dim=4, template_hidden=(8,), deform_hidden=(6,), hyper_hidden=8)
+CLOUD = np.zeros((4, 3))
+INTR = sd.default_intrinsics(4, 4)
+
+ENTRY_POINTS = {
+    "forward": (lambda tmp: ad.forward(NET, np.zeros((2, 4))), "network input"),
+    "forward_aug": (lambda tmp: ad.forward_aug(NET, np.zeros(3)), "network input"),
+    "forward_cached": (lambda tmp: ad.forward_cached(NET, np.zeros((2, 3, 1))), "network input"),
+    "hyper_forward": (lambda tmp: fields.hyper_forward(PRIOR, np.zeros((1, 4))), "latent"),
+    "LatentCode": (lambda tmp: fields.LatentCode(np.zeros((2, 4))), "latent"),
+    "AnalyticShape.sdf": (lambda tmp: sd.AnalyticShape([sd.Sphere(np.zeros(3), 0.5)]).sdf(np.zeros(3)), "points"),
+    "DepthImage.validate": (lambda tmp: sd.DepthImage(np.ones(16), INTR).validate(), "depth"),
+    "chamfer": (lambda tmp: metrics.chamfer(np.zeros((4, 2)), CLOUD), "cloud A"),
+    "fscore": (lambda tmp: metrics.fscore(CLOUD, np.zeros(3)), "ground truth"),
+    "PointCloud": (lambda tmp: canon.PointCloud(np.zeros((4, 6))), "points"),
+    "TriangleMesh": (lambda tmp: meshing.TriangleMesh(CLOUD, np.zeros((1, 4))), "triangles"),
+    "Pose": (lambda tmp: Pose(np.zeros(5), np.zeros(3)), "rot6d"),
+    "save_ply": (lambda tmp: formats.save_ply(tmp / "a.ply", np.zeros((4, 2))), "PLY points"),
+    "save_pfm": (lambda tmp: formats.save_pfm(tmp / "a.pfm", np.zeros(4)), "PFM image"),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_wrongly_shaped_array_is_a_structural_error_naming_the_argument(entry, tmp_path):
+    call, name = ENTRY_POINTS[entry]
+    with pytest.raises(StructuralError, match=f"^{name} has shape"):
+        call(tmp_path)
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.zeros((0, 3)), "has no points"),
+    (np.array([[0.0, 0, 0], [0, np.inf, 0]]), "has non-finite entries, first at point 1"),
+])
+def test_check_cloud_names_the_cloud(value, message):
+    with pytest.raises(StructuralError, match=f"^my cloud {message}"):
+        check_cloud("my cloud", value)

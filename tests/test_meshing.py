@@ -264,6 +264,15 @@ def test_triangle_mesh_rejects_a_wrong_shape(verts, tris, field):
         meshing.TriangleMesh(verts, tris)
 
 
+@pytest.mark.parametrize("bad", [2.7, 0.5, np.nan, np.inf])
+def test_triangle_mesh_rejects_non_integer_indices(bad):
+    # [[0, 1, 2.7]] used to become [[0, 1, 2]] without an error
+    verts = np.zeros((4, 3))
+    with pytest.raises(StructuralError, match="triangles"):
+        meshing.TriangleMesh(verts, np.array([[0, 1, 2], [0, 1, bad]]))
+    np.testing.assert_array_equal(meshing.TriangleMesh(verts, np.array([[0, 1, 3.0]])).triangles, [[0, 1, 3]])
+
+
 def test_sample_zero_area_mesh_raises():
     # collinear vertices: every triangle has zero area
     verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])

@@ -96,3 +96,17 @@ def test_public_names_have_a_caller():
             unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {qualname}")
     assert not unused, "public names with no caller outside tests: " + ", ".join(unused)
     assert set(NOT_YET_CALLED) <= defined
+
+
+def test_only_errors_checks_array_shapes():
+    # errors.check_shape and errors.check_cloud own every shape check and
+    # its message; a hand-written copy elsewhere drifts from them
+    pattern = re.compile(r"\.ndim\s*!=|\.shape\s*!=|shape\[1\]\s*!=")
+    hits = [
+        f"{p.relative_to(ROOT)}:{i} {line.strip()}"
+        for p in sorted((ROOT / "src" / "shapefit").rglob("*.py"))
+        if p.name != "errors.py"
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not hits, "hand-written shape checks outside errors.py: " + ", ".join(hits)

@@ -112,6 +112,15 @@ def test_make_family_rejects_non_positive_integer_count(count):
         sd.make_family("car", count, 0)
 
 
+@pytest.mark.parametrize("seed", [None, "s", 1.0, 1.7, -1, True])
+def test_seeds_must_be_non_negative_integers(seed):
+    # None and "s" used to fail in int(), and 1.7 silently gave seed 1's family
+    with pytest.raises(StructuralError, match="seed"):
+        sd.make_family("car", 1, seed)
+    with pytest.raises(StructuralError, match="seed"):
+        sd.sample_shape(unit_sphere(), 10, 10, seed)
+
+
 def test_make_family_numpy_integer_count():
     a = sd.make_family("chair", np.int64(2), 4)
     assert [s.name for s in a] == [s.name for s in sd.make_family("chair", 2, 4)]
@@ -177,7 +186,7 @@ def test_empty_shape_raises():
 
 
 def test_shape_sdf_rejects_a_single_point():
-    with pytest.raises(StructuralError, match=r"\(N, 3\)"):
+    with pytest.raises(StructuralError, match=r"points has shape \(3,\)"):
         unit_sphere().sdf(np.zeros(3))
 
 
@@ -262,8 +271,9 @@ def test_render_camera_inside_raises():
         sd.render_depth(s, pose, sd.default_intrinsics(32, 32), (32, 32))
 
 
-@pytest.mark.parametrize("resolution", [(0, 0), (-4, 3), (8, 0), (8.5, 8), (8, 8.0)])
+@pytest.mark.parametrize("resolution", [(0, 0), (-4, 3), (8, 0), (8.5, 8), (8, 8.0), (8,), (8, 8, 3), 8])
 def test_render_depth_rejects_bad_resolution(resolution):
+    # a resolution that is not a pair used to fail in tuple unpacking
     pose = look_at(np.array([0.0, 0.0, 2.0]))
     with pytest.raises(StructuralError, match="resolution"):
         sd.render_depth(unit_sphere(0.5), pose, sd.default_intrinsics(8, 8), resolution)
