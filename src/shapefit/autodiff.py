@@ -141,8 +141,9 @@ def _layers(params, x, jac=None, keep=False):
     ReLU, None for the linear output) and pre-activation Jacobian
     (K, N, out); the Jacobians are None without tracking. Without `keep`
     the cache is None, nothing is retained and no activation derivative is
-    formed, so a value-only pass over a large batch holds one layer at a
-    time.
+    formed: each layer's pre-activation is scaled and activated in place,
+    so a value-only pass holds one (N, width) array per layer, and only
+    the current layer's input and output are alive at a time.
     """
     cache = [] if keep else None
     need_deriv = keep or jac is not None
@@ -151,26 +152,27 @@ def _layers(params, x, jac=None, keep=False):
     last = params.n_layers - 1
     z = x
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = z @ w.T + b
+        pre = z @ w.T
+        pre += b
         jac_prev, jac_pre, deriv = jac, None, None
         if jac is not None:
             jac = jac_pre = _gemm(jac, w.T)
         if k == last:
             z_next = pre
         elif sine:
-            # omega * pre is formed twice rather than held: in a value-only
-            # pass that extra (N, width) array would raise peak memory
+            pre *= omega
             if need_deriv:
-                deriv = omega * np.cos(omega * pre)
+                deriv = np.cos(pre)
+                deriv *= omega
             if jac is not None:
                 jac = deriv * jac_pre
-            z_next = np.sin(omega * pre)
+            z_next = np.sin(pre, out=pre)
         else:
             if need_deriv:
                 deriv = pre > 0.0
             if jac is not None:
                 jac = np.where(deriv, jac_pre, 0.0)
-            z_next = np.maximum(pre, 0.0)
+            z_next = np.maximum(pre, 0.0, out=pre)
         if keep:
             cache.append((z, jac_prev, deriv, jac_pre))
         z = z_next

@@ -1,8 +1,9 @@
 """Exception taxonomy shared across the package, and the argument checks.
 
-A malformed argument (a wrong shape, no points, a non-finite entry, a
-setting out of range) is a StructuralError naming the argument, raised by
-the `check_*` functions below, the only code that tests an array's shape.
+A malformed argument (a ragged or non-numeric array, a wrong shape, no
+points, a non-finite entry, a setting out of range) is a StructuralError
+naming the argument, raised by the `check_*` functions below, the only
+code that tests an array's shape.
 NumericError is only for non-finite values the package computes itself:
 a loss, a gradient, or a field value in marching cubes.
 """
@@ -56,9 +57,12 @@ def check_shape(name, value, shape, dtype=np.float64):
     """`value` as a `dtype` array; raise StructuralError naming `name` unless
     its shape is `shape`, where "N" stands for any length, and the
     conversion to `dtype` keeps every value."""
-    raw = np.asarray(value)
-    with np.errstate(invalid="ignore"):
-        arr = raw.astype(dtype, copy=False)
+    try:
+        raw = np.asarray(value)
+        with np.errstate(invalid="ignore"):
+            arr = raw.astype(dtype, copy=False)
+    except (TypeError, ValueError) as e:  # ragged or non-numeric
+        raise StructuralError(f"{name} is not a numeric array: {e}") from e
     if arr.ndim != len(shape) or any(want not in ("N", got) for want, got in zip(shape, arr.shape)):
         raise StructuralError(f"{name} has shape {arr.shape}, expected {'x'.join(map(str, shape))}")
     if arr.dtype.kind in "iu" and arr.dtype != raw.dtype and not np.array_equal(arr, raw):

@@ -43,8 +43,9 @@ class InferenceConfig:
     optimize_pose: bool = True
     max_observed_points: int = 2000
     # final mesh; coarse to fine, so res 128 evaluates about 8% of the 129^3
-    # grid points on a trained car prior: 2.6 s against 31 s dense (one
-    # BLAS thread, 2-core x86 VM, the 1.2M-parameter bench prior)
+    # grid points on a trained car prior: 1.7 s, against 16 s to evaluate
+    # every grid point (one BLAS thread, 2-core x86 VM, the 1.2M-parameter
+    # bench prior at training instance 0's latent)
     mc_resolution: int = 128
     seed: int = 0
 

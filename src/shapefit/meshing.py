@@ -24,7 +24,15 @@ Occupancy Networks (Mescheder et al., CVPR 2019):
 The limit: a component that no coarse point sees, such as a small closed
 surface lying between coarse points far from any other sign change, can be
 missed. Below resolution 2 * COARSE_CELLS the stride is 1, every grid point
-is evaluated, and nothing can be missed."""
+is evaluated, and nothing can be missed.
+
+The field is called on blocks of at most FIELD_BLOCK grid points, so a
+network field holds one (block, width) array per layer: 2 MiB at width 64,
+which stays in cache, where a 65,536-point block takes 33 MB per layer and
+runs slower. A network value can depend in the last bit on the size of the
+batch it is computed in (BLAS takes other paths for short batches), so the
+rows of a final short block may differ from one large call in the last
+bit."""
 
 from dataclasses import dataclass
 
@@ -59,6 +67,7 @@ _EDGE_LOW = _CORNERS[np.where(_EDGE_STEP.sum(axis=1) > 0, _EDGE_CORNERS[:, 0], _
 MIN_TRIANGLE_AREA = 1e-12
 COARSE_CELLS = 32  # coarse grid cells per axis (stride = resolution // COARSE_CELLS)
 WELD_TOLERANCE = 1e-7
+FIELD_BLOCK = 4096  # grid points per field call (see the module docstring)
 
 
 @dataclass
@@ -88,13 +97,13 @@ class TriangleMesh:
         return self
 
 
-def _evaluate_grid(field, coords, chunk=65536):
+def _evaluate_grid(field, coords):
     """Evaluate the batched scalar field over flattened grid coords, one
-    chunk of points per call."""
+    block of FIELD_BLOCK points per call."""
     n = coords.shape[0]
     out = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, FIELD_BLOCK):
+        hi = min(lo + FIELD_BLOCK, n)
         vals = np.asarray(field(coords[lo:hi]), dtype=np.float64)
         if vals.size != hi - lo:
             raise StructuralError(

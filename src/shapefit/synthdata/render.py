@@ -45,6 +45,9 @@ class DepthImage:
     depth: np.ndarray  # (H, W) float64
     intrinsics: Intrinsics
 
+    def __post_init__(self):
+        self.depth = check_shape("depth", self.depth, ("N", "N"))
+
     @property
     def mask(self):
         return self.depth > 0

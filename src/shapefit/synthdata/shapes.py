@@ -324,8 +324,10 @@ class ShapeSampleSet:
     free_sdf: np.ndarray  # (F,)
 
     def validate(self):
-        check_cloud("surface points", self.surface_points)
-        check_cloud("free points", self.free_points)
+        n_surface = len(check_cloud("surface points", self.surface_points))
+        check_shape("surface normals", self.surface_normals, (n_surface, 3))
+        n_free = len(check_cloud("free points", self.free_points))
+        check_shape("free sdf", self.free_sdf, (n_free,))
         norms = np.linalg.norm(self.surface_normals, axis=1)
         if np.abs(norms - 1.0).max() > 1e-9:
             raise StructuralError("surface normals are not unit length")

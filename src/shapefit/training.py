@@ -97,8 +97,7 @@ def shape_terms(prior, z, samples, weights):
     Returns (terms_dict, (template_grads, hyper_grads, latent_grad)).
     """
     weights.validate()
-    if samples.surface_normals is None or len(samples.surface_normals) == 0:
-        raise StructuralError("surface samples must carry normals")
+    samples.validate()
     n_s = len(samples.surface_points)
     pts = np.concatenate([samples.surface_points, samples.free_points])
     n = pts.shape[0]
@@ -219,6 +218,11 @@ def fit(prior, dataset, config, on_epoch=None):
     config.validate()
     if not dataset:
         raise StructuralError("dataset is empty")
+    for iid, sample_set in dataset:
+        try:
+            sample_set.validate()
+        except StructuralError as e:
+            raise StructuralError(f"sample set {iid!r}: {e}") from e
     weights = LossWeights.for_category(prior.category).validate()
     init_latents(prior, [iid for iid, _ in dataset], config)
     prior.validate()

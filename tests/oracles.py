@@ -149,13 +149,14 @@ def ray_sphere_depth(origin, direction, radius):
 
 
 def dense_marching_cubes(field, resolution):
-    """Marching cubes with the field evaluated at every grid point and the
-    library's table code run over every crossed cell: the reference the
-    coarse-to-fine extraction must reproduce bit for bit."""
+    """Marching cubes with the field evaluated at every grid point in one
+    call and the library's table code run over every crossed cell: the
+    reference the coarse-to-fine extraction, which calls the field in
+    blocks, must reproduce bit for bit."""
     npts = resolution + 1
     axis = np.linspace(-1.0, 1.0, npts)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     coords = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
-    grid = meshing._evaluate_grid(field, coords).reshape(npts, npts, npts)
+    grid = np.asarray(field(coords), dtype=np.float64).reshape(npts, npts, npts)
     config = meshing._cell_configs(grid)
     return meshing._triangulate(grid, config, meshing._crossed(config))

@@ -98,6 +98,45 @@ def test_forward_entry_points_agree():
         assert np.array_equal(gx, gx_aug)
 
 
+def out_of_place_layers(net, x):
+    """Each layer's (input, activation derivative) and the output, with
+    every array formed afresh: the reference for the in-place layer loop."""
+    layers, z = [], x
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        pre = z @ w.T + b
+        if k == net.n_layers - 1:
+            layers.append((z, None))
+            z = pre
+        elif net.activation == ad.ACT_SINE:
+            layers.append((z, net.omega0 * np.cos(net.omega0 * pre)))
+            z = np.sin(net.omega0 * pre)
+        else:
+            layers.append((z, pre > 0.0))
+            z = np.maximum(pre, 0.0)
+    return layers, z
+
+
+@pytest.mark.parametrize("activation", [ad.ACT_SINE, ad.ACT_RELU])
+def test_in_place_layers_keep_input_and_cache(activation):
+    net = mixed_net(33, activation)
+    pts = substream(34, "pts").uniform(-1, 1, (25, 3))
+    before = pts.copy()
+    want, y_want = out_of_place_layers(net, before)
+    y = ad.forward(net, pts)
+    y_cached, cache = ad.forward_cached(net, pts)
+    y_aug, _, cache_aug = ad.forward_aug(net, pts)
+    assert np.array_equal(pts, before)
+    for got in (y, y_cached, y_aug):
+        assert np.array_equal(got, y_want)
+    for c in (cache, cache_aug):
+        assert len(c) == len(want)
+        for (z, _, deriv, _), (z_want, deriv_want) in zip(c, want):
+            assert np.array_equal(z, z_want)
+            assert (deriv is None) == (deriv_want is None)
+            if deriv is not None:
+                assert np.array_equal(deriv, deriv_want)
+
+
 def test_pure_latent_term_gradient():
     # with every field weight zero, shape_terms reduces to ||z||
     prior = fields.init_prior(

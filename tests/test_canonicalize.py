@@ -64,6 +64,13 @@ def test_lift_depth_rejects_nan_pixel():
         canon.lift_depth(sd.DepthImage(depth, sd.default_intrinsics(8, 8)))
 
 
+def test_lift_depth_accepts_a_nested_list():
+    intr = sd.default_intrinsics(4, 4)
+    got = canon.lift_depth(sd.DepthImage([[1.0, 0.0], [0.0, 2.0]], intr))
+    want = canon.lift_depth(sd.DepthImage(np.array([[1.0, 0.0], [0.0, 2.0]]), intr))
+    assert got.points.tobytes() == want.points.tobytes()
+
+
 def asymmetric_cloud(n=600, seed=3):
     """Cloud with distinct, skewed principal axes (PCA-friendly)."""
     rng = substream(seed, "cloud")

@@ -42,6 +42,16 @@ def test_wrongly_shaped_array_is_a_structural_error_naming_the_argument(entry, t
         call(tmp_path)
 
 
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: canon.PointCloud([[1, 2], [3]]), "points", id="ragged"),
+    pytest.param(lambda: canon.PointCloud("abc"), "points", id="string"),
+    pytest.param(lambda: metrics.chamfer([[1, 2, 3]], [[1, 2, "x"]]), "cloud B", id="string-entry"),
+])
+def test_ragged_or_non_numeric_array_is_a_structural_error_naming_the_argument(call, name):
+    with pytest.raises(StructuralError, match=f"^{name} is not a numeric array"):
+        call()
+
+
 @pytest.mark.parametrize("value, message", [
     (np.zeros((0, 3)), "has no points"),
     (np.array([[0.0, 0, 0], [0, np.inf, 0]]), "has non-finite entries, first at point 1"),

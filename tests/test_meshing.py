@@ -200,9 +200,31 @@ def test_pointwise_field_callable_raises():
 
 
 def test_wrong_field_output_size_raises():
-    # 9^3 = 729 grid points in one chunk; the field returns one value too many
+    # 9^3 = 729 grid points in one block; the field returns one value too many
     with pytest.raises(StructuralError, match="730 values for grid points 0:729, expected 729"):
         meshing.marching_cubes(lambda p: np.zeros(len(p) + 1), 8)
+
+
+def test_wrong_field_output_size_names_the_block():
+    # res 16 runs at stride 1: 17^3 = 4913 grid points in two blocks, and
+    # only the second block gets a short answer
+    def field(pts):
+        return np.zeros(len(pts) - (len(pts) < meshing.FIELD_BLOCK))
+
+    with pytest.raises(StructuralError, match="816 values for grid points 4096:4913, expected 817"):
+        meshing.marching_cubes(field, 16)
+
+
+def test_field_is_called_in_blocks():
+    sizes = []
+
+    def field(pts):
+        sizes.append(len(pts))
+        return np.linalg.norm(pts, axis=1) - 0.5
+
+    mesh = meshing.marching_cubes(field, 48)
+    assert max(sizes) == meshing.FIELD_BLOCK
+    assert_same_mesh(mesh, dense_marching_cubes(sphere_field(0.5), 48))
 
 
 def test_degenerate_triangles_removed_and_indices_valid():

@@ -251,6 +251,17 @@ def test_fit_empty_dataset_raises():
         training.fit(small_prior(25), [], desk_config())
 
 
+@pytest.mark.parametrize("field, rows, name", [("surface_normals", 10, "surface normals"), ("free_sdf", 7, "free sdf")])
+def test_sample_set_needs_one_row_per_point(field, rows, name):
+    samples = sample_shape(make_family("sphere", 1, seed=0)[0], 50, 50, seed=0)
+    setattr(samples, field, getattr(samples, field)[:rows])
+    with pytest.raises(StructuralError, match=f"^{name} has shape"):
+        samples.validate()
+    cfg = desk_config(epochs=1, batch_shapes=1, surface_points_per_shape=10, free_points_per_shape=7)
+    with pytest.raises(StructuralError, match=f"^sample set 'cut': {name} has shape"):
+        training.fit(small_prior(), [("cut", samples)], cfg)
+
+
 def test_fit_nan_abort_names_shape():
     dataset, _ = make_dataset(1, seed=26, n_pts=120)
     prior = small_prior(27)
