@@ -75,7 +75,7 @@ def _pca_pose(points):
         weakest = int(np.argmin(skew))
         evecs[:, weakest] *= -1.0
     rot = evecs.T  # x_est = E^T (x - mu)
-    return Pose.from_matrix(rot, -rot @ mu).validate()
+    return Pose.from_matrix(rot, -rot @ mu)
 
 
 class PcaEstimator:
@@ -131,7 +131,7 @@ class IcpEstimator:
             if prev < np.inf and abs(prev - resid) <= self.tol * max(prev, 1e-30):
                 break
             prev = resid
-        return pose.validate()
+        return pose
 
 
 class NoisyOracleEstimator:
@@ -143,6 +143,7 @@ class NoisyOracleEstimator:
     def __init__(self, gt_pose, rot_noise_deg=0.0, trans_noise=0.0, seed=0):
         check_real("rot_noise_deg", rot_noise_deg)
         check_real("trans_noise", trans_noise)
+        check_count("seed", seed, 0)
         self.gt_pose = gt_pose
         self.rot_noise_deg = rot_noise_deg
         self.trans_noise = trans_noise
@@ -157,7 +158,7 @@ class NoisyOracleEstimator:
         direction /= np.linalg.norm(direction)
         rot = delta_rot @ self.gt_pose.matrix()
         t = self.gt_pose.translation + self.trans_noise * direction
-        return Pose.from_matrix(rot, t).validate()
+        return Pose.from_matrix(rot, t)
 
 
 def _kabsch(src, dst):

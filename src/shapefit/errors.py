@@ -1,9 +1,12 @@
 """Exception taxonomy shared across the package, and the argument checks.
 
-A malformed argument (a ragged or non-numeric array, a wrong shape, no
-points, a non-finite entry, a setting out of range) is a StructuralError
-naming the argument, raised by the `check_*` functions below, the only
-code that tests an array's shape.
+A malformed argument (a ragged, complex or non-numeric array, a wrong
+shape, no points, a non-finite entry, a setting out of range) is a
+StructuralError naming the argument, raised by the `check_*` functions
+below, the only code that tests an array's shape.
+A settings record (`InferenceConfig`, `TrainConfig`, `LossWeights`,
+`Intrinsics`) and a `Pose` raise when they are built, so a value of
+these types is valid and no consumer checks it again.
 NumericError is only for non-finite values the package computes itself:
 a loss, a gradient, or a field value in marching cubes.
 """
@@ -59,9 +62,11 @@ def check_shape(name, value, shape, dtype=np.float64):
     conversion to `dtype` keeps every value."""
     try:
         raw = np.asarray(value)
+        if raw.dtype.kind in "cSU":  # a cast would drop the imaginary part or parse the text
+            raise TypeError(f"it holds {raw.dtype} entries")
         with np.errstate(invalid="ignore"):
             arr = raw.astype(dtype, copy=False)
-    except (TypeError, ValueError) as e:  # ragged or non-numeric
+    except (TypeError, ValueError) as e:  # ragged, complex or non-numeric
         raise StructuralError(f"{name} is not a numeric array: {e}") from e
     if arr.ndim != len(shape) or any(want not in ("N", got) for want, got in zip(shape, arr.shape)):
         raise StructuralError(f"{name} has shape {arr.shape}, expected {'x'.join(map(str, shape))}")

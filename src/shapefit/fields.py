@@ -29,6 +29,7 @@ from . import autodiff as ad
 from .errors import DataError, StructuralError, check_count, check_shape
 from .formats import load_container, load_json, save_container, save_json
 from .rng import substream
+from .synthdata.shapes import check_category
 
 DEFORM_OUT_DIM = 4  # (v_x, v_y, v_z, delta_s)
 LATENT_INIT_STD = 0.01  # std of the latent code of an instance not yet trained
@@ -80,6 +81,7 @@ class ShapePrior:
         return shapes
 
     def validate(self):
+        check_category(self.category)
         t = self.template
         if t.activation != ad.ACT_SINE:
             raise StructuralError(f"template must be a sine net, got {t.activation!r}")
@@ -115,6 +117,10 @@ def init_prior(
     """Fresh prior: a sine template net, and zero-centred hypernetworks that
     reproduce a standard sine-net deformation init at z = 0."""
     check_count("latent_dim", latent_dim)
+    check_count("hyper_hidden", hyper_hidden)
+    for name, widths in (("template_hidden", template_hidden), ("deform_hidden", deform_hidden)):
+        for width in widths:
+            check_count(f"{name} entry", width)
     rng = substream(seed, "init")
     template = ad.siren_init([3, *template_hidden, 1], rng, omega0=omega0)
     layout = ad.siren_init([3, *deform_hidden, DEFORM_OUT_DIM], rng, omega0=omega0)

@@ -66,7 +66,8 @@ def rot6d_backward(r6, grad_rot):
 
 @dataclass
 class Pose:
-    """SE(3) transform: x_out = R x_in + t, R derived from rot6d."""
+    """SE(3) transform: x_out = R x_in + t, R derived from rot6d. Checked
+    when built: finite entries, and a rot6d whose rotation is proper."""
 
     rot6d: np.ndarray
     translation: np.ndarray
@@ -74,6 +75,15 @@ class Pose:
     def __post_init__(self):
         self.rot6d = check_shape("rot6d", self.rot6d, (6,))
         self.translation = check_shape("translation", self.translation, (3,))
+        if not np.isfinite(self.rot6d).all():
+            raise StructuralError("rot6d has non-finite entries")
+        rot = self.matrix()
+        if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
+            raise StructuralError("derived rotation is not orthonormal")
+        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
+            raise StructuralError("derived rotation has determinant != +1")
+        if not np.isfinite(self.translation).all():
+            raise StructuralError("translation has non-finite entries")
 
     @classmethod
     def from_matrix(cls, rot, translation):
@@ -102,18 +112,6 @@ class Pose:
         """self after other: (self @ other)(x) = self(other(x))."""
         r_s, r_o = self.matrix(), other.matrix()
         return Pose.from_matrix(r_s @ r_o, r_s @ other.translation + self.translation)
-
-    def validate(self):
-        if not np.isfinite(self.rot6d).all():
-            raise StructuralError("rot6d has non-finite entries")
-        rot = self.matrix()
-        if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
-            raise StructuralError("derived rotation is not orthonormal")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise StructuralError("derived rotation has determinant != +1")
-        if not np.isfinite(self.translation).all():
-            raise StructuralError("translation has non-finite entries")
-        return self
 
 
 def rotation_about_axis(axis, angle_rad):

@@ -36,7 +36,7 @@ TEMPLATE_MC_RESOLUTION = 48
 TEMPLATE_POINTS = 4000
 
 
-@dataclass
+@dataclass(frozen=True)
 class InferenceConfig:
     iterations: int = 30
     eikonal_samples: int = 512
@@ -49,12 +49,12 @@ class InferenceConfig:
     mc_resolution: int = 128
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         check_count("iterations", self.iterations, 0)
         check_count("eikonal_samples", self.eikonal_samples)
         check_count("max_observed_points", self.max_observed_points)
         check_resolution(self.mc_resolution)
-        return self
+        check_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -65,7 +65,6 @@ class ReconstructionResult:
     trace: list  # per-iteration term dicts of view_terms
 
     def validate(self, iterations):
-        self.pose.validate()
         if len(self.trace) != iterations:
             raise StructuralError("loss trace length != iteration count")
         return self
@@ -123,9 +122,7 @@ def joint_optimize(prior, observed, init, config):
     frozen; with `optimize_pose` off the pose stays at `init`, and zero
     iterations return the initial latent and pose unchanged.
     """
-    config.validate()
     observed.validate()
-    init.validate()
     rng = substream(config.seed, "inference")
     pts = observed.points
     if len(pts) > config.max_observed_points:
@@ -185,7 +182,6 @@ def reconstruct(prior, depth, estimator, config):
     samples of the template field) is built only when the estimator asks
     for it, so a template failure is a canonicalize failure.
     """
-    config.validate()
     cloud = _stage("lift", lift_depth, depth)
     init = _stage("canonicalize", canonicalize, estimator, cloud, lambda: template_cloud(prior, config.seed))
     result = _stage("joint-optimize", joint_optimize, prior, cloud, init, config)

@@ -20,7 +20,8 @@ Occupancy Networks (Mescheder et al., CVPR 2019):
   it, that neighbour's block joins the region and its points are evaluated.
 - The table code runs over the crossed cells of the region in C order, so
   vertices and triangles equal those of a dense evaluation whenever every
-  surface component reaches the region.
+  surface component reaches the region and the field's values do not
+  depend on the batch they are computed in (see below).
 The limit: a component that no coarse point sees, such as a small closed
 surface lying between coarse points far from any other sign change, can be
 missed. Below resolution 2 * COARSE_CELLS the stride is 1, every grid point
@@ -31,8 +32,8 @@ network field holds one (block, width) array per layer: 2 MiB at width 64,
 which stays in cache, where a 65,536-point block takes 33 MB per layer and
 runs slower. A network value can depend in the last bit on the size of the
 batch it is computed in (BLAS takes other paths for short batches), so the
-rows of a final short block may differ from one large call in the last
-bit."""
+rows of a block may differ from one dense call in the last bit, and a
+vertex on an edge with such a corner can then differ too."""
 
 from dataclasses import dataclass
 

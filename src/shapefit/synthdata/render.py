@@ -14,19 +14,18 @@ STEP_RELAXATION = 0.9
 MAX_STEPS = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class Intrinsics:
     fx: float
     fy: float
     cx: float
     cy: float
 
-    def validate(self):
+    def __post_init__(self):
         check_real("focal length fx", self.fx, strict=True)
         check_real("focal length fy", self.fy, strict=True)
         check_real("principal point cx", self.cx, minimum=-np.inf)
         check_real("principal point cy", self.cy, minimum=-np.inf)
-        return self
 
 
 def default_intrinsics(width, height):
@@ -58,7 +57,6 @@ class DepthImage:
         if len(bad):
             y, x = bad[0]
             raise DataError(f"depth pixel ({y}, {x}) is {self.depth[y, x]}; depths must be finite and >= 0")
-        self.intrinsics.validate()
         return self
 
 
@@ -75,7 +73,6 @@ def render_depth(shape, camera_pose, intrinsics, resolution, noise_sigma=0.0, se
     for v in resolution:
         check_count("image resolution", v)
     check_real("noise_sigma", noise_sigma)
-    intrinsics.validate()
     rot = camera_pose.matrix()
     origin = -rot.T @ camera_pose.translation  # camera center, canonical frame
     if np.linalg.norm(origin) <= shape.bounding_radius():
@@ -153,6 +150,7 @@ def occlude(depth, ratio, seed):
     """Zero the depth in a random axis-aligned rectangle covering `ratio` of
     the valid pixels (within 2%). ratio == 0 is an internal bypass returning
     an unchanged copy."""
+    check_real("occlusion ratio", ratio)
     out = DepthImage(depth.depth.copy(), depth.intrinsics)
     if ratio == 0:
         return out

@@ -352,11 +352,17 @@ def sample_shape(shape, n_surface, n_free, seed):
 CATEGORIES = ("sphere", "car", "chair", "plane")
 
 
+def check_category(category):
+    """`category`; raise StructuralError naming it unless it is one of CATEGORIES."""
+    if category not in CATEGORIES:
+        raise StructuralError(f"unknown category {category!r}, expected one of {CATEGORIES}")
+    return category
+
+
 def make_family(category, count, seed):
     """Deterministic list of same-category shapes with varied parameters."""
     check_count("family count", count)
-    if category not in CATEGORIES:
-        raise StructuralError(f"unknown category {category!r}, expected one of {CATEGORIES}")
+    check_category(category)
     rng = substream(seed, "family", category)
     maker = {"sphere": _make_sphere, "car": _make_car, "chair": _make_chair, "plane": _make_plane}[category]
     shapes = []

@@ -22,6 +22,10 @@ from . import autodiff as ad
 from . import fields
 from .errors import NumericError, StructuralError, check_count, check_real
 from .rng import substream
+from .synthdata.shapes import ShapeSampleSet, check_category
+
+# latent (lambda_2) and smoothness (lambda_3) weights of each category
+_CATEGORY_WEIGHTS = {"sphere": (5.0, 1e2), "car": (5.0, 1e2), "chair": (5.0, 5e1), "plane": (2.0, 1e2)}
 
 TERM_NAMES = (
     "sdf_value",
@@ -35,7 +39,7 @@ TERM_NAMES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     """Loss-term weights; defaults follow the standard SDF-regression recipe."""
 
@@ -49,21 +53,19 @@ class LossWeights:
     smooth: float = 1e2  # lambda_3
     correction: float = 1e6  # lambda_4
 
-    def validate(self):
+    def __post_init__(self):
         for name, value in asdict(self).items():
             check_real(f"loss weight {name}", value)
         check_real("spike_delta", self.spike_delta, 10.0)  # a sharp spike penalty
-        return self
 
     @classmethod
     def for_category(cls, category):
-        """Per-category latent / smoothness weights (car, plane, chair)."""
-        lam2 = {"car": 5.0, "plane": 2.0, "chair": 5.0}.get(category, 5.0)
-        lam3 = {"car": 1e2, "plane": 1e2, "chair": 5e1}.get(category, 1e2)
-        return cls(latent=lam2, smooth=lam3)
+        """The weights of a category of synthdata.CATEGORIES."""
+        latent, smooth = _CATEGORY_WEIGHTS[check_category(category)]
+        return cls(latent=latent, smooth=smooth)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
     batch_shapes: int = 128
@@ -73,13 +75,13 @@ class TrainConfig:
     lr_latent: float = 1e-4
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         check_count("epochs", self.epochs, 0)
         for name in ("batch_shapes", "surface_points_per_shape", "free_points_per_shape"):
             check_count(name, getattr(self, name))
         for name in ("lr", "lr_latent"):
             check_real(name, getattr(self, name), strict=True)
-        return self
+        check_count("seed", self.seed, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +98,6 @@ def shape_terms(prior, z, samples, weights):
 
     Returns (terms_dict, (template_grads, hyper_grads, latent_grad)).
     """
-    weights.validate()
     samples.validate()
     n_s = len(samples.surface_points)
     pts = np.concatenate([samples.surface_points, samples.free_points])
@@ -186,8 +187,6 @@ def _subsample(sample_set, n_surface, n_free, rng):
         )
     si = rng.choice(ns, size=n_surface, replace=False) if n_surface < ns else slice(None)
     fi = rng.choice(nf, size=n_free, replace=False) if n_free < nf else slice(None)
-    from .synthdata.shapes import ShapeSampleSet
-
     return ShapeSampleSet(
         sample_set.surface_points[si],
         sample_set.surface_normals[si],
@@ -208,22 +207,26 @@ def fit(prior, dataset, config, on_epoch=None):
     """Jointly optimize template weights, hypernetwork weights and latents
     from a fresh Adam state, with the prior category's loss weights.
 
-    dataset: list of (instance_id, ShapeSampleSet). Per-epoch randomness is
-    derived statelessly from (seed, epoch). `on_epoch(epoch, prior,
-    optimizer, history)` is called after every epoch.
+    dataset: list of (instance_id, ShapeSampleSet), one entry per instance
+    id. Per-epoch randomness is derived statelessly from (seed, epoch).
+    `on_epoch(epoch, prior, optimizer, history)` is called after every
+    epoch.
 
     Returns (prior, history, optimizer); history has one row of term means
     per epoch.
     """
-    config.validate()
     if not dataset:
         raise StructuralError("dataset is empty")
+    ids = set()
     for iid, sample_set in dataset:
+        if iid in ids:
+            raise StructuralError(f"instance id {iid!r} appears more than once in the dataset")
+        ids.add(iid)
         try:
             sample_set.validate()
         except StructuralError as e:
             raise StructuralError(f"sample set {iid!r}: {e}") from e
-    weights = LossWeights.for_category(prior.category).validate()
+    weights = LossWeights.for_category(prior.category)
     init_latents(prior, [iid for iid, _ in dataset], config)
     prior.validate()
     params = fields.named_arrays(prior.template, prior.hyper)  # live views

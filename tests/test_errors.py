@@ -6,9 +6,9 @@ import pytest
 
 from shapefit import autodiff as ad
 from shapefit import canonicalize as canon
-from shapefit import fields, formats, meshing, metrics
+from shapefit import fields, formats, inference, meshing, metrics, training
 from shapefit import synthdata as sd
-from shapefit.errors import StructuralError, check_cloud
+from shapefit.errors import StructuralError, check_cloud, check_shape
 from shapefit.geometry import Pose
 from shapefit.rng import substream
 
@@ -46,6 +46,9 @@ def test_wrongly_shaped_array_is_a_structural_error_naming_the_argument(entry, t
     pytest.param(lambda: canon.PointCloud([[1, 2], [3]]), "points", id="ragged"),
     pytest.param(lambda: canon.PointCloud("abc"), "points", id="string"),
     pytest.param(lambda: metrics.chamfer([[1, 2, 3]], [[1, 2, "x"]]), "cloud B", id="string-entry"),
+    # a cast used to drop the imaginary part, or to parse numeric text
+    pytest.param(lambda: check_shape("pts", np.array([[1 + 2j, 0, 0]]), ("N", 3)), "pts", id="complex"),
+    pytest.param(lambda: canon.PointCloud([["1.5", "0", "0"]]), "points", id="numeric-text"),
 ])
 def test_ragged_or_non_numeric_array_is_a_structural_error_naming_the_argument(call, name):
     with pytest.raises(StructuralError, match=f"^{name} is not a numeric array"):
@@ -59,3 +62,16 @@ def test_ragged_or_non_numeric_array_is_a_structural_error_naming_the_argument(c
 def test_check_cloud_names_the_cloud(value, message):
     with pytest.raises(StructuralError, match=f"^my cloud {message}"):
         check_cloud("my cloud", value)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: inference.InferenceConfig(seed=-1), id="InferenceConfig"),
+    pytest.param(lambda: training.TrainConfig(seed=1.7), id="TrainConfig"),
+    pytest.param(lambda: canon.NoisyOracleEstimator(Pose.from_matrix(np.eye(3), np.zeros(3)), seed=None),
+                 id="NoisyOracleEstimator"),
+])
+def test_a_bad_seed_fails_when_the_owner_is_built(build):
+    # a bad seed used to pass until a stage drew from it, and then failed
+    # as that stage
+    with pytest.raises(StructuralError, match="^seed must be an integer >= 0"):
+        build()

@@ -350,3 +350,27 @@ def test_load_prior_needs_the_template_omega0_in_the_sidecar(tmp_path, omega0):
     save_json(str(path) + ".json", sidecar)
     with pytest.raises(DataError, match="omega0"):
         fields.load_prior(path)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"hyper_hidden": 0}, "hyper_hidden"), ({"hyper_hidden": "8"}, "hyper_hidden"),
+    ({"deform_hidden": (0,)}, "deform_hidden entry"), ({"template_hidden": (2.5,)}, "template_hidden entry"),
+])
+def test_init_prior_rejects_a_layer_width_that_is_not_a_positive_integer(kwargs, name):
+    # these used to raise a bare ZeroDivisionError or TypeError
+    with pytest.raises(StructuralError, match=f"^{name} must be an integer >= 1"):
+        fields.init_prior("sphere", **{"latent_dim": 4, "template_hidden": (8,), "deform_hidden": (6,),
+                                       "hyper_hidden": 8, **kwargs})
+
+
+def test_a_prior_of_an_unknown_category_is_rejected(tmp_path):
+    # an unknown category used to train with the default loss weights and
+    # to load from a checkpoint
+    with pytest.raises(StructuralError, match="unknown category 'cars'"):
+        fields.init_prior("cars", latent_dim=4, template_hidden=(8,), deform_hidden=(6,), hyper_hidden=8)
+    path = _saved_prior(tmp_path, 33)
+    sidecar = load_json(str(path) + ".json")
+    sidecar["category"] = "banana"
+    save_json(str(path) + ".json", sidecar)
+    with pytest.raises(DataError, match="unknown category 'banana'"):
+        fields.load_prior(path)

@@ -77,7 +77,6 @@ def test_pose_transform_inverse_compose():
     ident = pose.compose(pose.inverse())
     np.testing.assert_allclose(ident.matrix(), np.eye(3), atol=1e-12)
     np.testing.assert_allclose(ident.translation, 0.0, atol=1e-12)
-    pose.validate()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -85,7 +84,7 @@ def test_pose_validate_rejects_non_finite_rot6d(bad):
     r6 = np.array([1.0, 0, 0, 0, 1.0, 0])
     r6[4] = bad
     with pytest.raises(StructuralError, match="rot6d"):
-        geo.Pose(r6, np.zeros(3)).validate()
+        geo.Pose(r6, np.zeros(3))
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,13 @@
 import ast
+import dataclasses
 import importlib
 import re
 import tomllib
 from pathlib import Path
+
+from shapefit import inference, training
+from shapefit.geometry import Pose
+from shapefit.synthdata import Intrinsics
 
 
 def test_console_scripts_import():
@@ -110,3 +115,12 @@ def test_only_errors_checks_array_shapes():
         if pattern.search(line)
     ]
     assert not hits, "hand-written shape checks outside errors.py: " + ", ".join(hits)
+
+
+def test_settings_records_and_pose_are_valid_when_built():
+    # they check themselves when built, so no consumer re-checks them; a
+    # mutable record or a validate() method would bring the re-checks back
+    records = (inference.InferenceConfig, training.TrainConfig, training.LossWeights, Intrinsics)
+    for cls in records:
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls.__name__
+    assert [cls.__name__ for cls in (*records, Pose) if hasattr(cls, "validate")] == []

@@ -309,7 +309,7 @@ def test_render_depth_rejects_bad_noise_sigma(sigma):
 )
 def test_intrinsics_reject_non_finite_or_non_positive_focal_lengths(values, field):
     with pytest.raises(StructuralError, match=field):
-        sd.Intrinsics(*values).validate()
+        sd.Intrinsics(*values)
 
 
 @pytest.mark.parametrize(
@@ -323,7 +323,7 @@ def test_render_depth_rejects_a_non_finite_principal_point(values, field):
 
 
 def test_intrinsics_accept_a_principal_point_outside_the_image():
-    assert sd.Intrinsics(20, 20, -3.5, 40.0).validate().cx == -3.5
+    assert sd.Intrinsics(20, 20, -3.5, 40.0).cx == -3.5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
@@ -373,6 +373,13 @@ def test_occlude_ratio_out_of_range():
         sd.occlude(img, 0.9, seed=0)
     with pytest.raises(StructuralError):
         sd.occlude(img, 0.01, seed=0)
+
+
+@pytest.mark.parametrize("ratio", ["0.3", None, np.nan])
+def test_occlude_rejects_a_ratio_that_is_not_a_real(ratio):
+    # a string or None used to raise a bare TypeError from the range test
+    with pytest.raises(StructuralError, match="^occlusion ratio"):
+        sd.occlude(full_mask_image(20), ratio, seed=0)
 
 
 def test_occlude_deterministic():

@@ -227,7 +227,7 @@ def test_fit_loss_decreases():
 )
 def test_config_rejects_bad_counts(field, value):
     with pytest.raises(StructuralError, match=field):
-        desk_config(**{field: value}).validate()
+        desk_config(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -235,7 +235,7 @@ def test_config_rejects_bad_counts(field, value):
 )
 def test_config_rejects_learning_rates_that_are_not_finite_and_positive(field, value):
     with pytest.raises(StructuralError, match=field):
-        desk_config(**{field: value}).validate()
+        desk_config(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -243,7 +243,7 @@ def test_config_rejects_learning_rates_that_are_not_finite_and_positive(field, v
 )
 def test_loss_weights_reject_nan_and_out_of_range_values(field, value):
     with pytest.raises(StructuralError, match=field):
-        training.LossWeights(**{field: value}).validate()
+        training.LossWeights(**{field: value})
 
 
 def test_fit_empty_dataset_raises():
@@ -301,3 +301,22 @@ def test_history_csv_roundtrip(tmp_path):
     assert list(back[0]) == ["epoch", *training.TERM_NAMES, "total"]
     assert int(back[1]["epoch"]) == 1
     assert float(back[0]["total"]) == pytest.approx(history[0]["total"], rel=1e-15)
+
+
+def test_fit_rejects_a_repeated_instance_id_before_training():
+    # one latent used to be trained for both, and the first shape's latent
+    # gradient was overwritten in every batch
+    (_, a), (_, b) = make_dataset(2, seed=32, n_pts=120)[0]
+    prior = small_prior(33)
+    with pytest.raises(StructuralError, match="instance id 'x' appears more than once"):
+        training.fit(prior, [("x", a), ("y", a), ("x", b)], desk_config(epochs=1))
+    assert prior.latents == {}
+
+
+def test_loss_weights_of_each_category():
+    want = {"sphere": (5.0, 1e2), "car": (5.0, 1e2), "chair": (5.0, 5e1), "plane": (2.0, 1e2)}
+    for category, (latent, smooth) in want.items():
+        assert training.LossWeights.for_category(category) == training.LossWeights(latent=latent, smooth=smooth)
+    # an unknown category used to fall back to the default weights
+    with pytest.raises(StructuralError, match="unknown category 'banana'"):
+        training.LossWeights.for_category("banana")
