@@ -18,10 +18,13 @@ Jacobians, the input and pre-activation Jacobians, so `backward` evaluates
 no activation again.
 
 Inside the forward and reverse loops a Jacobian with respect to K base
-coordinates is held K-major, as a (K, N, width) array. Each layer's
-tangent step, its adjoint and the Jacobian part of its weight gradient
-are then single GEMMs over K*N rows. Callers see (N, width, K): arrays
-are transposed only at the `forward_aug` / `backward` boundary.
+coordinates is held K-major, as a (K, J, width) array over the trailing
+J <= N rows of the batch: a caller whose loss reads the spatial gradient
+of only some points puts them last, and the leading rows carry values
+alone. Each layer's tangent step, its adjoint and the Jacobian part of
+its weight gradient are then single GEMMs over K*J rows. Callers see
+(J, width, K): arrays are transposed only at the `forward_aug` /
+`backward` boundary.
 
 All arithmetic is float64 and fully vectorized over the point batch, so
 identical inputs produce bit-identical outputs.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError, check_real, check_shape
+from .errors import StructuralError, check_count, check_real, check_shape
 
 ACT_SINE = "sine"
 ACT_RELU = "relu"
@@ -133,13 +136,14 @@ def _gemm(a, w):
 def _layers(params, x, jac=None, keep=False):
     """The forward layer loop shared by every entry point below.
 
-    Propagates the K-major Jacobian `jac` (K, N, in) alongside the values
-    when it is given. With `keep`, the returned cache is a list whose item
-    k is (z_prev, jac_prev, deriv, jac_pre) of layer k: its input values
-    (N, in), input Jacobian (K, N, in), activation derivative at the
-    pre-activation (omega cos(omega pre) for sine, the mask pre > 0 for
-    ReLU, None for the linear output) and pre-activation Jacobian
-    (K, N, out); the Jacobians are None without tracking. Without `keep`
+    Propagates the K-major Jacobian `jac` (K, J, in) of the last J rows of
+    x alongside the values when it is given. With `keep`, the returned
+    cache is a list whose item k is (z_prev, jac_prev, deriv, jac_pre) of
+    layer k: its input values (N, in), input Jacobian (K, J, in),
+    activation derivative at the pre-activation (N, out; omega
+    cos(omega pre) for sine, the mask pre > 0 for ReLU, None for the
+    linear output) and pre-activation Jacobian (K, J, out); the Jacobians
+    are None without tracking. Without `keep`
     the cache is None, nothing is retained and no activation derivative is
     formed: each layer's pre-activation is scaled and activated in place,
     so a value-only pass holds one (N, width) array per layer, and only
@@ -150,6 +154,7 @@ def _layers(params, x, jac=None, keep=False):
     sine = params.activation == ACT_SINE
     omega = params.omega0
     last = params.n_layers - 1
+    tail = slice(len(x) - jac.shape[1], None) if jac is not None else None
     z = x
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
         pre = z @ w.T
@@ -165,13 +170,13 @@ def _layers(params, x, jac=None, keep=False):
                 deriv = np.cos(pre)
                 deriv *= omega
             if jac is not None:
-                jac = deriv * jac_pre
+                jac = deriv[tail] * jac_pre
             z_next = np.sin(pre, out=pre)
         else:
             if need_deriv:
                 deriv = pre > 0.0
             if jac is not None:
-                jac = np.where(deriv, jac_pre, 0.0)
+                jac = np.where(deriv[tail], jac_pre, 0.0)
             z_next = np.maximum(pre, 0.0, out=pre)
         if keep:
             cache.append((z, jac_prev, deriv, jac_pre))
@@ -185,17 +190,22 @@ def forward(params, x):
     return z
 
 
-def forward_aug(params, x):
+def forward_aug(params, x, value_rows=0):
     """Evaluate the network and its Jacobian with respect to the input.
 
-    Returns (y, jac, cache) with y (N, out) and jac (N, out, in). Inside
-    the layer loop the Jacobian is K-major, (K, N, width) with K = in, so
-    that each layer's tangent step is one GEMM over K*N rows; `jac` is a
-    transposed view of that array.
+    Returns (y, jac, cache) with y (N, out) and jac (J, out, in), the
+    Jacobian of the last J = N - value_rows rows of x; the first
+    `value_rows` rows are evaluated for their values only, exactly as the
+    others. Inside the layer loop the Jacobian is K-major, (K, J, width)
+    with K = in, so that each layer's tangent step is one GEMM over K*J
+    rows; `jac` is a transposed view of that array.
     """
     x = check_shape("network input", x, ("N", params.in_dim))
+    check_count("value_rows", value_rows, 0)
+    if value_rows > len(x):
+        raise StructuralError(f"value_rows = {value_rows} exceeds the {len(x)} rows of the network input")
     k_dim = params.in_dim
-    jac = np.ascontiguousarray(np.broadcast_to(np.eye(k_dim)[:, None, :], (k_dim, x.shape[0], k_dim)))
+    jac = np.ascontiguousarray(np.broadcast_to(np.eye(k_dim)[:, None, :], (k_dim, len(x) - value_rows, k_dim)))
     y, jac, cache = _layers(params, x, jac, keep=True)
     return y, jac.transpose(1, 2, 0), cache
 
@@ -209,23 +219,27 @@ def forward_cached(params, x):
 def backward(params, cache, gy, gjac=None, inputs_only=False):
     """Reverse pass through a forward_aug / forward_cached computation.
 
-    gy: (N, out) adjoint of the output values; gjac: (N, out, K) adjoint of
-    the output Jacobian of a forward_aug cache (zero if omitted). Returns
-    (MLPGrads, gx) with gx (N, in) the adjoint of the input points. With
-    `inputs_only` the weight and bias gradients are skipped and the first
-    item is None.
+    gy: (N, out) adjoint of the output values; gjac: (J, out, K) adjoint of
+    the output Jacobian of a forward_aug cache, whose Jacobian covers the
+    last J rows (zero if omitted). Returns (MLPGrads, gx) with gx (N, in)
+    the adjoint of the input points. With `inputs_only` the weight and
+    bias gradients are skipped and the first item is None.
 
     The Jacobian adjoints run K-major like the forward pass: per layer, the
     weight gradient's Jacobian term and the adjoint step are each one GEMM
-    over K*N rows. The activation derivatives come from the cache, and
-    sin(omega pre) of a sine layer is the next layer's input.
+    over K*J rows, and the second-order sine term reaches the last J rows
+    of the pre-activation adjoint. The activation derivatives come from
+    the cache, and sin(omega pre) of a sine layer is the next layer's input.
     """
     omega = params.omega0
     sine = params.activation == ACT_SINE
     gz = np.asarray(gy, dtype=np.float64)
     track = cache[0][1] is not None and gjac is not None  # a forward_aug cache
     if track:
-        gjac = np.ascontiguousarray(np.asarray(gjac, dtype=np.float64).transpose(2, 0, 1))
+        k_dim, j_rows, _ = cache[0][1].shape
+        gjac = check_shape("gjac", gjac, (j_rows, params.out_dim, k_dim))
+        gjac = np.ascontiguousarray(gjac.transpose(2, 0, 1))
+        tail = slice(len(gz) - j_rows, None)
     n_layers = params.n_layers
     gweights = [None] * n_layers
     gbiases = [None] * n_layers
@@ -240,13 +254,13 @@ def backward(params, cache, gy, gjac=None, inputs_only=False):
             gpre = gz * deriv
             if track:
                 # d/dpre of jac_out = -omega^2 sin(omega pre) * jac_pre
-                sin = cache[k + 1][0]
-                gpre = gpre - (omega * omega) * sin * (gjac * jac_pre).sum(axis=0)
-                gjac_pre = gjac * deriv
+                sin = cache[k + 1][0][tail]
+                gpre[tail] -= (omega * omega) * sin * (gjac * jac_pre).sum(axis=0)
+                gjac_pre = gjac * deriv[tail]
         else:
             gpre = np.where(deriv, gz, 0.0)
             if track:
-                gjac_pre = np.where(deriv, gjac, 0.0)
+                gjac_pre = np.where(deriv[tail], gjac, 0.0)
         if not inputs_only:
             gw = gpre.T @ z_prev
             if track:

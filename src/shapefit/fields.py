@@ -8,7 +8,8 @@ and a scalar SDF correction, so the instance SDF is
 
     sdf(x) = template(x + v(x)) + correction(x).
 
-Forward evaluation tracks spatial Jacobians through the composition;
+Forward evaluation tracks spatial Jacobians through the composition,
+for every point or for a trailing subset of them;
 `compose_backward` and `hyper_backward` push loss adjoints all the way to
 template weights, hypernetwork weights and the latent code.
 
@@ -180,27 +181,36 @@ def hyper_backward(prior, caches, deform_grads, inputs_only=False):
 
 @dataclass
 class ComposedEval:
-    """Batched instance-SDF evaluation with everything the losses need."""
+    """Batched instance-SDF evaluation with everything the losses need.
+
+    `psi` and `delta_s` cover all N points; `grad_psi`, `grad_template` and
+    `jac_v` cover the J points that carry Jacobians, the last J of the
+    batch (J = N unless `compose_forward` was given `value_rows`).
+    """
 
     psi: np.ndarray  # (N,) composed SDF
-    grad_psi: np.ndarray  # (N, 3) spatial gradient of psi w.r.t. x
-    grad_template: np.ndarray  # (N, 3) template gradient at y (unchained)
+    grad_psi: np.ndarray  # (J, 3) spatial gradient of psi w.r.t. x
+    grad_template: np.ndarray  # (J, 3) template gradient at y (unchained)
     delta_s: np.ndarray  # (N,)
-    jac_v: np.ndarray  # (N, 3, 3)
+    jac_v: np.ndarray  # (J, 3, 3)
     _t_cache: object = None
     _d_cache: object = None
 
 
-def compose_forward(template, deform, pts):
-    """Evaluate sdf(x) = template(x + v(x)) + delta_s(x) over a batch."""
+def compose_forward(template, deform, pts, value_rows=0):
+    """Evaluate sdf(x) = template(x + v(x)) + delta_s(x) over a batch.
+
+    The first `value_rows` points get values only: the spatial Jacobians in
+    the returned ComposedEval cover the points after them.
+    """
     pts = np.asarray(pts, dtype=np.float64)
-    d_out, d_jac, d_cache = ad.forward_aug(deform, pts)
+    d_out, d_jac, d_cache = ad.forward_aug(deform, pts, value_rows)
     v = d_out[:, :3]
     delta_s = d_out[:, 3]
     jac_v = d_jac[:, :3, :]
     grad_ds = d_jac[:, 3, :]
     y = pts + v
-    t_out, t_jac, t_cache = ad.forward_aug(template, y)
+    t_out, t_jac, t_cache = ad.forward_aug(template, y, value_rows)
     t_val = t_out[:, 0]
     grad_t = t_jac[:, 0, :]
     # chain rule: grad psi = (I + dv/dx)^T grad_T + grad delta_s
@@ -238,15 +248,17 @@ def compose_backward(
 ):
     """Adjoint of compose_forward.
 
-    Inputs are adjoints of the ComposedEval fields (None = zero). Returns
+    Inputs are adjoints of the ComposedEval fields (None = zero), each
+    shaped like its field: `d_psi` and `d_delta_s` over all N points,
+    `d_grad_psi`, `d_grad_template` and `d_jac_v` over the J points that
+    carry Jacobians. Returns
     (template MLPGrads, deform MLPGrads, gradient w.r.t. the input points).
     With `inputs_only` the template's weight gradients are skipped and
     returned as None; the deformation's are always computed, since they are
     the adjoint that `hyper_backward` pushes into the latent.
     """
-    n = ev.psi.shape[0]
-    d_psi = np.zeros(n) if d_psi is None else d_psi
-    d_grad_psi = np.zeros((n, 3)) if d_grad_psi is None else d_grad_psi
+    d_psi = np.zeros(ev.psi.shape) if d_psi is None else d_psi
+    d_grad_psi = np.zeros(ev.grad_psi.shape) if d_grad_psi is None else d_grad_psi
     a = ev.jac_v + np.eye(3)
     # psi = t_val + delta_s; grad_psi = A^T grad_t + grad_ds
     g_tval = d_psi.copy()

@@ -5,7 +5,9 @@ Per step the observed points are moved into the canonical frame by the
 current pose and the field is penalized for nonzero values there; fresh
 uniform free-space samples keep the field eikonal; the latent stays small.
 `view_terms` evaluates this objective with one composed forward and one
-reverse pass over both point sets. Rotations use the continuous 6D
+reverse pass over both point sets. Only the free samples carry spatial
+Jacobians: no term reads the field gradient at an observed point, whose
+pose gradient comes from the reverse pass. Rotations use the continuous 6D
 parametrization, so plain Adam steps stay on the rotation manifold after
 Gram-Schmidt.
 """
@@ -85,7 +87,8 @@ def view_terms(prior, z, r6, t, observed, free):
     free samples (M, 3), canonical frame, keep the field eikonal; the
     latent stays small. Both point sets share one composed forward and one
     reverse pass, and the pose gradient follows from the point gradient of
-    the observed rows.
+    the observed rows. Only the free rows carry spatial Jacobians, since
+    the eikonal term is the one term that reads them.
 
     Returns (terms, (g_z, g_r6, g_t)); terms holds each TERM_WEIGHTS term
     and their weighted total.
@@ -93,8 +96,8 @@ def view_terms(prior, z, r6, t, observed, free):
     n = len(observed)
     pts = np.concatenate([observed @ rot6d_to_matrix(r6).T + t, free])
     deform, h_caches = fields.hyper_forward(prior, z)
-    ev = fields.compose_forward(prior.template, deform, pts)
-    eik_term, g_eik = ad.term_eikonal(ev.grad_psi[n:], TERM_WEIGHTS["eikonal"])
+    ev = fields.compose_forward(prior.template, deform, pts, value_rows=n)
+    eik_term, g_eik = ad.term_eikonal(ev.grad_psi, TERM_WEIGHTS["eikonal"])
     lat_term, g_lat = ad.term_latent_l2(z)
     obs_term = float(np.abs(ev.psi[:n]).mean())
     terms = {"observation": obs_term, "eikonal": float(eik_term), "latent": lat_term}
@@ -102,9 +105,8 @@ def view_terms(prior, z, r6, t, observed, free):
 
     d_psi = np.zeros(len(pts))
     d_psi[:n] = TERM_WEIGHTS["observation"] * np.sign(ev.psi[:n]) / n
-    d_grad_psi = np.concatenate([np.zeros((n, 3)), g_eik])
     _, d_grads, g_pts = fields.compose_backward(
-        prior.template, deform, ev, d_psi=d_psi, d_grad_psi=d_grad_psi, inputs_only=True
+        prior.template, deform, ev, d_psi=d_psi, d_grad_psi=g_eik, inputs_only=True
     )
     _, g_z = fields.hyper_backward(prior, h_caches, d_grads, inputs_only=True)
     g_x = g_pts[:n]

@@ -226,9 +226,9 @@ def fit(prior, dataset, config, on_epoch=None):
             sample_set.validate()
         except StructuralError as e:
             raise StructuralError(f"sample set {iid!r}: {e}") from e
+    prior.validate()
     weights = LossWeights.for_category(prior.category)
     init_latents(prior, [iid for iid, _ in dataset], config)
-    prior.validate()
     params = fields.named_arrays(prior.template, prior.hyper)  # live views
     net_keys = list(params)
     params.update({f"latent.{iid}": z for iid, z in prior.latents.items()})

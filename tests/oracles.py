@@ -8,8 +8,10 @@ which cells the coarse-to-fine extraction visits, not the table.
 
 import numpy as np
 
-from shapefit import meshing
-from shapefit.geometry import Pose
+from shapefit import autodiff as ad
+from shapefit import fields, meshing
+from shapefit.geometry import Pose, rot6d_backward, rot6d_to_matrix
+from shapefit.inference import TERM_WEIGHTS
 
 
 def identity_pose():
@@ -160,3 +162,29 @@ def dense_marching_cubes(field, resolution):
     grid = np.asarray(field(coords), dtype=np.float64).reshape(npts, npts, npts)
     config = meshing._cell_configs(grid)
     return meshing._triangulate(grid, config, meshing._crossed(config))
+
+
+def full_jacobian_view_terms(prior, z, r6, t, observed, free):
+    """`inference.view_terms` with spatial Jacobians carried through every
+    row, observed ones included, and a zero adjoint for the observed rows'
+    field gradient: the reference for tracking only the free rows."""
+    n = len(observed)
+    pts = np.concatenate([observed @ rot6d_to_matrix(r6).T + t, free])
+    deform, h_caches = fields.hyper_forward(prior, z)
+    ev = fields.compose_forward(prior.template, deform, pts)
+    eik_term, g_eik = ad.term_eikonal(ev.grad_psi[n:], TERM_WEIGHTS["eikonal"])
+    lat_term, g_lat = ad.term_latent_l2(z)
+    obs_term = float(np.abs(ev.psi[:n]).mean())
+    terms = {"observation": obs_term, "eikonal": float(eik_term), "latent": lat_term}
+    terms["total"] = sum(w * terms[k] for k, w in TERM_WEIGHTS.items())
+
+    d_psi = np.zeros(len(pts))
+    d_psi[:n] = TERM_WEIGHTS["observation"] * np.sign(ev.psi[:n]) / n
+    d_grad_psi = np.concatenate([np.zeros((n, 3)), g_eik])
+    _, d_grads, g_pts = fields.compose_backward(
+        prior.template, deform, ev, d_psi=d_psi, d_grad_psi=d_grad_psi, inputs_only=True
+    )
+    _, g_z = fields.hyper_backward(prior, h_caches, d_grads, inputs_only=True)
+    g_x = g_pts[:n]
+    g_r6 = rot6d_backward(r6, g_x.T @ observed)
+    return terms, (g_z + TERM_WEIGHTS["latent"] * g_lat, g_r6, g_x.sum(axis=0))

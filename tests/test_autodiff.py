@@ -154,24 +154,25 @@ def test_pure_latent_term_gradient():
     np.testing.assert_allclose(g_z, z)
 
 
-def check_param_grads_fd(net, batch, with_jac):
+def check_param_grads_fd(net, batch, with_jac, value_rows=0):
     """backward's weight gradients against finite differences of the
-    linear functional sum(gy * y) + sum(gjac * jac) of the forward pass."""
+    linear functional sum(gy * y) + sum(gjac * jac) of the forward pass,
+    with the Jacobian of the rows after the first `value_rows`."""
     rng = substream(40, "adjoints")
     gy = rng.standard_normal((len(batch), net.out_dim))
-    gjac = rng.standard_normal((len(batch), net.out_dim, net.in_dim)) if with_jac else None
+    gjac = rng.standard_normal((len(batch) - value_rows, net.out_dim, net.in_dim)) if with_jac else None
 
     def functional(probe):
         if not with_jac:
             return float(np.sum(gy * ad.forward_cached(probe, batch)[0]))
-        y, jac, _ = ad.forward_aug(probe, batch)
+        y, jac, _ = ad.forward_aug(probe, batch, value_rows)
         return float(np.sum(gy * y) + np.sum(gjac * jac))
 
     def of_vec(vec):
         w, b = unpack_params(vec, net)
         return functional(ad.MLPParams(w, b, net.activation, net.omega0))
 
-    cache = ad.forward_aug(net, batch)[2] if with_jac else ad.forward_cached(net, batch)[1]
+    cache = ad.forward_aug(net, batch, value_rows)[2] if with_jac else ad.forward_cached(net, batch)[1]
     grads, _ = ad.backward(net, cache, gy, gjac)
     got = ad.pack_params(grads.weights, grads.biases)
     want = fd_grad_vector(of_vec, ad.pack_params(net.weights, net.biases), h=1e-6)
@@ -321,6 +322,55 @@ def test_backward_inputs_only_matches_full():
 
     want = fd_grad_vector(functional, batch.ravel(), h=1e-6)
     assert rel_err(gx.ravel(), want, floor=1e-6) < 1e-3
+
+
+N_ROWS = 7
+
+
+@pytest.mark.parametrize("activation", [ad.ACT_SINE, ad.ACT_RELU])
+@pytest.mark.parametrize("value_rows", [0, 1, N_ROWS - 1, N_ROWS])
+def test_value_rows_track_the_tail_of_the_full_jacobian(activation, value_rows):
+    net = mixed_net(60, activation)
+    batch = substream(61, "batch").uniform(-1, 1, (N_ROWS, 3))
+    y_full, jac_full, cache_full = ad.forward_aug(net, batch)
+    y, jac, cache = ad.forward_aug(net, batch, value_rows)
+    assert np.array_equal(y, ad.forward(net, batch))
+    assert jac.shape == (N_ROWS - value_rows, net.out_dim, 3)
+    # a shorter GEMM may be blocked, and so rounded, differently
+    np.testing.assert_allclose(jac, jac_full[value_rows:], rtol=1e-12, atol=1e-15)
+
+    # the tail adjoint gives what the zero-padded full-row adjoint gives
+    rng = substream(62, "adjoints")
+    gy = rng.standard_normal(y.shape)
+    gjac = rng.standard_normal(jac.shape)
+    padded = np.concatenate([np.zeros((value_rows, *jac.shape[1:])), gjac])
+    grads, gx = ad.backward(net, cache, gy, gjac)
+    grads_full, gx_full = ad.backward(net, cache_full, gy, padded)
+    np.testing.assert_allclose(gx, gx_full, rtol=1e-12, atol=1e-15)
+    for got, want in zip(grads.weights + grads.biases, grads_full.weights + grads_full.biases):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("activation", [ad.ACT_SINE, ad.ACT_RELU])
+def test_param_grads_match_fd_with_value_rows(activation):
+    net = mixed_net(63, activation)
+    batch = substream(64, "batch").uniform(-1, 1, size=(N_ROWS, 3)) + 0.05
+    check_param_grads_fd(net, batch, with_jac=True, value_rows=3)
+
+
+@pytest.mark.parametrize("value_rows", [-1, N_ROWS + 1, 2.5])
+def test_forward_aug_rejects_value_rows_outside_the_batch(value_rows):
+    net = mixed_net(65, ad.ACT_SINE)
+    with pytest.raises(StructuralError, match="value_rows"):
+        ad.forward_aug(net, np.zeros((N_ROWS, 3)), value_rows)
+
+
+@pytest.mark.parametrize("rows", [N_ROWS, N_ROWS - 3])
+def test_backward_rejects_a_jacobian_adjoint_of_the_wrong_row_count(rows):
+    net = mixed_net(66, ad.ACT_SINE)
+    y, _, cache = ad.forward_aug(net, np.zeros((N_ROWS, 3)), 2)
+    with pytest.raises(StructuralError, match="gjac"):
+        ad.backward(net, cache, np.zeros_like(y), np.zeros((rows, net.out_dim, 3)))
 
 
 def test_adam_moves_toward_minimum():

@@ -9,7 +9,7 @@ from shapefit.errors import StageError, StructuralError
 from shapefit.geometry import Pose, rotation_about_axis
 from shapefit.rng import substream
 
-from oracles import fd_grad_vector, identity_pose, rel_err
+from oracles import fd_grad_vector, full_jacobian_view_terms, identity_pose, rel_err
 
 
 def tiny_prior(seed=0):
@@ -93,6 +93,25 @@ def test_view_terms_gradients_match_fd():
     for name, got, sl in zip(("z", "r6", "t"), grads, (slice(0, 8), slice(8, 14), slice(14, 17))):
         assert np.abs(got).max() > 1e-3, name
         assert rel_err(got, want[sl], floor=1e-6) < 1e-3, name
+
+
+@pytest.mark.parametrize("n_obs, n_free", [(60, 40), (25, 90)])
+def test_view_terms_match_the_full_jacobian_oracle(n_obs, n_free):
+    # only the free rows carry Jacobians; the terms and gradients are those
+    # of carrying them through every row with a zero observed-row adjoint
+    prior = tiny_prior(20)
+    z = substream(21, "z").standard_normal(8) * 0.2
+    obs = observed_sphere_cloud(22, n=n_obs).points
+    free = substream(23, "free").uniform(-1.0, 1.0, (n_free, 3))
+    t = np.array([0.03, -0.02, 0.05])
+    r6 = Pose.from_matrix(rotation_about_axis([1.0, 2.0, 0.5], 0.6), t).rot6d
+    terms, grads = inference.view_terms(prior, z, r6, t, obs, free)
+    want_terms, want_grads = full_jacobian_view_terms(prior, z, r6, t, obs, free)
+    assert terms.keys() == want_terms.keys()
+    for name in terms:
+        assert rel_err(terms[name], want_terms[name]) < 1e-12, name
+    for name, got, want in zip(("z", "r6", "t"), grads, want_grads):
+        assert rel_err(got, want) < 1e-12, name
 
 
 def test_nan_abort_reports_iteration():

@@ -320,3 +320,25 @@ def test_loss_weights_of_each_category():
     # an unknown category used to fall back to the default weights
     with pytest.raises(StructuralError, match="unknown category 'banana'"):
         training.LossWeights.for_category("banana")
+
+
+def _drop_hypernetworks(prior):
+    prior.hyper = []
+
+
+def _relu_template(prior):
+    prior.template.activation = ad.ACT_RELU
+
+
+@pytest.mark.parametrize("break_prior", [_drop_hypernetworks, _relu_template])
+def test_fit_rejects_an_invalid_prior_before_adding_latents(break_prior):
+    # fit used to add latents first: without hypernetworks that raised a bare
+    # IndexError, and a relu template was rejected with the new latents kept
+    dataset, _ = make_dataset(2, seed=34, n_pts=120)
+    prior = small_prior(35)
+    prior.latents = {"kept": np.full(6, 0.5)}
+    break_prior(prior)
+    with pytest.raises(StructuralError):
+        training.fit(prior, dataset, desk_config(epochs=1))
+    assert list(prior.latents) == ["kept"]
+    np.testing.assert_array_equal(prior.latents["kept"], np.full(6, 0.5))
