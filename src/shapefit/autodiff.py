@@ -233,8 +233,10 @@ def backward(params, cache, gy, gjac=None, inputs_only=False):
     """
     omega = params.omega0
     sine = params.activation == ACT_SINE
-    gz = np.asarray(gy, dtype=np.float64)
-    track = cache[0][1] is not None and gjac is not None  # a forward_aug cache
+    gz = check_shape("gy", gy, (len(cache[0][0]), params.out_dim))
+    if gjac is not None and cache[0][1] is None:
+        raise StructuralError("gjac is given, but a forward_cached cache holds no Jacobian")
+    track = gjac is not None  # a forward_aug cache
     if track:
         k_dim, j_rows, _ = cache[0][1].shape
         gjac = check_shape("gjac", gjac, (j_rows, params.out_dim, k_dim))

@@ -1,5 +1,4 @@
-"""On-disk formats: checkpoint container, PFM depth and JSON (read and
-written), PLY point clouds and OBJ meshes (written only).
+"""On-disk formats: the checkpoint container and JSON, read and written.
 
 Checkpoint container layout (all little-endian): named float64 arrays, whose
 meaning is the caller's (`fields` names a prior's networks layer by layer):
@@ -23,7 +22,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import DataError, check_shape
+from .errors import DataError
 
 MAGIC = b"SHAPEFIT"
 VERSION = 2
@@ -104,76 +103,6 @@ def load_container(path):
         data = r.take(8 * math.prod(shape))
         out[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
     return out
-
-
-# ---------------------------------------------------------------------------
-# PLY point clouds
-
-
-def save_ply(path, points):
-    """Write an (N, 3) point cloud as binary little-endian PLY with float
-    x,y,z properties."""
-    points = check_shape("PLY points", points, ("N", 3))
-    header = (
-        f"ply\nformat binary_little_endian 1.0\nelement vertex {len(points)}\n"
-        "property float x\nproperty float y\nproperty float z\nend_header\n"
-    ).encode("ascii")
-    _atomic_write(path, header + np.ascontiguousarray(points, dtype="<f4").tobytes())
-
-
-# ---------------------------------------------------------------------------
-# PFM depth maps
-
-
-def save_pfm(path, image):
-    """Write a 2D float image as grayscale PFM (little-endian)."""
-    image = check_shape("PFM image", image, ("N", "N"), np.float32)
-    h, w = image.shape
-    header = f"Pf\n{w} {h}\n-1.0\n".encode("ascii")
-    # PFM stores rows bottom-to-top
-    body = np.ascontiguousarray(image[::-1], dtype="<f4").tobytes()
-    _atomic_write(path, header + body)
-
-
-def load_pfm(path):
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError as e:
-        raise DataError(f"cannot read PFM {path}: {e}") from e
-    parts = data.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] not in (b"Pf", b"PF"):
-        raise DataError(f"{path}: not a PFM file")
-    if parts[0] == b"PF":
-        raise DataError(f"{path}: color PFM unsupported")
-    try:
-        w, h = (int(v) for v in parts[1].split())
-        scale = float(parts[2])
-    except ValueError as e:
-        raise DataError(f"{path}: malformed PFM header: {e}") from e
-    if scale == 0 or not math.isfinite(scale):
-        raise DataError(f"{path}: PFM scale {scale} is not finite and non-zero")
-    if w < 0 or h < 0 or len(parts[3]) < 4 * w * h:
-        raise DataError(
-            f"{path}: PFM payload of {len(parts[3])} bytes, {w}x{h} image needs {4 * w * h}"
-        )
-    dt = "<f4" if scale < 0 else ">f4"
-    img = np.frombuffer(parts[3], dtype=dt, count=w * h).reshape(h, w)
-    return np.array(img[::-1], dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# OBJ meshes
-
-
-def save_obj(path, vertices, triangles):
-    """Wavefront OBJ with v/f records and 1-based indices."""
-    lines = []
-    for x, y, z in np.asarray(vertices, dtype=np.float64):
-        lines.append(f"v {x:.9g} {y:.9g} {z:.9g}")
-    for i, j, k in np.asarray(triangles, dtype=np.int64):
-        lines.append(f"f {i + 1} {j + 1} {k + 1}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ parametrization, so plain Adam steps stay on the rotation manifold after
 Gram-Schmidt.
 """
 
-import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +20,9 @@ from . import autodiff as ad
 from . import fields
 from .canonicalize import PointCloud, canonicalize, lift_depth
 from .errors import NumericError, StageError, StructuralError, check_count
-from .formats import save_container, save_json, save_obj
 from .geometry import Pose, rot6d_backward, rot6d_to_matrix
 from .meshing import check_resolution, marching_cubes, sample_mesh_surface
 from .rng import substream
-
-TRACE_FIELDS = ("iteration", "observation", "eikonal", "latent")
 
 # objective weights and Adam step sizes of test-time fitting
 TERM_WEIGHTS = {"observation": 3e3, "eikonal": 5e1, "latent": 5.0}
@@ -191,24 +186,3 @@ def reconstruct(prior, depth, estimator, config):
         "meshing", lambda: marching_cubes(fields.instance_field(prior, result.latent.z), config.mc_resolution)
     )
     return result
-
-
-def save_result(result, directory, name):
-    """Result bundle: OBJ mesh, JSON pose, latent container, trace CSV."""
-    os.makedirs(directory, exist_ok=True)
-    base = os.path.join(directory, name)
-    if result.mesh is not None:
-        save_obj(base + ".obj", result.mesh.vertices, result.mesh.triangles)
-    save_json(
-        base + ".pose.json",
-        {
-            "rotation_row_major": [float(v) for v in result.pose.matrix().ravel()],
-            "translation": [float(v) for v in result.pose.translation],
-        },
-    )
-    save_container(base + ".latent.bin", {"latent": result.latent.z})
-    with open(base + ".trace.csv", "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(TRACE_FIELDS))
-        writer.writeheader()
-        for i, row in enumerate(result.trace):
-            writer.writerow({"iteration": i, **{k: row[k] for k in TRACE_FIELDS[1:]}})

@@ -77,19 +77,11 @@ class ShapeRecord:
     pose_deg: float | None = None
     pose_trans: float | None = None
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "chamfer_x1e4": self.chamfer_x1e4,
-            "f1": self.f1,
-            "pose_deg": self.pose_deg,
-            "pose_trans": self.pose_trans,
-        }
-
 
 @dataclass
 class EvalReport:
-    """Aggregate metrics over a set of shapes."""
+    """Per-shape scores on normalized clouds, one `ShapeRecord` per `add`;
+    no aggregate."""
 
     tau: float = DEFAULT_TAU
     records: list = field(default_factory=list)
@@ -103,34 +95,3 @@ class EvalReport:
         rec = ShapeRecord(name, chamfer(pred, gt), fscore(pred, gt, self.tau), deg, trans)
         self.records.append(rec)
         return rec
-
-    @property
-    def chamfer_x1e4(self):
-        return float(np.mean([r.chamfer_x1e4 for r in self.records])) if self.records else 0.0
-
-    @property
-    def f1(self):
-        return float(np.mean([r.f1 for r in self.records])) if self.records else 0.0
-
-    def median_f1(self):
-        return float(np.median([r.f1 for r in self.records])) if self.records else 0.0
-
-    def median_pose(self):
-        degs = [r.pose_deg for r in self.records if r.pose_deg is not None]
-        trans = [r.pose_trans for r in self.records if r.pose_trans is not None]
-        if not degs:
-            return None, None
-        return float(np.median(degs)), float(np.median(trans))
-
-    def to_json(self):
-        med_deg, med_trans = self.median_pose()
-        return {
-            "tau": self.tau,
-            "chamfer_x1e4": self.chamfer_x1e4,
-            "f1": self.f1,
-            "median_f1": self.median_f1(),
-            "median_pose_deg": med_deg,
-            "median_pose_trans": med_trans,
-            "count": len(self.records),
-            "records": [r.to_json() for r in self.records],
-        }

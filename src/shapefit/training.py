@@ -13,7 +13,6 @@ hypernetwork weights and the latent. The objective of fitting a
 latent and a pose to one observation is `inference.view_terms`.
 """
 
-import csv
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -280,17 +279,3 @@ def fit(prior, dataset, config, on_epoch=None):
         if on_epoch is not None:
             on_epoch(epoch, prior, optimizer, history)
     return prior, history, optimizer
-
-
-def write_history_csv(history, path):
-    """Loss history as CSV: epoch, every term mean, weighted total."""
-    import os
-
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    fields_ = ["epoch", *TERM_NAMES, "total"]
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fields_)
-        writer.writeheader()
-        for row in history:
-            writer.writerow({k: row[k] for k in fields_})
-

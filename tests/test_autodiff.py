@@ -373,6 +373,16 @@ def test_backward_rejects_a_jacobian_adjoint_of_the_wrong_row_count(rows):
         ad.backward(net, cache, np.zeros_like(y), np.zeros((rows, net.out_dim, 3)))
 
 
+@pytest.mark.parametrize("shape", [(5, 1, 3), (9, 9, 9)])
+def test_backward_rejects_a_jacobian_adjoint_for_a_value_only_cache(shape):
+    # a forward_cached cache holds no Jacobian; the adjoint used to be
+    # dropped without a word
+    net = ad.siren_init([3, 4, 1], substream(67, "net"))
+    y, cache = ad.forward_cached(net, substream(68, "x").uniform(-1, 1, (5, 3)))
+    with pytest.raises(StructuralError, match="^gjac"):
+        ad.backward(net, cache, np.ones_like(y), np.ones(shape))
+
+
 def test_adam_moves_toward_minimum():
     params = {"x": np.array([4.0])}
     opt = ad.Adam()

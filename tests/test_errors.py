@@ -6,7 +6,7 @@ import pytest
 
 from shapefit import autodiff as ad
 from shapefit import canonicalize as canon
-from shapefit import fields, formats, inference, meshing, metrics, training
+from shapefit import fields, inference, meshing, metrics, training
 from shapefit import synthdata as sd
 from shapefit.errors import StructuralError, check_cloud, check_shape
 from shapefit.geometry import Pose
@@ -21,6 +21,7 @@ ENTRY_POINTS = {
     "forward": (lambda tmp: ad.forward(NET, np.zeros((2, 4))), "network input"),
     "forward_aug": (lambda tmp: ad.forward_aug(NET, np.zeros(3)), "network input"),
     "forward_cached": (lambda tmp: ad.forward_cached(NET, np.zeros((2, 3, 1))), "network input"),
+    "backward": (lambda tmp: ad.backward(NET, ad.forward_cached(NET, np.zeros((5, 3)))[1], np.zeros((5, 2))), "gy"),
     "hyper_forward": (lambda tmp: fields.hyper_forward(PRIOR, np.zeros((1, 4))), "latent"),
     "LatentCode": (lambda tmp: fields.LatentCode(np.zeros((2, 4))), "latent"),
     "AnalyticShape.sdf": (lambda tmp: sd.AnalyticShape([sd.Sphere(np.zeros(3), 0.5)]).sdf(np.zeros(3)), "points"),
@@ -30,8 +31,6 @@ ENTRY_POINTS = {
     "PointCloud": (lambda tmp: canon.PointCloud(np.zeros((4, 6))), "points"),
     "TriangleMesh": (lambda tmp: meshing.TriangleMesh(CLOUD, np.zeros((1, 4))), "triangles"),
     "Pose": (lambda tmp: Pose(np.zeros(5), np.zeros(3)), "rot6d"),
-    "save_ply": (lambda tmp: formats.save_ply(tmp / "a.ply", np.zeros((4, 2))), "PLY points"),
-    "save_pfm": (lambda tmp: formats.save_pfm(tmp / "a.pfm", np.zeros(4)), "PFM image"),
 }
 
 

@@ -156,25 +156,6 @@ def test_reconstruct_empty_mask_stage_tagged():
     assert exc.value.stage == "lift"
 
 
-def test_save_result_bundle(tmp_path):
-    from shapefit.meshing import TriangleMesh
-
-    mesh = TriangleMesh(
-        np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]]), np.array([[0, 1, 2]])
-    )
-    res = inference.ReconstructionResult(
-        mesh, identity_pose(), fields.LatentCode(np.zeros(4)),
-        [{"observation": 1.0, "eikonal": 0.5, "latent": 0.0}],
-    )
-    inference.save_result(res, str(tmp_path), "shape0")
-    assert (tmp_path / "shape0.obj").exists()
-    assert (tmp_path / "shape0.pose.json").exists()
-    assert (tmp_path / "shape0.latent.bin").exists()
-    trace = (tmp_path / "shape0.trace.csv").read_text().splitlines()
-    assert trace[0] == "iteration,observation,eikonal,latent"
-    assert trace[1].startswith("0,1.0")
-
-
 def test_latent_init_modes():
     prior = tiny_prior(22)
     rng = substream(23, "l")

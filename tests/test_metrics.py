@@ -172,9 +172,7 @@ def test_eval_report_identical_clouds():
     rec = report.add("shape0", pts, pts)
     assert rec.chamfer_x1e4 == 0.0
     assert rec.f1 == 1.0
-    doc = report.to_json()
-    assert doc["count"] == 1
-    assert doc["records"][0]["name"] == "shape0"
+    assert report.records == [rec]
 
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -0.01])

@@ -20,17 +20,6 @@ def test_console_scripts_import():
 
 
 ROOT = Path(__file__).parents[1]
-# public I/O with no caller yet, kept for the command line that will read
-# depth and write clouds, meshes and histories (ROADMAP item 2) and for the
-# reproduction table's report (ROADMAP item 5)
-NOT_YET_CALLED = {
-    "save_pfm": "ROADMAP item 2: CLI depth input",
-    "load_pfm": "ROADMAP item 2: CLI depth input",
-    "save_ply": "ROADMAP item 2: CLI lifted-cloud output",
-    "write_history_csv": "ROADMAP item 2: CLI training history output",
-    "save_result": "ROADMAP item 2: CLI reconstruction output",
-    "EvalReport.to_json": "ROADMAP item 5: the reproduction table's machine-readable report",
-}
 
 
 def _references(tree, skip=None):
@@ -60,9 +49,15 @@ def _references(tree, skip=None):
 
 
 def _public_definitions(tree):
-    """(name, node) of each module-level public function and class, and of
-    each public method of a public class as "Class.method"."""
+    """(name, node) of each module-level public function, class and
+    constant (an assignment to a public name), and of each public method of
+    a public class as "Class.method"."""
     for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, node
+            continue
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
         yield node.name, node
@@ -73,8 +68,8 @@ def _public_definitions(tree):
 
 
 def test_public_names_have_a_caller():
-    # every public function, class and method of the package is used by
-    # the package itself or by the benchmark, not only by tests
+    # every public function, class, method and constant of the package is
+    # used by the package itself or by the benchmark, not only by tests
     modules = {
         p: ast.parse(p.read_text())
         for p in sorted((ROOT / "src" / "shapefit").rglob("*.py"))
@@ -87,20 +82,16 @@ def test_public_names_have_a_caller():
     ]
     refs = {path: _references(tree) for path, tree in modules.items()}
     unused = []
-    defined = set()
     for path, tree in modules.items():
         elsewhere = bench + [r for p, r in refs.items() if p != path]
         for qualname, node in _public_definitions(tree):
-            defined.add(qualname)
             is_method = "." in qualname
+            name = qualname.rpartition(".")[2]
             uses = [*elsewhere, _references(tree, skip=node)]
-            if qualname in NOT_YET_CALLED or any(
-                node.name in attrs or (not is_method and node.name in names) for names, attrs in uses
-            ):
+            if any(name in attrs or (not is_method and name in names) for names, attrs in uses):
                 continue
             unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {qualname}")
     assert not unused, "public names with no caller outside tests: " + ", ".join(unused)
-    assert set(NOT_YET_CALLED) <= defined
 
 
 def test_only_errors_checks_array_shapes():

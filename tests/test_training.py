@@ -1,4 +1,3 @@
-import csv
 
 import numpy as np
 import pytest
@@ -288,19 +287,6 @@ def test_fit_non_finite_gradient_aborts_before_step(monkeypatch):
         training.fit(prior, dataset, desk_config(epochs=1))
     for net, want in zip(nets, before):
         np.testing.assert_array_equal(ad.pack_params(net.weights, net.biases), want)
-
-
-def test_history_csv_roundtrip(tmp_path):
-    dataset, _ = make_dataset(2, seed=28, n_pts=120)
-    _, history, _ = training.fit(small_prior(29), dataset, desk_config(epochs=2))
-    path = tmp_path / "loss.csv"
-    training.write_history_csv(history, str(path))
-    with open(path, newline="") as f:
-        back = list(csv.DictReader(f))
-    assert len(back) == 2
-    assert list(back[0]) == ["epoch", *training.TERM_NAMES, "total"]
-    assert int(back[1]["epoch"]) == 1
-    assert float(back[0]["total"]) == pytest.approx(history[0]["total"], rel=1e-15)
 
 
 def test_fit_rejects_a_repeated_instance_id_before_training():
