@@ -8,7 +8,8 @@ An estimator has a `name` and an `estimate(points, template)` method;
 `template()` returns the prior's canonical-frame template points, and the
 estimator alone decides whether to call it: PCA aligns its frame to the
 template's PCA frame, ICP registers onto the template, and the noisy
-oracle never calls it, so no template is built for it.
+oracle never calls it, so no template is built for it. The template
+points are those of a PointCloud, already valid when built.
 """
 
 from dataclasses import dataclass
@@ -16,27 +17,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataError, StructuralError, check_cloud, check_count, check_real, check_shape
+from .errors import DataError, StructuralError, check_cloud, check_count, check_real
 from .geometry import Pose, rotation_about_axis
 from .rng import substream
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointCloud:
+    """(N, 3) float64 points, at least one and all finite; checked when built."""
+
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = check_shape("points", self.points, ("N", 3))
-
-    def validate(self):
-        check_cloud("point cloud", self.points)
-        return self
+        object.__setattr__(self, "points", check_cloud("points", self.points))
 
 
 def lift_depth(depth):
     """Back-project the positive-depth pixels of a DepthImage to the camera
-    frame. A non-finite or negative depth raises DataError."""
-    mask = depth.validate().mask
+    frame. An image with none raises DataError."""
+    mask = depth.mask
     if not mask.any():
         raise DataError("depth image has no positive-depth pixel")
     ys, xs = np.nonzero(mask)
@@ -45,7 +44,7 @@ def lift_depth(depth):
     pts = np.stack(
         [d * (xs - intr.cx) / intr.fx, d * (ys - intr.cy) / intr.fy, d], axis=1
     )
-    return PointCloud(pts).validate()
+    return PointCloud(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +111,6 @@ class IcpEstimator:
 
     def estimate(self, points, template):
         target = np.asarray(template(), dtype=np.float64)
-        points = np.asarray(points, dtype=np.float64)
         pose = PcaEstimator().estimate(points, lambda: target)
         tree = cKDTree(target)
         prev = np.inf
@@ -177,8 +175,7 @@ def canonicalize(estimator, cloud, template):
     """Full initial pose: camera frame -> prior canonical frame.
 
     template: a function of no arguments that returns the prior's
-    canonical-frame template PointCloud; it runs, and its cloud is
-    validated, only if the estimator asks for the template points.
+    canonical-frame template PointCloud; it runs only if the estimator asks
+    for the template points.
     """
-    cloud.validate()
-    return estimator.estimate(cloud.points, lambda: check_cloud("template cloud", template().points))
+    return estimator.estimate(cloud.points, lambda: template().points)

@@ -5,8 +5,10 @@ shape, no points, a non-finite entry, a setting out of range) is a
 StructuralError naming the argument, raised by the `check_*` functions
 below, the only code that tests an array's shape.
 A settings record (`InferenceConfig`, `TrainConfig`, `LossWeights`,
-`Intrinsics`) and a `Pose` raise when they are built, so a value of
-these types is valid and no consumer checks it again.
+`Intrinsics`), a `Pose`, a data record (`PointCloud`, `DepthImage`,
+`ShapeSampleSet`) and a shape (`AnalyticShape` and its primitives) raise
+when they are built, so a value of these types is valid and no consumer
+checks it again.
 NumericError is only for non-finite values the package computes itself:
 a loss, a gradient, or a field value in marching cubes.
 """

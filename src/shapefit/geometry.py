@@ -101,7 +101,7 @@ class Pose:
         return rot6d_to_matrix(self.rot6d)
 
     def transform(self, points):
-        points = np.asarray(points, dtype=np.float64)
+        points = check_shape("points", points, ("N", 3))
         return points @ self.matrix().T + self.translation
 
     def inverse(self):

@@ -119,7 +119,6 @@ def joint_optimize(prior, observed, init, config):
     frozen; with `optimize_pose` off the pose stays at `init`, and zero
     iterations return the initial latent and pose unchanged.
     """
-    observed.validate()
     rng = substream(config.seed, "inference")
     pts = observed.points
     if len(pts) > config.max_observed_points:
@@ -177,7 +176,9 @@ def reconstruct(prior, depth, estimator, config):
 
     Failures carry the stage name. The prior's template cloud (surface
     samples of the template field) is built only when the estimator asks
-    for it, so a template failure is a canonicalize failure.
+    for it, so a template failure is a canonicalize failure. A non-finite
+    or negative depth has already failed when `depth` was built; an image
+    with no positive depth fails as stage `lift`.
     """
     cloud = _stage("lift", lift_depth, depth)
     init = _stage("canonicalize", canonicalize, estimator, cloud, lambda: template_cloud(prior, config.seed))

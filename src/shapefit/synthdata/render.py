@@ -35,29 +35,27 @@ def default_intrinsics(width, height):
     return Intrinsics(f, f, (width - 1) / 2.0, (height - 1) / 2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DepthImage:
     """Per-pixel z-depth (meters) with the camera model: a single depth
     image. A pixel with no return holds 0, so the valid pixels are exactly
-    the positive ones (`mask`)."""
+    the positive ones (`mask`). Checked when built: a non-finite or
+    negative pixel raises DataError naming it."""
 
     depth: np.ndarray  # (H, W) float64
     intrinsics: Intrinsics
 
     def __post_init__(self):
-        self.depth = check_shape("depth", self.depth, ("N", "N"))
+        depth = check_shape("depth", self.depth, ("N", "N"))
+        bad = np.argwhere(~(np.isfinite(depth) & (depth >= 0)))
+        if len(bad):
+            y, x = bad[0]
+            raise DataError(f"depth pixel ({y}, {x}) is {depth[y, x]}; depths must be finite and >= 0")
+        object.__setattr__(self, "depth", depth)
 
     @property
     def mask(self):
         return self.depth > 0
-
-    def validate(self):
-        check_shape("depth", self.depth, ("N", "N"))
-        bad = np.argwhere(~(np.isfinite(self.depth) & (self.depth >= 0)))
-        if len(bad):
-            y, x = bad[0]
-            raise DataError(f"depth pixel ({y}, {x}) is {self.depth[y, x]}; depths must be finite and >= 0")
-        return self
 
 
 def render_depth(shape, camera_pose, intrinsics, resolution, noise_sigma=0.0, seed=0):
@@ -131,7 +129,7 @@ def render_depth(shape, camera_pose, intrinsics, resolution, noise_sigma=0.0, se
         depth[hit] += rng.normal(0.0, noise_sigma, size=int(hit.sum()))
         np.clip(depth, 1e-6, None, out=depth)
         depth[~hit] = 0.0
-    return DepthImage(depth.reshape(height, width), intrinsics).validate()
+    return DepthImage(depth.reshape(height, width), intrinsics)
 
 
 def hemisphere_camera(rng):
@@ -151,9 +149,9 @@ def occlude(depth, ratio, seed):
     the valid pixels (within 2%). ratio == 0 is an internal bypass returning
     an unchanged copy."""
     check_real("occlusion ratio", ratio)
-    out = DepthImage(depth.depth.copy(), depth.intrinsics)
+    out = depth.depth.copy()
     if ratio == 0:
-        return out
+        return DepthImage(out, depth.intrinsics)
     if not 0.05 <= ratio <= 0.85:
         raise StructuralError(f"occlusion ratio {ratio} outside [0.05, 0.85]")
     rng = substream(seed, "occlude")
@@ -171,8 +169,8 @@ def occlude(depth, ratio, seed):
         rect = _fit_rectangle(mask, cy, cx, aspect, target, tol)
         if rect is not None:
             y0, y1, x0, x1 = rect
-            out.depth[y0:y1, x0:x1] = 0.0
-            return out
+            out[y0:y1, x0:x1] = 0.0
+            return DepthImage(out, depth.intrinsics)
     raise DataError(f"could not place an occluder covering {ratio:.0%} of the mask")
 
 

@@ -7,11 +7,11 @@ bound inside, so surface sampling only accepts points where a single
 primitive attains the minimum.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import DataError, StructuralError, check_cloud, check_count, check_shape
+from ..errors import DataError, StructuralError, check_cloud, check_count, check_real, check_shape
 from ..rng import substream
 
 # margin kept between samples and primitive edges/rims so that normals and
@@ -24,35 +24,46 @@ MAX_SAMPLING_ROUNDS = 60  # candidate draws before surface sampling gives up
 
 
 # ---------------------------------------------------------------------------
-# primitives
+# primitives: each checks its parameters when built
 
 
-@dataclass
+def _check_vector(name, value, minimum=-np.inf):
+    """`value` as a (3,) float64 array of finite entries > `minimum`, else StructuralError."""
+    vec = check_shape(name, value, (3,))
+    for v in vec:
+        check_real(name, float(v), minimum, strict=True)
+    return vec
+
+
+@dataclass(frozen=True)
 class Sphere:
     center: np.ndarray
     radius: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "center", _check_vector("sphere center", self.center))
+        check_real("sphere radius", self.radius, strict=True)
+
     def sdf(self, p):
-        return np.linalg.norm(p - np.asarray(self.center), axis=1) - self.radius
+        return np.linalg.norm(p - self.center, axis=1) - self.radius
 
     def normal(self, p):
-        d = p - np.asarray(self.center)
+        d = p - self.center
         return d / np.linalg.norm(d, axis=1, keepdims=True)
 
     def sample_surface(self, n, rng):
         dirs = rng.standard_normal((n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return np.asarray(self.center) + self.radius * dirs
+        return self.center + self.radius * dirs
 
     def area(self):
         return 4 * np.pi * self.radius**2
 
     def bbox(self):
-        c = np.asarray(self.center, dtype=np.float64)
-        return c - self.radius, c + self.radius
+        return self.center - self.radius, self.center + self.radius
 
 
-@dataclass
+@dataclass(frozen=True)
 class Box:
     """Axis-aligned box, rounded by `round_radius`: the Minkowski sum of the
     core box (`half_extents`) and a sphere, whose exact SDF is the core's
@@ -66,15 +77,20 @@ class Box:
     half_extents: np.ndarray
     round_radius: float = 0.0
 
+    def __post_init__(self):
+        object.__setattr__(self, "center", _check_vector("box center", self.center))
+        object.__setattr__(self, "half_extents", _check_vector("box half_extents", self.half_extents, 0.0))
+        check_real("box round_radius", self.round_radius)
+
     def sdf(self, p):
-        q = np.abs(p - np.asarray(self.center)) - np.asarray(self.half_extents)
+        q = np.abs(p - self.center) - self.half_extents
         outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
         inside = np.minimum(q.max(axis=1), 0.0)
         return outside + inside - self.round_radius
 
     def normal(self, p):
-        d = p - np.asarray(self.center)
-        q = np.abs(d) - np.asarray(self.half_extents)
+        d = p - self.center
+        q = np.abs(d) - self.half_extents
         pos = np.maximum(q, 0.0)
         norm = np.linalg.norm(pos, axis=1)
         out = np.zeros_like(d)
@@ -89,7 +105,7 @@ class Box:
         return out
 
     def sample_surface(self, n, rng):
-        h = np.asarray(self.half_extents, dtype=np.float64)
+        h = self.half_extents
         areas = 4 * np.array([h[1] * h[2], h[0] * h[2], h[0] * h[1]])
         areas = np.repeat(areas, 2)  # +face, -face per axis
         face = rng.choice(6, size=n, p=areas / areas.sum())
@@ -97,20 +113,19 @@ class Box:
         sign = np.where(face % 2 == 0, 1.0, -1.0)
         pts = rng.uniform(-1.0, 1.0, (n, 3)) * np.maximum(h - EDGE_MARGIN, 0.0)
         pts[np.arange(n), axis] = sign * h[axis]
-        pts = np.asarray(self.center) + pts
+        pts = self.center + pts
         return pts + self.round_radius * self.normal(pts)
 
     def area(self):
-        h = np.asarray(self.half_extents) + self.round_radius
+        h = self.half_extents + self.round_radius
         return 8 * (h[0] * h[1] + h[1] * h[2] + h[0] * h[2])
 
     def bbox(self):
-        c = np.asarray(self.center, dtype=np.float64)
-        h = np.asarray(self.half_extents, dtype=np.float64)
+        c, h = self.center, self.half_extents
         return c - h - self.round_radius, c + h + self.round_radius
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cylinder:
     """Capped cylinder along coordinate axis `axis`."""
 
@@ -119,8 +134,16 @@ class Cylinder:
     radius: float
     half_height: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "center", _check_vector("cylinder center", self.center))
+        check_count("cylinder axis", self.axis, 0)
+        if self.axis > 2:
+            raise StructuralError(f"cylinder axis must be 0, 1 or 2, got {self.axis!r}")
+        check_real("cylinder radius", self.radius, strict=True)
+        check_real("cylinder half_height", self.half_height, strict=True)
+
     def _decompose(self, p):
-        d = p - np.asarray(self.center)
+        d = p - self.center
         perp = [i for i in range(3) if i != self.axis]
         dr = np.linalg.norm(d[:, perp], axis=1) - self.radius
         dh = np.abs(d[:, self.axis]) - self.half_height
@@ -163,19 +186,18 @@ class Cylinder:
         pts[caps, perp[0]] = rad * np.cos(theta[caps])
         pts[caps, perp[1]] = rad * np.sin(theta[caps])
         pts[caps, self.axis] = np.where(rng.random(nc) < 0.5, hh, -hh)
-        return np.asarray(self.center) + pts
+        return self.center + pts
 
     def area(self):
         return 2 * np.pi * self.radius * (2 * self.half_height + self.radius)
 
     def bbox(self):
-        c = np.asarray(self.center, dtype=np.float64)
         ext = np.full(3, self.radius)
         ext[self.axis] = self.half_height
-        return c - ext, c + ext
+        return self.center - ext, self.center + ext
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ellipsoid:
     """Axis-aligned ellipsoid; exact distance via bisection on the closest-
     point parameter (one monotone scalar root per query)."""
@@ -185,9 +207,13 @@ class Ellipsoid:
 
     _BISECT_ITERS = 100
 
+    def __post_init__(self):
+        object.__setattr__(self, "center", _check_vector("ellipsoid center", self.center))
+        object.__setattr__(self, "radii", _check_vector("ellipsoid radii", self.radii, 0.0))
+
     def sdf(self, p):
-        a = np.asarray(self.radii, dtype=np.float64)
-        y = np.abs(p - np.asarray(self.center))
+        a = self.radii
+        y = np.abs(p - self.center)
         y = np.maximum(y, 1e-12)  # keep the root bracketing valid on axis planes
         a2 = a * a
         # F(t) = sum (a_i y_i / (t + a_i^2))^2 - 1, strictly decreasing on
@@ -207,39 +233,42 @@ class Ellipsoid:
         return np.where(inside, -dist, dist)
 
     def normal(self, p):
-        d = (p - np.asarray(self.center)) / np.square(self.radii)
+        d = (p - self.center) / np.square(self.radii)
         return d / np.linalg.norm(d, axis=1, keepdims=True)
 
     def sample_surface(self, n, rng):
         dirs = rng.standard_normal((n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return np.asarray(self.center) + np.asarray(self.radii) * dirs
+        return self.center + self.radii * dirs
 
     def area(self):
-        a, b, c = np.asarray(self.radii, dtype=np.float64)
+        a, b, c = self.radii
         p = 1.6075  # Thomsen approximation exponent
         return 4 * np.pi * (((a * b) ** p + (b * c) ** p + (a * c) ** p) / 3) ** (1 / p)
 
     def bbox(self):
-        c = np.asarray(self.center, dtype=np.float64)
-        r = np.asarray(self.radii, dtype=np.float64)
-        return c - r, c + r
+        return self.center - self.radii, self.center + self.radii
 
 
 # ---------------------------------------------------------------------------
 # shapes
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalyticShape:
-    """A union of primitives in the canonical frame (identity pose, unit cube)."""
+    """A union of primitives in the canonical frame (identity pose), checked
+    when built: at least one primitive, all inside the [-1, 1]^3 cube."""
 
-    primitives: list
+    primitives: tuple
     name: str = "shape"
 
     def __post_init__(self):
+        object.__setattr__(self, "primitives", tuple(self.primitives))
         if not self.primitives:
             raise StructuralError(f"shape {self.name} has no primitives")
+        lo, hi = self.bbox()
+        if (lo < -1 - 1e-9).any() or (hi > 1 + 1e-9).any():
+            raise StructuralError(f"shape {self.name} exceeds the unit cube: [{lo}, {hi}]")
 
     def _distances(self, p):
         """(K, N) signed distance from each of the N points to each primitive."""
@@ -255,12 +284,6 @@ class AnalyticShape:
     def bounding_radius(self):
         lo, hi = self.bbox()
         return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-
-    def validate_unit_cube(self):
-        lo, hi = self.bbox()
-        if (lo < -1 - 1e-9).any() or (hi > 1 + 1e-9).any():
-            raise StructuralError(f"shape {self.name} exceeds the unit cube: [{lo}, {hi}]")
-        return self
 
     # -- sampling ----------------------------------------------------------
 
@@ -313,27 +336,30 @@ class AnalyticShape:
 # shape sample sets
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapeSampleSet:
     """Training samples for one shape: oriented surface points plus
-    free-space points with ground-truth signed distances."""
+    free-space points with ground-truth signed distances. Building it
+    checks every entry, so a sample set is valid wherever it is read."""
 
     surface_points: np.ndarray  # (S, 3)
     surface_normals: np.ndarray  # (S, 3), unit
     free_points: np.ndarray  # (F, 3) in [-1, 1]^3
     free_sdf: np.ndarray  # (F,)
 
-    def validate(self):
-        n_surface = len(check_cloud("surface points", self.surface_points))
-        check_shape("surface normals", self.surface_normals, (n_surface, 3))
-        n_free = len(check_cloud("free points", self.free_points))
-        check_shape("free sdf", self.free_sdf, (n_free,))
-        norms = np.linalg.norm(self.surface_normals, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-9:
-            raise StructuralError("surface normals are not unit length")
-        if np.abs(self.free_points).max() > 1.0 + 1e-12:
+    def __post_init__(self):
+        surface = check_cloud("surface points", self.surface_points)
+        normals = check_shape("surface normals", self.surface_normals, (len(surface), 3))
+        free = check_cloud("free points", self.free_points)
+        sdf = check_shape("free sdf", self.free_sdf, (len(free),))
+        if not np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() <= 1e-9:  # NaN fails too
+            raise StructuralError("surface normals are not finite unit vectors")
+        if not np.isfinite(sdf).all():
+            raise StructuralError("free sdf has non-finite entries")
+        if np.abs(free).max() > 1.0 + 1e-12:
             raise StructuralError("free points outside the [-1,1]^3 cube")
-        return self
+        for field, value in zip(fields(self), (surface, normals, free, sdf)):
+            object.__setattr__(self, field.name, value)
 
 
 def sample_shape(shape, n_surface, n_free, seed):
@@ -343,7 +369,7 @@ def sample_shape(shape, n_surface, n_free, seed):
     rng = substream(seed, "sample", shape.name)
     pts, normals = shape.sample_surface(n_surface, rng)
     free, sdf = shape.sample_free(n_free, rng)
-    return ShapeSampleSet(pts, normals, free, sdf).validate()
+    return ShapeSampleSet(pts, normals, free, sdf)
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +391,7 @@ def make_family(category, count, seed):
     check_category(category)
     rng = substream(seed, "family", category)
     maker = {"sphere": _make_sphere, "car": _make_car, "chair": _make_chair, "plane": _make_plane}[category]
-    shapes = []
-    for i in range(count):
-        shape = maker(rng, f"{category}_{i:04d}")
-        shapes.append(shape.validate_unit_cube())
-    return shapes
+    return [maker(rng, f"{category}_{i:04d}") for i in range(count)]
 
 
 def _make_sphere(rng, name):

@@ -97,7 +97,6 @@ def shape_terms(prior, z, samples, weights):
 
     Returns (terms_dict, (template_grads, hyper_grads, latent_grad)).
     """
-    samples.validate()
     n_s = len(samples.surface_points)
     pts = np.concatenate([samples.surface_points, samples.free_points])
     n = pts.shape[0]
@@ -217,14 +216,10 @@ def fit(prior, dataset, config, on_epoch=None):
     if not dataset:
         raise StructuralError("dataset is empty")
     ids = set()
-    for iid, sample_set in dataset:
+    for iid, _ in dataset:
         if iid in ids:
             raise StructuralError(f"instance id {iid!r} appears more than once in the dataset")
         ids.add(iid)
-        try:
-            sample_set.validate()
-        except StructuralError as e:
-            raise StructuralError(f"sample set {iid!r}: {e}") from e
     prior.validate()
     weights = LossWeights.for_category(prior.category)
     init_latents(prior, [iid for iid, _ in dataset], config)

@@ -206,11 +206,12 @@ def test_frame_align_fixed_rotation_stub_inverts():
 
 
 def test_canonicalize_requires_and_validates_template():
+    # PCA and ICP call template(); a bad template cloud cannot be built, so
+    # the call fails naming the cloud's points
     cloud = canon.PointCloud(asymmetric_cloud(100, seed=12))
-    bad = canon.PointCloud(np.full((4, 3), np.nan))
     for est in (canon.PcaEstimator(), canon.IcpEstimator()):
-        with pytest.raises(StructuralError, match="template cloud has non-finite"):
-            canon.canonicalize(est, cloud, lambda: bad)
+        with pytest.raises(StructuralError, match="^points has non-finite"):
+            canon.canonicalize(est, cloud, lambda: canon.PointCloud(np.full((4, 3), np.nan)))
 
 
 def test_canonicalize_pca_plus_frame_align_end_to_end():

@@ -3,12 +3,14 @@ StructuralError whose message names the argument."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapefit import autodiff as ad
 from shapefit import canonicalize as canon
 from shapefit import fields, inference, meshing, metrics, training
 from shapefit import synthdata as sd
-from shapefit.errors import StructuralError, check_cloud, check_shape
+from shapefit.errors import DataError, StructuralError, check_cloud, check_shape
 from shapefit.geometry import Pose
 from shapefit.rng import substream
 
@@ -25,12 +27,13 @@ ENTRY_POINTS = {
     "hyper_forward": (lambda tmp: fields.hyper_forward(PRIOR, np.zeros((1, 4))), "latent"),
     "LatentCode": (lambda tmp: fields.LatentCode(np.zeros((2, 4))), "latent"),
     "AnalyticShape.sdf": (lambda tmp: sd.AnalyticShape([sd.Sphere(np.zeros(3), 0.5)]).sdf(np.zeros(3)), "points"),
-    "DepthImage.validate": (lambda tmp: sd.DepthImage(np.ones(16), INTR).validate(), "depth"),
+    "DepthImage": (lambda tmp: sd.DepthImage(np.ones(16), INTR), "depth"),
     "chamfer": (lambda tmp: metrics.chamfer(np.zeros((4, 2)), CLOUD), "cloud A"),
     "fscore": (lambda tmp: metrics.fscore(CLOUD, np.zeros(3)), "ground truth"),
     "PointCloud": (lambda tmp: canon.PointCloud(np.zeros((4, 6))), "points"),
     "TriangleMesh": (lambda tmp: meshing.TriangleMesh(CLOUD, np.zeros((1, 4))), "triangles"),
     "Pose": (lambda tmp: Pose(np.zeros(5), np.zeros(3)), "rot6d"),
+    "Pose.transform": (lambda tmp: Pose.from_matrix(np.eye(3), np.zeros(3)).transform(np.zeros((2, 4))), "points"),
 }
 
 
@@ -61,6 +64,37 @@ def test_ragged_or_non_numeric_array_is_a_structural_error_naming_the_argument(c
 def test_check_cloud_names_the_cloud(value, message):
     with pytest.raises(StructuralError, match=f"^my cloud {message}"):
         check_cloud("my cloud", value)
+
+
+# valid array fields of each data record; intrinsics is not an array field
+VALID_RECORDS = {
+    canon.PointCloud: {"points": np.zeros((4, 3))},
+    sd.DepthImage: {"depth": np.ones((3, 4)), "intrinsics": INTR},
+    sd.ShapeSampleSet: {
+        "surface_points": np.zeros((3, 3)),
+        "surface_normals": np.tile([0.0, 0.0, 1.0], (3, 1)),
+        "free_points": np.zeros((5, 3)),
+        "free_sdf": np.zeros(5),
+    },
+}
+ARRAY_FIELDS = [(cls, name) for cls, kw in VALID_RECORDS.items() for name in kw if name != "intrinsics"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ARRAY_FIELDS), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_a_non_finite_entry_fails_when_a_data_record_is_built(field, bad, data):
+    cls, name = field
+    kwargs = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in VALID_RECORDS[cls].items()}
+    cls(**kwargs)  # valid as drawn
+    arr = kwargs[name]
+    at = data.draw(st.tuples(*(st.integers(0, n - 1) for n in arr.shape)))
+    arr[at] = bad
+    if cls is sd.DepthImage:  # a bad pixel is a DataError naming the pixel
+        error, message = DataError, rf"^depth pixel \({at[0]}, {at[1]}\)"
+    else:  # any other entry is a StructuralError naming its field
+        error, message = StructuralError, "^" + name.replace("_", " ")
+    with pytest.raises(error, match=message):
+        cls(**kwargs)
 
 
 @pytest.mark.parametrize("build", [

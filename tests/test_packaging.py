@@ -6,8 +6,9 @@ import tomllib
 from pathlib import Path
 
 from shapefit import inference, training
+from shapefit import synthdata as sd
+from shapefit.canonicalize import PointCloud
 from shapefit.geometry import Pose
-from shapefit.synthdata import Intrinsics
 
 
 def test_console_scripts_import():
@@ -108,10 +109,15 @@ def test_only_errors_checks_array_shapes():
     assert not hits, "hand-written shape checks outside errors.py: " + ", ".join(hits)
 
 
-def test_settings_records_and_pose_are_valid_when_built():
-    # they check themselves when built, so no consumer re-checks them; a
-    # mutable record or a validate() method would bring the re-checks back
-    records = (inference.InferenceConfig, training.TrainConfig, training.LossWeights, Intrinsics)
+def test_records_and_pose_are_valid_when_built():
+    # settings records, data records, shapes and their primitives check
+    # themselves when built, so no consumer re-checks them; a mutable record
+    # or a validate() method would bring the re-checks back
+    records = (
+        inference.InferenceConfig, training.TrainConfig, training.LossWeights, sd.Intrinsics,
+        PointCloud, sd.DepthImage, sd.ShapeSampleSet, sd.AnalyticShape, sd.Sphere, sd.Box, sd.Cylinder, sd.Ellipsoid,
+    )
     for cls in records:
         assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls.__name__
-    assert [cls.__name__ for cls in (*records, Pose) if hasattr(cls, "validate")] == []
+    checks = ("validate", "validate_unit_cube")
+    assert [cls.__name__ for cls in (*records, Pose) if any(hasattr(cls, c) for c in checks)] == []

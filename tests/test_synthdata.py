@@ -185,6 +185,37 @@ def test_empty_shape_raises():
         sd.AnalyticShape([], "empty")
 
 
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda: sd.Sphere(np.zeros(3), 0.0), "sphere radius", id="sphere-zero-radius"),
+    pytest.param(lambda: sd.Sphere(np.zeros(2), 0.3), "sphere center", id="sphere-2d-center"),
+    pytest.param(lambda: sd.Sphere([0.0, np.nan, 0.0], 0.3), "sphere center", id="sphere-nan-center"),
+    pytest.param(lambda: sd.Box(np.zeros(3), np.zeros(3)), "box half_extents", id="box-zero-extents"),
+    pytest.param(lambda: sd.Box(np.zeros(3), [0.1, 0.1, np.inf]), "box half_extents", id="box-inf-extent"),
+    pytest.param(lambda: sd.Box(np.zeros(3), np.full(3, 0.1), -0.01), "box round_radius", id="box-negative-rounding"),
+    pytest.param(lambda: sd.Cylinder(np.zeros(3), 3, 0.2, 0.2), "cylinder axis", id="cylinder-axis-3"),
+    pytest.param(lambda: sd.Cylinder(np.zeros(3), 1.0, 0.2, 0.2), "cylinder axis", id="cylinder-float-axis"),
+    pytest.param(lambda: sd.Cylinder(np.zeros(3), 1, 0.0, 0.2), "cylinder radius", id="cylinder-zero-radius"),
+    pytest.param(lambda: sd.Cylinder(np.zeros(3), 1, 0.2, -0.1), "cylinder half_height", id="cylinder-negative-height"),
+    pytest.param(lambda: sd.Ellipsoid(np.zeros(3), [0.3, 0.0, 0.3]), "ellipsoid radii", id="ellipsoid-zero-radius"),
+    pytest.param(lambda: sd.Ellipsoid(np.zeros((3, 1)), np.full(3, 0.3)), "ellipsoid center", id="ellipsoid-3x1-center"),
+])
+def test_a_degenerate_primitive_fails_when_built(build, name):
+    # these used to reach sampling or the SDF: a bare numpy ValueError
+    # (NaN multinomial weights, a broadcast error) or all-NaN normals
+    with pytest.raises(StructuralError, match=f"^{name}"):
+        build()
+
+
+@pytest.mark.parametrize("prim", [
+    sd.Sphere(np.array([0.8, 0.0, 0.0]), 0.3),
+    sd.Box(np.zeros(3), np.array([0.2, 0.2, 0.2]), round_radius=0.9),
+    sd.Cylinder(np.array([0.0, 0.0, -0.5]), axis=2, radius=0.2, half_height=0.6),
+], ids=["sphere", "rounded-box", "cylinder"])
+def test_a_shape_outside_the_unit_cube_fails_when_built(prim):
+    with pytest.raises(StructuralError, match="^shape big exceeds the unit cube"):
+        sd.AnalyticShape([prim, sd.Sphere(np.zeros(3), 0.1)], "big")
+
+
 def test_shape_sdf_rejects_a_single_point():
     with pytest.raises(StructuralError, match=r"points has shape \(3,\)"):
         unit_sphere().sdf(np.zeros(3))
@@ -332,7 +363,7 @@ def test_depth_image_rejects_non_finite_or_negative_depth(bad):
     depth[2, 3] = bad
     depth[4, 5] = bad
     with pytest.raises(DataError, match=r"pixel \(2, 3\)"):
-        sd.DepthImage(depth, sd.default_intrinsics(8, 6)).validate()
+        sd.DepthImage(depth, sd.default_intrinsics(8, 6))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,12 +176,14 @@ def test_shape_terms_gradients_match_fd():
 
 
 def test_missing_normals_raises():
-    prior = small_prior(16)
+    # a sample set cannot lose its normals after it is built, nor be built
+    # without them, so shape_terms never sees one
     sphere = make_family("sphere", 1, seed=17)[0]
     samples = sample_shape(sphere, 10, 10, seed=18)
-    samples.surface_normals = np.zeros((0, 3))
-    with pytest.raises(StructuralError):
-        training.shape_terms(prior, np.zeros(prior.latent_dim), samples, training.LossWeights())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        samples.surface_normals = np.zeros((0, 3))
+    with pytest.raises(StructuralError, match=r"^surface normals has shape \(0, 3\)"):
+        dataclasses.replace(samples, surface_normals=np.zeros((0, 3)))
 
 
 def desk_config(**kw):
@@ -252,13 +256,20 @@ def test_fit_empty_dataset_raises():
 
 @pytest.mark.parametrize("field, rows, name", [("surface_normals", 10, "surface normals"), ("free_sdf", 7, "free sdf")])
 def test_sample_set_needs_one_row_per_point(field, rows, name):
+    # checked when the set is built, so no cut set reaches fit
     samples = sample_shape(make_family("sphere", 1, seed=0)[0], 50, 50, seed=0)
-    setattr(samples, field, getattr(samples, field)[:rows])
     with pytest.raises(StructuralError, match=f"^{name} has shape"):
-        samples.validate()
-    cfg = desk_config(epochs=1, batch_shapes=1, surface_points_per_shape=10, free_points_per_shape=7)
-    with pytest.raises(StructuralError, match=f"^sample set 'cut': {name} has shape"):
-        training.fit(small_prior(), [("cut", samples)], cfg)
+        dataclasses.replace(samples, **{field: getattr(samples, field)[:rows]})
+
+
+@pytest.mark.parametrize("normals, sdf, name", [
+    ([[np.nan, 0, 0], [0, 0, 1]], [np.nan, 0.0], "surface normals"),
+    ([[1.0, 0, 0], [0, 0, 1]], [0.0, np.nan], "free sdf"),
+])
+def test_sample_set_rejects_nan_normals_and_nan_sdf_targets(normals, sdf, name):
+    # |norm - 1| > tol is False for NaN, so a NaN normal used to pass
+    with pytest.raises(StructuralError, match=f"^{name}"):
+        ShapeSampleSet(np.zeros((2, 3)), normals, np.zeros((2, 3)), sdf)
 
 
 def test_fit_nan_abort_names_shape():
