@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataError, StructuralError, check_cloud, check_count, check_real
+from .errors import DataError, StructuralError, _read_only, check_cloud, check_count, check_real
 from .geometry import Pose, rotation_about_axis
 from .rng import substream
 
@@ -29,7 +29,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", check_cloud("points", self.points))
+        object.__setattr__(self, "points", _read_only(check_cloud("points", self.points)))
 
 
 def lift_depth(depth):

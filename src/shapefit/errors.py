@@ -8,9 +8,11 @@ A settings record (`InferenceConfig`, `TrainConfig`, `LossWeights`,
 `Intrinsics`), a `Pose`, a data record (`PointCloud`, `DepthImage`,
 `ShapeSampleSet`) and a shape (`AnalyticShape` and its primitives) raise
 when they are built, so a value of these types is valid and no consumer
-checks it again.
+checks it again. They are frozen, and those that hold arrays keep
+read-only copies, so no later write by their caller can break them.
 NumericError is only for non-finite values the package computes itself:
-a loss, a gradient, or a field value in marching cubes.
+a loss term or a gradient, raised through `check_finite`, or a field
+value at a grid point in marching cubes.
 """
 
 import math
@@ -87,3 +89,18 @@ def check_cloud(name, value):
         row = np.argwhere(~np.isfinite(pts))[0, 0]
         raise StructuralError(f"{name} has non-finite entries, first at point {row}")
     return pts
+
+
+def check_finite(where, values):
+    """Raise NumericError naming `where` and every entry of the dict `values`
+    (numbers or arrays) that holds a non-finite value."""
+    bad = [k for k, v in values.items() if not np.isfinite(v).all()]
+    if bad:
+        raise NumericError(f"{where}: non-finite {bad}")
+
+
+def _read_only(arr):
+    """A read-only copy of a checked array, for a record to keep."""
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr

@@ -13,13 +13,14 @@ for every point or for a trailing subset of them;
 `compose_backward` and `hyper_backward` push loss adjoints all the way to
 template weights, hypernetwork weights and the latent code.
 
-This module alone knows how a prior's networks are built and named: the
+This module alone knows how a prior's arrays are built and named: the
 template (R^3 -> R) and the deformation net are sine nets, the
-hypernetworks ReLU nets (each with a linear output layer), and layer k is
+hypernetworks ReLU nets (each with a linear output layer), layer k is
 named `template.{k}.w` / `.b`, or `hyper.{i}.{k}.w` / `.b` in hypernetwork
-i, both in the optimizer of `training.fit` and in a checkpoint. A
-checkpoint's JSON sidecar holds the category, the instance id of each
-`latent_table` row and the template's omega0.
+i, and the latent of instance `id` is `latent.{id}`. `named_arrays` gives
+these names, and they are the keys of the optimizer of `training.fit` and
+the sections of a checkpoint alike. A checkpoint's JSON sidecar holds the
+category and the template's omega0.
 """
 
 from dataclasses import dataclass, field
@@ -49,7 +50,7 @@ class LatentCode:
 @dataclass
 class ShapePrior:
     """Trained (or freshly initialized) category prior: the template, the
-    hypernetworks and the latent table, and nothing they determine.
+    hypernetworks and the latents, and nothing they determine.
 
     The hypernetworks fix the deformation net: the latent size is their
     input size, and hyper[k] predicts the out_k * (in_k + 1) packed weights
@@ -95,11 +96,14 @@ class ShapePrior:
                 raise StructuralError(f"hypernetwork {k} input dim != latent dim")
         self.deform_shapes()
         for iid, z in self.latents.items():
-            check_shape(f"latent {iid!r}", z, (self.latent_dim,))
+            if not isinstance(iid, str):  # a checkpoint section name would turn it into one
+                raise StructuralError(f"latent id {iid!r} is not a string")
+            if not np.isfinite(check_shape(f"latent {iid!r}", z, (self.latent_dim,))).all():
+                raise StructuralError(f"latent {iid!r} has non-finite entries")
         return self
 
     def latent_stats(self):
-        """Empirical mean and per-dimension std of the trained latent table."""
+        """Empirical mean and per-dimension std of the trained latents."""
         if not self.latents:
             return np.zeros(self.latent_dim), np.full(self.latent_dim, LATENT_INIT_STD)
         table = np.stack(list(self.latents.values()))
@@ -296,13 +300,15 @@ def instance_field(prior, z):
 # array names and checkpoints
 
 
-def named_arrays(template, hyper):
-    """Template and hypernetwork weights and biases (or their gradients) by the module docstring's names."""
+def named_arrays(template, hyper, latents=None):
+    """Template and hypernetwork weights and biases (or their gradients),
+    then the entries of the `latents` mapping, by the module docstring's names."""
     out = {}
     for prefix, net in [("template", template), *((f"hyper.{i}", h) for i, h in enumerate(hyper))]:
         for k, (w, b) in enumerate(zip(net.weights, net.biases)):
             out[f"{prefix}.{k}.w"] = w
             out[f"{prefix}.{k}.b"] = b
+    out.update({f"latent.{iid}": z for iid, z in (latents or {}).items()})
     return out
 
 
@@ -321,44 +327,35 @@ def _load_net(sections, prefix, activation, omega0=30.0):
 
 
 def save_prior(prior, path):
-    """Binary container at `path` plus a JSON sidecar at `path` + '.json'."""
+    """Write the prior's `named_arrays`, latents in sorted id order, to the
+    binary container at `path`, and its category and template omega0 to a
+    JSON sidecar at `path` + '.json'."""
     prior.validate()
-    sections = named_arrays(prior.template, prior.hyper)
-    ids = sorted(prior.latents)
-    if ids:
-        sections["latent_table"] = np.stack([prior.latents[i] for i in ids])
-    save_container(path, sections)
-    save_json(str(path) + ".json", {"category": prior.category, "instance_ids": ids,
-                                    "omega0": float(prior.template.omega0)})
+    latents = {iid: prior.latents[iid] for iid in sorted(prior.latents)}
+    save_container(path, named_arrays(prior.template, prior.hyper, latents))
+    save_json(str(path) + ".json", {"category": prior.category, "omega0": float(prior.template.omega0)})
 
 
 def load_prior(path):
-    """Read a prior `save_prior` wrote; any missing or malformed part raises DataError."""
+    """Read a prior `save_prior` wrote. A missing or malformed part, or a
+    section that is not one of the prior's `named_arrays` (such as the
+    latent matrix of an older layout), raises DataError naming it."""
     sections = load_container(path)
     sidecar = load_json(str(path) + ".json")
     if not isinstance(sidecar, dict):
         raise DataError(f"checkpoint {path}: sidecar {path}.json is not a JSON object")
     try:
-        hyper = [_load_net(sections, f"hyper.{i}", ad.ACT_RELU) for i in range(_count(sections, "hyper"))]
-        ids = sidecar["instance_ids"]
-        table = sections.get("latent_table", ())
-        if not (
-            isinstance(ids, list)
-            and all(isinstance(i, str) for i in ids)
-            and len(set(ids)) == len(ids) == len(table)
-        ):
-            raise DataError(
-                f"checkpoint {path}: instance_ids must be {len(table)} distinct strings, "
-                f"one per latent-table row, got {ids!r:.80}"
-            )
         prior = ShapePrior(
             category=sidecar["category"],
             template=_load_net(sections, "template", ad.ACT_SINE, sidecar["omega0"]),
-            hyper=hyper,
-            latents={iid: table[i].copy() for i, iid in enumerate(ids)},
+            hyper=[_load_net(sections, f"hyper.{i}", ad.ACT_RELU) for i in range(_count(sections, "hyper"))],
+            latents={n.removeprefix("latent."): z for n, z in sections.items() if n.startswith("latent.")},
         ).validate()
     except KeyError as e:
         raise DataError(f"checkpoint {path} is missing section or sidecar key {e}") from e
     except StructuralError as e:
         raise DataError(f"checkpoint {path} does not hold a valid prior: {e}") from e
+    unknown = sorted(set(sections) - set(named_arrays(prior.template, prior.hyper, prior.latents)))
+    if unknown:
+        raise DataError(f"checkpoint {path} has sections that are not a prior's arrays: {unknown}")
     return prior

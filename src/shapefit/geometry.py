@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError, check_shape
+from .errors import StructuralError, _read_only, check_shape
 
 _DEGENERATE_NORM = 1e-9
 _ROTATION_TOL = 1e-6  # |R^T R - I| accepted by Pose.from_matrix
@@ -64,7 +64,7 @@ def rot6d_backward(r6, grad_rot):
     return np.concatenate([ga1, ga2])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pose:
     """SE(3) transform: x_out = R x_in + t, R derived from rot6d. Checked
     when built: finite entries, and a rot6d whose rotation is proper."""
@@ -73,8 +73,8 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        self.rot6d = check_shape("rot6d", self.rot6d, (6,))
-        self.translation = check_shape("translation", self.translation, (3,))
+        object.__setattr__(self, "rot6d", _read_only(check_shape("rot6d", self.rot6d, (6,))))
+        object.__setattr__(self, "translation", _read_only(check_shape("translation", self.translation, (3,))))
         if not np.isfinite(self.rot6d).all():
             raise StructuralError("rot6d has non-finite entries")
         rot = self.matrix()

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fields
 from .canonicalize import PointCloud, canonicalize, lift_depth
-from .errors import NumericError, StageError, StructuralError, check_count
+from .errors import StageError, StructuralError, check_count, check_finite
 from .geometry import Pose, rot6d_backward, rot6d_to_matrix
 from .meshing import check_resolution, marching_cubes, sample_mesh_surface
 from .rng import substream
@@ -136,13 +136,8 @@ def joint_optimize(prior, observed, init, config):
         )
         terms, (g_z, g_r6, g_t) = view_terms(prior, z, r6, t, pts, free)
         trace.append(terms)
-        bad = [k for k, v in terms.items() if not np.isfinite(v)]
-        if bad:
-            raise NumericError(f"inference diverged at iteration {it}: non-finite terms {bad}")
-        bad = [k for k, g in zip(params, (g_z, g_r6, g_t)) if not np.isfinite(g).all()]
-        if bad:
-            raise NumericError(f"non-finite gradients {bad} at iteration {it}")
-
+        check_finite(f"iteration {it}, terms", terms)
+        check_finite(f"iteration {it}, gradients", {"z": g_z, "r6": g_r6, "t": g_t})
         opt.step(params, {"z": g_z}, lr=LR_SHAPE)
         if config.optimize_pose:
             opt.step(params, {"r6": g_r6, "t": g_t}, lr=LR_POSE)

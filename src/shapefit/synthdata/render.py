@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError, StructuralError, check_count, check_real, check_shape
+from ..errors import DataError, StructuralError, _read_only, check_count, check_real, check_shape
 from ..geometry import look_at
 from ..rng import substream
 
@@ -51,7 +51,9 @@ class DepthImage:
         if len(bad):
             y, x = bad[0]
             raise DataError(f"depth pixel ({y}, {x}) is {depth[y, x]}; depths must be finite and >= 0")
-        object.__setattr__(self, "depth", depth)
+        if not isinstance(self.intrinsics, Intrinsics):
+            raise StructuralError(f"intrinsics must be an Intrinsics, got {type(self.intrinsics).__name__}")
+        object.__setattr__(self, "depth", _read_only(depth))
 
     @property
     def mask(self):
@@ -147,11 +149,10 @@ def hemisphere_camera(rng):
 def occlude(depth, ratio, seed):
     """Zero the depth in a random axis-aligned rectangle covering `ratio` of
     the valid pixels (within 2%). ratio == 0 is an internal bypass returning
-    an unchanged copy."""
+    `depth` itself."""
     check_real("occlusion ratio", ratio)
-    out = depth.depth.copy()
     if ratio == 0:
-        return DepthImage(out, depth.intrinsics)
+        return depth
     if not 0.05 <= ratio <= 0.85:
         raise StructuralError(f"occlusion ratio {ratio} outside [0.05, 0.85]")
     rng = substream(seed, "occlude")
@@ -162,6 +163,7 @@ def occlude(depth, ratio, seed):
     target = ratio * valid
     tol = 0.02 * valid
     rows, cols = np.nonzero(mask)
+    out = depth.depth.copy()
     for _ in range(64):
         k = rng.integers(len(rows))
         cy, cx = rows[k], cols[k]

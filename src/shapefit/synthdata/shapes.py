@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import DataError, StructuralError, check_cloud, check_count, check_real, check_shape
+from ..errors import DataError, StructuralError, _read_only, check_cloud, check_count, check_real, check_shape
 from ..rng import substream
 
 # margin kept between samples and primitive edges/rims so that normals and
@@ -28,11 +28,11 @@ MAX_SAMPLING_ROUNDS = 60  # candidate draws before surface sampling gives up
 
 
 def _check_vector(name, value, minimum=-np.inf):
-    """`value` as a (3,) float64 array of finite entries > `minimum`, else StructuralError."""
+    """`value` as a read-only (3,) float64 array of finite entries > `minimum`, else StructuralError."""
     vec = check_shape(name, value, (3,))
     for v in vec:
         check_real(name, float(v), minimum, strict=True)
-    return vec
+    return _read_only(vec)
 
 
 @dataclass(frozen=True)
@@ -359,7 +359,7 @@ class ShapeSampleSet:
         if np.abs(free).max() > 1.0 + 1e-12:
             raise StructuralError("free points outside the [-1,1]^3 cube")
         for field, value in zip(fields(self), (surface, normals, free, sdf)):
-            object.__setattr__(self, field.name, value)
+            object.__setattr__(self, field.name, _read_only(value))
 
 
 def sample_shape(shape, n_surface, n_free, seed):

@@ -19,23 +19,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fields
-from .errors import NumericError, StructuralError, check_count, check_real
+from .errors import StructuralError, check_count, check_finite, check_real
 from .rng import substream
 from .synthdata.shapes import ShapeSampleSet, check_category
 
 # latent (lambda_2) and smoothness (lambda_3) weights of each category
 _CATEGORY_WEIGHTS = {"sphere": (5.0, 1e2), "car": (5.0, 1e2), "chair": (5.0, 5e1), "plane": (2.0, 1e2)}
-
-TERM_NAMES = (
-    "sdf_value",
-    "sdf_normal",
-    "sdf_eikonal",
-    "sdf_spike",
-    "template_normal",
-    "latent",
-    "smooth",
-    "correction",
-)
 
 
 @dataclass(frozen=True)
@@ -62,6 +51,10 @@ class LossWeights:
         """The weights of a category of synthdata.CATEGORIES."""
         latent, smooth = _CATEGORY_WEIGHTS[check_category(category)]
         return cls(latent=latent, smooth=smooth)
+
+
+# the weighted loss terms, in the order `_weighted_total` sums them
+TERM_NAMES = tuple(name for name in asdict(LossWeights()) if name != "spike_delta")
 
 
 @dataclass(frozen=True)
@@ -193,9 +186,9 @@ def _subsample(sample_set, n_surface, n_free, rng):
     )
 
 
-def init_latents(prior, instance_ids, config):
-    """Small random latent codes for every unseen instance."""
-    for iid in instance_ids:
+def init_latents(prior, ids, config):
+    """Small random latent codes for every id in `ids` the prior has no latent for."""
+    for iid in ids:
         if iid not in prior.latents:
             rng = substream(config.seed, "latent-init", iid)
             prior.latents[iid] = rng.normal(0.0, fields.LATENT_INIT_STD, prior.latent_dim)
@@ -223,9 +216,8 @@ def fit(prior, dataset, config, on_epoch=None):
     prior.validate()
     weights = LossWeights.for_category(prior.category)
     init_latents(prior, [iid for iid, _ in dataset], config)
-    params = fields.named_arrays(prior.template, prior.hyper)  # live views
-    net_keys = list(params)
-    params.update({f"latent.{iid}": z for iid, z in prior.latents.items()})
+    params = fields.named_arrays(prior.template, prior.hyper, prior.latents)  # live views
+    net_keys = list(fields.named_arrays(prior.template, prior.hyper))
     optimizer = ad.Adam()
     history = []
     for epoch in range(config.epochs):
@@ -246,19 +238,14 @@ def fit(prior, dataset, config, on_epoch=None):
                     rng,
                 )
                 terms, (t_grads, h_grads, g_z) = shape_terms(prior, prior.latents[iid], sub, weights)
-                if not np.isfinite(terms["total"]):
-                    bad = [t for t, v in terms.items() if not np.isfinite(v)]
-                    raise NumericError(
-                        f"epoch {epoch}, shape {iid!r}: non-finite loss terms {bad}"
-                    )
-                shape_grads = fields.named_arrays(t_grads, h_grads)
-                shape_grads[f"latent.{iid}"] = g_z
-                bad = [k for k, g in shape_grads.items() if not np.isfinite(g).all()]
-                if bad:
-                    raise NumericError(f"epoch {epoch}, shape {iid!r}: non-finite gradients {bad}")
-                for k in net_keys:
-                    net_grads[k] += shape_grads[k]
-                latent_grads[f"latent.{iid}"] = g_z
+                check_finite(f"epoch {epoch}, shape {iid!r}, loss terms", terms)
+                shape_grads = fields.named_arrays(t_grads, h_grads, {iid: g_z})
+                check_finite(f"epoch {epoch}, shape {iid!r}, gradients", shape_grads)
+                for k, g in shape_grads.items():
+                    if k in net_grads:
+                        net_grads[k] += g
+                    else:
+                        latent_grads[k] = g
                 for name in TERM_NAMES:
                     epoch_terms[name] += terms[name]
                 epoch_terms["total"] += terms["total"]

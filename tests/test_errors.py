@@ -66,7 +66,8 @@ def test_check_cloud_names_the_cloud(value, message):
         check_cloud("my cloud", value)
 
 
-# valid array fields of each data record; intrinsics is not an array field
+# valid fields of each record that holds arrays: the data records, a
+# primitive and Pose
 VALID_RECORDS = {
     canon.PointCloud: {"points": np.zeros((4, 3))},
     sd.DepthImage: {"depth": np.ones((3, 4)), "intrinsics": INTR},
@@ -76,25 +77,40 @@ VALID_RECORDS = {
         "free_points": np.zeros((5, 3)),
         "free_sdf": np.zeros(5),
     },
+    sd.Box: {"center": np.zeros(3), "half_extents": np.full(3, 0.5), "round_radius": 0.1},
+    Pose: {"rot6d": np.array([1.0, 0, 0, 0, 1, 0]), "translation": np.zeros(3)},
 }
-ARRAY_FIELDS = [(cls, name) for cls, kw in VALID_RECORDS.items() for name in kw if name != "intrinsics"]
+ARRAY_FIELDS = [(cls, k) for cls, kw in VALID_RECORDS.items() for k, v in kw.items() if isinstance(v, np.ndarray)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.sampled_from(ARRAY_FIELDS), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
 def test_a_non_finite_entry_fails_when_a_data_record_is_built(field, bad, data):
     cls, name = field
     kwargs = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in VALID_RECORDS[cls].items()}
-    cls(**kwargs)  # valid as drawn
+    record = cls(**kwargs)  # valid as drawn
     arr = kwargs[name]
+    kept = arr.copy()
     at = data.draw(st.tuples(*(st.integers(0, n - 1) for n in arr.shape)))
     arr[at] = bad
+    # the record keeps a read-only copy, so the caller's write does not reach it
+    np.testing.assert_array_equal(getattr(record, name), kept)
+    assert not getattr(record, name).flags.writeable
     if cls is sd.DepthImage:  # a bad pixel is a DataError naming the pixel
         error, message = DataError, rf"^depth pixel \({at[0]}, {at[1]}\)"
+    elif cls is sd.Box:  # a primitive names its kind and field
+        error, message = StructuralError, f"^box {name}"
     else:  # any other entry is a StructuralError naming its field
         error, message = StructuralError, "^" + name.replace("_", " ")
     with pytest.raises(error, match=message):
         cls(**kwargs)
+
+
+@pytest.mark.parametrize("intrinsics", [None, (4.0, 4.0, 1.5, 1.5)])
+def test_a_depth_image_needs_intrinsics(intrinsics):
+    # a missing camera model used to fail later, as a bare AttributeError in lift_depth
+    with pytest.raises(StructuralError, match="^intrinsics must be an Intrinsics"):
+        sd.DepthImage(np.ones((2, 2)), intrinsics)
 
 
 @pytest.mark.parametrize("build", [

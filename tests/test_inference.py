@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from shapefit import autodiff as ad
 from shapefit import fields, inference
 from shapefit import synthdata as sd
 from shapefit.canonicalize import NoisyOracleEstimator, PcaEstimator, PointCloud
-from shapefit.errors import StageError, StructuralError
+from shapefit.errors import NumericError, StageError, StructuralError
 from shapefit.geometry import Pose, rotation_about_axis
 from shapefit.rng import substream
 
@@ -116,11 +118,28 @@ def test_view_terms_match_the_full_jacobian_oracle(n_obs, n_free):
 
 def test_nan_abort_reports_iteration():
     prior = tiny_prior(17)
-    prior.template.weights[-1][:] = 1e308
+    prior.template.weights[-1][:] = 1e308  # overflow poison
     obs = observed_sphere_cloud(18, n=40)
-    cfg = inference.InferenceConfig(iterations=3, eikonal_samples=16, seed=19)
-    with np.errstate(all="ignore"), pytest.raises(Exception, match="iteration"):
+    cfg = inference.InferenceConfig(iterations=3, eikonal_samples=16, mc_resolution=8, seed=19)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"^iteration 0, terms: non-finite \["):
         inference.joint_optimize(prior, obs, identity_pose(), cfg)
+    with np.errstate(all="ignore"), pytest.raises(StageError, match="iteration 0") as exc:
+        inference.reconstruct(prior, sphere_view(), NoisyOracleEstimator(identity_pose()), cfg)
+    assert exc.value.stage == "joint-optimize" and isinstance(exc.value.cause, NumericError)
+
+
+def test_non_finite_gradient_aborts_naming_it(monkeypatch):
+    # finite terms with a NaN pose gradient must not reach Adam
+    real_view_terms = inference.view_terms
+
+    def poisoned(*args):
+        terms, (g_z, g_r6, g_t) = real_view_terms(*args)
+        return terms, (g_z, np.full(6, np.nan), g_t)
+
+    monkeypatch.setattr(inference, "view_terms", poisoned)
+    cfg = inference.InferenceConfig(iterations=2, eikonal_samples=16, seed=19)
+    with pytest.raises(NumericError, match=re.escape("iteration 0, gradients: non-finite ['r6']")):
+        inference.joint_optimize(tiny_prior(17), observed_sphere_cloud(18, n=40), identity_pose(), cfg)
 
 
 @pytest.mark.parametrize("field", ["iterations", "eikonal_samples", "max_observed_points"])

@@ -116,8 +116,25 @@ def test_records_and_pose_are_valid_when_built():
     records = (
         inference.InferenceConfig, training.TrainConfig, training.LossWeights, sd.Intrinsics,
         PointCloud, sd.DepthImage, sd.ShapeSampleSet, sd.AnalyticShape, sd.Sphere, sd.Box, sd.Cylinder, sd.Ellipsoid,
+        Pose,
     )
     for cls in records:
         assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls.__name__
     checks = ("validate", "validate_unit_cube")
-    assert [cls.__name__ for cls in (*records, Pose) if any(hasattr(cls, c) for c in checks)] == []
+    assert [cls.__name__ for cls in records if any(hasattr(cls, c) for c in checks)] == []
+
+
+def test_only_fields_names_prior_arrays():
+    # fields.named_arrays owns the names of a prior's arrays, which are the
+    # optimizer's keys and the checkpoint's sections; a name formatted
+    # elsewhere drifts from them
+    prefix = re.compile(r"(template|hyper|latent)\.")
+    hits = set()
+    for p in sorted((ROOT / "src" / "shapefit").rglob("*.py")):
+        if p.name == "fields.py":
+            continue
+        for node in ast.walk(ast.parse(p.read_text())):
+            lead = node.values[0] if isinstance(node, ast.JoinedStr) and node.values else node
+            if isinstance(lead, ast.Constant) and isinstance(lead.value, str) and prefix.match(lead.value):
+                hits.add(f"{p.relative_to(ROOT)}:{node.lineno}")
+    assert not hits, "prior array names formatted outside fields.py: " + ", ".join(sorted(hits))

@@ -70,7 +70,8 @@ def test_zero_field_spike_is_one():
 
 def test_loss_normal_orthogonal_gradient():
     samples = plane_samples(substream(5, "orth"))
-    samples.surface_normals[:] = [1.0, 0.0, 0.0]  # orthogonal to grad T = e_z
+    normals = np.tile([1.0, 0.0, 0.0], (len(samples.surface_points), 1))  # orthogonal to grad T = e_z
+    samples = dataclasses.replace(samples, surface_normals=normals)
     assert plane_terms(samples)["template_normal"] == pytest.approx(1.0)
 
 
