@@ -38,6 +38,7 @@ from .errors import StructuralError, check_count, check_real, check_shape
 
 ACT_SINE = "sine"
 ACT_RELU = "relu"
+OMEGA0 = 30.0  # frequency of sine layers, the SIREN default
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ class MLPParams:
     weights: list
     biases: list
     activation: str
-    omega0: float = 30.0
+    omega0: float = OMEGA0
 
     def __post_init__(self):
         self.weights = [np.ascontiguousarray(w, dtype=np.float64) for w in self.weights]
@@ -93,7 +94,7 @@ class MLPParams:
         return self
 
 
-def siren_init(layer_sizes, rng, omega0=30.0):
+def siren_init(layer_sizes, rng, omega0=OMEGA0):
     """Standard sinusoidal-network init: a sine net with a linear output.
 
     First layer uniform in [-1/in, 1/in]; later layers uniform in

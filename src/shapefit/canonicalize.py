@@ -21,6 +21,10 @@ from .errors import DataError, StructuralError, _read_only, check_cloud, check_c
 from .geometry import Pose, rotation_about_axis
 from .rng import substream
 
+ICP_MAX_ITERATIONS = 50
+ICP_REJECTION_FACTOR = 3.0  # matches farther than this times the median distance are dropped
+ICP_TOL = 1e-6  # stop once the mean squared residual changes by less than this fraction
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -96,28 +100,21 @@ class IcpEstimator:
     """Point-to-point ICP against the prior's template cloud, seeded by PCA.
 
     Registers observations directly into the template's frame, so its
-    canonical frame coincides with the prior's.
+    canonical frame coincides with the prior's. It has no settings: the
+    ICP_* constants fix its iteration cap, outlier rejection and tolerance.
     """
 
     name = "icp"
-
-    def __init__(self, max_iterations=50, rejection_factor=3.0, tol=1e-6):
-        check_count("max_iterations", max_iterations, 0)
-        check_real("rejection_factor", rejection_factor, strict=True)
-        check_real("tol", tol)
-        self.max_iterations = max_iterations
-        self.rejection_factor = rejection_factor
-        self.tol = tol
 
     def estimate(self, points, template):
         target = np.asarray(template(), dtype=np.float64)
         pose = PcaEstimator().estimate(points, lambda: target)
         tree = cKDTree(target)
         prev = np.inf
-        for _ in range(self.max_iterations):
+        for _ in range(ICP_MAX_ITERATIONS):
             moved = pose.transform(points)
             dists, idx = tree.query(moved, k=1)
-            keep = dists <= self.rejection_factor * np.median(dists)
+            keep = dists <= ICP_REJECTION_FACTOR * np.median(dists)
             if keep.sum() < 3:
                 break
             src = moved[keep]
@@ -126,7 +123,7 @@ class IcpEstimator:
             rot, t = _kabsch(src, dst)
             step = Pose.from_matrix(rot, t)
             pose = step.compose(pose)
-            if prev < np.inf and abs(prev - resid) <= self.tol * max(prev, 1e-30):
+            if prev < np.inf and abs(prev - resid) <= ICP_TOL * max(prev, 1e-30):
                 break
             prev = resid
         return pose
@@ -139,6 +136,8 @@ class NoisyOracleEstimator:
     name = "noisy-oracle"
 
     def __init__(self, gt_pose, rot_noise_deg=0.0, trans_noise=0.0, seed=0):
+        if not isinstance(gt_pose, Pose):
+            raise StructuralError(f"gt_pose must be a Pose, got {type(gt_pose).__name__}")
         check_real("rot_noise_deg", rot_noise_deg)
         check_real("trans_noise", trans_noise)
         check_count("seed", seed, 0)

@@ -116,7 +116,7 @@ def init_prior(
     template_hidden=(128, 128, 128),
     deform_hidden=(128, 128, 128),
     hyper_hidden=256,
-    omega0=30.0,
+    omega0=ad.OMEGA0,
     seed=0,
 ):
     """Fresh prior: a sine template net, and zero-centred hypernetworks that
@@ -318,7 +318,7 @@ def _count(sections, prefix):
     return 1 + max((int(k) for k in ks if k.isdecimal()), default=0)
 
 
-def _load_net(sections, prefix, activation, omega0=30.0):
+def _load_net(sections, prefix, activation, omega0=ad.OMEGA0):
     """The network stored as `prefix.k.w` / `.b`; a KeyError names a missing section."""
     n = _count(sections, prefix)
     weights = [sections[f"{prefix}.{k}.w"] for k in range(n)]

@@ -50,6 +50,8 @@ class InferenceConfig:
         check_count("iterations", self.iterations, 0)
         check_count("eikonal_samples", self.eikonal_samples)
         check_count("max_observed_points", self.max_observed_points)
+        if not isinstance(self.optimize_pose, bool):
+            raise StructuralError(f"optimize_pose must be a bool, got {self.optimize_pose!r}")
         check_resolution(self.mc_resolution)
         check_count("seed", self.seed, 0)
 

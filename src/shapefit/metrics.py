@@ -74,24 +74,19 @@ class ShapeRecord:
     name: str
     chamfer_x1e4: float
     f1: float
-    pose_deg: float | None = None
-    pose_trans: float | None = None
 
 
 @dataclass
 class EvalReport:
-    """Per-shape scores on normalized clouds, one `ShapeRecord` per `add`;
-    no aggregate."""
+    """Per-shape surface scores on normalized clouds, one `ShapeRecord` per
+    `add`; no aggregate, and no pose error (see `pose_error`)."""
 
-    tau: float = DEFAULT_TAU
     records: list = field(default_factory=list)
 
-    def add(self, name, pred_points, gt_points, est_pose=None, gt_pose=None):
-        """Score one shape on clouds scaled by `normalize_pair`."""
+    def add(self, name, pred_points, gt_points):
+        """Chamfer and F-score at DEFAULT_TAU of one shape, on clouds scaled
+        by `normalize_pair`."""
         pred, gt = normalize_pair(pred_points, gt_points)
-        deg = trans = None
-        if est_pose is not None and gt_pose is not None:
-            deg, trans = pose_error(est_pose, gt_pose)
-        rec = ShapeRecord(name, chamfer(pred, gt), fscore(pred, gt, self.tau), deg, trans)
+        rec = ShapeRecord(name, chamfer(pred, gt), fscore(pred, gt))
         self.records.append(rec)
         return rec

@@ -5,7 +5,8 @@ regression, surface normal alignment, eikonal unit-gradient, and a spike
 penalty discouraging spurious zero crossings off the surface) with
 regularizers for template-normal consistency, latent magnitude,
 deformation smoothness and correction magnitude. Every sum over a point
-set is a mean, so the weights stay decoupled from sample counts.
+set is a mean, so the weights stay decoupled from sample counts. The
+weights are constants, one row of TERM_WEIGHTS per category.
 
 `shape_terms` is the one implementation of this objective: it returns
 every term's value and the exact gradients w.r.t. template weights,
@@ -13,7 +14,7 @@ hypernetwork weights and the latent. The objective of fitting a
 latent and a pose to one observation is `inference.view_terms`.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,40 +22,27 @@ from . import autodiff as ad
 from . import fields
 from .errors import StructuralError, check_count, check_finite, check_real
 from .rng import substream
-from .synthdata.shapes import ShapeSampleSet, check_category
+from .synthdata.shapes import ShapeSampleSet
 
-# latent (lambda_2) and smoothness (lambda_3) weights of each category
-_CATEGORY_WEIGHTS = {"sphere": (5.0, 1e2), "car": (5.0, 1e2), "chair": (5.0, 5e1), "plane": (2.0, 1e2)}
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Loss-term weights; defaults follow the standard SDF-regression recipe."""
-
-    sdf_value: float = 3e3
-    sdf_normal: float = 1e2
-    sdf_eikonal: float = 5e1
-    sdf_spike: float = 5e2
-    spike_delta: float = 100.0
-    template_normal: float = 1e2  # lambda_1
-    latent: float = 5.0  # lambda_2
-    smooth: float = 1e2  # lambda_3
-    correction: float = 1e6  # lambda_4
-
-    def __post_init__(self):
-        for name, value in asdict(self).items():
-            check_real(f"loss weight {name}", value)
-        check_real("spike_delta", self.spike_delta, 10.0)  # a sharp spike penalty
-
-    @classmethod
-    def for_category(cls, category):
-        """The weights of a category of synthdata.CATEGORIES."""
-        latent, smooth = _CATEGORY_WEIGHTS[check_category(category)]
-        return cls(latent=latent, smooth=smooth)
-
-
-# the weighted loss terms, in the order `_weighted_total` sums them
-TERM_NAMES = tuple(name for name in asdict(LossWeights()) if name != "spike_delta")
+SPIKE_DELTA = 100.0  # sharpness of the spike penalty exp(-delta |psi|)
+# objective weights of each category, in the order `shape_terms` sums them;
+# template_normal, latent, smooth and correction are lambda_1 .. lambda_4
+_BASE_WEIGHTS = {
+    "sdf_value": 3e3,
+    "sdf_normal": 1e2,
+    "sdf_eikonal": 5e1,
+    "sdf_spike": 5e2,
+    "template_normal": 1e2,
+    "latent": 5.0,
+    "smooth": 1e2,
+    "correction": 1e6,
+}
+TERM_WEIGHTS = {
+    "sphere": {**_BASE_WEIGHTS},
+    "car": {**_BASE_WEIGHTS},
+    "chair": {**_BASE_WEIGHTS, "smooth": 5e1},
+    "plane": {**_BASE_WEIGHTS, "latent": 2.0},
+}
 
 
 @dataclass(frozen=True)
@@ -80,15 +68,13 @@ class TrainConfig:
 # the loss
 
 
-def _weighted_total(terms, weights):
-    return sum(getattr(weights, k) * terms[k] for k in TERM_NAMES)
-
-
 def shape_terms(prior, z, samples, weights):
     """Evaluate every loss term for one shape and its exact gradients
     w.r.t. template weights, hypernetwork weights and the latent.
 
-    Returns (terms_dict, (template_grads, hyper_grads, latent_grad)).
+    weights: a row of TERM_WEIGHTS. Returns (terms, (template_grads,
+    hyper_grads, latent_grad)); terms holds each term of the row and their
+    weighted total.
     """
     n_s = len(samples.surface_points)
     pts = np.concatenate([samples.surface_points, samples.free_points])
@@ -109,46 +95,46 @@ def shape_terms(prior, z, samples, weights):
     # SDF value regression over all sampled points
     r = ev.psi - targets
     terms["sdf_value"] = float(np.abs(r).mean())
-    d_psi += weights.sdf_value * np.sign(r) / n
+    d_psi += weights["sdf_value"] * np.sign(r) / n
 
     # composed-field normal alignment (cosine) on the surface
     val, g = ad.term_grad_alignment(ev.grad_psi[:n_s], normals)
     terms["sdf_normal"] = float(val)
-    d_grad_psi[:n_s] += weights.sdf_normal * g
+    d_grad_psi[:n_s] += weights["sdf_normal"] * g
 
     # eikonal over all sampled points
-    val, g = ad.term_eikonal(ev.grad_psi, weights.sdf_eikonal)
+    val, g = ad.term_eikonal(ev.grad_psi, weights["sdf_eikonal"])
     terms["sdf_eikonal"] = float(val)
     d_grad_psi += g
 
     # spike penalty on free-space points only
-    spikes = np.exp(-weights.spike_delta * np.abs(ev.psi[n_s:]))
+    spikes = np.exp(-SPIKE_DELTA * np.abs(ev.psi[n_s:]))
     terms["sdf_spike"] = float(spikes.mean())
     n_f = n - n_s
     d_psi[n_s:] += (
-        weights.sdf_spike * (-weights.spike_delta) * np.sign(ev.psi[n_s:]) * spikes / n_f
+        weights["sdf_spike"] * (-SPIKE_DELTA) * np.sign(ev.psi[n_s:]) * spikes / n_f
     )
 
     # template-normal consistency (cosine) at deformed surface points
     val, g = ad.term_grad_alignment(ev.grad_template[:n_s], normals)
     terms["template_normal"] = float(val)
-    d_grad_template[:n_s] += weights.template_normal * g
+    d_grad_template[:n_s] += weights["template_normal"] * g
 
     # smooth deformation over all sampled points
     fro = np.sqrt((ev.jac_v**2).sum(axis=(1, 2)))
     terms["smooth"] = float(fro.mean())
     safe_fro = np.where(fro > 1e-300, fro, 1.0)
-    d_jac_v += weights.smooth * ev.jac_v / safe_fro[:, None, None] / n
+    d_jac_v += weights["smooth"] * ev.jac_v / safe_fro[:, None, None] / n
 
     # small corrections over all sampled points
     terms["correction"] = float(np.abs(ev.delta_s).mean())
-    d_delta_s += weights.correction * np.sign(ev.delta_s) / n
+    d_delta_s += weights["correction"] * np.sign(ev.delta_s) / n
 
     # latent magnitude
     z_norm, g_z_reg = ad.term_latent_l2(z)
     terms["latent"] = z_norm
 
-    terms["total"] = float(_weighted_total(terms, weights))
+    terms["total"] = sum(w * terms[k] for k, w in weights.items())
 
     t_grads, d_grads, _ = fields.compose_backward(
         prior.template,
@@ -161,7 +147,7 @@ def shape_terms(prior, z, samples, weights):
         d_delta_s=d_delta_s,
     )
     h_grads, g_z = fields.hyper_backward(prior, h_caches, d_grads)
-    g_z = g_z + weights.latent * g_z_reg
+    g_z = g_z + weights["latent"] * g_z_reg
     return terms, (t_grads, h_grads, g_z)
 
 
@@ -196,25 +182,27 @@ def init_latents(prior, ids, config):
 
 def fit(prior, dataset, config, on_epoch=None):
     """Jointly optimize template weights, hypernetwork weights and latents
-    from a fresh Adam state, with the prior category's loss weights.
+    from a fresh Adam state, with the prior category's row of TERM_WEIGHTS.
 
-    dataset: list of (instance_id, ShapeSampleSet), one entry per instance
-    id. Per-epoch randomness is derived statelessly from (seed, epoch).
-    `on_epoch(epoch, prior, optimizer, history)` is called after every
-    epoch.
+    dataset: list of (instance_id, ShapeSampleSet), one entry per string
+    instance id. Per-epoch randomness is derived statelessly from (seed,
+    epoch). `on_epoch(epoch, prior, optimizer, history)` is called after
+    every epoch.
 
-    Returns (prior, history, optimizer); history has one row of term means
-    per epoch.
+    Returns (prior, history, optimizer); history has one row per epoch: the
+    epoch and the mean of each weighted term and of the total.
     """
     if not dataset:
         raise StructuralError("dataset is empty")
     ids = set()
     for iid, _ in dataset:
+        if not isinstance(iid, str):  # a checkpoint section name would turn it into one
+            raise StructuralError(f"instance id {iid!r} is not a string")
         if iid in ids:
             raise StructuralError(f"instance id {iid!r} appears more than once in the dataset")
         ids.add(iid)
     prior.validate()
-    weights = LossWeights.for_category(prior.category)
+    weights = TERM_WEIGHTS[prior.category]
     init_latents(prior, [iid for iid, _ in dataset], config)
     params = fields.named_arrays(prior.template, prior.hyper, prior.latents)  # live views
     net_keys = list(fields.named_arrays(prior.template, prior.hyper))
@@ -223,7 +211,7 @@ def fit(prior, dataset, config, on_epoch=None):
     for epoch in range(config.epochs):
         rng = substream(config.seed, "train-epoch", epoch)
         order = rng.permutation(len(dataset))
-        epoch_terms = {name: 0.0 for name in (*TERM_NAMES, "total")}
+        epoch_terms = dict.fromkeys((*weights, "total"), 0.0)
         seen = 0
         for lo in range(0, len(order), config.batch_shapes):
             batch = order[lo : lo + config.batch_shapes]
@@ -246,9 +234,8 @@ def fit(prior, dataset, config, on_epoch=None):
                         net_grads[k] += g
                     else:
                         latent_grads[k] = g
-                for name in TERM_NAMES:
+                for name in epoch_terms:
                     epoch_terms[name] += terms[name]
-                epoch_terms["total"] += terms["total"]
                 seen += 1
             scale = 1.0 / len(batch)
             for k in net_grads:
@@ -256,7 +243,7 @@ def fit(prior, dataset, config, on_epoch=None):
             optimizer.step(params, net_grads, lr=config.lr)
             optimizer.step(params, latent_grads, lr=config.lr_latent)
         row = {"epoch": epoch}
-        row.update({name: epoch_terms[name] / max(seen, 1) for name in (*TERM_NAMES, "total")})
+        row.update({name: total / max(seen, 1) for name, total in epoch_terms.items()})
         history.append(row)
         if on_epoch is not None:
             on_epoch(epoch, prior, optimizer, history)

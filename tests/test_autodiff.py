@@ -143,10 +143,7 @@ def test_pure_latent_term_gradient():
         "sphere", latent_dim=8, template_hidden=(4,), deform_hidden=(4,), hyper_hidden=4, seed=7
     )
     samples = sample_shape(make_family("sphere", 1, seed=7)[0], 5, 5, seed=7)
-    w = training.LossWeights(
-        sdf_value=0.0, sdf_normal=0.0, sdf_eikonal=0.0, sdf_spike=0.0,
-        template_normal=0.0, latent=1.0, smooth=0.0, correction=0.0,
-    )
+    w = {**dict.fromkeys(training.TERM_WEIGHTS["sphere"], 0.0), "latent": 1.0}
     z = np.zeros(8)
     z[0] = 1.0
     terms, (_, _, g_z) = training.shape_terms(prior, z, samples, w)
@@ -225,8 +222,7 @@ def test_loss_value_matches_plain_recomputation():
     )
     samples = sample_shape(make_family("sphere", 1, seed=14)[0], 5, 6, seed=15)
     z = substream(14, "z").standard_normal(4) * 0.3
-    w = training.LossWeights(spike_delta=20.0)
-    terms, _ = training.shape_terms(prior, z, samples, w)
+    terms, _ = training.shape_terms(prior, z, samples, training.TERM_WEIGHTS["sphere"])
 
     deform, _ = fields.hyper_forward(prior, z)
 
@@ -241,7 +237,7 @@ def test_loss_value_matches_plain_recomputation():
     assert rel_err(terms["sdf_value"], np.mean(np.abs(psi(pts) - targets))) < 1e-12
     assert rel_err(terms["sdf_normal"], np.mean(1.0 - cos), floor=1e-9) < 1e-6
     assert rel_err(terms["sdf_eikonal"], np.mean(np.abs(norms - 1.0)), floor=1e-9) < 1e-6
-    want_spike = np.mean(np.exp(-w.spike_delta * np.abs(psi(samples.free_points))))
+    want_spike = np.mean(np.exp(-training.SPIKE_DELTA * np.abs(psi(samples.free_points))))
     assert rel_err(terms["sdf_spike"], want_spike) < 1e-12
 
 

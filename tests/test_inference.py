@@ -148,6 +148,13 @@ def test_config_rejects_non_integer_counts(field):
         inference.InferenceConfig(**{field: 2.5})
 
 
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_config_rejects_an_optimize_pose_that_is_not_a_bool(value):
+    # the string "false" is truthy, so it used to optimise the pose
+    with pytest.raises(StructuralError, match="^optimize_pose must be a bool"):
+        inference.InferenceConfig(optimize_pose=value)
+
+
 @pytest.mark.parametrize("res", [4, 7, 16.0, "32", None])
 def test_config_rejects_resolution_marching_cubes_rejects(res):
     with pytest.raises(StructuralError, match="marching cubes resolution"):

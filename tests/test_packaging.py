@@ -114,7 +114,7 @@ def test_records_and_pose_are_valid_when_built():
     # themselves when built, so no consumer re-checks them; a mutable record
     # or a validate() method would bring the re-checks back
     records = (
-        inference.InferenceConfig, training.TrainConfig, training.LossWeights, sd.Intrinsics,
+        inference.InferenceConfig, training.TrainConfig, sd.Intrinsics,
         PointCloud, sd.DepthImage, sd.ShapeSampleSet, sd.AnalyticShape, sd.Sphere, sd.Box, sd.Cylinder, sd.Ellipsoid,
         Pose,
     )

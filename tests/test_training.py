@@ -8,7 +8,7 @@ from shapefit import autodiff as ad
 from shapefit import fields, training
 from shapefit.errors import NumericError, StructuralError
 from shapefit.rng import substream
-from shapefit.synthdata import ShapeSampleSet, make_family, sample_shape
+from shapefit.synthdata import CATEGORIES, ShapeSampleSet, make_family, sample_shape
 
 from oracles import fd_grad_vector, rel_err, unpack_params
 
@@ -45,7 +45,7 @@ def plane_samples(rng, n_s=50, n_f=80):
 def plane_terms(samples, z=None, **weights):
     prior = plane_prior()
     z = np.zeros(prior.latent_dim) if z is None else z
-    return training.shape_terms(prior, z, samples, training.LossWeights(**weights))[0]
+    return training.shape_terms(prior, z, samples, {**training.TERM_WEIGHTS[prior.category], **weights})[0]
 
 
 def test_exact_plane_field_loss_identities():
@@ -53,7 +53,7 @@ def test_exact_plane_field_loss_identities():
     terms = plane_terms(samples)
     for name in ("sdf_value", "sdf_normal", "template_normal"):
         assert abs(terms[name]) < 1e-12
-    want_spike = np.exp(-training.LossWeights().spike_delta * np.abs(samples.free_points[:, 2])).mean()
+    want_spike = np.exp(-training.SPIKE_DELTA * np.abs(samples.free_points[:, 2])).mean()
     assert terms["sdf_spike"] == pytest.approx(want_spike, abs=1e-12)
     # exactly zero eikonal for the linear plane field
     assert terms["sdf_eikonal"] == 0.0
@@ -64,7 +64,7 @@ def test_zero_field_spike_is_one():
     prior.template.weights[0][:] = 0.0
     sphere = make_family("sphere", 1, seed=3)[0]
     samples = sample_shape(sphere, 50, 60, seed=4)
-    terms, _ = training.shape_terms(prior, np.zeros(prior.latent_dim), samples, training.LossWeights())
+    terms, _ = training.shape_terms(prior, np.zeros(prior.latent_dim), samples, training.TERM_WEIGHTS["sphere"])
     assert terms["sdf_spike"] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -86,7 +86,7 @@ def test_loss_smooth_linear_deformation():
     prior.hyper[0].biases[-1][:] = ad.pack_params([w], [np.zeros(4)])
     samples = plane_samples(rng)
     z = np.zeros(prior.latent_dim)
-    terms, _ = training.shape_terms(prior, z, samples, training.LossWeights())
+    terms, _ = training.shape_terms(prior, z, samples, training.TERM_WEIGHTS["sphere"])
     assert terms["smooth"] == pytest.approx(np.linalg.norm(a_mat), rel=1e-12)
     zero = plane_terms(samples)
     assert zero["smooth"] == 0.0
@@ -107,8 +107,8 @@ def test_every_term_nonnegative():
     samples = sample_shape(sphere, 80, 80, seed=9)
     rng = substream(10, "z")
     z = rng.standard_normal(prior.latent_dim) * 0.3
-    terms, _ = training.shape_terms(prior, z, samples, training.LossWeights())
-    for name in training.TERM_NAMES:
+    terms, _ = training.shape_terms(prior, z, samples, training.TERM_WEIGHTS["sphere"])
+    for name in training.TERM_WEIGHTS["sphere"]:
         assert terms[name] >= 0.0
 
 
@@ -134,7 +134,7 @@ def test_shape_terms_gradients_match_fd():
     )
     sphere = make_family("sphere", 1, seed=13)[0]
     samples = sample_shape(sphere, 10, 10, seed=14)
-    w = training.LossWeights(spike_delta=10.0)
+    w = training.TERM_WEIGHTS["sphere"]
     rng = substream(15, "z")
     z0 = rng.standard_normal(4) * 0.3
     terms, (t_grads, h_grads, g_z) = training.shape_terms(prior, z0, samples, w)
@@ -211,6 +211,7 @@ def test_fit_epoch0_reproducible():
     _, h1, _ = training.fit(p1, dataset, cfg)
     _, h2, _ = training.fit(p2, dataset, cfg)
     assert h1[0]["total"] == h2[0]["total"]
+    assert list(h1[0]) == ["epoch", *training.TERM_WEIGHTS["sphere"], "total"]
 
 
 def test_fit_loss_decreases():
@@ -240,14 +241,6 @@ def test_config_rejects_bad_counts(field, value):
 def test_config_rejects_learning_rates_that_are_not_finite_and_positive(field, value):
     with pytest.raises(StructuralError, match=field):
         desk_config(**{field: value})
-
-
-@pytest.mark.parametrize(
-    "field, value", [("sdf_value", np.nan), ("smooth", -1.0), ("spike_delta", np.nan), ("spike_delta", 5.0)]
-)
-def test_loss_weights_reject_nan_and_out_of_range_values(field, value):
-    with pytest.raises(StructuralError, match=field):
-        training.LossWeights(**{field: value})
 
 
 def test_fit_empty_dataset_raises():
@@ -311,13 +304,24 @@ def test_fit_rejects_a_repeated_instance_id_before_training():
     assert prior.latents == {}
 
 
+def test_fit_rejects_an_instance_id_that_is_not_a_string_before_adding_latents():
+    # it used to train to the end, and then save_prior refused the latent id
+    (_, a), (_, b) = make_dataset(2, seed=36, n_pts=120)[0]
+    prior = small_prior(37)
+    with pytest.raises(StructuralError, match="instance id 1 is not a string"):
+        training.fit(prior, [("0", a), (1, b)], desk_config(epochs=1))
+    assert prior.latents == {}
+
+
 def test_loss_weights_of_each_category():
-    want = {"sphere": (5.0, 1e2), "car": (5.0, 1e2), "chair": (5.0, 5e1), "plane": (2.0, 1e2)}
-    for category, (latent, smooth) in want.items():
-        assert training.LossWeights.for_category(category) == training.LossWeights(latent=latent, smooth=smooth)
-    # an unknown category used to fall back to the default weights
-    with pytest.raises(StructuralError, match="unknown category 'banana'"):
-        training.LossWeights.for_category("banana")
+    # one row per category, each with every term in the order shape_terms
+    # sums them, and every weight finite and >= 0
+    order = ["sdf_value", "sdf_normal", "sdf_eikonal", "sdf_spike", "template_normal", "latent", "smooth", "correction"]
+    assert list(training.TERM_WEIGHTS) == list(CATEGORIES)
+    for category, row in training.TERM_WEIGHTS.items():
+        assert list(row) == order, category
+        assert all(np.isfinite(w) and w >= 0 for w in row.values()), category
+    assert training.SPIKE_DELTA >= 10.0  # a sharp spike penalty
 
 
 def _drop_hypernetworks(prior):
