@@ -3,7 +3,7 @@
 Everything here is deliberately brute-force / finite-difference, separate
 from the library's analytic code paths. The one exception is
 `dense_marching_cubes`, which shares the table code on purpose: it checks
-which cells the coarse-to-fine extraction visits, not the table.
+which cells the level-by-level extraction visits, not the table.
 """
 
 import numpy as np
@@ -153,15 +153,18 @@ def ray_sphere_depth(origin, direction, radius):
 def dense_marching_cubes(field, resolution):
     """Marching cubes with the field evaluated at every grid point in one
     call and the library's table code run over every crossed cell: the
-    reference the coarse-to-fine extraction, which calls the field in
+    reference the level-by-level extraction, which calls the field in
     blocks, must reproduce bit for bit."""
     npts = resolution + 1
     axis = np.linspace(-1.0, 1.0, npts)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     coords = np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
     grid = np.asarray(field(coords), dtype=np.float64).reshape(npts, npts, npts)
-    config = meshing._cell_configs(grid)
-    return meshing._triangulate(grid, config, meshing._crossed(config))
+    inside = grid < 0.0
+    r = resolution
+    corners = [inside[dx : dx + r, dy : dy + r, dz : dz + r] for dx, dy, dz in meshing._CORNERS]
+    crossed = np.any(corners, axis=0) & ~np.all(corners, axis=0)
+    return meshing._triangulate(grid, np.argwhere(crossed))
 
 
 def full_jacobian_view_terms(prior, z, r6, t, observed, free):

@@ -102,6 +102,28 @@ def test_coarse_to_fine_matches_dense_analytic(category):
     assert n[0] < 0.3 * 65**3
 
 
+@pytest.mark.parametrize("resolution", [64, 96, 128])
+@pytest.mark.parametrize("shape", ["car", "sphere"])
+def test_levels_match_dense(shape, resolution):
+    # strides 2, 3 and 4: res 64 splits once (2 -> 1), res 96 twice through
+    # a level of mixed gaps (3 -> 1 or 2 -> 1), res 128 twice (4 -> 2 -> 1)
+    field = make_family("car", 1, seed=0)[0].sdf if shape == "car" else sphere_field(0.5)
+    assert_same_mesh(meshing.marching_cubes(field, resolution), dense_marching_cubes(field, resolution))
+
+
+@pytest.mark.parametrize("resolution", [67, 96, 128])
+def test_no_grid_point_evaluated_twice(resolution):
+    asked = []
+
+    def field(pts):
+        asked.append(pts.copy())
+        return make_family("car", 1, seed=0)[0].sdf(pts)
+
+    meshing.marching_cubes(field, resolution)
+    pts = np.concatenate(asked)
+    assert len(np.unique(pts, axis=0)) == len(pts)
+
+
 @pytest.mark.parametrize("resolution", [67, 130])
 def test_coarse_to_fine_short_last_block(resolution):
     # the stride (2, 4) does not divide the resolution, so the last coarse
@@ -132,11 +154,38 @@ def test_coarse_to_fine_matches_dense_trained_field():
     assert n[0] < 0.5 * 65**3
 
 
+@pytest.fixture(scope="module")
+def steep_trained_field():
+    """An instance field of a tiny car prior at the default omega0: steeper
+    than an SDF (grid gradient norm median 1.2, largest 6.1 at res 96), with
+    small components apart from the main surface."""
+    prior = fields.init_prior(
+        "car", latent_dim=8, template_hidden=(16, 16), deform_hidden=(10, 10), hyper_hidden=16, seed=3
+    )
+    shapes = make_family("car", 2, seed=3)
+    data = [(s.name, sample_shape(s, 500, 500, seed=4)) for s in shapes]
+    cfg = training.TrainConfig(
+        epochs=100, batch_shapes=2, surface_points_per_shape=500, free_points_per_shape=500,
+        lr=1e-3, lr_latent=1e-3, seed=0,
+    )
+    prior, _, _ = training.fit(prior, data, cfg)
+    return fields.instance_field(prior, prior.latents[shapes[0].name])
+
+
+@pytest.mark.parametrize("resolution", [96, 128])
+def test_levels_match_dense_steep_trained_field(steep_trained_field, resolution):
+    # two small components sit in level-1 blocks (gaps 2 and 1) with no
+    # crossed level-1 neighbour; a rule that asked for one below level 0
+    # lost them (56 triangles at res 96, 76 at res 128)
+    field = steep_trained_field
+    assert_same_mesh(meshing.marching_cubes(field, resolution), dense_marching_cubes(field, resolution))
+
+
 def test_coarse_to_fine_evaluates_few_points():
     field, n = counted(sphere_field(0.5))
     mesh = meshing.marching_cubes(field, 128)
     assert not mesh.is_empty
-    assert n[0] < 0.15 * 129**3
+    assert n[0] < 0.08 * 129**3
 
 
 def test_below_stride_two_every_point_evaluated():
@@ -156,6 +205,31 @@ def test_small_sphere_between_coarse_points_missed():
 
     assert not dense_marching_cubes(small, 64).is_empty
     assert meshing.marching_cubes(small, 64).is_empty
+
+
+@pytest.mark.parametrize("where", ["face", "edge", "corner"])
+def test_small_sphere_next_to_a_crossed_block_found(where):
+    # the small sphere of the test above, in level-0 block (16, 16, 16),
+    # next to blocks that another surface crosses: across a face (a plane
+    # through the layer of blocks above), an edge or a corner (a radius-0.04
+    # sphere around a level-0 point crosses the 8 blocks that share it).
+    # The sphere's block has no sign change, but it borders a crossed block
+    # and its corners are within half its diagonal of 0 (0.034 against
+    # 0.054); the other surface's crossed cells are two cells away, so
+    # closure alone would not reach the sphere
+    centre = -1.0 + 16.5 / 16
+    other = {
+        "face": lambda p: (-1.0 + 35.5 / 32) - p[:, 2],
+        "edge": lambda p: np.linalg.norm(p - (-1.0 + np.array([30, 30, 34]) / 32), axis=1) - 0.04,
+        "corner": lambda p: np.linalg.norm(p - (-1.0 + 30 / 32), axis=1) - 0.04,
+    }[where]
+
+    def field(pts):
+        return np.minimum(np.linalg.norm(pts - centre, axis=1) - 0.02, other(pts))
+
+    mesh = meshing.marching_cubes(field, 64)
+    assert_same_mesh(mesh, dense_marching_cubes(field, 64))
+    assert (np.linalg.norm(mesh.vertices - centre, axis=1) < 0.03).any()
 
 
 def test_vertices_lie_on_sign_changing_edges():
@@ -213,6 +287,25 @@ def test_wrong_field_output_size_names_the_block():
 
     with pytest.raises(StructuralError, match="816 values for grid points 4096:4913, expected 817"):
         meshing.marching_cubes(field, 16)
+
+
+@pytest.mark.parametrize(
+    "values, kind",
+    [(lambda n: np.zeros(n) + 1j, "complex"), (lambda n: np.array(["0.5"] * n), "<U3")],
+    ids=["complex", "text"],
+)
+def test_non_real_field_values_raise(values, kind):
+    # a complex value used to lose its imaginary part with a warning, and
+    # text failed with a bare ValueError
+    with pytest.raises(StructuralError, match=f"grid points 0:729 .*{kind}"):
+        meshing.marching_cubes(lambda p: values(len(p)), 8)
+
+
+def test_column_field_values_accepted():
+    def column(pts):
+        return sphere_field(0.5)(pts)[:, None]
+
+    assert_same_mesh(meshing.marching_cubes(column, 16), meshing.marching_cubes(sphere_field(0.5), 16))
 
 
 def test_field_is_called_in_blocks():
@@ -293,6 +386,13 @@ def test_triangle_mesh_rejects_non_integer_indices(bad):
     with pytest.raises(StructuralError, match="triangles"):
         meshing.TriangleMesh(verts, np.array([[0, 1, 2], [0, 1, bad]]))
     np.testing.assert_array_equal(meshing.TriangleMesh(verts, np.array([[0, 1, 3.0]])).triangles, [[0, 1, 3]])
+
+
+@pytest.mark.parametrize("bad", [3, 5, -1])
+def test_triangle_mesh_rejects_an_index_without_a_vertex(bad):
+    # such a mesh used to build, and triangle_areas raised a bare IndexError
+    with pytest.raises(StructuralError, match="triangle index"):
+        meshing.TriangleMesh(np.zeros((3, 3)), [[0, 1, bad]])
 
 
 def test_sample_zero_area_mesh_raises():
