@@ -5,12 +5,12 @@ shape, no points, a non-finite entry, a setting out of range) is a
 StructuralError naming the argument, raised by the `check_*` functions
 below, the only code that tests an array's shape.
 A settings record (`InferenceConfig`, `TrainConfig`, `Intrinsics`), a
-`Pose`, a data record (`PointCloud`, `DepthImage`, `ShapeSampleSet`) and a
-shape (`AnalyticShape` and its primitives) raise when they are built, so
-a value of these types is valid and no consumer checks it again. They are
-frozen, and those that hold arrays keep read-only copies, so no later
-write by their caller can break them. Loss weights are module constants,
-not settings.
+`Pose`, a data record (`PointCloud`, `DepthImage`, `ShapeSampleSet`,
+`TriangleMesh`) and a shape (`AnalyticShape` and its primitives) raise
+when they are built, so a value of these types is valid and no consumer
+checks it again. They are frozen, and those that hold arrays keep
+read-only copies, so no later write by their caller can break them. Loss
+weights are module constants, not settings.
 NumericError is only for non-finite values the package computes itself:
 a loss term or a gradient, raised through `check_finite`, or a field
 value at a grid point in marching cubes.

@@ -13,20 +13,17 @@ in the multiresolution extraction of Occupancy Networks (Mescheder et al.,
 CVPR 2019):
 - Level 0 is a lattice of every `stride`-th grid index plus the last one,
   with stride = resolution // COARSE_CELLS (at least 1), so it has about
-  32 blocks per axis. Each level splits every block at the midpoint of its
-  index range, so the lattices nest for any resolution (strides 4 -> 2 -> 1
-  at res 128; 3 -> 1 or 2 -> 1 at res 96), until every block is a cell.
-- At each level the field is evaluated at the corners of the candidate
-  blocks (all blocks at level 0). A block stays active if its corners
+  16 blocks per axis. Each level splits every block at the midpoint of its
+  index range, so the lattices nest for any resolution (strides 8 -> 4 ->
+  2 -> 1 at res 128; 6 -> 3 -> 2 or 1 -> 1 at res 96), until every block
+  is a cell.
+- One rule applies at every level. The field is evaluated at the corners of
+  the candidate blocks, which at level 0 are all blocks and deeper are the
+  children of the active blocks. A block stays active if its corners
   change sign, or if one of its corners has |f| <= half the block's
   diagonal: a zero inside a block is within half its diagonal of the
   nearest corner, so a 1-Lipschitz field (an SDF) has no zero in a block
-  whose corners are all farther from 0 than that. At level 0, which covers
-  the whole cube, such a near block must also lie in the 3x3x3
-  neighbourhood of a crossed block. Deeper candidates are children of
-  active blocks and need no crossed neighbour: small components of a
-  trained field sit in blocks that have none. The children of the active
-  blocks are the next level's candidates.
+  whose corners are all farther from 0 than that.
 - At the cell level the crossed candidate cells are kept. Closure: while a
   crossed cell has a face neighbour that is not yet a candidate, that
   neighbour becomes one and its corners are evaluated.
@@ -35,12 +32,12 @@ CVPR 2019):
   vertices and triangles equal those of a dense evaluation whenever every
   surface component reaches a candidate cell and the field's values do not
   depend on the batch they are computed in (see below).
-The limit: a component that no level sees, such as a small closed surface
-lying between coarse points far from any other sign change, or one inside
-a block whose corners a field steeper than 1-Lipschitz keeps farther from
-0 than half its diagonal, can be missed. Below resolution
-2 * COARSE_CELLS the stride is 1, every grid point is evaluated, and
-nothing can be missed.
+The limit: only a field steeper than 1-Lipschitz can hide a component, by
+keeping the corners of the block that holds it farther from 0 than half
+the block's diagonal. The closure mends such a miss where the component
+touches surface that was found; a component apart from all found surface
+is lost. Below resolution 32 (2 * COARSE_CELLS) the stride is 1, every
+grid point is evaluated, and nothing can be missed.
 
 The field is called on blocks of at most FIELD_BLOCK grid points, so a
 network field holds one (block, width) array per layer: 2 MiB at width 64,
@@ -55,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._mc_tables import TRIANGLES
-from .errors import NumericError, StructuralError, check_count, check_shape
+from .errors import NumericError, StructuralError, _read_only, check_count, check_shape
 from .rng import substream
 
 # cube corner offsets and the corner pair of each of the 12 edges
@@ -78,24 +75,28 @@ _EDGE_CORNERS = np.array(
 _EDGE_STEP = _CORNERS[_EDGE_CORNERS[:, 1]] - _CORNERS[_EDGE_CORNERS[:, 0]]
 _EDGE_AXIS = np.abs(_EDGE_STEP).argmax(axis=1)
 _EDGE_LOW = _CORNERS[np.where(_EDGE_STEP.sum(axis=1) > 0, _EDGE_CORNERS[:, 0], _EDGE_CORNERS[:, 1])]
-# a block's 3x3x3 neighbourhood, itself included, and a cell's face neighbours
-_NEIGHBOURHOOD = np.stack(np.meshgrid(*[[-1, 0, 1]] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+# a cell's face neighbours
 _FACES = np.concatenate([np.eye(3, dtype=np.int64), -np.eye(3, dtype=np.int64)])
 
 MIN_TRIANGLE_AREA = 1e-12
-COARSE_CELLS = 32  # level-0 blocks per axis (stride = resolution // COARSE_CELLS)
+COARSE_CELLS = 16  # level-0 blocks per axis (stride = resolution // COARSE_CELLS)
 WELD_TOLERANCE = 1e-7
 FIELD_BLOCK = 4096  # grid points per field call (see the module docstring)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriangleMesh:
-    vertices: np.ndarray  # (V, 3)
-    triangles: np.ndarray  # (T, 3) int
+    """(V, 3) float64 vertices and (T, 3) int64 triangles whose every index
+    names a vertex; checked when built."""
+
+    vertices: np.ndarray
+    triangles: np.ndarray
 
     def __post_init__(self):
-        self.vertices = check_shape("vertices", self.vertices, ("N", 3))
-        self.triangles = check_shape("triangles", self.triangles, ("N", 3), np.int64)
+        object.__setattr__(self, "vertices", _read_only(check_shape("vertices", self.vertices, ("N", 3))))
+        object.__setattr__(
+            self, "triangles", _read_only(check_shape("triangles", self.triangles, ("N", 3), np.int64))
+        )
         self.validate()
 
     @property
@@ -134,19 +135,6 @@ def _evaluate_grid(field, coords):
     return out
 
 
-def _fill(field, axis, grid, points):
-    """Evaluate `field` at the flat grid indices `points`, unique and in
-    ascending order, and store the values in the flat `grid`."""
-    n = len(axis)
-    coords = axis[np.stack(np.unravel_index(points, (n, n, n)), axis=1)]
-    values = _evaluate_grid(field, coords)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        where = coords[np.flatnonzero(bad)[0]]
-        raise NumericError(f"field returned a non-finite value at grid point {where}")
-    grid[points] = values
-
-
 def _corners(lattice, npts, blocks):
     """(8, B) flat grid indices of the corners of `blocks`, in _CORNERS
     order; each row ascends with the blocks. `blocks` are ascending C-order
@@ -160,14 +148,23 @@ def _corners(lattice, npts, blocks):
 
 
 def _fill_corners(field, axis, grid, lattice, blocks):
-    """Evaluate the corners of `blocks` that are still unknown (NaN), once
-    each and in ascending flat index. Blocks are taken FIELD_BLOCK at a
-    time, here and in _corner_signs, so that no (8, B) array is built."""
+    """Evaluate `field` at the corners of `blocks` that are still unknown
+    (NaN) in the flat `grid`, once each and in ascending flat index, and
+    store the values there. Blocks are taken FIELD_BLOCK at a time, here
+    and in _corner_signs, so that no (8, B) array is built."""
+    n = len(axis)
     unknown = []
     for lo in range(0, len(blocks), FIELD_BLOCK):
-        points = _corners(lattice, len(axis), blocks[lo : lo + FIELD_BLOCK])
+        points = _corners(lattice, n, blocks[lo : lo + FIELD_BLOCK])
         unknown.append(_unique(points[np.isnan(grid[points])]))
-    _fill(field, axis, grid, _unique(np.concatenate([np.zeros(0, np.int64), *unknown])))
+    points = _unique(np.concatenate([np.zeros(0, np.int64), *unknown]))
+    coords = axis[np.stack(np.unravel_index(points, (n, n, n)), axis=1)]
+    values = _evaluate_grid(field, coords)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        where = coords[np.flatnonzero(bad)[0]]
+        raise NumericError(f"field returned a non-finite value at grid point {where}")
+    grid[points] = values
 
 
 def _corner_signs(grid, npts, lattice, blocks):
@@ -193,10 +190,10 @@ def _unique(keys):
     return keys[first]
 
 
-def _neighbours(blocks, offsets, n):
-    """Sorted keys of the ascending C-order keys `blocks` moved by each of
-    `offsets` that stay on the n^3 block grid."""
-    moved = (offsets[:, :, None] + np.array(np.unravel_index(blocks, (n, n, n)))).transpose(1, 0, 2)
+def _neighbours(blocks, n):
+    """Sorted keys of the face neighbours on the n^3 block grid of the
+    ascending C-order keys `blocks`."""
+    moved = (_FACES[:, :, None] + np.array(np.unravel_index(blocks, (n, n, n)))).transpose(1, 0, 2)
     inside = ((moved >= 0) & (moved < n)).all(axis=0)
     return _unique(np.ravel_multi_index(tuple(moved[:, inside]), (n, n, n)))
 
@@ -236,10 +233,8 @@ def marching_cubes(field, resolution):
     # level 0: the gaps between every stride-th grid index and the last one
     stride = max(1, resolution // COARSE_CELLS)
     lattice = np.unique(np.append(np.arange(0, npts, stride), resolution))
-    # every level-0 point, in ascending flat index: the corners of all blocks
-    _fill(field, axis, grid, np.ravel_multi_index(np.ix_(lattice, lattice, lattice), (npts,) * 3).ravel())
     blocks = np.arange((len(lattice) - 1) ** 3)
-    level = 0
+    _fill_corners(field, axis, grid, lattice, blocks)
     while len(lattice) < npts:
         crossed, nearest = _corner_signs(grid, npts, lattice, blocks)
         # a zero inside a block lies within half its diagonal of the nearest
@@ -247,18 +242,15 @@ def marching_cubes(field, resolution):
         n = len(lattice) - 1
         size = np.diff(lattice)[np.stack(np.unravel_index(blocks, (n, n, n)), axis=1)]
         near = nearest <= np.linalg.norm(size, axis=1) / resolution
-        if level == 0:  # every block is a candidate: keep the near ones next to a crossed one
-            near &= np.isin(blocks, _neighbours(blocks[crossed], _NEIGHBOURHOOD, n))
         lattice, blocks = _split(lattice, blocks[crossed | near])
         _fill_corners(field, axis, grid, lattice, blocks)
-        level += 1
 
     # the finest level: every block is a cell
     seen = blocks
     cells = new = blocks[_corner_signs(grid, npts, lattice, blocks)[0]]
     while len(new):
         # closure: the surface leaves a crossed cell only through a face
-        fresh = _neighbours(new, _FACES, resolution)
+        fresh = _neighbours(new, resolution)
         at = np.searchsorted(seen, fresh)
         unseen = seen[at.clip(max=len(seen) - 1)] != fresh
         fresh = fresh[unseen]

@@ -5,7 +5,7 @@ import re
 import tomllib
 from pathlib import Path
 
-from shapefit import inference, training
+from shapefit import inference, meshing, training
 from shapefit import synthdata as sd
 from shapefit.canonicalize import PointCloud
 from shapefit.geometry import Pose
@@ -49,28 +49,29 @@ def _references(tree, skip=None):
     return names, attrs
 
 
-def _public_definitions(tree):
-    """(name, node) of each module-level public function, class and
-    constant (an assignment to a public name), and of each public method of
-    a public class as "Class.method"."""
+def _definitions(tree):
+    """(name, node) of each module-level function, class and constant (an
+    assignment to a name), public or private but not a dunder, and of each
+    public method of a public class as "Class.method"."""
     for node in tree.body:
         if isinstance(node, ast.Assign):
             for target in node.targets:
-                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
                     yield target.id, node
             continue
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
             continue
         yield node.name, node
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     yield f"{node.name}.{item.name}", item
 
 
 def test_public_names_have_a_caller():
-    # every public function, class, method and constant of the package is
-    # used by the package itself or by the benchmark, not only by tests
+    # every public function, class, method and constant of the package, and
+    # every private module-level one, is used by the package itself or by
+    # the benchmark, not only by tests
     modules = {
         p: ast.parse(p.read_text())
         for p in sorted((ROOT / "src" / "shapefit").rglob("*.py"))
@@ -85,14 +86,14 @@ def test_public_names_have_a_caller():
     unused = []
     for path, tree in modules.items():
         elsewhere = bench + [r for p, r in refs.items() if p != path]
-        for qualname, node in _public_definitions(tree):
+        for qualname, node in _definitions(tree):
             is_method = "." in qualname
             name = qualname.rpartition(".")[2]
             uses = [*elsewhere, _references(tree, skip=node)]
             if any(name in attrs or (not is_method and name in names) for names, attrs in uses):
                 continue
             unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {qualname}")
-    assert not unused, "public names with no caller outside tests: " + ", ".join(unused)
+    assert not unused, "names with no caller outside tests: " + ", ".join(unused)
 
 
 def test_only_errors_checks_array_shapes():
@@ -116,12 +117,13 @@ def test_records_and_pose_are_valid_when_built():
     records = (
         inference.InferenceConfig, training.TrainConfig, sd.Intrinsics,
         PointCloud, sd.DepthImage, sd.ShapeSampleSet, sd.AnalyticShape, sd.Sphere, sd.Box, sd.Cylinder, sd.Ellipsoid,
-        Pose,
+        Pose, meshing.TriangleMesh,
     )
     for cls in records:
         assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls.__name__
+    # TriangleMesh keeps validate(), which the benchmark calls on each mesh
     checks = ("validate", "validate_unit_cube")
-    assert [cls.__name__ for cls in records if any(hasattr(cls, c) for c in checks)] == []
+    assert [cls.__name__ for cls in records if any(hasattr(cls, c) for c in checks)] == ["TriangleMesh"]
 
 
 def test_only_fields_names_prior_arrays():
