@@ -45,23 +45,36 @@ OMEGA0 = 30.0  # frequency of sine layers, the SIREN default
 # parameters
 
 
-@dataclass
+@dataclass(frozen=True)
 class MLPParams:
-    """Weights of one dense MLP.
+    """Weights of one dense MLP, checked when built.
 
-    weights[k] has shape (out_k, in_k), biases[k] shape (out_k,).
+    weights[k] has shape (out_k, in_k), biases[k] shape (out_k,): tuples of
+    contiguous float64 arrays, writable since Adam steps them in place.
     `activation` ("sine" or "relu") applies to every layer but the last,
-    which is linear; sine layers compute sin(omega0 * (W x + b)).
+    which is linear; sine layers compute sin(omega0 * (W x + b)). Entries
+    may be non-finite: a net `fields.hyper_forward` computes is checked by
+    the loss that reads it, a prior's nets by `fields.ShapePrior`.
     """
 
-    weights: list
-    biases: list
+    weights: tuple
+    biases: tuple
     activation: str
     omega0: float = OMEGA0
 
     def __post_init__(self):
-        self.weights = [np.ascontiguousarray(w, dtype=np.float64) for w in self.weights]
-        self.biases = [np.ascontiguousarray(b, dtype=np.float64) for b in self.biases]
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise StructuralError("weights and biases must be non-empty and aligned")
+        if self.activation not in (ACT_SINE, ACT_RELU):
+            raise StructuralError(f"unknown activation tag {self.activation!r}")
+        check_real("omega0", self.omega0, strict=True)
+        weights, biases, width = [], [], "N"  # width: the previous layer's output size
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            weights.append(np.ascontiguousarray(check_shape(f"layer {k} weight", w, ("N", width))))
+            width = len(weights[-1])
+            biases.append(np.ascontiguousarray(check_shape(f"layer {k} bias", b, (width,))))
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "biases", tuple(biases))
 
     @property
     def n_layers(self):
@@ -78,20 +91,6 @@ class MLPParams:
     @property
     def layer_sizes(self):
         return [self.in_dim] + [w.shape[0] for w in self.weights]
-
-    def validate(self):
-        if not self.weights or len(self.weights) != len(self.biases):
-            raise StructuralError("weights and biases must be non-empty and aligned")
-        if self.activation not in (ACT_SINE, ACT_RELU):
-            raise StructuralError(f"unknown activation tag {self.activation!r}")
-        check_real("omega0", self.omega0, strict=True)
-        width = "N"  # the previous layer's output size
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            width = check_shape(f"layer {k} weight", w, ("N", width)).shape[0]
-            check_shape(f"layer {k} bias", b, (width,))
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise StructuralError(f"layer {k}: non-finite parameter entries")
-        return self
 
 
 def siren_init(layer_sizes, rng, omega0=OMEGA0):
@@ -112,7 +111,7 @@ def siren_init(layer_sizes, rng, omega0=OMEGA0):
     return MLPParams(weights, biases, ACT_SINE, omega0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MLPGrads:
     """Gradient arrays mirroring MLPParams layer shapes."""
 

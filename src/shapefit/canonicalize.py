@@ -129,22 +129,23 @@ class IcpEstimator:
         return pose
 
 
+@dataclass(frozen=True)
 class NoisyOracleEstimator:
     """Ground-truth pose perturbed by a fixed-magnitude random rotation and
-    translation; reproduces a controlled initialization-error level."""
+    translation, a controlled initialization-error level; checked when built."""
 
+    gt_pose: Pose
+    rot_noise_deg: float = 0.0
+    trans_noise: float = 0.0
+    seed: int = 0
     name = "noisy-oracle"
 
-    def __init__(self, gt_pose, rot_noise_deg=0.0, trans_noise=0.0, seed=0):
-        if not isinstance(gt_pose, Pose):
-            raise StructuralError(f"gt_pose must be a Pose, got {type(gt_pose).__name__}")
-        check_real("rot_noise_deg", rot_noise_deg)
-        check_real("trans_noise", trans_noise)
-        check_count("seed", seed, 0)
-        self.gt_pose = gt_pose
-        self.rot_noise_deg = rot_noise_deg
-        self.trans_noise = trans_noise
-        self.seed = seed
+    def __post_init__(self):
+        if not isinstance(self.gt_pose, Pose):
+            raise StructuralError(f"gt_pose must be a Pose, got {type(self.gt_pose).__name__}")
+        check_real("rot_noise_deg", self.rot_noise_deg)
+        check_real("trans_noise", self.trans_noise)
+        check_count("seed", self.seed, 0)
 
     def estimate(self, points, template):
         rng = substream(self.seed, "pose-noise")

@@ -4,13 +4,17 @@ A malformed argument (a ragged, complex or non-numeric array, a wrong
 shape, no points, a non-finite entry, a setting out of range) is a
 StructuralError naming the argument, raised by the `check_*` functions
 below, the only code that tests an array's shape.
-A settings record (`InferenceConfig`, `TrainConfig`, `Intrinsics`), a
-`Pose`, a data record (`PointCloud`, `DepthImage`, `ShapeSampleSet`,
-`TriangleMesh`) and a shape (`AnalyticShape` and its primitives) raise
-when they are built, so a value of these types is valid and no consumer
-checks it again. They are frozen, and those that hold arrays keep
-read-only copies, so no later write by their caller can break them. Loss
-weights are module constants, not settings.
+A settings record (`InferenceConfig`, `TrainConfig`, `Intrinsics`,
+`NoisyOracleEstimator`), a `Pose`, a data record (`PointCloud`,
+`DepthImage`, `ShapeSampleSet`, `TriangleMesh`, `LatentCode`), a shape
+(`AnalyticShape` and its primitives), a network (`MLPParams`) and a prior
+(`ShapePrior`) raise when they are built, so a value of these types is
+valid and no consumer checks it again. Every dataclass of the package is
+frozen, and these records keep read-only copies of their arrays, so no
+later write by their caller can break them. The one exception: a prior's
+weight arrays and latent table are training state, stepped and extended
+in place by `training.fit`.
+Loss weights are module constants, not settings.
 NumericError is only for non-finite values the package computes itself:
 a loss term or a gradient, raised through `check_finite`, or a field
 value at a grid point in marching cubes.

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, StructuralError, check_count, check_shape
+from .errors import DataError, StructuralError, _read_only, check_count, check_real, check_shape
 from .formats import load_container, load_json, save_container, save_json
 from .rng import substream
 from .synthdata.shapes import check_category
@@ -37,17 +37,20 @@ DEFORM_OUT_DIM = 4  # (v_x, v_y, v_z, delta_s)
 LATENT_INIT_STD = 0.01  # std of the latent code of an instance not yet trained
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatentCode:
+    """One instance's latent: a finite vector, kept as a read-only copy."""
+
     z: np.ndarray
 
     def __post_init__(self):
-        self.z = check_shape("latent", self.z, ("N",))
-        if not np.isfinite(self.z).all():
+        z = check_shape("latent", self.z, ("N",))
+        if not np.isfinite(z).all():
             raise StructuralError("latent code has non-finite entries")
+        object.__setattr__(self, "z", _read_only(z))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapePrior:
     """Trained (or freshly initialized) category prior: the template, the
     hypernetworks and the latents, and nothing they determine.
@@ -55,13 +58,40 @@ class ShapePrior:
     The hypernetworks fix the deformation net: the latent size is their
     input size, and hyper[k] predicts the out_k * (in_k + 1) packed weights
     and biases of deformation layer k (in_k -> out_k), with in_0 = 3 and a
-    last out_k of DEFORM_OUT_DIM.
+    last out_k of DEFORM_OUT_DIM. Checked when built, with finite weights
+    and a finite latent per string id, and fixed in structure; its weight
+    arrays and latent table (a copy of the mapping given) are training
+    state that `training.fit` steps and extends in place.
     """
 
     category: str
     template: ad.MLPParams
-    hyper: list  # one MLPParams (relu net) per deformation layer
+    hyper: tuple  # one MLPParams (relu net) per deformation layer
     latents: dict = field(default_factory=dict)  # instance id -> (n,) array
+
+    def __post_init__(self):
+        check_category(self.category)
+        object.__setattr__(self, "hyper", tuple(self.hyper))
+        t = self.template
+        if t.activation != ad.ACT_SINE:
+            raise StructuralError(f"template must be a sine net, got {t.activation!r}")
+        if (t.in_dim, t.out_dim) != (3, 1):
+            raise StructuralError(f"template is not sine then linear from R^3 to R: layer sizes {t.layer_sizes}")
+        self.deform_shapes()  # refuses an empty `hyper` too
+        for k, h in enumerate(self.hyper):
+            if h.activation != ad.ACT_RELU:
+                raise StructuralError(f"hypernetwork {k} must be a relu net, got {h.activation!r}")
+            if h.in_dim != self.latent_dim:
+                raise StructuralError(f"hypernetwork {k} input dim != latent dim")
+        for name, arr in named_arrays(t, self.hyper).items():
+            if not np.isfinite(arr).all():
+                raise StructuralError(f"{name} has non-finite entries")
+        object.__setattr__(self, "latents", dict(self.latents))
+        for iid, z in self.latents.items():
+            if not isinstance(iid, str):  # a checkpoint section name would turn it into one
+                raise StructuralError(f"latent id {iid!r} is not a string")
+            if not np.isfinite(check_shape(f"latent {iid!r}", z, (self.latent_dim,))).all():
+                raise StructuralError(f"latent {iid!r} has non-finite entries")
 
     @property
     def latent_dim(self):
@@ -82,26 +112,6 @@ class ShapePrior:
             raise StructuralError(f"deformation network must output (v, delta_s) in R^4, got {fan_in}")
         return shapes
 
-    def validate(self):
-        check_category(self.category)
-        t = self.template
-        if t.activation != ad.ACT_SINE:
-            raise StructuralError(f"template must be a sine net, got {t.activation!r}")
-        if (t.validate().in_dim, t.out_dim) != (3, 1):
-            raise StructuralError(f"template is not sine then linear from R^3 to R: layer sizes {t.layer_sizes}")
-        for k, h in enumerate(self.hyper):
-            if h.activation != ad.ACT_RELU:
-                raise StructuralError(f"hypernetwork {k} must be a relu net, got {h.activation!r}")
-            if h.validate().in_dim != self.latent_dim:
-                raise StructuralError(f"hypernetwork {k} input dim != latent dim")
-        self.deform_shapes()
-        for iid, z in self.latents.items():
-            if not isinstance(iid, str):  # a checkpoint section name would turn it into one
-                raise StructuralError(f"latent id {iid!r} is not a string")
-            if not np.isfinite(check_shape(f"latent {iid!r}", z, (self.latent_dim,))).all():
-                raise StructuralError(f"latent {iid!r} has non-finite entries")
-        return self
-
     def latent_stats(self):
         """Empirical mean and per-dimension std of the trained latents."""
         if not self.latents:
@@ -121,9 +131,11 @@ def init_prior(
 ):
     """Fresh prior: a sine template net, and zero-centred hypernetworks that
     reproduce a standard sine-net deformation init at z = 0."""
+    check_real("omega0", omega0, strict=True)
     check_count("latent_dim", latent_dim)
     check_count("hyper_hidden", hyper_hidden)
     for name, widths in (("template_hidden", template_hidden), ("deform_hidden", deform_hidden)):
+        check_shape(name, widths, ("N",))  # a sequence, so each entry is checked below
         for width in widths:
             check_count(f"{name} entry", width)
     rng = substream(seed, "init")
@@ -143,7 +155,7 @@ def init_prior(
         scale = 1e-2 * np.sqrt(6.0 / hyper_hidden)
         w1 = rng.uniform(-scale, scale, size=(target.size, hyper_hidden))
         hyper.append(ad.MLPParams([w0, w1], [b0, target], ad.ACT_RELU))
-    return ShapePrior(category, template, hyper).validate()
+    return ShapePrior(category, template, hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +166,7 @@ def hyper_forward(prior, z):
     """Predict deformation weights from a latent code, keeping caches."""
     z = check_shape("latent", z, (prior.latent_dim,))
     weights, biases, caches = [], [], []
-    shapes = prior.deform_shapes()
-    for (fan_out, fan_in), h in zip(shapes, prior.hyper):
+    for (fan_out, fan_in), h in zip(prior.deform_shapes(), prior.hyper):
         out, cache = ad.forward_cached(h, z[None, :])
         flat = out[0]
         weights.append(flat[: fan_out * fan_in].reshape(fan_out, fan_in))
@@ -183,7 +194,7 @@ def hyper_backward(prior, caches, deform_grads, inputs_only=False):
 # field evaluation
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComposedEval:
     """Batched instance-SDF evaluation with everything the losses need.
 
@@ -220,15 +231,7 @@ def compose_forward(template, deform, pts, value_rows=0):
     # chain rule: grad psi = (I + dv/dx)^T grad_T + grad delta_s
     a = jac_v + np.eye(3)
     grad_psi = np.einsum("nik,ni->nk", a, grad_t) + grad_ds
-    return ComposedEval(
-        psi=t_val + delta_s,
-        grad_psi=grad_psi,
-        grad_template=grad_t,
-        delta_s=delta_s,
-        jac_v=jac_v,
-        _t_cache=t_cache,
-        _d_cache=d_cache,
-    )
+    return ComposedEval(t_val + delta_s, grad_psi, grad_t, delta_s, jac_v, t_cache, d_cache)
 
 
 def compose_value(template, deform, pts):
@@ -289,11 +292,7 @@ def compose_backward(
 def instance_field(prior, z):
     """Batched value-only field closure for one latent (for meshing)."""
     deform, _ = hyper_forward(prior, z)
-
-    def field_fn(pts):
-        return compose_value(prior.template, deform, pts)
-
-    return field_fn
+    return lambda pts: compose_value(prior.template, deform, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +329,6 @@ def save_prior(prior, path):
     """Write the prior's `named_arrays`, latents in sorted id order, to the
     binary container at `path`, and its category and template omega0 to a
     JSON sidecar at `path` + '.json'."""
-    prior.validate()
     latents = {iid: prior.latents[iid] for iid in sorted(prior.latents)}
     save_container(path, named_arrays(prior.template, prior.hyper, latents))
     save_json(str(path) + ".json", {"category": prior.category, "omega0": float(prior.template.omega0)})
@@ -350,7 +348,7 @@ def load_prior(path):
             template=_load_net(sections, "template", ad.ACT_SINE, sidecar["omega0"]),
             hyper=[_load_net(sections, f"hyper.{i}", ad.ACT_RELU) for i in range(_count(sections, "hyper"))],
             latents={n.removeprefix("latent."): z for n, z in sections.items() if n.startswith("latent.")},
-        ).validate()
+        )
     except KeyError as e:
         raise DataError(f"checkpoint {path} is missing section or sidecar key {e}") from e
     except StructuralError as e:

@@ -11,7 +11,7 @@ meaning is the caller's (`fields` names a prior's networks layer by layer):
         ndim u8, dims u32[ndim], data f64[prod(dims)] row-major
 
 Writes are atomic (temp file + rename) so interrupted runs never leave
-half-written checkpoints behind.
+half-written checkpoints behind; a refused write raises DataError.
 """
 
 import json
@@ -31,16 +31,19 @@ VERSION = 2
 def _atomic_write(path, data: bytes):
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------

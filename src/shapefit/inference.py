@@ -12,7 +12,7 @@ parametrization, so plain Adam steps stay on the rotation manifold after
 Gram-Schmidt.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,12 +56,12 @@ class InferenceConfig:
         check_count("seed", self.seed, 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconstructionResult:
     mesh: object  # TriangleMesh | None until meshing ran
     pose: Pose
     latent: fields.LatentCode
-    trace: list  # per-iteration term dicts of view_terms
+    trace: tuple  # per-iteration term dicts of view_terms
 
     def validate(self, iterations):
         if len(self.trace) != iterations:
@@ -144,17 +144,12 @@ def joint_optimize(prior, observed, init, config):
         if config.optimize_pose:
             opt.step(params, {"r6": g_r6, "t": g_t}, lr=LR_POSE)
 
-    pose = Pose(r6, t)
-    result = ReconstructionResult(None, pose, fields.LatentCode(z), trace)
-    return result.validate(config.iterations)
+    return ReconstructionResult(None, Pose(r6, t), fields.LatentCode(z), tuple(trace))
 
 
 def template_cloud(prior, seed):
     """Surface samples of the prior's template zero level set (canonical)."""
-    def field_fn(pts):
-        return ad.forward(prior.template, pts)[:, 0]
-
-    mesh = marching_cubes(field_fn, TEMPLATE_MC_RESOLUTION)
+    mesh = marching_cubes(lambda pts: ad.forward(prior.template, pts)[:, 0], TEMPLATE_MC_RESOLUTION)
     if mesh.is_empty:
         raise StructuralError("template field has no zero level set to sample")
     return PointCloud(sample_mesh_surface(mesh, TEMPLATE_POINTS, seed))
@@ -180,7 +175,7 @@ def reconstruct(prior, depth, estimator, config):
     cloud = _stage("lift", lift_depth, depth)
     init = _stage("canonicalize", canonicalize, estimator, cloud, lambda: template_cloud(prior, config.seed))
     result = _stage("joint-optimize", joint_optimize, prior, cloud, init, config)
-    result.mesh = _stage(
+    mesh = _stage(
         "meshing", lambda: marching_cubes(fields.instance_field(prior, result.latent.z), config.mc_resolution)
     )
-    return result
+    return replace(result, mesh=mesh)

@@ -69,14 +69,14 @@ def normalize_pair(pred, gt):
     return (pred - center) / side, (gt - center) / side
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapeRecord:
     name: str
     chamfer_x1e4: float
     f1: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
     """Per-shape surface scores on normalized clouds, one `ShapeRecord` per
     `add`; no aggregate, and no pose error (see `pose_error`)."""

@@ -172,20 +172,15 @@ def _subsample(sample_set, n_surface, n_free, rng):
     )
 
 
-def init_latents(prior, ids, config):
-    """Small random latent codes for every id in `ids` the prior has no latent for."""
-    for iid in ids:
-        if iid not in prior.latents:
-            rng = substream(config.seed, "latent-init", iid)
-            prior.latents[iid] = rng.normal(0.0, fields.LATENT_INIT_STD, prior.latent_dim)
-
-
 def fit(prior, dataset, config, on_epoch=None):
     """Jointly optimize template weights, hypernetwork weights and latents
     from a fresh Adam state, with the prior category's row of TERM_WEIGHTS.
 
-    dataset: list of (instance_id, ShapeSampleSet), one entry per string
-    instance id. Per-epoch randomness is derived statelessly from (seed,
+    dataset: list of (instance_id, ShapeSampleSet) pairs, one per string
+    instance id; every entry is checked before the prior changes. The
+    prior, valid since it was built, is trained in place: Adam steps its
+    weight arrays and latents, and each id it has no latent for gets a
+    fresh one. Per-epoch randomness is derived statelessly from (seed,
     epoch). `on_epoch(epoch, prior, optimizer, history)` is called after
     every epoch.
 
@@ -195,15 +190,20 @@ def fit(prior, dataset, config, on_epoch=None):
     if not dataset:
         raise StructuralError("dataset is empty")
     ids = set()
-    for iid, _ in dataset:
+    for i, entry in enumerate(dataset):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and isinstance(entry[1], ShapeSampleSet)):
+            raise StructuralError(f"dataset entry {i} is not an (instance id, ShapeSampleSet) pair")
+        iid = entry[0]
         if not isinstance(iid, str):  # a checkpoint section name would turn it into one
-            raise StructuralError(f"instance id {iid!r} is not a string")
+            raise StructuralError(f"dataset entry {i}: instance id {iid!r} is not a string")
         if iid in ids:
-            raise StructuralError(f"instance id {iid!r} appears more than once in the dataset")
+            raise StructuralError(f"dataset entry {i}: instance id {iid!r} appears more than once in the dataset")
         ids.add(iid)
-    prior.validate()
+    for iid, _ in dataset:  # a small random latent for each id the prior has none for
+        if iid not in prior.latents:
+            rng = substream(config.seed, "latent-init", iid)
+            prior.latents[iid] = rng.normal(0.0, fields.LATENT_INIT_STD, prior.latent_dim)
     weights = TERM_WEIGHTS[prior.category]
-    init_latents(prior, [iid for iid, _ in dataset], config)
     params = fields.named_arrays(prior.template, prior.hyper, prior.latents)  # live views
     net_keys = list(fields.named_arrays(prior.template, prior.hyper))
     optimizer = ad.Adam()

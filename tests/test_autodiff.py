@@ -401,6 +401,5 @@ def test_pack_unpack_roundtrip():
 @pytest.mark.parametrize("activation", ["tanh", "linear", ("sine", "linear")])
 def test_validate_rejects_an_unknown_activation(activation):
     net = tiny_net(21)
-    net.activation = activation
     with pytest.raises(StructuralError, match="unknown activation tag"):
-        net.validate()
+        ad.MLPParams(net.weights, net.biases, activation, net.omega0)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -216,7 +217,7 @@ def test_compose_backward_matches_fd_on_params():
     def loss_h(vec):
         w, b = unpack_params(vec, prior.hyper[0])
         h0 = ad.MLPParams(w, b, prior.hyper[0].activation, prior.hyper[0].omega0)
-        return full_loss(prior.template, [h0] + prior.hyper[1:], z0)
+        return full_loss(prior.template, [h0, *prior.hyper[1:]], z0)
 
     want_h = fd_grad_vector(loss_h, base_h, h=1e-6)
     got_h = ad.pack_params(h_grads[0].weights, h_grads[0].biases)
@@ -231,9 +232,8 @@ def test_compose_backward_matches_fd_on_params():
 
 
 def test_prior_checkpoint_roundtrip(tmp_path):
-    prior = small_prior(22)
     rng = substream(23, "lat")
-    prior.latents = {"a": rng.standard_normal(8), "b": rng.standard_normal(8)}
+    prior = dataclasses.replace(small_prior(22), latents={"a": rng.standard_normal(8), "b": rng.standard_normal(8)})
     path = tmp_path / "prior.bin"
     fields.save_prior(prior, path)
     back = fields.load_prior(path)
@@ -266,14 +266,14 @@ def test_validate_rejects_hypernetworks_that_do_not_factor(drop):
     # without its first or last hypernetwork, the output sizes no longer
     # chain from 3 inputs to DEFORM_OUT_DIM outputs
     prior = small_prior(25)
-    del prior.hyper[drop]
+    hyper = list(prior.hyper)
+    del hyper[drop]
     with pytest.raises(StructuralError, match="hypernetwork|deformation"):
-        prior.validate()
+        dataclasses.replace(prior, hyper=hyper)
 
 
 def _saved_prior(tmp_path, seed):
-    prior = small_prior(seed)
-    prior.latents = {"a": substream(seed, "lat").standard_normal(8)}
+    prior = dataclasses.replace(small_prior(seed), latents={"a": substream(seed, "lat").standard_normal(8)})
     path = tmp_path / "prior.bin"
     fields.save_prior(prior, path)
     return path
@@ -281,9 +281,8 @@ def _saved_prior(tmp_path, seed):
 
 def test_checkpoint_sections_are_the_optimizer_names(tmp_path):
     # latents are written in sorted id order, and an id may hold a dot
-    prior = small_prior(28)
     rng = substream(28, "lat")
-    prior.latents = {iid: rng.standard_normal(8) for iid in ("b", "c.1", "a")}
+    prior = dataclasses.replace(small_prior(28), latents={iid: rng.standard_normal(8) for iid in ("b", "c.1", "a")})
     path = tmp_path / "prior.bin"
     fields.save_prior(prior, path)
     names = list(fields.named_arrays(prior.template, prior.hyper, dict(sorted(prior.latents.items()))))
@@ -315,11 +314,10 @@ def test_load_prior_rejects_a_section_that_is_not_a_prior_array(tmp_path, name):
 ])
 def test_save_prior_rejects_a_latent_that_would_not_load_back(tmp_path, iid, z, message):
     # a NaN latent used to save and load, and failed only when meshed; an
-    # integer id would load back as a string
+    # integer id would load back as a string. Such a prior now fails when built
     prior = small_prior(37)
-    prior.latents = {"a": np.zeros(8), iid: z}
     with pytest.raises(StructuralError, match=f"^{message}"):
-        fields.save_prior(prior, tmp_path / "prior.bin")
+        fields.save_prior(dataclasses.replace(prior, latents={"a": np.zeros(8), iid: z}), tmp_path / "prior.bin")
 
 
 def test_load_prior_rejects_a_non_finite_latent_naming_its_id(tmp_path):
@@ -336,12 +334,17 @@ def test_load_prior_rejects_a_non_finite_latent_naming_its_id(tmp_path):
     [("template", "relu"), ("template", "tanh"), ("hyper", "sine"), ("hyper", "tanh")],
 )
 def test_save_prior_rejects_networks_with_other_activations(tmp_path, net, activation):
+    # such a prior, or its network with an unknown tag, now fails when built
     prior = small_prior(29)
-    if net == "template":
-        prior.template.activation = activation
-    else:
-        prior.hyper[1].activation = activation
-    with pytest.raises(StructuralError, match="template|hypernetwork 1"):
+    message = {"relu": "template must be a sine net", "sine": "hypernetwork 1 must be a relu net",
+               "tanh": "unknown activation tag 'tanh'"}[activation]
+    with pytest.raises(StructuralError, match=message):
+        if net == "template":
+            prior = dataclasses.replace(prior, template=dataclasses.replace(prior.template, activation=activation))
+        else:
+            hyper = list(prior.hyper)
+            hyper[1] = dataclasses.replace(hyper[1], activation=activation)
+            prior = dataclasses.replace(prior, hyper=hyper)
         fields.save_prior(prior, tmp_path / "prior.bin")
 
 
@@ -391,6 +394,68 @@ def test_init_prior_rejects_a_layer_width_that_is_not_a_positive_integer(kwargs,
     with pytest.raises(StructuralError, match=f"^{name} must be an integer >= 1"):
         fields.init_prior("sphere", **{"latent_dim": 4, "template_hidden": (8,), "deform_hidden": (6,),
                                        "hyper_hidden": 8, **kwargs})
+
+
+def test_save_prior_through_a_regular_file_is_a_data_error(tmp_path):
+    # a path whose directory is a regular file used to raise a bare FileExistsError
+    (tmp_path / "file").write_text("")
+    with pytest.raises(DataError, match=re.escape(f"cannot write {tmp_path / 'file' / 'x.bin'}")):
+        fields.save_prior(small_prior(39), tmp_path / "file" / "x.bin")
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"template_hidden": 5}, "template_hidden"), ({"deform_hidden": None}, "deform_hidden"),
+    ({"omega0": float("nan")}, "omega0"), ({"omega0": 0.0}, "omega0"),
+])
+def test_init_prior_checks_its_arguments_before_drawing_from_them(kwargs, name):
+    # these used to raise a bare TypeError, or an OverflowError from the
+    # random draw of the initial weights
+    with pytest.raises(StructuralError, match=f"^{name}"):
+        fields.init_prior("sphere", **{"latent_dim": 4, "template_hidden": (8,), "deform_hidden": (6,),
+                                       "hyper_hidden": 8, **kwargs})
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda p: ad.MLPParams(p.template.weights, p.template.biases, "tanh"),
+                 "unknown activation tag 'tanh'", id="tanh-network"),
+    pytest.param(lambda p: fields.ShapePrior(p.category, p.template, []),
+                 "deformation network must output", id="no-hypernetworks"),
+    pytest.param(lambda p: dataclasses.replace(p, template=dataclasses.replace(p.template, activation="relu")),
+                 "template must be a sine net", id="relu-template"),
+    pytest.param(lambda p: dataclasses.replace(p, latents={"a": np.full(8, np.nan)}),
+                 "latent 'a' has non-finite entries", id="nan-latent"),
+])
+def test_an_invalid_network_or_prior_fails_when_built(build, message):
+    # each of these used to build: the tanh network ran as a relu network,
+    # the prior without hypernetworks raised a bare IndexError in
+    # instance_field, reconstruct ran to the end on the relu template, and
+    # the NaN latent failed only at stage joint-optimize, as non-finite terms
+    with pytest.raises(StructuralError, match=message):
+        build(small_prior(40))
+
+
+def test_a_prior_with_non_finite_weights_fails_when_built():
+    prior = small_prior(41)
+    weights = list(prior.hyper[2].weights)
+    weights[1] = weights[1].copy()
+    weights[1][0, 0] = np.inf
+    hyper = [*prior.hyper[:2], dataclasses.replace(prior.hyper[2], weights=weights)]
+    with pytest.raises(StructuralError, match=re.escape("hyper.2.1.w has non-finite entries")):
+        dataclasses.replace(prior, hyper=hyper)
+
+
+def test_a_prior_keeps_its_own_latent_table_and_a_latent_code_its_own_array():
+    # the caller's later writes used to reach the checked prior and code
+    table = {"a": np.zeros(8)}
+    prior = dataclasses.replace(small_prior(42), latents=table)
+    table["b"] = np.full(8, np.nan)
+    assert list(prior.latents) == ["a"]
+    z = np.zeros(8)
+    code = fields.LatentCode(z)
+    z[0] = np.nan
+    assert np.isfinite(code.z).all()
+    with pytest.raises(ValueError, match="read-only"):
+        code.z[0] = np.nan
 
 
 def test_a_prior_of_an_unknown_category_is_rejected(tmp_path):

@@ -54,6 +54,15 @@ def test_container_rejects_garbage(tmp_path):
         formats.load_container(path)
 
 
+def test_a_refused_write_is_a_data_error_that_leaves_no_temp_file(tmp_path):
+    # a directory in the way of the rename used to raise a bare IsADirectoryError
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(DataError, match=f"cannot write {tmp_path / 'taken'}"):
+        formats.save_json(tmp_path / "taken", {"a": 1})
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
+
+
 def test_container_byte_identical_rewrites(tmp_path):
     rng = substream(1, "d")
     arrays = {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(4)}

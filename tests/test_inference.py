@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -29,8 +30,7 @@ def observed_sphere_cloud(seed=1, n=300, r=0.45):
 
 
 def test_zero_iterations_passthrough():
-    prior = tiny_prior(2)
-    prior.latents = {"a": np.full(8, 0.25)}
+    prior = dataclasses.replace(tiny_prior(2), latents={"a": np.full(8, 0.25)})
     obs = observed_sphere_cloud(3)
     init = Pose.from_matrix(rotation_about_axis([0, 0, 1], 0.3), np.array([0.1, 0, 0]))
     cfg = inference.InferenceConfig(iterations=0, seed=5)
@@ -38,7 +38,7 @@ def test_zero_iterations_passthrough():
     np.testing.assert_array_equal(res.pose.rot6d, init.rot6d)
     np.testing.assert_array_equal(res.pose.translation, init.translation)
     np.testing.assert_array_equal(res.latent.z, inference.init_latent(prior, substream(5, "inference")))
-    assert res.trace == []
+    assert res.trace == ()
 
 
 def test_trace_length_matches_iterations():
@@ -65,8 +65,7 @@ def test_frozen_flags_keep_values():
 
 
 def test_joint_optimize_deterministic():
-    prior = tiny_prior(10)
-    prior.latents = {"a": substream(11, "l").standard_normal(8) * 0.05}
+    prior = dataclasses.replace(tiny_prior(10), latents={"a": substream(11, "l").standard_normal(8) * 0.05})
     obs = observed_sphere_cloud(12, n=120)
     cfg = inference.InferenceConfig(iterations=6, eikonal_samples=64, seed=13)
     r1 = inference.joint_optimize(prior, obs, identity_pose(), cfg)
@@ -183,9 +182,8 @@ def test_reconstruct_empty_mask_stage_tagged():
 
 
 def test_latent_init_modes():
-    prior = tiny_prior(22)
     rng = substream(23, "l")
-    prior.latents = {f"s{i}": rng.standard_normal(8) for i in range(6)}
+    prior = dataclasses.replace(tiny_prior(22), latents={f"s{i}": rng.standard_normal(8) for i in range(6)})
     mean, std = prior.latent_stats()
     zs = np.stack([inference.init_latent(prior, substream(i, "b")) for i in range(200)])
     # samples follow the empirical latent distribution
@@ -199,9 +197,9 @@ def sphere_view():
 
 
 def test_reconstruct_passes_template_cloud_to_estimator():
-    prior = tiny_prior(24)
     # a plane template, so the template cloud is the z = 0 square
-    prior.template = ad.MLPParams([np.array([[0.0, 0.0, 1.0]])], [np.zeros(1)], "sine")  # one layer: linear
+    plane = ad.MLPParams([np.array([[0.0, 0.0, 1.0]])], [np.zeros(1)], "sine")  # one layer: linear
+    prior = dataclasses.replace(tiny_prior(24), template=plane)
     seen = []
 
     class RecordingEstimator:
@@ -228,9 +226,9 @@ def test_reconstruct_builds_no_template_cloud_for_the_noisy_oracle(monkeypatch):
 
 
 def test_reconstruct_template_failure_is_a_canonicalize_failure():
-    prior = tiny_prior(28)
     # a constant template field: no zero level set to sample a cloud from
-    prior.template = ad.MLPParams([np.zeros((1, 3))], [np.ones(1)], "sine")  # one layer: linear
+    constant = ad.MLPParams([np.zeros((1, 3))], [np.ones(1)], "sine")  # one layer: linear
+    prior = dataclasses.replace(tiny_prior(28), template=constant)
     cfg = inference.InferenceConfig(iterations=1, eikonal_samples=8, mc_resolution=8, seed=29)
     with pytest.raises(StageError, match="template") as exc:
         inference.reconstruct(prior, sphere_view(), PcaEstimator(), cfg)

@@ -1,14 +1,12 @@
 import ast
 import dataclasses
 import importlib
+import pkgutil
 import re
 import tomllib
 from pathlib import Path
 
-from shapefit import inference, meshing, training
-from shapefit import synthdata as sd
-from shapefit.canonicalize import PointCloud
-from shapefit.geometry import Pose
+import shapefit
 
 
 def test_console_scripts_import():
@@ -111,19 +109,22 @@ def test_only_errors_checks_array_shapes():
 
 
 def test_records_and_pose_are_valid_when_built():
-    # settings records, data records, shapes and their primitives check
-    # themselves when built, so no consumer re-checks them; a mutable record
-    # or a validate() method would bring the re-checks back
-    records = (
-        inference.InferenceConfig, training.TrainConfig, sd.Intrinsics,
-        PointCloud, sd.DepthImage, sd.ShapeSampleSet, sd.AnalyticShape, sd.Sphere, sd.Box, sd.Cylinder, sd.Ellipsoid,
-        Pose, meshing.TriangleMesh,
+    # settings and data records, networks, the prior, shapes and their
+    # primitives check themselves when built, so no consumer re-checks them;
+    # a mutable record or a validate() method would bring the re-checks back
+    modules = [importlib.import_module(m.name) for m in pkgutil.walk_packages(shapefit.__path__, "shapefit.")]
+    records = sorted(
+        {cls for mod in modules for cls in vars(mod).values()
+         if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == mod.__name__},
+        key=lambda cls: cls.__name__,
     )
-    for cls in records:
-        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls.__name__
-    # TriangleMesh keeps validate(), which the benchmark calls on each mesh
+    assert {"MLPParams", "ShapePrior", "NoisyOracleEstimator", "Pose", "Ellipsoid"} <= {c.__name__ for c in records}
+    assert [cls.__name__ for cls in records if not cls.__dataclass_params__.frozen] == []
+    # ReconstructionResult and TriangleMesh keep validate(), which the
+    # benchmark calls on each output
     checks = ("validate", "validate_unit_cube")
-    assert [cls.__name__ for cls in records if any(hasattr(cls, c) for c in checks)] == ["TriangleMesh"]
+    assert [cls.__name__ for cls in records if any(hasattr(cls, c) for c in checks)] == [
+        "ReconstructionResult", "TriangleMesh"]
 
 
 def test_only_fields_names_prior_arrays():

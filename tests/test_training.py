@@ -24,14 +24,13 @@ def small_prior(seed=0, latent_dim=6):
 def plane_prior():
     """Prior whose composed field is exactly psi(x) = x_3."""
     prior = small_prior(1)
-    prior.template = ad.MLPParams([np.array([[0.0, 0.0, 1.0]])], [np.zeros(1)], "sine")  # one layer: linear
+    template = ad.MLPParams([np.array([[0.0, 0.0, 1.0]])], [np.zeros(1)], "sine")  # one layer: linear
     # one zero hypernetwork: a single linear (3 -> 4) deformation layer, zero output
     w0 = np.zeros((8, prior.latent_dim))
     b0 = np.zeros(8)
     w1 = np.zeros((16, 8))
     b1 = np.zeros(16)
-    prior.hyper = [ad.MLPParams([w0, w1], [b0, b1], "relu")]
-    return prior.validate()
+    return fields.ShapePrior(prior.category, template, [ad.MLPParams([w0, w1], [b0, b1], "relu")])
 
 
 def plane_samples(rng, n_s=50, n_f=80):
@@ -143,12 +142,8 @@ def test_shape_terms_gradients_match_fd():
 
     def loss_t(vec):
         ws, bs = unpack_params(vec, prior.template)
-        saved = prior.template
-        prior.template = ad.MLPParams(ws, bs, saved.activation, saved.omega0)
-        try:
-            return training.shape_terms(prior, z0, samples, w)[0]["total"]
-        finally:
-            prior.template = saved
+        template = ad.MLPParams(ws, bs, prior.template.activation, prior.template.omega0)
+        return training.shape_terms(dataclasses.replace(prior, template=template), z0, samples, w)[0]["total"]
 
     want_t = fd_grad_vector(loss_t, base_t, h=1e-6)
     got_t = ad.pack_params(t_grads.weights, t_grads.biases)
@@ -158,12 +153,9 @@ def test_shape_terms_gradients_match_fd():
 
     def loss_h(vec):
         ws, bs = unpack_params(vec, prior.hyper[0])
-        saved = prior.hyper[0]
-        prior.hyper[0] = ad.MLPParams(ws, bs, saved.activation, saved.omega0)
-        try:
-            return training.shape_terms(prior, z0, samples, w)[0]["total"]
-        finally:
-            prior.hyper[0] = saved
+        h0 = ad.MLPParams(ws, bs, prior.hyper[0].activation, prior.hyper[0].omega0)
+        moved = dataclasses.replace(prior, hyper=[h0, *prior.hyper[1:]])
+        return training.shape_terms(moved, z0, samples, w)[0]["total"]
 
     want_h = fd_grad_vector(loss_h, base_h, h=1e-6)
     got_h = ad.pack_params(h_grads[0].weights, h_grads[0].biases)
@@ -313,6 +305,18 @@ def test_fit_rejects_an_instance_id_that_is_not_a_string_before_adding_latents()
     assert prior.latents == {}
 
 
+@pytest.mark.parametrize("entry", [("b", "not a sample set"), "b", ("b",), ("b", None, None)], ids=repr)
+def test_fit_checks_every_dataset_entry_before_adding_latents(entry):
+    # a second item that is not a sample set used to raise a bare
+    # AttributeError with latents "a" and "b" added, and an entry of three
+    # items a bare ValueError
+    [(_, a)], _ = make_dataset(1, seed=38, n_pts=120)
+    prior = small_prior(39)
+    with pytest.raises(StructuralError, match=r"^dataset entry 1 is not an \(instance id, ShapeSampleSet\) pair"):
+        training.fit(prior, [("a", a), entry], desk_config(epochs=1))
+    assert prior.latents == {}
+
+
 def test_loss_weights_of_each_category():
     # one row per category, each with every term in the order shape_terms
     # sums them, and every weight finite and >= 0
@@ -325,22 +329,20 @@ def test_loss_weights_of_each_category():
 
 
 def _drop_hypernetworks(prior):
-    prior.hyper = []
+    return dataclasses.replace(prior, hyper=[])
 
 
 def _relu_template(prior):
-    prior.template.activation = ad.ACT_RELU
+    return dataclasses.replace(prior, template=dataclasses.replace(prior.template, activation=ad.ACT_RELU))
 
 
 @pytest.mark.parametrize("break_prior", [_drop_hypernetworks, _relu_template])
 def test_fit_rejects_an_invalid_prior_before_adding_latents(break_prior):
     # fit used to add latents first: without hypernetworks that raised a bare
-    # IndexError, and a relu template was rejected with the new latents kept
-    dataset, _ = make_dataset(2, seed=34, n_pts=120)
-    prior = small_prior(35)
-    prior.latents = {"kept": np.full(6, 0.5)}
-    break_prior(prior)
-    with pytest.raises(StructuralError):
-        training.fit(prior, dataset, desk_config(epochs=1))
+    # IndexError, and a relu template was rejected with the new latents kept.
+    # Such a prior now fails when built, so it never reaches fit
+    prior = dataclasses.replace(small_prior(35), latents={"kept": np.full(6, 0.5)})
+    with pytest.raises(StructuralError, match="deformation network|template must be a sine net"):
+        break_prior(prior)
     assert list(prior.latents) == ["kept"]
     np.testing.assert_array_equal(prior.latents["kept"], np.full(6, 0.5))
