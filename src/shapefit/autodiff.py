@@ -1,8 +1,10 @@
 """Differentiable evaluation of small dense MLPs.
 
 Every network has one form: hidden layers of one activation, sine
-(sin(omega0 (W x + b))) or ReLU, and a linear output layer. The forward
-pass optionally carries, next to each layer activation, its Jacobian with
+(sin(OMEGA0 (W x + b))) or ReLU, and a linear output layer. OMEGA0 is the
+one sine frequency: the layer loop, `backward` and `siren_init` read it
+when they are called, and no network stores it. The forward pass
+optionally carries, next to each layer activation, its Jacobian with
 respect to a set of base coordinates (normally the 3D input point). Losses
 may therefore reference the spatial gradient of the field. A hand-written
 reverse pass differentiates this augmented computation, yielding exact
@@ -13,7 +15,7 @@ One private layer loop runs every forward pass; `forward` (values only,
 nothing kept), `forward_cached` (values plus the intermediates `backward`
 needs) and `forward_aug` (values, Jacobians and intermediates) are its
 three entry points. The keeping entry points store each layer's input,
-its activation derivative (omega cos(omega pre) for sine layers) and, with
+its activation derivative (OMEGA0 cos(OMEGA0 pre) for sine layers) and, with
 Jacobians, the input and pre-activation Jacobians, so `backward` evaluates
 no activation again.
 
@@ -34,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError, check_count, check_real, check_shape
+from .errors import StructuralError, check_count, check_shape
 
 ACT_SINE = "sine"
 ACT_RELU = "relu"
-OMEGA0 = 30.0  # frequency of sine layers, the SIREN default
+OMEGA0 = 30.0  # the frequency of every sine layer, the SIREN and DIF-Net value
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +54,7 @@ class MLPParams:
     weights[k] has shape (out_k, in_k), biases[k] shape (out_k,): tuples of
     contiguous float64 arrays, writable since Adam steps them in place.
     `activation` ("sine" or "relu") applies to every layer but the last,
-    which is linear; sine layers compute sin(omega0 * (W x + b)). Entries
+    which is linear; sine layers compute sin(OMEGA0 * (W x + b)). Entries
     may be non-finite: a net `fields.hyper_forward` computes is checked by
     the loss that reads it, a prior's nets by `fields.ShapePrior`.
     """
@@ -60,14 +62,15 @@ class MLPParams:
     weights: tuple
     biases: tuple
     activation: str
-    omega0: float = OMEGA0
 
     def __post_init__(self):
+        for name, layers in (("weights", self.weights), ("biases", self.biases)):
+            if not isinstance(layers, (list, tuple)):
+                raise StructuralError(f"{name} must be a list or tuple of arrays, got {type(layers).__name__}")
         if not self.weights or len(self.weights) != len(self.biases):
             raise StructuralError("weights and biases must be non-empty and aligned")
         if self.activation not in (ACT_SINE, ACT_RELU):
             raise StructuralError(f"unknown activation tag {self.activation!r}")
-        check_real("omega0", self.omega0, strict=True)
         weights, biases, width = [], [], "N"  # width: the previous layer's output size
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             weights.append(np.ascontiguousarray(check_shape(f"layer {k} weight", w, ("N", width))))
@@ -93,11 +96,12 @@ class MLPParams:
         return [self.in_dim] + [w.shape[0] for w in self.weights]
 
 
-def siren_init(layer_sizes, rng, omega0=OMEGA0):
-    """Standard sinusoidal-network init: a sine net with a linear output.
+def siren_init(layer_sizes, rng):
+    """Standard sinusoidal-network init: a sine net with a linear output,
+    whose sine layers compute sin(OMEGA0 (W x + b)).
 
     First layer uniform in [-1/in, 1/in]; later layers uniform in
-    [-sqrt(6/in)/omega0, sqrt(6/in)/omega0].
+    [-sqrt(6/in)/OMEGA0, sqrt(6/in)/OMEGA0].
     """
     weights, biases = [], []
     for k in range(len(layer_sizes) - 1):
@@ -105,10 +109,10 @@ def siren_init(layer_sizes, rng, omega0=OMEGA0):
         if k == 0:
             bound = 1.0 / fan_in
         else:
-            bound = np.sqrt(6.0 / fan_in) / omega0
+            bound = np.sqrt(6.0 / fan_in) / OMEGA0
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return MLPParams(weights, biases, ACT_SINE, omega0)
+    return MLPParams(weights, biases, ACT_SINE)
 
 
 @dataclass(frozen=True)
@@ -140,8 +144,8 @@ def _layers(params, x, jac=None, keep=False):
     x alongside the values when it is given. With `keep`, the returned
     cache is a list whose item k is (z_prev, jac_prev, deriv, jac_pre) of
     layer k: its input values (N, in), input Jacobian (K, J, in),
-    activation derivative at the pre-activation (N, out; omega
-    cos(omega pre) for sine, the mask pre > 0 for ReLU, None for the
+    activation derivative at the pre-activation (N, out; OMEGA0
+    cos(OMEGA0 pre) for sine, the mask pre > 0 for ReLU, None for the
     linear output) and pre-activation Jacobian (K, J, out); the Jacobians
     are None without tracking. Without `keep`
     the cache is None, nothing is retained and no activation derivative is
@@ -152,7 +156,6 @@ def _layers(params, x, jac=None, keep=False):
     cache = [] if keep else None
     need_deriv = keep or jac is not None
     sine = params.activation == ACT_SINE
-    omega = params.omega0
     last = params.n_layers - 1
     tail = slice(len(x) - jac.shape[1], None) if jac is not None else None
     z = x
@@ -165,10 +168,10 @@ def _layers(params, x, jac=None, keep=False):
         if k == last:
             z_next = pre
         elif sine:
-            pre *= omega
+            pre *= OMEGA0
             if need_deriv:
                 deriv = np.cos(pre)
-                deriv *= omega
+                deriv *= OMEGA0
             if jac is not None:
                 jac = deriv[tail] * jac_pre
             z_next = np.sin(pre, out=pre)
@@ -229,9 +232,8 @@ def backward(params, cache, gy, gjac=None, inputs_only=False):
     weight gradient's Jacobian term and the adjoint step are each one GEMM
     over K*J rows, and the second-order sine term reaches the last J rows
     of the pre-activation adjoint. The activation derivatives come from
-    the cache, and sin(omega pre) of a sine layer is the next layer's input.
+    the cache, and sin(OMEGA0 pre) of a sine layer is the next layer's input.
     """
-    omega = params.omega0
     sine = params.activation == ACT_SINE
     gz = check_shape("gy", gy, (len(cache[0][0]), params.out_dim))
     if gjac is not None and cache[0][1] is None:
@@ -255,9 +257,9 @@ def backward(params, cache, gy, gjac=None, inputs_only=False):
         elif sine:
             gpre = gz * deriv
             if track:
-                # d/dpre of jac_out = -omega^2 sin(omega pre) * jac_pre
+                # d/dpre of jac_out = -OMEGA0^2 sin(OMEGA0 pre) * jac_pre
                 sin = cache[k + 1][0][tail]
-                gpre[tail] -= (omega * omega) * sin * (gjac * jac_pre).sum(axis=0)
+                gpre[tail] -= (OMEGA0 * OMEGA0) * sin * (gjac * jac_pre).sum(axis=0)
                 gjac_pre = gjac * deriv[tail]
         else:
             gpre = np.where(deriv, gz, 0.0)

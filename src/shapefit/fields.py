@@ -20,15 +20,17 @@ named `template.{k}.w` / `.b`, or `hyper.{i}.{k}.w` / `.b` in hypernetwork
 i, and the latent of instance `id` is `latent.{id}`. `named_arrays` gives
 these names, and they are the keys of the optimizer of `training.fit` and
 the sections of a checkpoint alike. A checkpoint's JSON sidecar holds the
-category and the template's omega0.
+category alone: every sine layer runs at `autodiff.OMEGA0`, so a network
+carries no frequency.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, StructuralError, _read_only, check_count, check_real, check_shape
+from .errors import DataError, StructuralError, _read_only, check_count, check_shape
 from .formats import load_container, load_json, save_container, save_json
 from .rng import substream
 from .synthdata.shapes import check_category
@@ -71,6 +73,14 @@ class ShapePrior:
 
     def __post_init__(self):
         check_category(self.category)
+        if not isinstance(self.hyper, (list, tuple)):
+            raise StructuralError(f"hyper must be a list or tuple of MLPParams, got {type(self.hyper).__name__}")
+        nets = {"template": self.template, **{f"hypernetwork {k}": h for k, h in enumerate(self.hyper)}}
+        for name, net in nets.items():
+            if not isinstance(net, ad.MLPParams):
+                raise StructuralError(f"{name} must be an MLPParams, got {type(net).__name__}")
+        if not isinstance(self.latents, Mapping):
+            raise StructuralError(f"latents must be a mapping, got {type(self.latents).__name__}")
         object.__setattr__(self, "hyper", tuple(self.hyper))
         t = self.template
         if t.activation != ad.ACT_SINE:
@@ -126,12 +136,10 @@ def init_prior(
     template_hidden=(128, 128, 128),
     deform_hidden=(128, 128, 128),
     hyper_hidden=256,
-    omega0=ad.OMEGA0,
     seed=0,
 ):
     """Fresh prior: a sine template net, and zero-centred hypernetworks that
     reproduce a standard sine-net deformation init at z = 0."""
-    check_real("omega0", omega0, strict=True)
     check_count("latent_dim", latent_dim)
     check_count("hyper_hidden", hyper_hidden)
     for name, widths in (("template_hidden", template_hidden), ("deform_hidden", deform_hidden)):
@@ -139,8 +147,8 @@ def init_prior(
         for width in widths:
             check_count(f"{name} entry", width)
     rng = substream(seed, "init")
-    template = ad.siren_init([3, *template_hidden, 1], rng, omega0=omega0)
-    layout = ad.siren_init([3, *deform_hidden, DEFORM_OUT_DIM], rng, omega0=omega0)
+    template = ad.siren_init([3, *template_hidden, 1], rng)
+    layout = ad.siren_init([3, *deform_hidden, DEFORM_OUT_DIM], rng)
     # start the deformation at exactly zero so the composition is the
     # identity and the correction term does not inject early noise; the
     # layout only seeds the hypernetworks' final biases and is not kept
@@ -172,7 +180,7 @@ def hyper_forward(prior, z):
         weights.append(flat[: fan_out * fan_in].reshape(fan_out, fan_in))
         biases.append(flat[fan_out * fan_in :].copy())
         caches.append(cache)
-    return ad.MLPParams(weights, biases, ad.ACT_SINE, prior.template.omega0), caches
+    return ad.MLPParams(weights, biases, ad.ACT_SINE), caches
 
 
 def hyper_backward(prior, caches, deform_grads, inputs_only=False):
@@ -317,35 +325,40 @@ def _count(sections, prefix):
     return 1 + max((int(k) for k in ks if k.isdecimal()), default=0)
 
 
-def _load_net(sections, prefix, activation, omega0=ad.OMEGA0):
+def _load_net(sections, prefix, activation):
     """The network stored as `prefix.k.w` / `.b`; a KeyError names a missing section."""
     n = _count(sections, prefix)
     weights = [sections[f"{prefix}.{k}.w"] for k in range(n)]
     biases = [sections[f"{prefix}.{k}.b"] for k in range(n)]
-    return ad.MLPParams(weights, biases, activation, omega0)
+    return ad.MLPParams(weights, biases, activation)
 
 
 def save_prior(prior, path):
     """Write the prior's `named_arrays`, latents in sorted id order, to the
-    binary container at `path`, and its category and template omega0 to a
-    JSON sidecar at `path` + '.json'."""
+    binary container at `path`, and its category, the sidecar's one key, to
+    a JSON sidecar at `path` + '.json'."""
     latents = {iid: prior.latents[iid] for iid in sorted(prior.latents)}
     save_container(path, named_arrays(prior.template, prior.hyper, latents))
-    save_json(str(path) + ".json", {"category": prior.category, "omega0": float(prior.template.omega0)})
+    save_json(str(path) + ".json", {"category": prior.category})
 
 
 def load_prior(path):
-    """Read a prior `save_prior` wrote. A missing or malformed part, or a
-    section that is not one of the prior's `named_arrays` (such as the
-    latent matrix of an older layout), raises DataError naming it."""
+    """Read a prior `save_prior` wrote. A missing or malformed part, a
+    sidecar key other than "category" (such as the sine frequency an older
+    layout stored), or a section that is not one of the prior's `named_arrays`
+    (such as the latent matrix of an older layout), raises DataError naming
+    it."""
     sections = load_container(path)
     sidecar = load_json(str(path) + ".json")
     if not isinstance(sidecar, dict):
         raise DataError(f"checkpoint {path}: sidecar {path}.json is not a JSON object")
+    extra = sorted(set(sidecar) - {"category"})
+    if extra:
+        raise DataError(f"checkpoint {path}: sidecar {path}.json holds keys other than 'category': {extra}")
     try:
         prior = ShapePrior(
             category=sidecar["category"],
-            template=_load_net(sections, "template", ad.ACT_SINE, sidecar["omega0"]),
+            template=_load_net(sections, "template", ad.ACT_SINE),
             hyper=[_load_net(sections, f"hyper.{i}", ad.ACT_RELU) for i in range(_count(sections, "hyper"))],
             latents={n.removeprefix("latent."): z for n, z in sections.items() if n.startswith("latent.")},
         )

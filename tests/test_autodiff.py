@@ -10,8 +10,17 @@ from shapefit.synthdata import make_family, sample_shape
 from oracles import fd_grad_vector, fd_spatial_grad, n_params, rel_err, unpack_params
 
 
-def tiny_net(seed=0, sizes=(3, 4, 1), omega0=30.0):
-    return ad.siren_init(sizes, substream(seed, "net"), omega0=omega0)
+def tiny_net(seed=0, sizes=(3, 4, 1)):
+    return ad.siren_init(sizes, substream(seed, "net"))
+
+
+def sine_at(omega, weights, biases):
+    """A sine net whose hidden layers compute sin(omega (W x + b)): its
+    hidden weights and biases are the given ones scaled by omega / OMEGA0."""
+    s = omega / ad.OMEGA0
+    return ad.MLPParams(
+        [w * s for w in weights[:-1]] + weights[-1:], [b * s for b in biases[:-1]] + biases[-1:], "sine"
+    )
 
 
 def test_identity_linear_layer():
@@ -25,7 +34,7 @@ def test_identity_linear_layer():
 def test_sine_layer_at_zero():
     # one sine layer read out through an identity linear output layer
     net = ad.MLPParams(
-        [np.array([[1.0, 0, 0]]), np.eye(1)], [np.zeros(1), np.zeros(1)], "sine", omega0=30.0
+        [np.array([[1.0, 0, 0]]), np.eye(1)], [np.zeros(1), np.zeros(1)], "sine"
     )
     y, jac, _ = ad.forward_aug(net, np.zeros((1, 3)))
     # sin(30 * w.x) at x=0: value 0, gradient 30 * w
@@ -71,15 +80,15 @@ def test_determinism_bit_identical():
 
 
 def mixed_net(seed, activation):
-    """Two hidden layers of `activation` and a linear output, random weights."""
+    """Two hidden layers of `activation` and a linear output, random weights;
+    sine layers run at frequency 2."""
     rng = substream(seed, "mixed")
     sizes = (3, 6, 5, 2)
-    return ad.MLPParams(
-        [rng.standard_normal((o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
-        [rng.standard_normal(o) for o in sizes[1:]],
-        activation,
-        omega0=2.0,
-    )
+    weights = [rng.standard_normal((o, i)) for i, o in zip(sizes[:-1], sizes[1:])]
+    biases = [rng.standard_normal(o) for o in sizes[1:]]
+    if activation == ad.ACT_SINE:
+        return sine_at(2.0, weights, biases)
+    return ad.MLPParams(weights, biases, activation)
 
 
 def test_forward_entry_points_agree():
@@ -108,8 +117,8 @@ def out_of_place_layers(net, x):
             layers.append((z, None))
             z = pre
         elif net.activation == ad.ACT_SINE:
-            layers.append((z, net.omega0 * np.cos(net.omega0 * pre)))
-            z = np.sin(net.omega0 * pre)
+            layers.append((z, ad.OMEGA0 * np.cos(ad.OMEGA0 * pre)))
+            z = np.sin(ad.OMEGA0 * pre)
         else:
             layers.append((z, pre > 0.0))
             z = np.maximum(pre, 0.0)
@@ -167,7 +176,7 @@ def check_param_grads_fd(net, batch, with_jac, value_rows=0):
 
     def of_vec(vec):
         w, b = unpack_params(vec, net)
-        return functional(ad.MLPParams(w, b, net.activation, net.omega0))
+        return functional(ad.MLPParams(w, b, net.activation))
 
     cache = ad.forward_aug(net, batch, value_rows)[2] if with_jac else ad.forward_cached(net, batch)[1]
     grads, _ = ad.backward(net, cache, gy, gjac)
@@ -267,15 +276,15 @@ def test_backward_input_gradient():
 
 
 def wide_sine_net(seed):
-    """Sine net with unequal widths and 4 linear outputs, so that a transposed
-    or mis-reshaped (K, N, width) block has the wrong values, not the wrong shape."""
+    """Sine net at frequency 1.5 with unequal widths and 4 linear outputs, so
+    that a transposed or mis-reshaped (K, N, width) block has the wrong
+    values, not the wrong shape."""
     rng = substream(seed, "wide")
     sizes = (3, 5, 7, 4)
-    return ad.MLPParams(
+    return sine_at(
+        1.5,
         [rng.standard_normal((o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
         [rng.standard_normal(o) for o in sizes[1:]],
-        "sine",
-        omega0=1.5,
     )
 
 
@@ -402,4 +411,4 @@ def test_pack_unpack_roundtrip():
 def test_validate_rejects_an_unknown_activation(activation):
     net = tiny_net(21)
     with pytest.raises(StructuralError, match="unknown activation tag"):
-        ad.MLPParams(net.weights, net.biases, activation, net.omega0)
+        ad.MLPParams(net.weights, net.biases, activation)

@@ -202,7 +202,7 @@ def test_compose_backward_matches_fd_on_params():
 
     def loss_t(vec):
         w, b = unpack_params(vec, prior.template)
-        t = ad.MLPParams(w, b, prior.template.activation, prior.template.omega0)
+        t = ad.MLPParams(w, b, prior.template.activation)
         return full_loss(t, prior.hyper, z0)
 
     from oracles import fd_grad_vector
@@ -216,7 +216,7 @@ def test_compose_backward_matches_fd_on_params():
 
     def loss_h(vec):
         w, b = unpack_params(vec, prior.hyper[0])
-        h0 = ad.MLPParams(w, b, prior.hyper[0].activation, prior.hyper[0].omega0)
+        h0 = ad.MLPParams(w, b, prior.hyper[0].activation)
         return full_loss(prior.template, [h0, *prior.hyper[1:]], z0)
 
     want_h = fd_grad_vector(loss_h, base_h, h=1e-6)
@@ -258,7 +258,6 @@ def test_deform_layout_is_read_off_the_hypernetworks():
     assert prior.deform_shapes() == [(12, 3), (12, 12), (4, 12)]
     deform, _ = fields.hyper_forward(prior, np.zeros(8))
     assert deform.activation == "sine"
-    assert deform.omega0 == prior.template.omega0
 
 
 @pytest.mark.parametrize("drop", [0, -1])
@@ -289,7 +288,7 @@ def test_checkpoint_sections_are_the_optimizer_names(tmp_path):
     assert names[:2] == ["template.0.w", "template.0.b"]
     assert names[-4:] == ["hyper.2.1.b", "latent.a", "latent.b", "latent.c.1"]
     assert list(load_container(path)) == names
-    assert sorted(load_json(str(path) + ".json")) == ["category", "omega0"]
+    assert list(load_json(str(path) + ".json")) == ["category"]
     back = fields.load_prior(path)
     assert list(back.latents) == ["a", "b", "c.1"]
     for iid, z in prior.latents.items():
@@ -371,17 +370,18 @@ def test_load_prior_rejects_a_sidecar_that_is_not_an_object(tmp_path, sidecar):
         fields.load_prior(path)
 
 
-@pytest.mark.parametrize("omega0", [None, "30", float("nan")])
-def test_load_prior_needs_the_template_omega0_in_the_sidecar(tmp_path, omega0):
+@pytest.mark.parametrize("sidecar, message", [
+    pytest.param({"category": "car", "omega0": 30.0}, "holds keys other than 'category': ['omega0']", id="older-layout"),
+    pytest.param({"category": "car", "note": "x"}, "holds keys other than 'category': ['note']", id="unknown-key"),
+    pytest.param({}, "missing section or sidecar key 'category'", id="no-category"),
+])
+def test_the_sidecar_holds_the_category_alone(tmp_path, sidecar, message):
+    # every sine layer runs at autodiff.OMEGA0, so the sine frequency an
+    # older sidecar stored is refused rather than loaded and ignored
     path = _saved_prior(tmp_path, 31)
-    sidecar = load_json(str(path) + ".json")
-    assert sidecar["omega0"] == 30.0
-    if omega0 is None:
-        del sidecar["omega0"]
-    else:
-        sidecar["omega0"] = omega0
+    assert load_json(str(path) + ".json") == {"category": "sphere"}
     save_json(str(path) + ".json", sidecar)
-    with pytest.raises(DataError, match="omega0"):
+    with pytest.raises(DataError, match=re.escape(message)):
         fields.load_prior(path)
 
 
@@ -405,7 +405,6 @@ def test_save_prior_through_a_regular_file_is_a_data_error(tmp_path):
 
 @pytest.mark.parametrize("kwargs, name", [
     ({"template_hidden": 5}, "template_hidden"), ({"deform_hidden": None}, "deform_hidden"),
-    ({"omega0": float("nan")}, "omega0"), ({"omega0": 0.0}, "omega0"),
 ])
 def test_init_prior_checks_its_arguments_before_drawing_from_them(kwargs, name):
     # these used to raise a bare TypeError, or an OverflowError from the
@@ -432,6 +431,31 @@ def test_an_invalid_network_or_prior_fails_when_built(build, message):
     # the NaN latent failed only at stage joint-optimize, as non-finite terms
     with pytest.raises(StructuralError, match=message):
         build(small_prior(40))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda p: fields.ShapePrior(p.category, "net", p.hyper),
+                 "template must be an MLPParams, got str", id="template-str"),
+    pytest.param(lambda p: fields.ShapePrior(p.category, p.template, [p.hyper[0], "x"]),
+                 "hypernetwork 1 must be an MLPParams, got str", id="hypernetwork-str"),
+    pytest.param(lambda p: fields.ShapePrior(p.category, p.template, None),
+                 "hyper must be a list or tuple of MLPParams, got NoneType", id="hyper-none"),
+    pytest.param(lambda p: dataclasses.replace(p, latents=None),
+                 "latents must be a mapping, got NoneType", id="latents-none"),
+    pytest.param(lambda p: dataclasses.replace(p, latents=5), "latents must be a mapping, got int", id="latents-int"),
+    pytest.param(lambda p: ad.MLPParams(np.zeros((1, 3)), [np.zeros(1)], "sine"),
+                 "weights must be a list or tuple of arrays, got ndarray", id="weights-array"),
+    pytest.param(lambda p: ad.MLPParams((w for w in p.template.weights), p.template.biases, "sine"),
+                 "weights must be a list or tuple of arrays, got generator", id="weights-generator"),
+    pytest.param(lambda p: ad.MLPParams(p.template.weights, iter(p.template.biases), "sine"),
+                 "biases must be a list or tuple of arrays, got", id="biases-iterator"),
+])
+def test_a_prior_or_network_built_from_the_wrong_types_names_the_argument(build, message):
+    # these used to raise a bare AttributeError (a template or hypernetwork
+    # that is not a network), TypeError (hyper or latents None, latents 5,
+    # weights a generator) or ValueError (weights one array)
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}"):
+        build(small_prior(43))
 
 
 def test_a_prior_with_non_finite_weights_fails_when_built():

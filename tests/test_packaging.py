@@ -141,3 +141,19 @@ def test_only_fields_names_prior_arrays():
             if isinstance(lead, ast.Constant) and isinstance(lead.value, str) and prefix.match(lead.value):
                 hits.add(f"{p.relative_to(ROOT)}:{node.lineno}")
     assert not hits, "prior array names formatted outside fields.py: " + ", ".join(sorted(hits))
+
+
+def test_only_autodiff_knows_the_sine_frequency():
+    # every sine layer runs at autodiff.OMEGA0; a frequency threaded through
+    # another module (a field, an argument, a checkpoint key) is a setting
+    # that no caller varies, and a saved one can disagree with the code
+    name_field = {ast.Name: "id", ast.Attribute: "attr", ast.arg: "arg", ast.keyword: "arg"}
+    hits = set()
+    for p in sorted((ROOT / "src" / "shapefit").rglob("*.py")):
+        if p.name == "autodiff.py":
+            continue
+        for node in ast.walk(ast.parse(p.read_text())):
+            name = getattr(node, name_field[type(node)]) if type(node) in name_field else None
+            if name and "omega" in name.lower():
+                hits.add(f"{p.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not hits, "sine frequency named outside autodiff.py: " + ", ".join(sorted(hits))

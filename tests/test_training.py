@@ -142,7 +142,7 @@ def test_shape_terms_gradients_match_fd():
 
     def loss_t(vec):
         ws, bs = unpack_params(vec, prior.template)
-        template = ad.MLPParams(ws, bs, prior.template.activation, prior.template.omega0)
+        template = ad.MLPParams(ws, bs, prior.template.activation)
         return training.shape_terms(dataclasses.replace(prior, template=template), z0, samples, w)[0]["total"]
 
     want_t = fd_grad_vector(loss_t, base_t, h=1e-6)
@@ -153,7 +153,7 @@ def test_shape_terms_gradients_match_fd():
 
     def loss_h(vec):
         ws, bs = unpack_params(vec, prior.hyper[0])
-        h0 = ad.MLPParams(ws, bs, prior.hyper[0].activation, prior.hyper[0].omega0)
+        h0 = ad.MLPParams(ws, bs, prior.hyper[0].activation)
         moved = dataclasses.replace(prior, hyper=[h0, *prior.hyper[1:]])
         return training.shape_terms(moved, z0, samples, w)[0]["total"]
 
