@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError, check_count, check_shape
+from .errors import StructuralError, check_count, check_shape, check_type
 
 ACT_SINE = "sine"
 ACT_RELU = "relu"
@@ -65,8 +65,7 @@ class MLPParams:
 
     def __post_init__(self):
         for name, layers in (("weights", self.weights), ("biases", self.biases)):
-            if not isinstance(layers, (list, tuple)):
-                raise StructuralError(f"{name} must be a list or tuple of arrays, got {type(layers).__name__}")
+            check_type(name, layers, (list, tuple), "a list or tuple of arrays")
         if not self.weights or len(self.weights) != len(self.biases):
             raise StructuralError("weights and biases must be non-empty and aligned")
         if self.activation not in (ACT_SINE, ACT_RELU):

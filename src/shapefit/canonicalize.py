@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DataError, StructuralError, _read_only, check_cloud, check_count, check_real
+from .errors import DataError, StructuralError, _read_only, check_cloud, check_count, check_real, check_type
 from .geometry import Pose, rotation_about_axis
 from .rng import substream
+from .synthdata.render import DepthImage
 
 ICP_MAX_ITERATIONS = 50
 ICP_REJECTION_FACTOR = 3.0  # matches farther than this times the median distance are dropped
@@ -39,7 +40,7 @@ class PointCloud:
 def lift_depth(depth):
     """Back-project the positive-depth pixels of a DepthImage to the camera
     frame. An image with none raises DataError."""
-    mask = depth.mask
+    mask = check_type("depth", depth, DepthImage, "a DepthImage").mask
     if not mask.any():
         raise DataError("depth image has no positive-depth pixel")
     ys, xs = np.nonzero(mask)
@@ -141,8 +142,7 @@ class NoisyOracleEstimator:
     name = "noisy-oracle"
 
     def __post_init__(self):
-        if not isinstance(self.gt_pose, Pose):
-            raise StructuralError(f"gt_pose must be a Pose, got {type(self.gt_pose).__name__}")
+        check_type("gt_pose", self.gt_pose, Pose, "a Pose")
         check_real("rot_noise_deg", self.rot_noise_deg)
         check_real("trans_noise", self.trans_noise)
         check_count("seed", self.seed, 0)

@@ -1,9 +1,9 @@
 """Exception taxonomy shared across the package, and the argument checks.
 
-A malformed argument (a ragged, complex or non-numeric array, a wrong
-shape, no points, a non-finite entry, a setting out of range) is a
-StructuralError naming the argument, raised by the `check_*` functions
-below, the only code that tests an array's shape.
+A malformed argument (an object of the wrong type, a ragged, complex or
+non-numeric array, a wrong shape, no points, a non-finite entry, a setting
+out of range) is a StructuralError naming the argument, raised by the
+`check_*` functions below, the only code that tests an array's shape.
 A settings record (`InferenceConfig`, `TrainConfig`, `Intrinsics`,
 `NoisyOracleEstimator`), a `Pose`, a data record (`PointCloud`,
 `DepthImage`, `ShapeSampleSet`, `TriangleMesh`, `LatentCode`), a shape
@@ -55,6 +55,14 @@ def check_count(name, value, minimum=1):
     """Raise StructuralError naming `name` unless `value` is an integer >= `minimum`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise StructuralError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_type(name, value, types, what):
+    """`value`; raise StructuralError naming `name` unless it is an instance
+    of `types`, which `what` describes ("a Pose")."""
+    if not isinstance(value, types):
+        raise StructuralError(f"{name} must be {what}, got {type(value).__name__}")
+    return value
 
 
 def check_real(name, value, minimum=0.0, strict=False):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, StructuralError, _read_only, check_count, check_shape
+from .errors import DataError, StructuralError, _read_only, check_count, check_shape, check_type
 from .formats import load_container, load_json, save_container, save_json
 from .rng import substream
 from .synthdata.shapes import check_category
@@ -73,14 +73,11 @@ class ShapePrior:
 
     def __post_init__(self):
         check_category(self.category)
-        if not isinstance(self.hyper, (list, tuple)):
-            raise StructuralError(f"hyper must be a list or tuple of MLPParams, got {type(self.hyper).__name__}")
+        check_type("hyper", self.hyper, (list, tuple), "a list or tuple of MLPParams")
         nets = {"template": self.template, **{f"hypernetwork {k}": h for k, h in enumerate(self.hyper)}}
         for name, net in nets.items():
-            if not isinstance(net, ad.MLPParams):
-                raise StructuralError(f"{name} must be an MLPParams, got {type(net).__name__}")
-        if not isinstance(self.latents, Mapping):
-            raise StructuralError(f"latents must be a mapping, got {type(self.latents).__name__}")
+            check_type(name, net, ad.MLPParams, "an MLPParams")
+        check_type("latents", self.latents, Mapping, "a mapping")
         object.__setattr__(self, "hyper", tuple(self.hyper))
         t = self.template
         if t.activation != ad.ACT_SINE:

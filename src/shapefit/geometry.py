@@ -10,14 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError, _read_only, check_shape
+from .errors import StructuralError, _read_only, check_shape, check_type
 
 _DEGENERATE_NORM = 1e-9
 _ROTATION_TOL = 1e-6  # |R^T R - I| accepted by Pose.from_matrix
 
 
-def rot6d_to_matrix(r6):
-    """Gram-Schmidt two 3-vectors into a rotation matrix (columns b1,b2,b3)."""
+def _gram_schmidt(r6):
+    """The Gram-Schmidt steps of a rot6d (a1, a2): (a2, b1, b2, |a1|, |u2|)
+    with b1 = a1 / |a1|, u2 = a2 - (b1.a2) b1 and b2 = u2 / |u2|. A vector
+    of no length raises StructuralError."""
     r6 = check_shape("rot6d", r6, (6,))
     a1, a2 = r6[:3], r6[3:]
     n1 = np.linalg.norm(a1)
@@ -28,9 +30,13 @@ def rot6d_to_matrix(r6):
     n2 = np.linalg.norm(u2)
     if n2 < _DEGENERATE_NORM:
         raise StructuralError("rot6d second vector is parallel to the first")
-    b2 = u2 / n2
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=1)
+    return a2, b1, u2 / n2, n1, n2
+
+
+def rot6d_to_matrix(r6):
+    """Gram-Schmidt two 3-vectors into a rotation matrix (columns b1,b2,b3)."""
+    _, b1, b2, _, _ = _gram_schmidt(r6)
+    return np.stack([b1, b2, np.cross(b1, b2)], axis=1)
 
 
 def matrix_to_rot6d(rot):
@@ -41,13 +47,7 @@ def matrix_to_rot6d(rot):
 
 def rot6d_backward(r6, grad_rot):
     """Adjoint of rot6d_to_matrix: maps dL/dR (3,3) to dL/dr6 (6,)."""
-    r6 = np.asarray(r6, dtype=np.float64)
-    a1, a2 = r6[:3], r6[3:]
-    n1 = np.linalg.norm(a1)
-    b1 = a1 / n1
-    u2 = a2 - (b1 @ a2) * b1
-    n2 = np.linalg.norm(u2)
-    b2 = u2 / n2
+    a2, b1, b2, n1, n2 = _gram_schmidt(r6)
     gb1 = np.array(grad_rot[:, 0], dtype=np.float64)
     gb2 = np.array(grad_rot[:, 1], dtype=np.float64)
     gb3 = np.asarray(grad_rot[:, 2], dtype=np.float64)
@@ -110,14 +110,18 @@ class Pose:
 
     def compose(self, other):
         """self after other: (self @ other)(x) = self(other(x))."""
+        check_type("other", other, Pose, "a Pose")
         r_s, r_o = self.matrix(), other.matrix()
         return Pose.from_matrix(r_s @ r_o, r_s @ other.translation + self.translation)
 
 
 def rotation_about_axis(axis, angle_rad):
     """Rodrigues rotation about a (not necessarily unit) axis."""
-    axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
+    axis = check_shape("axis", axis, (3,))
+    norm = np.linalg.norm(axis)
+    if not (np.isfinite(norm) and norm >= _DEGENERATE_NORM):
+        raise StructuralError(f"rotation axis {axis} has no direction")
+    axis = axis / norm
     kx, ky, kz = axis
     k = np.array([[0, -kz, ky], [kz, 0, -kx], [-ky, kx, 0]])
     return np.eye(3) + np.sin(angle_rad) * k + (1 - np.cos(angle_rad)) * (k @ k)

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fields
 from .canonicalize import PointCloud, canonicalize, lift_depth
-from .errors import StageError, StructuralError, check_count, check_finite
+from .errors import StageError, StructuralError, check_count, check_finite, check_type
 from .geometry import Pose, rot6d_backward, rot6d_to_matrix
 from .meshing import check_resolution, marching_cubes, sample_mesh_surface
 from .rng import substream
@@ -37,7 +37,6 @@ TEMPLATE_POINTS = 4000
 class InferenceConfig:
     iterations: int = 30
     eikonal_samples: int = 512
-    optimize_pose: bool = True
     max_observed_points: int = 2000
     # final mesh; level by level, so res 128 evaluates 3.7% of the 129^3
     # grid points on a trained car prior (79,498 of 2,146,689): 0.84-0.91 s,
@@ -51,8 +50,6 @@ class InferenceConfig:
         check_count("iterations", self.iterations, 0)
         check_count("eikonal_samples", self.eikonal_samples)
         check_count("max_observed_points", self.max_observed_points)
-        if not isinstance(self.optimize_pose, bool):
-            raise StructuralError(f"optimize_pose must be a bool, got {self.optimize_pose!r}")
         check_resolution(self.mc_resolution)
         check_count("seed", self.seed, 0)
 
@@ -118,10 +115,13 @@ def joint_optimize(prior, observed, init, config):
     observed: PointCloud in the camera frame. init: Pose mapping camera
     frame -> canonical frame. Each iteration draws fresh free-space
     samples, evaluates `view_terms` (one forward and one reverse pass) and
-    takes Adam steps; its trace row is the term dict. Network weights stay
-    frozen; with `optimize_pose` off the pose stays at `init`, and zero
-    iterations return the initial latent and pose unchanged.
+    takes Adam steps on the latent and on the pose; its trace row is the
+    term dict. Network weights stay frozen, and zero iterations return the
+    initial latent and pose unchanged.
     """
+    check_type("observed", observed, PointCloud, "a PointCloud")
+    check_type("init", init, Pose, "a Pose")
+    check_type("config", config, InferenceConfig, "an InferenceConfig")
     rng = substream(config.seed, "inference")
     pts = observed.points
     if len(pts) > config.max_observed_points:
@@ -142,8 +142,7 @@ def joint_optimize(prior, observed, init, config):
         check_finite(f"iteration {it}, terms", terms)
         check_finite(f"iteration {it}, gradients", {"z": g_z, "r6": g_r6, "t": g_t})
         opt.step(params, {"z": g_z}, lr=LR_SHAPE)
-        if config.optimize_pose:
-            opt.step(params, {"r6": g_r6, "t": g_t}, lr=LR_POSE)
+        opt.step(params, {"r6": g_r6, "t": g_t}, lr=LR_POSE)
 
     return ReconstructionResult(None, Pose(r6, t), fields.LatentCode(z), tuple(trace))
 

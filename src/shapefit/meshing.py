@@ -47,12 +47,13 @@ batch it is computed in (BLAS takes other paths for short batches), so the
 rows of a block may differ from one dense call in the last bit, and a
 vertex on an edge with such a corner can then differ too."""
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._mc_tables import TRIANGLES
-from .errors import NumericError, StructuralError, _read_only, check_count, check_shape
+from .errors import NumericError, StructuralError, _read_only, check_count, check_shape, check_type
 from .rng import substream
 
 # cube corner offsets and the corner pair of each of the 12 edges
@@ -225,6 +226,7 @@ def marching_cubes(field, resolution):
     resolution+1 samples per axis.
     The field is evaluated level by level (see the module docstring).
     """
+    check_type("field", field, Callable, "a callable")
     check_resolution(resolution)
     npts = resolution + 1
     axis = np.linspace(-1.0, 1.0, npts)

@@ -1,17 +1,18 @@
 """Point-cloud evaluation: bidirectional chamfer distance (x1e4) and
-F-score at a distance threshold, plus pose error reporting.
+F-score at DEFAULT_TAU, plus pose error reporting.
 
 Nearest neighbors come from a k-d tree, but distances are recomputed from
 the matched pairs with plain vectorized arithmetic so results are
 bit-identical to an O(N^2) scan.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import StructuralError, check_cloud, check_real
+from .errors import StructuralError, check_cloud, check_type
+from .geometry import Pose
 
 CHAMFER_SCALE = 1e4
 DEFAULT_TAU = 0.01
@@ -32,12 +33,12 @@ def chamfer(a, b):
     return float((_nn_sq_dists(a, b).mean() + _nn_sq_dists(b, a).mean()) * CHAMFER_SCALE)
 
 
-def fscore(pred, gt, tau=DEFAULT_TAU):
-    """F1 of point matches within `tau` (strict inequality)."""
+def fscore(pred, gt):
+    """F1 of point matches within DEFAULT_TAU (strict inequality); on clouds
+    scaled by `normalize_pair`, F@1%."""
     pred = check_cloud("prediction", pred)
     gt = check_cloud("ground truth", gt)
-    check_real("tau", tau, strict=True)
-    tau_sq = tau * tau
+    tau_sq = DEFAULT_TAU * DEFAULT_TAU
     precision = float(np.mean(_nn_sq_dists(pred, gt) < tau_sq))
     recall = float(np.mean(_nn_sq_dists(gt, pred) < tau_sq))
     if precision + recall == 0:
@@ -47,6 +48,8 @@ def fscore(pred, gt, tau=DEFAULT_TAU):
 
 def pose_error(est, gt):
     """(geodesic rotation error in degrees, translation error)."""
+    check_type("est", est, Pose, "a Pose")
+    check_type("gt", gt, Pose, "a Pose")
     r_est = est.matrix()
     r_gt = gt.matrix()
     cos = (np.trace(r_est.T @ r_gt) - 1.0) / 2.0
@@ -76,17 +79,13 @@ class ShapeRecord:
     f1: float
 
 
-@dataclass(frozen=True)
 class EvalReport:
-    """Per-shape surface scores on normalized clouds, one `ShapeRecord` per
-    `add`; no aggregate, and no pose error (see `pose_error`)."""
-
-    records: list = field(default_factory=list)
+    """Surface scores of one shape at a time on normalized clouds: `add`
+    returns a `ShapeRecord` and keeps nothing, so there is no aggregate, and
+    no pose error (see `pose_error`)."""
 
     def add(self, name, pred_points, gt_points):
         """Chamfer and F-score at DEFAULT_TAU of one shape, on clouds scaled
         by `normalize_pair`."""
         pred, gt = normalize_pair(pred_points, gt_points)
-        rec = ShapeRecord(name, chamfer(pred, gt), fscore(pred, gt))
-        self.records.append(rec)
-        return rec
+        return ShapeRecord(name, chamfer(pred, gt), fscore(pred, gt))

@@ -5,9 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError, StructuralError, _read_only, check_count, check_real, check_shape
-from ..geometry import look_at
+from ..errors import DataError, StructuralError, _read_only, check_count, check_real, check_shape, check_type
+from ..geometry import Pose, look_at
 from ..rng import substream
+from .shapes import AnalyticShape
 
 HIT_THRESHOLD = 1e-4
 STEP_RELAXATION = 0.9
@@ -51,8 +52,7 @@ class DepthImage:
         if len(bad):
             y, x = bad[0]
             raise DataError(f"depth pixel ({y}, {x}) is {depth[y, x]}; depths must be finite and >= 0")
-        if not isinstance(self.intrinsics, Intrinsics):
-            raise StructuralError(f"intrinsics must be an Intrinsics, got {type(self.intrinsics).__name__}")
+        check_type("intrinsics", self.intrinsics, Intrinsics, "an Intrinsics")
         object.__setattr__(self, "depth", _read_only(depth))
 
     @property
@@ -60,19 +60,20 @@ class DepthImage:
         return self.depth > 0
 
 
-def render_depth(shape, camera_pose, intrinsics, resolution, noise_sigma=0.0, seed=0):
-    """Sphere-trace the shape's SDF to a DepthImage at (width, height).
+def render_depth(shape, camera_pose, intrinsics, resolution):
+    """Sphere-trace the shape's SDF to a noise-free DepthImage at (width, height).
 
     `camera_pose` maps canonical-frame points into the camera frame; the
     image does not keep it. Depth is the camera-frame z coordinate of the
     first hit, so lifting a pixel through the intrinsics reproduces the hit
-    point exactly. With `noise_sigma` > 0, Gaussian range noise is added to
-    the hits (clipped to stay positive), so the valid pixels do not move.
+    point exactly.
     """
+    check_type("shape", shape, AnalyticShape, "an AnalyticShape")
+    check_type("camera_pose", camera_pose, Pose, "a Pose")
+    check_type("intrinsics", intrinsics, Intrinsics, "an Intrinsics")
     width, height = check_shape("image resolution", resolution, (2,), np.int64)
     for v in resolution:
         check_count("image resolution", v)
-    check_real("noise_sigma", noise_sigma)
     rot = camera_pose.matrix()
     origin = -rot.T @ camera_pose.translation  # camera center, canonical frame
     if np.linalg.norm(origin) <= shape.bounding_radius():
@@ -126,11 +127,6 @@ def render_depth(shape, camera_pose, intrinsics, resolution, noise_sigma=0.0, se
 
     depth = np.zeros(n)
     depth[hit] = t[hit] / ray_norms[hit]
-    if noise_sigma > 0:
-        rng = substream(seed, "depth-noise")
-        depth[hit] += rng.normal(0.0, noise_sigma, size=int(hit.sum()))
-        np.clip(depth, 1e-6, None, out=depth)
-        depth[~hit] = 0.0
     return DepthImage(depth.reshape(height, width), intrinsics)
 
 
@@ -150,6 +146,7 @@ def occlude(depth, ratio, seed):
     """Zero the depth in a random axis-aligned rectangle covering `ratio` of
     the valid pixels (within 2%). ratio == 0 is an internal bypass returning
     `depth` itself."""
+    check_type("depth", depth, DepthImage, "a DepthImage")
     check_real("occlusion ratio", ratio)
     if ratio == 0:
         return depth

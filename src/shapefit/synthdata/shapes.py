@@ -11,7 +11,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import DataError, StructuralError, _read_only, check_cloud, check_count, check_real, check_shape
+from ..errors import (
+    DataError, StructuralError, _read_only, check_cloud, check_count, check_real, check_shape, check_type,
+)
 from ..rng import substream
 
 # margin kept between samples and primitive edges/rims so that normals and
@@ -364,6 +366,7 @@ class ShapeSampleSet:
 
 def sample_shape(shape, n_surface, n_free, seed):
     """Draw a ShapeSampleSet from the analytic oracle, deterministic per seed."""
+    check_type("shape", shape, AnalyticShape, "an AnalyticShape")
     check_count("surface sample count", n_surface)
     check_count("free sample count", n_free)
     rng = substream(seed, "sample", shape.name)

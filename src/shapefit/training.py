@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fields
-from .errors import StructuralError, check_count, check_finite, check_real
+from .errors import StructuralError, check_count, check_finite, check_real, check_type
 from .rng import substream
 from .synthdata.shapes import ShapeSampleSet
 
@@ -187,6 +187,8 @@ def fit(prior, dataset, config, on_epoch=None):
     Returns (prior, history, optimizer); history has one row per epoch: the
     epoch and the mean of each weighted term and of the total.
     """
+    check_type("dataset", dataset, (list, tuple), "a list or tuple of (instance id, ShapeSampleSet) pairs")
+    check_type("config", config, TrainConfig, "a TrainConfig")
     if not dataset:
         raise StructuralError("dataset is empty")
     ids = set()

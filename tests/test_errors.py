@@ -1,6 +1,8 @@
 """The one rule for array arguments: a wrongly shaped array is a
 StructuralError whose message names the argument."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,3 +126,43 @@ def test_a_bad_seed_fails_when_the_owner_is_built(build):
     # as that stage
     with pytest.raises(StructuralError, match="^seed must be an integer >= 0"):
         build()
+
+
+POSE = Pose.from_matrix(np.eye(3), np.zeros(3))
+SAMPLES = sd.ShapeSampleSet(**VALID_RECORDS[sd.ShapeSampleSet])
+SPHERE = sd.AnalyticShape([sd.Sphere(np.zeros(3), 0.5)])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: canon.lift_depth(np.ones((3, 3))), "depth must be a DepthImage, got ndarray", id="lift"),
+    pytest.param(lambda: sd.occlude(np.ones((4, 4)), 0.3, 0), "depth must be a DepthImage, got ndarray",
+                 id="occlude"),
+    pytest.param(lambda: sd.render_depth(None, POSE, INTR, (4, 4)), "shape must be an AnalyticShape, got NoneType",
+                 id="render-shape"),
+    pytest.param(lambda: sd.render_depth(SPHERE, None, INTR, (4, 4)), "camera_pose must be a Pose, got NoneType",
+                 id="render-pose"),
+    pytest.param(lambda: sd.render_depth(SPHERE, POSE, None, (4, 4)),
+                 "intrinsics must be an Intrinsics, got NoneType", id="render-intrinsics"),
+    pytest.param(lambda: metrics.pose_error(None, POSE), "est must be a Pose, got NoneType", id="pose-error-est"),
+    pytest.param(lambda: metrics.pose_error(POSE, None), "gt must be a Pose, got NoneType", id="pose-error-gt"),
+    pytest.param(lambda: POSE.compose(None), "other must be a Pose, got NoneType", id="compose"),
+    pytest.param(lambda: inference.joint_optimize(PRIOR, np.zeros((3, 3)), POSE, inference.InferenceConfig()),
+                 "observed must be a PointCloud, got ndarray", id="joint-optimize-observed"),
+    pytest.param(lambda: inference.joint_optimize(PRIOR, canon.PointCloud(CLOUD), None, inference.InferenceConfig()),
+                 "init must be a Pose, got NoneType", id="joint-optimize-init"),
+    pytest.param(lambda: inference.joint_optimize(PRIOR, canon.PointCloud(CLOUD), POSE, None),
+                 "config must be an InferenceConfig, got NoneType", id="joint-optimize-config"),
+    pytest.param(lambda: training.fit(PRIOR, [("a", SAMPLES)], None), "config must be a TrainConfig, got NoneType",
+                 id="fit-config"),
+    pytest.param(lambda: training.fit(PRIOR, 5, training.TrainConfig()),
+                 "dataset must be a list or tuple of (instance id, ShapeSampleSet) pairs, got int", id="fit-dataset"),
+    pytest.param(lambda: sd.sample_shape(None, 5, 5, 0), "shape must be an AnalyticShape, got NoneType",
+                 id="sample-shape"),
+    pytest.param(lambda: meshing.marching_cubes(None, 8), "field must be a callable, got NoneType",
+                 id="marching-cubes"),
+])
+def test_an_argument_of_the_wrong_type_is_a_structural_error_naming_it(call, message):
+    # each of these used to raise a bare AttributeError or TypeError
+    with pytest.raises(StructuralError, match="^" + re.escape(message) + "$"):
+        call()
+    assert PRIOR.latents == {}  # fit checks its arguments before it adds a latent

@@ -44,10 +44,13 @@ def test_rot6d_orthonormal_det_plus_one():
 
 
 def test_rot6d_degenerate_raises():
-    with pytest.raises(StructuralError):
-        geo.rot6d_to_matrix(np.zeros(6))
-    with pytest.raises(StructuralError):
-        geo.rot6d_to_matrix(np.array([1.0, 0, 0, 2.0, 0, 0]))
+    # rot6d_backward used to return all NaN with only a RuntimeWarning
+    for r6, message in [(np.zeros(6), "first vector is degenerate"),
+                        (np.array([1.0, 0, 0, 2.0, 0, 0]), "second vector is parallel to the first")]:
+        with pytest.raises(StructuralError, match=message):
+            geo.rot6d_to_matrix(r6)
+        with pytest.raises(StructuralError, match=message):
+            geo.rot6d_backward(r6, np.eye(3))
 
 
 def test_rot6d_backward_matches_fd():
@@ -135,3 +138,10 @@ def test_look_at_points_camera_at_target():
 def test_rotation_about_axis():
     rot = geo.rotation_about_axis([0, 0, 1], np.pi / 2)
     np.testing.assert_allclose(rot @ [1, 0, 0], [0, 1, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", [np.zeros(3), [1e-12, 0, 0], [np.nan, 0, 0], [np.inf, 0, 0]])
+def test_rotation_about_an_axis_with_no_direction_raises(axis):
+    # a zero axis used to give an all-NaN matrix with only a RuntimeWarning
+    with pytest.raises(StructuralError, match="has no direction"):
+        geo.rotation_about_axis(axis, 1.0)

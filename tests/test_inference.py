@@ -47,21 +47,13 @@ def test_trace_length_matches_iterations():
     cfg = inference.InferenceConfig(
         iterations=7, eikonal_samples=64, seed=6, mc_resolution=16
     )
-    res = inference.joint_optimize(prior, obs, identity_pose(), cfg)
-    assert len(res.trace) == 7
-
-
-def test_frozen_flags_keep_values():
-    prior = tiny_prior(7)
-    obs = observed_sphere_cloud(8, n=80)
-    cfg = inference.InferenceConfig(iterations=5, optimize_pose=False, eikonal_samples=32, seed=9)
     init = Pose.from_matrix(rotation_about_axis([0, 1, 0], 0.2), np.array([0.0, 0.05, 0]))
     res = inference.joint_optimize(prior, obs, init, cfg)
-    np.testing.assert_array_equal(res.pose.rot6d, init.rot6d)
-    np.testing.assert_array_equal(res.pose.translation, init.translation)
-    # the flag freezes the pose only: the latent still moves
-    assert not np.array_equal(res.latent.z, inference.init_latent(prior, substream(9, "inference")))
-    assert len(res.trace) == 5
+    assert len(res.trace) == 7
+    # every iteration steps the latent and the pose
+    assert not np.array_equal(res.latent.z, inference.init_latent(prior, substream(6, "inference")))
+    assert not np.array_equal(res.pose.rot6d, init.rot6d)
+    assert not np.array_equal(res.pose.translation, init.translation)
 
 
 def test_joint_optimize_deterministic():
@@ -145,13 +137,6 @@ def test_non_finite_gradient_aborts_naming_it(monkeypatch):
 def test_config_rejects_non_integer_counts(field):
     with pytest.raises(StructuralError, match=field):
         inference.InferenceConfig(**{field: 2.5})
-
-
-@pytest.mark.parametrize("value", ["false", 0, None])
-def test_config_rejects_an_optimize_pose_that_is_not_a_bool(value):
-    # the string "false" is truthy, so it used to optimise the pose
-    with pytest.raises(StructuralError, match="^optimize_pose must be a bool"):
-        inference.InferenceConfig(optimize_pose=value)
 
 
 @pytest.mark.parametrize("res", [4, 7, 16.0, "32", None])

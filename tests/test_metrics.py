@@ -61,8 +61,10 @@ def test_metrics_on_arbitrary_clouds(a, b):
                 fn(a, b)
         return
     assert metrics.chamfer(a, b) == brute_force_chamfer(a, b)
-    f = metrics.fscore(a, b, 0.5)
-    assert f == pytest.approx(brute_force_fscore(a, b, 0.5), abs=1e-15)
+    # F at a threshold of 0.5: the clouds scaled so that it reads DEFAULT_TAU
+    a, b = a * (metrics.DEFAULT_TAU / 0.5), b * (metrics.DEFAULT_TAU / 0.5)
+    f = metrics.fscore(a, b)
+    assert f == pytest.approx(brute_force_fscore(a, b, metrics.DEFAULT_TAU), abs=1e-15)
     assert 0.0 <= f <= 1.0
 
 
@@ -78,27 +80,28 @@ def test_nan_point_raises_naming_cloud():
 
 def test_fscore_identical_clouds():
     pts = substream(3, "f").uniform(-1, 1, (80, 3))
-    assert metrics.fscore(pts, pts, 0.01) == 1.0
-    assert metrics.fscore(pts, pts, 1e-9) == 1.0
+    assert metrics.fscore(pts, pts) == 1.0
+    pts = pts * (metrics.DEFAULT_TAU / 1e-9)  # a threshold of 1e-9 on the unscaled cloud
+    assert metrics.fscore(pts, pts) == 1.0
 
 
 def test_fscore_disjoint_zero():
     a = np.array([[0.0, 0.0, 0.0]])
     b = np.array([[1.0, 0.0, 0.0]])
-    assert metrics.fscore(a, b, 0.01) == 0.0
+    assert metrics.fscore(a, b) == 0.0
 
 
 def test_fscore_hand_computed():
     a = np.array([[0.0, 0, 0], [0.005, 0, 0]])
     b = np.array([[0.0, 0, 0]])
-    assert metrics.fscore(a, b, 0.01) == 1.0
+    assert metrics.fscore(a, b) == 1.0
 
 
 def test_fscore_strict_inequality():
     a = np.array([[0.0, 0, 0]])
     b = np.array([[0.01, 0, 0]])
-    # distance exactly tau: strict < excludes the match
-    assert metrics.fscore(a, b, 0.01) == 0.0
+    # distance exactly DEFAULT_TAU: strict < excludes the match
+    assert metrics.fscore(a, b) == 0.0
 
 
 def test_fscore_matches_brute_force():
@@ -106,30 +109,32 @@ def test_fscore_matches_brute_force():
     for _ in range(50):
         a = rng.uniform(-1, 1, (200, 3))
         b = rng.uniform(-1, 1, (200, 3))
-        tau = rng.uniform(0.05, 0.5)
-        assert metrics.fscore(a, b, tau) == brute_force_fscore(a, b, tau)
+        scale = metrics.DEFAULT_TAU / rng.uniform(0.05, 0.5)  # a threshold in [0.05, 0.5] on a and b
+        a, b = a * scale, b * scale
+        assert metrics.fscore(a, b) == brute_force_fscore(a, b, metrics.DEFAULT_TAU)
 
 
 def test_metrics_rigid_invariance():
     rng = substream(5, "rigid")
     a = rng.uniform(-1, 1, (120, 3))
     b = rng.uniform(-1, 1, (110, 3))
+    a, b = a * (metrics.DEFAULT_TAU / 0.2), b * (metrics.DEFAULT_TAU / 0.2)  # F at a threshold of 0.2
     cd0 = metrics.chamfer(a, b)
-    f0 = metrics.fscore(a, b, 0.2)
+    f0 = metrics.fscore(a, b)
     for _ in range(5):
         rot = random_rotation(rng)
         t = rng.uniform(-1, 1, 3)
         a2 = a @ rot.T + t
         b2 = b @ rot.T + t
         assert metrics.chamfer(a2, b2) == pytest.approx(cd0, abs=1e-9)
-        assert metrics.fscore(a2, b2, 0.2) == f0
+        assert metrics.fscore(a2, b2) == f0
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=2**31))
 def test_fscore_self_is_one_property(n, seed):
-    pts = substream(seed, "hyp").uniform(-1, 1, (n, 3))
-    assert metrics.fscore(pts, pts, 0.001) == 1.0
+    pts = substream(seed, "hyp").uniform(-1, 1, (n, 3)) * (metrics.DEFAULT_TAU / 0.001)
+    assert metrics.fscore(pts, pts) == 1.0
 
 
 def test_pose_error_identity():
@@ -172,11 +177,3 @@ def test_eval_report_identical_clouds():
     rec = report.add("shape0", pts, pts)
     assert rec.chamfer_x1e4 == 0.0
     assert rec.f1 == 1.0
-    assert report.records == [rec]
-
-
-@pytest.mark.parametrize("tau", [np.nan, np.inf, 0.0, -0.01])
-def test_fscore_rejects_tau_that_is_not_finite_and_positive(tau):
-    pts = substream(9, "tau").uniform(-1, 1, (50, 3))
-    with pytest.raises(StructuralError, match="tau"):
-        metrics.fscore(pts, pts, tau=tau)

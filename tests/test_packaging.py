@@ -94,6 +94,57 @@ def test_public_names_have_a_caller():
     assert not unused, "names with no caller outside tests: " + ", ".join(unused)
 
 
+def _defaults(tree):
+    """(callee, parameter, index) of each default of a module: a parameter
+    with a default of a function or method, and a field with a default or
+    default_factory of a dataclass. `callee` is the name a call uses (the
+    function's, the method's or the dataclass's), and `index` the position
+    of a positional argument that fills it, counting fields in declaration
+    order and skipping `self`; None for a keyword-only parameter."""
+    stack = [(tree, False)]
+    while stack:
+        node, in_class = stack.pop()
+        stack.extend((child, isinstance(node, ast.ClassDef)) for child in ast.iter_child_nodes(node))
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None))
+            for d in node.decorator_list
+        ):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            yield from ((node.name, f.target.id, i) for i, f in enumerate(fields) if f.value is not None)
+        elif isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            if in_class and "staticmethod" not in [getattr(d, "id", None) for d in node.decorator_list]:
+                positional = positional[1:]
+            first = len(positional) - len(args.defaults)
+            yield from ((node.name, a.arg, first + i) for i, a in enumerate(positional[first:]))
+            yield from ((node.name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d)
+
+
+def test_every_default_is_set_by_a_caller():
+    # a default that no call of the package or the benchmark overrides is a
+    # setting only tests vary: its other path serves no caller
+    modules = {p: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "shapefit").rglob("*.py"))}
+    callers = [*modules.values(), *(ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))
+                                    if not p.name.startswith("test_"))]
+    calls, unpacked = {}, set()  # callee -> [(positional count, keywords, unpacks a mapping)]
+    for node in (n for tree in callers for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        keywords = {k.arg for k in node.keywords}
+        if callee == "dict":  # a mapping that a caller may unpack into a call with **
+            unpacked |= keywords
+        positional = sum(not isinstance(a, ast.Starred) for a in node.args)
+        calls.setdefault(callee, []).append((positional, keywords, None in keywords))
+    unset = [
+        f"{path.relative_to(ROOT)} {callee}.{param}"
+        for path, tree in modules.items()
+        for callee, param, index in _defaults(tree)
+        if not any(param in keywords or (index is not None and positional > index) or (unpacks and param in unpacked)
+                   for positional, keywords, unpacks in calls.get(callee, []))
+    ]
+    assert not unset, "defaults that no caller outside tests sets: " + ", ".join(unset)
+
+
 def test_only_errors_checks_array_shapes():
     # errors.check_shape and errors.check_cloud own every shape check and
     # its message; a hand-written copy elsewhere drifts from them

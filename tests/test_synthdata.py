@@ -310,31 +310,6 @@ def test_render_depth_rejects_bad_resolution(resolution):
         sd.render_depth(unit_sphere(0.5), pose, sd.default_intrinsics(8, 8), resolution)
 
 
-def test_render_depth_noise():
-    shape = sd.make_family("car", 1, seed=3)[0]
-    pose = sd.hemisphere_camera(substream(4, "cam"))
-    intr = sd.default_intrinsics(96, 72)
-    sigma = 0.01
-    clean = sd.render_depth(shape, pose, intr, (96, 72))
-    noisy = sd.render_depth(shape, pose, intr, (96, 72), noise_sigma=sigma, seed=5)
-    again = sd.render_depth(shape, pose, intr, (96, 72), noise_sigma=sigma, seed=5)
-    np.testing.assert_array_equal(noisy.depth, again.depth)
-    # noise moves depths, never the set of hit pixels
-    np.testing.assert_array_equal(noisy.mask, clean.mask)
-    hits = clean.mask
-    assert (noisy.depth[hits] > 0).all() and (noisy.depth[~hits] == 0).all()
-    assert hits.sum() >= 1000
-    diff = noisy.depth[hits] - clean.depth[hits]
-    assert abs(diff.std() - sigma) < 0.1 * sigma
-
-
-@pytest.mark.parametrize("sigma", [-0.05, np.nan, np.inf])
-def test_render_depth_rejects_bad_noise_sigma(sigma):
-    pose = look_at(np.array([0.0, 0.0, 2.0]))
-    with pytest.raises(StructuralError, match="noise_sigma"):
-        sd.render_depth(unit_sphere(0.5), pose, sd.default_intrinsics(8, 8), (8, 8), noise_sigma=sigma)
-
-
 @pytest.mark.parametrize(
     "values, field", [((np.nan, 10, 1, 1), "fx"), ((np.inf, 10, 1, 1), "fx"), ((10, 0, 1, 1), "fy")]
 )
