@@ -213,8 +213,8 @@ class ComposedEval:
     grad_template: np.ndarray  # (J, 3) template gradient at y (unchained)
     delta_s: np.ndarray  # (N,)
     jac_v: np.ndarray  # (J, 3, 3)
-    _t_cache: object = None
-    _d_cache: object = None
+    _t_cache: object
+    _d_cache: object
 
 
 def compose_forward(template, deform, pts, value_rows=0):
@@ -251,8 +251,8 @@ def compose_backward(
     template,
     deform,
     ev,
-    d_psi=None,
-    d_grad_psi=None,
+    d_psi,
+    d_grad_psi,
     d_grad_template=None,
     d_jac_v=None,
     d_delta_s=None,
@@ -260,17 +260,15 @@ def compose_backward(
 ):
     """Adjoint of compose_forward.
 
-    Inputs are adjoints of the ComposedEval fields (None = zero), each
-    shaped like its field: `d_psi` and `d_delta_s` over all N points,
-    `d_grad_psi`, `d_grad_template` and `d_jac_v` over the J points that
-    carry Jacobians. Returns
+    Inputs are adjoints of the ComposedEval fields (None = zero for the
+    last three), each shaped like its field: `d_psi` and `d_delta_s` over
+    all N points, `d_grad_psi`, `d_grad_template` and `d_jac_v` over the J
+    points that carry Jacobians. Returns
     (template MLPGrads, deform MLPGrads, gradient w.r.t. the input points).
     With `inputs_only` the template's weight gradients are skipped and
     returned as None; the deformation's are always computed, since they are
     the adjoint that `hyper_backward` pushes into the latent.
     """
-    d_psi = np.zeros(ev.psi.shape) if d_psi is None else d_psi
-    d_grad_psi = np.zeros(ev.grad_psi.shape) if d_grad_psi is None else d_grad_psi
     a = ev.jac_v + np.eye(3)
     # psi = t_val + delta_s; grad_psi = A^T grad_t + grad_ds
     g_tval = d_psi.copy()
@@ -296,6 +294,7 @@ def compose_backward(
 
 def instance_field(prior, z):
     """Batched value-only field closure for one latent (for meshing)."""
+    check_type("prior", prior, ShapePrior, "a ShapePrior")
     deform, _ = hyper_forward(prior, z)
     return lambda pts: compose_value(prior.template, deform, pts)
 
@@ -334,6 +333,7 @@ def save_prior(prior, path):
     """Write the prior's `named_arrays`, latents in sorted id order, to the
     binary container at `path`, and its category, the sidecar's one key, to
     a JSON sidecar at `path` + '.json'."""
+    check_type("prior", prior, ShapePrior, "a ShapePrior")
     latents = {iid: prior.latents[iid] for iid in sorted(prior.latents)}
     save_container(path, named_arrays(prior.template, prior.hyper, latents))
     save_json(str(path) + ".json", {"category": prior.category})

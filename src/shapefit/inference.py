@@ -12,6 +12,7 @@ parametrization, so plain Adam steps stay on the rotation manifold after
 Gram-Schmidt.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,6 +120,7 @@ def joint_optimize(prior, observed, init, config):
     term dict. Network weights stay frozen, and zero iterations return the
     initial latent and pose unchanged.
     """
+    check_type("prior", prior, fields.ShapePrior, "a ShapePrior")
     check_type("observed", observed, PointCloud, "a PointCloud")
     check_type("init", init, Pose, "a Pose")
     check_type("config", config, InferenceConfig, "an InferenceConfig")
@@ -149,6 +151,7 @@ def joint_optimize(prior, observed, init, config):
 
 def template_cloud(prior, seed):
     """Surface samples of the prior's template zero level set (canonical)."""
+    check_type("prior", prior, fields.ShapePrior, "a ShapePrior")
     mesh = marching_cubes(lambda pts: ad.forward(prior.template, pts)[:, 0], TEMPLATE_MC_RESOLUTION)
     if mesh.is_empty:
         raise StructuralError("template field has no zero level set to sample")
@@ -170,8 +173,13 @@ def reconstruct(prior, depth, estimator, config):
     samples of the template field) is built only when the estimator asks
     for it, so a template failure is a canonicalize failure. A non-finite
     or negative depth has already failed when `depth` was built; an image
-    with no positive depth fails as stage `lift`.
+    with no positive depth fails as stage `lift`. A prior, estimator (an
+    object with an `estimate` method) or config of the wrong type fails
+    before the first stage.
     """
+    check_type("prior", prior, fields.ShapePrior, "a ShapePrior")
+    check_type("estimator.estimate", getattr(estimator, "estimate", None), Callable, "a callable")
+    check_type("config", config, InferenceConfig, "an InferenceConfig")
     cloud = _stage("lift", lift_depth, depth)
     init = _stage("canonicalize", canonicalize, estimator, cloud, lambda: template_cloud(prior, config.seed))
     result = _stage("joint-optimize", joint_optimize, prior, cloud, init, config)

@@ -25,13 +25,15 @@ CVPR 2019):
   nearest corner, so a 1-Lipschitz field (an SDF) has no zero in a block
   whose corners are all farther from 0 than that.
 - At the cell level the crossed candidate cells are kept. Closure: while a
-  crossed cell has a face neighbour that is not yet a candidate, that
-  neighbour becomes one and its corners are evaluated.
-- Each round evaluates its new grid points once, in ascending flat grid
-  index. The table code runs over the crossed cells in C order, so
-  vertices and triangles equal those of a dense evaluation whenever every
-  surface component reaches a candidate cell and the field's values do not
-  depend on the batch they are computed in (see below).
+  crossed cell has a face neighbour that is not yet a candidate (a mask
+  over all cells marks the candidates), that neighbour becomes one.
+- Level 0, each deeper level and each closure round is one step,
+  `_evaluate`: it evaluates the round's new grid points once, in ascending
+  flat grid index, and classifies the round's blocks. The table code runs
+  over the crossed cells in C order and emits triangles in (table slot,
+  cell) order, so vertices and triangles equal those of a dense evaluation
+  whenever every surface component reaches a candidate cell and the
+  field's values do not depend on the batch they are computed in (below).
 The limit: only a field steeper than 1-Lipschitz can hide a component, by
 keeping the corners of the block that holds it farther from 0 than half
 the block's diagonal. The closure mends such a miss where the component
@@ -119,23 +121,6 @@ class TriangleMesh:
         return self
 
 
-def _evaluate_grid(field, coords):
-    """Evaluate the batched scalar field over flattened grid coords, one
-    block of FIELD_BLOCK points per call."""
-    n = coords.shape[0]
-    out = np.empty(n)
-    for lo in range(0, n, FIELD_BLOCK):
-        hi = min(lo + FIELD_BLOCK, n)
-        # a column of values is fine; complex or text values are not
-        vals = check_shape(f"field values for grid points {lo}:{hi}", np.ravel(field(coords[lo:hi])), ("N",))
-        if vals.size != hi - lo:
-            raise StructuralError(
-                f"field returned {vals.size} values for grid points {lo}:{hi}, expected {hi - lo}"
-            )
-        out[lo:hi] = vals
-    return out
-
-
 def _corners(lattice, npts, blocks):
     """(8, B) flat grid indices of the corners of `blocks`, in _CORNERS
     order; each row ascends with the blocks. `blocks` are ascending C-order
@@ -148,33 +133,35 @@ def _corners(lattice, npts, blocks):
     return step @ lo + (_CORNERS * step) @ (lattice[ijk + 1] - lo)
 
 
-def _fill_corners(field, axis, grid, lattice, blocks):
-    """Evaluate `field` at the corners of `blocks` that are still unknown
-    (NaN) in the flat `grid`, once each and in ascending flat index, and
-    store the values there. Blocks are taken FIELD_BLOCK at a time, here
-    and in _corner_signs, so that no (8, B) array is built."""
+def _evaluate(field, axis, grid, lattice, blocks):
+    """One round: evaluate `field` at the corners of `blocks` that are still
+    unknown (NaN) in the flat `grid`, once each, in ascending flat index and
+    FIELD_BLOCK points per call, store the values there, and classify the
+    blocks. Returns, per block, whether its corners change sign (negative is
+    inside), and for a block whose corners do not, the smallest |f| at them.
+    Blocks are taken FIELD_BLOCK at a time, so that no (8, B) array is built."""
     n = len(axis)
-    unknown = []
+    unknown = [np.zeros(0, np.int64)]
     for lo in range(0, len(blocks), FIELD_BLOCK):
         points = _corners(lattice, n, blocks[lo : lo + FIELD_BLOCK])
         unknown.append(_unique(points[np.isnan(grid[points])]))
-    points = _unique(np.concatenate([np.zeros(0, np.int64), *unknown]))
+    points = _unique(np.concatenate(unknown))
     coords = axis[np.stack(np.unravel_index(points, (n, n, n)), axis=1)]
-    values = _evaluate_grid(field, coords)
-    bad = ~np.isfinite(values)
+    for lo in range(0, len(points), FIELD_BLOCK):
+        hi = min(lo + FIELD_BLOCK, len(points))
+        # a column of values is fine; complex or text values are not
+        vals = check_shape(f"field values for grid points {lo}:{hi}", np.ravel(field(coords[lo:hi])), ("N",))
+        if vals.size != hi - lo:
+            raise StructuralError(
+                f"field returned {vals.size} values for grid points {lo}:{hi}, expected {hi - lo}"
+            )
+        grid[points[lo:hi]] = vals
+    bad = ~np.isfinite(grid[points])
     if bad.any():
-        where = coords[np.flatnonzero(bad)[0]]
-        raise NumericError(f"field returned a non-finite value at grid point {where}")
-    grid[points] = values
-
-
-def _corner_signs(grid, npts, lattice, blocks):
-    """Per block of `blocks`, whether its corners change sign (negative is
-    inside), and for a block whose corners do not, the smallest |f| at
-    them."""
+        raise NumericError(f"field returned a non-finite value at grid point {coords[np.flatnonzero(bad)[0]]}")
     low, high = np.empty(len(blocks)), np.empty(len(blocks))
     for lo in range(0, len(blocks), FIELD_BLOCK):
-        values = grid[_corners(lattice, npts, blocks[lo : lo + FIELD_BLOCK])]
+        values = grid[_corners(lattice, n, blocks[lo : lo + FIELD_BLOCK])]
         low[lo : lo + FIELD_BLOCK] = values.min(axis=0)
         high[lo : lo + FIELD_BLOCK] = values.max(axis=0)
     return (low < 0.0) & (high >= 0.0), np.maximum(low, -high)
@@ -236,29 +223,26 @@ def marching_cubes(field, resolution):
     stride = max(1, resolution // COARSE_CELLS)
     lattice = np.unique(np.append(np.arange(0, npts, stride), resolution))
     blocks = np.arange((len(lattice) - 1) ** 3)
-    _fill_corners(field, axis, grid, lattice, blocks)
+    crossed, nearest = _evaluate(field, axis, grid, lattice, blocks)
     while len(lattice) < npts:
-        crossed, nearest = _corner_signs(grid, npts, lattice, blocks)
         # a zero inside a block lies within half its diagonal of the nearest
         # corner, so a 1-Lipschitz field is at most that far from 0 there
         n = len(lattice) - 1
         size = np.diff(lattice)[np.stack(np.unravel_index(blocks, (n, n, n)), axis=1)]
         near = nearest <= np.linalg.norm(size, axis=1) / resolution
         lattice, blocks = _split(lattice, blocks[crossed | near])
-        _fill_corners(field, axis, grid, lattice, blocks)
+        crossed, nearest = _evaluate(field, axis, grid, lattice, blocks)
 
     # the finest level: every block is a cell
-    seen = blocks
-    cells = new = blocks[_corner_signs(grid, npts, lattice, blocks)[0]]
+    seen = np.zeros(resolution**3, dtype=bool)
+    seen[blocks] = True
+    cells = new = blocks[crossed]
     while len(new):
         # closure: the surface leaves a crossed cell only through a face
         fresh = _neighbours(new, resolution)
-        at = np.searchsorted(seen, fresh)
-        unseen = seen[at.clip(max=len(seen) - 1)] != fresh
-        fresh = fresh[unseen]
-        seen = np.insert(seen, at[unseen], fresh)
-        _fill_corners(field, axis, grid, lattice, fresh)
-        new = fresh[_corner_signs(grid, npts, lattice, fresh)[0]]
+        fresh = fresh[~seen[fresh]]
+        seen[fresh] = True
+        new = fresh[_evaluate(field, axis, grid, lattice, fresh)[0]]
         cells = np.concatenate([cells, new])
     cells = np.stack(np.unravel_index(np.sort(cells), (resolution,) * 3), axis=1)
     return _triangulate(grid.reshape(npts, npts, npts), cells)
@@ -267,11 +251,11 @@ def marching_cubes(field, resolution):
 def _triangulate(grid, cells):
     """Table lookup over `cells`, (C, 3) lower corners in C order whose
     corners change sign, one vertex per crossed grid edge, then weld and
-    drop degenerate triangles. Every corner of a listed cell must hold a
-    value in `grid`, which spans [-1, 1]^3."""
+    drop degenerate triangles. Triangles come in (table slot, cell) order:
+    every cell's first triangle, then every second one, and so on. Every
+    corner of a listed cell must hold a value in `grid`, which spans
+    [-1, 1]^3."""
     npts = grid.shape[0]
-    if len(cells) == 0:
-        return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     ijk = cells[:, None, :] + _CORNERS
     cfg = ((grid[ijk[..., 0], ijk[..., 1], ijk[..., 2]] < 0.0) << np.arange(8)).sum(axis=1)
 
@@ -295,49 +279,31 @@ def _triangulate(grid, cells):
     t = np.clip(t, 0.0, 1.0)
     verts = -1.0 + 2.0 / (npts - 1) * (p0 + t[:, None] * (np.eye(3)[o]))
 
-    # map each cell-local edge to its vertex index, then emit triangles
+    # map each cell-local edge to its vertex index, then emit the triangles
+    # of every used (slot, cell) pair in one gather
     edge_vertex = np.full((len(cells), 12), -1, dtype=np.int64)
     edge_vertex[rows, cols] = inverse
-    tri_table = np.asarray(TRIANGLES, dtype=np.int64)[cfg]  # (C, 16)
-    tri_list = []
-    for k in range(0, 15, 3):
-        sel = tri_table[:, k] >= 0
-        if not sel.any():
-            continue
-        e0 = tri_table[sel, k]
-        e1 = tri_table[sel, k + 1]
-        e2 = tri_table[sel, k + 2]
-        r = np.flatnonzero(sel)
-        tri_list.append(
-            np.stack([edge_vertex[r, e0], edge_vertex[r, e1], edge_vertex[r, e2]], axis=1)
-        )
-    triangles = np.concatenate(tri_list) if tri_list else np.zeros((0, 3), dtype=np.int64)
-
-    mesh = TriangleMesh(verts, triangles)
-    return _cleanup(mesh)
+    slots = np.asarray(TRIANGLES, dtype=np.int64)[cfg, :15].reshape(-1, 5, 3)  # (C, 5, 3) edges
+    slot, cell = np.nonzero(slots[:, :, 0].T >= 0)
+    return _cleanup(verts, edge_vertex[cell[:, None], slots[cell, slot]])
 
 
-def _cleanup(mesh):
-    """Weld coincident vertices and drop degenerate triangles."""
-    if mesh.is_empty:
-        return mesh
-    keys = np.round(mesh.vertices / WELD_TOLERANCE).astype(np.int64)
+def _cleanup(verts, triangles):
+    """The mesh of `verts` and `triangles` with coincident vertices welded
+    and degenerate triangles dropped."""
+    keys = np.round(verts / WELD_TOLERANCE).astype(np.int64)
     _, first_idx, remap = np.unique(
         keys.view([("x", np.int64), ("y", np.int64), ("z", np.int64)]).reshape(-1),
         return_index=True,
         return_inverse=True,
     )
-    verts = mesh.vertices[first_idx]
-    tris = remap[mesh.triangles]
-    mesh = TriangleMesh(verts, tris)
-    areas = mesh.triangle_areas()
-    keep = areas > MIN_TRIANGLE_AREA
-    return TriangleMesh(verts, mesh.triangles[keep])
+    mesh = TriangleMesh(verts[first_idx], remap[triangles])
+    return TriangleMesh(mesh.vertices, mesh.triangles[mesh.triangle_areas() > MIN_TRIANGLE_AREA])
 
 
 def sample_mesh_surface(mesh, n, seed):
     """Area-weighted uniform surface samples, deterministic per seed."""
-    if mesh.is_empty:
+    if check_type("mesh", mesh, TriangleMesh, "a TriangleMesh").is_empty:
         raise StructuralError("cannot sample an empty mesh")
     check_count("sample count", n)
     rng = substream(seed, "mesh-sample")

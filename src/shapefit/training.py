@@ -156,12 +156,10 @@ def shape_terms(prior, z, samples, weights):
 
 
 def _subsample(sample_set, n_surface, n_free, rng):
+    """`n_surface` + `n_free` of the set's points, which `fit` has checked
+    it holds; a pool of exactly that size is used whole."""
     ns = len(sample_set.surface_points)
     nf = len(sample_set.free_points)
-    if n_surface > ns or n_free > nf:
-        raise StructuralError(
-            f"requested {n_surface}/{n_free} points but sample set has {ns}/{nf}"
-        )
     si = rng.choice(ns, size=n_surface, replace=False) if n_surface < ns else slice(None)
     fi = rng.choice(nf, size=n_free, replace=False) if n_free < nf else slice(None)
     return ShapeSampleSet(
@@ -177,7 +175,8 @@ def fit(prior, dataset, config, on_epoch=None):
     from a fresh Adam state, with the prior category's row of TERM_WEIGHTS.
 
     dataset: list of (instance_id, ShapeSampleSet) pairs, one per string
-    instance id; every entry is checked before the prior changes. The
+    instance id, each set holding at least the points per shape that
+    `config` asks for; every entry is checked before the prior changes. The
     prior, valid since it was built, is trained in place: Adam steps its
     weight arrays and latents, and each id it has no latent for gets a
     fresh one. Per-epoch randomness is derived statelessly from (seed,
@@ -187,6 +186,7 @@ def fit(prior, dataset, config, on_epoch=None):
     Returns (prior, history, optimizer); history has one row per epoch: the
     epoch and the mean of each weighted term and of the total.
     """
+    check_type("prior", prior, fields.ShapePrior, "a ShapePrior")
     check_type("dataset", dataset, (list, tuple), "a list or tuple of (instance id, ShapeSampleSet) pairs")
     check_type("config", config, TrainConfig, "a TrainConfig")
     if not dataset:
@@ -201,6 +201,12 @@ def fit(prior, dataset, config, on_epoch=None):
         if iid in ids:
             raise StructuralError(f"dataset entry {i}: instance id {iid!r} appears more than once in the dataset")
         ids.add(iid)
+        ns, nf = len(entry[1].surface_points), len(entry[1].free_points)
+        if config.surface_points_per_shape > ns or config.free_points_per_shape > nf:
+            raise StructuralError(
+                f"dataset entry {i}: requested {config.surface_points_per_shape}/{config.free_points_per_shape}"
+                f" points but sample set has {ns}/{nf}"
+            )
     for iid, _ in dataset:  # a small random latent for each id the prior has none for
         if iid not in prior.latents:
             rng = substream(config.seed, "latent-init", iid)

@@ -10,6 +10,7 @@ import numpy as np
 
 from shapefit import autodiff as ad
 from shapefit import fields, meshing
+from shapefit._mc_tables import TRIANGLES
 from shapefit.geometry import Pose, rot6d_backward, rot6d_to_matrix
 from shapefit.inference import TERM_WEIGHTS
 
@@ -165,6 +166,43 @@ def dense_marching_cubes(field, resolution):
     corners = [inside[dx : dx + r, dy : dy + r, dz : dz + r] for dx, dy, dz in meshing._CORNERS]
     crossed = np.any(corners, axis=0) & ~np.all(corners, axis=0)
     return meshing._triangulate(grid, np.argwhere(crossed))
+
+
+def table_triangles(field, resolution):
+    """(T, 3, 3) vertex positions of each triangle marching cubes emits,
+    from a plain loop over (table slot, crossed cell), slot-major and cells
+    in C order, with each vertex interpolated from the lower end of its
+    edge by `_triangulate`'s formula. The grid is evaluated in ascending
+    flat index, FIELD_BLOCK points per call, as marching cubes does below
+    resolution 32, so a network field gives the same values."""
+    npts = resolution + 1
+    axis = np.linspace(-1.0, 1.0, npts)
+    coords = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    step = meshing.FIELD_BLOCK
+    values = [np.ravel(field(coords[lo : lo + step])) for lo in range(0, len(coords), step)]
+    grid = np.concatenate(values).reshape(npts, npts, npts)
+    configs = []
+    for cell in np.ndindex(resolution, resolution, resolution):
+        cfg = sum(1 << c for c, off in enumerate(meshing._CORNERS) if grid[tuple(cell + off)] < 0.0)
+        if 0 < cfg < 255:
+            configs.append((np.array(cell), cfg))
+    triangles = []
+    for slot in range(5):
+        for cell, cfg in configs:
+            edges = TRIANGLES[cfg][3 * slot : 3 * slot + 3]
+            if edges[0] < 0:
+                continue
+            triangle = []
+            for e in edges:
+                a, b = meshing._CORNERS[meshing._EDGE_CORNERS[e]]
+                o = int(np.flatnonzero(a != b)[0])
+                p0 = cell + np.minimum(a, b)
+                v0 = grid[tuple(p0)]
+                v1 = grid[tuple(p0 + np.eye(3, dtype=int)[o])]
+                t = min(max(-v0 / (v1 - v0), 0.0), 1.0) if v1 != v0 else 0.5
+                triangle.append([-1.0 + 2.0 / resolution * (p0[i] + (t if i == o else 0.0)) for i in range(3)])
+            triangles.append(triangle)
+    return np.array(triangles).reshape(-1, 3, 3)
 
 
 def full_jacobian_view_terms(prior, z, r6, t, observed, free):

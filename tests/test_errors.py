@@ -131,6 +131,11 @@ def test_a_bad_seed_fails_when_the_owner_is_built(build):
 POSE = Pose.from_matrix(np.eye(3), np.zeros(3))
 SAMPLES = sd.ShapeSampleSet(**VALID_RECORDS[sd.ShapeSampleSet])
 SPHERE = sd.AnalyticShape([sd.Sphere(np.zeros(3), 0.5)])
+DEPTH = sd.DepthImage(np.ones((4, 4)), INTR)
+
+
+class NoEstimate:
+    estimate = "not a method"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -160,9 +165,31 @@ SPHERE = sd.AnalyticShape([sd.Sphere(np.zeros(3), 0.5)])
                  id="sample-shape"),
     pytest.param(lambda: meshing.marching_cubes(None, 8), "field must be a callable, got NoneType",
                  id="marching-cubes"),
+    pytest.param(lambda: inference.joint_optimize(None, canon.PointCloud(CLOUD), POSE, inference.InferenceConfig()),
+                 "prior must be a ShapePrior, got NoneType", id="joint-optimize-prior"),
+    pytest.param(lambda: training.fit(None, [("a", SAMPLES)], training.TrainConfig()),
+                 "prior must be a ShapePrior, got NoneType", id="fit-prior"),
+    pytest.param(lambda: fields.save_prior(None, "no-such-directory/prior.bin"),
+                 "prior must be a ShapePrior, got NoneType", id="save-prior"),
+    pytest.param(lambda: fields.instance_field(None, np.zeros(4)), "prior must be a ShapePrior, got NoneType",
+                 id="instance-field"),
+    pytest.param(lambda: inference.template_cloud(None, 0), "prior must be a ShapePrior, got NoneType",
+                 id="template-cloud"),
+    pytest.param(lambda: meshing.sample_mesh_surface(None, 5, 0), "mesh must be a TriangleMesh, got NoneType",
+                 id="sample-mesh-surface"),
+    # reconstruct used to raise a StageError that blamed stage 'canonicalize' for these
+    pytest.param(lambda: inference.reconstruct(None, DEPTH, canon.PcaEstimator(), inference.InferenceConfig()),
+                 "prior must be a ShapePrior, got NoneType", id="reconstruct-prior"),
+    pytest.param(lambda: inference.reconstruct(PRIOR, DEPTH, None, inference.InferenceConfig()),
+                 "estimator.estimate must be a callable, got NoneType", id="reconstruct-estimator"),
+    pytest.param(lambda: inference.reconstruct(PRIOR, DEPTH, NoEstimate(), inference.InferenceConfig()),
+                 "estimator.estimate must be a callable, got str", id="reconstruct-estimate"),
+    pytest.param(lambda: inference.reconstruct(PRIOR, DEPTH, canon.PcaEstimator(), None),
+                 "config must be an InferenceConfig, got NoneType", id="reconstruct-config"),
 ])
 def test_an_argument_of_the_wrong_type_is_a_structural_error_naming_it(call, message):
-    # each of these used to raise a bare AttributeError or TypeError
+    # each of these used to raise a bare AttributeError or TypeError, unless
+    # noted
     with pytest.raises(StructuralError, match="^" + re.escape(message) + "$"):
         call()
     assert PRIOR.latents == {}  # fit checks its arguments before it adds a latent

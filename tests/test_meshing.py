@@ -10,7 +10,7 @@ from shapefit.errors import NumericError, StructuralError
 from shapefit.rng import substream
 from shapefit.synthdata import make_family, sample_shape
 
-from oracles import dense_marching_cubes
+from oracles import dense_marching_cubes, table_triangles
 
 
 def sphere_field(r=0.5):
@@ -203,6 +203,25 @@ def test_levels_match_dense_steep_trained_field(steep_trained_field, resolution)
     # 32-cell lattice for the chair (198 at res 96, 374 at res 128)
     field = steep_trained_field
     assert_same_mesh(meshing.marching_cubes(field, resolution), dense_marching_cubes(field, resolution))
+
+
+def assert_table_order(field, resolution):
+    # the triangles' positions and order reach `sample_mesh_surface` and so
+    # every chamfer; `dense_marching_cubes` shares `_triangulate` and cannot
+    # see a reorder, so the loop of `table_triangles` pins it
+    mesh = meshing.marching_cubes(field, resolution)
+    want = table_triangles(field, resolution)
+    assert len(mesh.triangles) == len(want) > 0  # no triangle dropped
+    assert len(mesh.vertices) == len(np.unique(want.reshape(-1, 3), axis=0))  # none welded
+    assert mesh.vertices[mesh.triangles].tobytes() == want.tobytes()
+
+
+def test_triangles_come_in_table_slot_then_cell_order():
+    assert_table_order(sphere_field(0.45), 16)
+
+
+def test_triangles_of_a_trained_field_come_in_table_slot_then_cell_order(steep_trained_field):
+    assert_table_order(steep_trained_field, 24)
 
 
 def test_coarse_to_fine_evaluates_few_points():

@@ -305,14 +305,19 @@ def test_fit_rejects_an_instance_id_that_is_not_a_string_before_adding_latents()
     assert prior.latents == {}
 
 
-@pytest.mark.parametrize("entry", [("b", "not a sample set"), "b", ("b",), ("b", None, None)], ids=repr)
+@pytest.mark.parametrize("entry", [("b", "not a sample set"), "b", ("b",), ("b", None, None), "small"], ids=repr)
 def test_fit_checks_every_dataset_entry_before_adding_latents(entry):
     # a second item that is not a sample set used to raise a bare
-    # AttributeError with latents "a" and "b" added, and an entry of three
-    # items a bare ValueError
-    [(_, a)], _ = make_dataset(1, seed=38, n_pts=120)
+    # AttributeError with latents "a" and "b" added, an entry of three
+    # items a bare ValueError, and a sample set smaller than the config's
+    # points per shape ("small") a StructuralError with latent "a" added
+    [(_, a)], shapes = make_dataset(1, seed=38, n_pts=120)
+    match = r"^dataset entry 1 is not an \(instance id, ShapeSampleSet\) pair"
+    if entry == "small":
+        entry = ("b", sample_shape(shapes[0], 50, 50, seed=40))
+        match = r"^dataset entry 1: requested 120/120 points but sample set has 50/50$"
     prior = small_prior(39)
-    with pytest.raises(StructuralError, match=r"^dataset entry 1 is not an \(instance id, ShapeSampleSet\) pair"):
+    with pytest.raises(StructuralError, match=match):
         training.fit(prior, [("a", a), entry], desk_config(epochs=1))
     assert prior.latents == {}
 
