@@ -24,6 +24,7 @@ from .errors import StageError, StructuralError, check_count, check_finite, chec
 from .geometry import Pose, rot6d_backward, rot6d_to_matrix
 from .meshing import check_resolution, marching_cubes, sample_mesh_surface
 from .rng import substream
+from .synthdata.render import DepthImage
 
 # objective weights and Adam step sizes of test-time fitting
 TERM_WEIGHTS = {"observation": 3e3, "eikonal": 5e1, "latent": 5.0}
@@ -173,11 +174,12 @@ def reconstruct(prior, depth, estimator, config):
     samples of the template field) is built only when the estimator asks
     for it, so a template failure is a canonicalize failure. A non-finite
     or negative depth has already failed when `depth` was built; an image
-    with no positive depth fails as stage `lift`. A prior, estimator (an
-    object with an `estimate` method) or config of the wrong type fails
+    with no positive depth fails as stage `lift`. A prior, depth, estimator
+    (an object with an `estimate` method) or config of the wrong type fails
     before the first stage.
     """
     check_type("prior", prior, fields.ShapePrior, "a ShapePrior")
+    check_type("depth", depth, DepthImage, "a DepthImage")
     check_type("estimator.estimate", getattr(estimator, "estimate", None), Callable, "a callable")
     check_type("config", config, InferenceConfig, "an InferenceConfig")
     cloud = _stage("lift", lift_depth, depth)

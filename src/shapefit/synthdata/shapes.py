@@ -1,10 +1,12 @@
 """Procedural analytic shapes with exact signed-distance oracles.
 
-A shape is a union of primitives placed in the canonical frame. Each
-primitive has a closed-form (or machine-precision iterative) SDF. The
-union SDF (min over primitives) is exact outside and a conservative lower
-bound inside, so surface sampling only accepts points where a single
-primitive attains the minimum.
+A shape is a union of primitives in the canonical frame. A primitive has
+four methods: `sdf(p)`, closed form or machine-precision iterative;
+`sample_surface(n, rng)`, up to n surface points and the outward unit
+normals of the faces it drew them on; `area()`; `bbox()`. The union SDF
+(min over primitives) is exact outside and a conservative lower bound
+inside, so surface sampling only keeps points where a single primitive
+attains the minimum.
 """
 
 from dataclasses import dataclass, fields
@@ -49,14 +51,12 @@ class Sphere:
     def sdf(self, p):
         return np.linalg.norm(p - self.center, axis=1) - self.radius
 
-    def normal(self, p):
-        d = p - self.center
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
-
     def sample_surface(self, n, rng):
         dirs = rng.standard_normal((n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return self.center + self.radius * dirs
+        pts = self.center + self.radius * dirs
+        d = pts - self.center  # the SDF's offset, so normals are its gradient at the stored points
+        return pts, d / np.linalg.norm(d, axis=1, keepdims=True)
 
     def area(self):
         return 4 * np.pi * self.radius**2
@@ -90,22 +90,6 @@ class Box:
         inside = np.minimum(q.max(axis=1), 0.0)
         return outside + inside - self.round_radius
 
-    def normal(self, p):
-        d = p - self.center
-        q = np.abs(d) - self.half_extents
-        pos = np.maximum(q, 0.0)
-        norm = np.linalg.norm(pos, axis=1)
-        out = np.zeros_like(d)
-        far = norm > 1e-9
-        out[far] = np.sign(d[far]) * pos[far] / norm[far, None]
-        rows = np.flatnonzero(~far)
-        if rows.size:
-            axis = q[rows].argmax(axis=1)
-            sign = np.sign(d[rows, axis])
-            sign[sign == 0] = 1.0
-            out[rows, axis] = sign
-        return out
-
     def sample_surface(self, n, rng):
         h = self.half_extents
         areas = 4 * np.array([h[1] * h[2], h[0] * h[2], h[0] * h[1]])
@@ -115,8 +99,9 @@ class Box:
         sign = np.where(face % 2 == 0, 1.0, -1.0)
         pts = rng.uniform(-1.0, 1.0, (n, 3)) * np.maximum(h - EDGE_MARGIN, 0.0)
         pts[np.arange(n), axis] = sign * h[axis]
-        pts = self.center + pts
-        return pts + self.round_radius * self.normal(pts)
+        normals = np.zeros((n, 3))
+        normals[np.arange(n), axis] = sign
+        return self.center + pts + self.round_radius * normals, normals
 
     def area(self):
         h = self.half_extents + self.round_radius
@@ -144,31 +129,14 @@ class Cylinder:
         check_real("cylinder radius", self.radius, strict=True)
         check_real("cylinder half_height", self.half_height, strict=True)
 
-    def _decompose(self, p):
+    def sdf(self, p):
         d = p - self.center
         perp = [i for i in range(3) if i != self.axis]
         dr = np.linalg.norm(d[:, perp], axis=1) - self.radius
         dh = np.abs(d[:, self.axis]) - self.half_height
-        return d, perp, dr, dh
-
-    def sdf(self, p):
-        _, _, dr, dh = self._decompose(p)
         outside = np.sqrt(np.maximum(dr, 0.0) ** 2 + np.maximum(dh, 0.0) ** 2)
         inside = np.minimum(np.maximum(dr, dh), 0.0)
         return outside + inside
-
-    def normal(self, p):
-        d, perp, dr, dh = self._decompose(p)
-        n = np.zeros_like(d)
-        radial = np.zeros_like(d)
-        rn = np.linalg.norm(d[:, perp], axis=1)
-        safe = rn > 1e-12
-        radial[np.ix_(safe, perp)] = d[np.ix_(safe, perp)] / rn[safe, None]
-        side = dr >= dh
-        n[side] = radial[side]
-        cap = ~side
-        n[cap, self.axis] = np.sign(d[cap, self.axis])
-        return n
 
     def sample_surface(self, n, rng):
         r, hh = self.radius, self.half_height
@@ -177,18 +145,22 @@ class Cylinder:
         on_side = rng.random(n) < area_side / (area_side + area_caps)
         theta = rng.uniform(0, 2 * np.pi, n)
         perp = [i for i in range(3) if i != self.axis]
-        pts = np.zeros((n, 3))
-        ns = on_side.sum()
-        pts[on_side, perp[0]] = r * np.cos(theta[on_side])
-        pts[on_side, perp[1]] = r * np.sin(theta[on_side])
-        pts[on_side, self.axis] = rng.uniform(-(hh - EDGE_MARGIN), hh - EDGE_MARGIN, ns)
         caps = ~on_side
-        nc = caps.sum()
-        rad = np.sqrt(rng.random(nc)) * max(r - EDGE_MARGIN, 0.0)
-        pts[caps, perp[0]] = rad * np.cos(theta[caps])
-        pts[caps, perp[1]] = rad * np.sin(theta[caps])
-        pts[caps, self.axis] = np.where(rng.random(nc) < 0.5, hh, -hh)
-        return self.center + pts
+        rad, along = np.full(n, r), np.empty(n)
+        along[on_side] = rng.uniform(-(hh - EDGE_MARGIN), hh - EDGE_MARGIN, on_side.sum())
+        rad[caps] = np.sqrt(rng.random(caps.sum())) * max(r - EDGE_MARGIN, 0.0)
+        along[caps] = np.where(rng.random(caps.sum()) < 0.5, hh, -hh)
+        pts = np.zeros((n, 3))
+        pts[:, perp[0]] = rad * np.cos(theta)
+        pts[:, perp[1]] = rad * np.sin(theta)
+        pts[:, self.axis] = along
+        pts = self.center + pts
+        d = pts - self.center  # the SDF's offset, as for the sphere
+        normals = np.zeros((n, 3))
+        radial = d[np.ix_(on_side, perp)]
+        normals[np.ix_(on_side, perp)] = radial / np.linalg.norm(radial, axis=1, keepdims=True)
+        normals[caps, self.axis] = np.sign(d[caps, self.axis])
+        return pts, normals
 
     def area(self):
         return 2 * np.pi * self.radius * (2 * self.half_height + self.radius)
@@ -202,7 +174,10 @@ class Cylinder:
 @dataclass(frozen=True)
 class Ellipsoid:
     """Axis-aligned ellipsoid; exact distance via bisection on the closest-
-    point parameter (one monotone scalar root per query)."""
+    point parameter (one monotone scalar root per query). `sample_surface`
+    scales uniform directions u by the radii and keeps each with probability
+    min(radii) |u / radii|, the ratio of area elements, so it returns
+    area-uniform samples, fewer than asked."""
 
     center: np.ndarray
     radii: np.ndarray
@@ -234,14 +209,13 @@ class Ellipsoid:
         inside = np.sum((y / a) ** 2, axis=1) < 1.0
         return np.where(inside, -dist, dist)
 
-    def normal(self, p):
-        d = (p - self.center) / np.square(self.radii)
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
-
     def sample_surface(self, n, rng):
         dirs = rng.standard_normal((n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        return self.center + self.radii * dirs
+        keep = rng.random(n) < self.radii.min() * np.linalg.norm(dirs / self.radii, axis=1)
+        pts = self.center + self.radii * dirs[keep]
+        d = (pts - self.center) / np.square(self.radii)
+        return pts, d / np.linalg.norm(d, axis=1, keepdims=True)
 
     def area(self):
         a, b, c = self.radii
@@ -290,11 +264,12 @@ class AnalyticShape:
     # -- sampling ----------------------------------------------------------
 
     def sample_surface(self, n, rng):
-        """Surface points with outward unit normals.
-
-        Candidates are drawn per primitive (area-weighted), then kept only
-        when they lie on that primitive and every other primitive is at
-        least UNIQUE_GAP away, so the union's minimum is attained uniquely.
+        """Surface points with the outward unit normals their primitives
+        drew them with. Candidates are drawn per primitive (area-weighted)
+        and kept only where they lie on that primitive and every other one
+        is at least UNIQUE_GAP away, so the union's minimum is attained
+        uniquely. Rounds draw until n are kept; the kept points are joined
+        in primitive order and cut to n, so a late primitive can go unsampled.
         """
         areas = np.array([prim.area() for prim in self.primitives])
         weights = areas / areas.sum()
@@ -306,15 +281,13 @@ class AnalyticShape:
             for k, (prim, cnt) in enumerate(zip(self.primitives, counts)):
                 if cnt == 0:
                     continue
-                pts = prim.sample_surface(cnt, rng)
+                pts, normals = prim.sample_surface(cnt, rng)
                 d = self._distances(pts)
                 ok = np.abs(d[k]) < _SURFACE_TOL
                 if len(d) > 1:
                     ok &= np.delete(d, k, axis=0).min(axis=0) > UNIQUE_GAP
-                if not ok.any():
-                    continue
                 got_p.append(pts[ok])
-                got_n.append(prim.normal(pts[ok]))
+                got_n.append(normals[ok])
             have = sum(len(p) for p in got_p)
             if have >= n:
                 break
@@ -324,9 +297,7 @@ class AnalyticShape:
                 f"surface sampling for {self.name} exhausted {MAX_SAMPLING_ROUNDS} rounds; "
                 f"got {sum(len(p) for p in got_p)}/{n} points"
             )
-        pts = np.concatenate(got_p)[:n]
-        normals = np.concatenate(got_n)[:n]
-        return pts, normals
+        return np.concatenate(got_p)[:n], np.concatenate(got_n)[:n]
 
     def sample_free(self, n, rng):
         """Uniform free-space points in the cube with oracle SDF attached."""

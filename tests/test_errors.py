@@ -180,6 +180,8 @@ class NoEstimate:
     # reconstruct used to raise a StageError that blamed stage 'canonicalize' for these
     pytest.param(lambda: inference.reconstruct(None, DEPTH, canon.PcaEstimator(), inference.InferenceConfig()),
                  "prior must be a ShapePrior, got NoneType", id="reconstruct-prior"),
+    pytest.param(lambda: inference.reconstruct(PRIOR, None, canon.PcaEstimator(), inference.InferenceConfig()),
+                 "depth must be a DepthImage, got NoneType", id="reconstruct-depth"),
     pytest.param(lambda: inference.reconstruct(PRIOR, DEPTH, None, inference.InferenceConfig()),
                  "estimator.estimate must be a callable, got NoneType", id="reconstruct-estimator"),
     pytest.param(lambda: inference.reconstruct(PRIOR, DEPTH, NoEstimate(), inference.InferenceConfig()),

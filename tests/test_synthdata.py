@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from shapefit import synthdata as sd
 from shapefit.errors import DataError, StructuralError
@@ -166,13 +167,40 @@ def test_surface_samples_eikonal_property():
 
 
 def test_surface_normals_match_fd_gradient():
-    for cat in sd.CATEGORIES:
-        shape = sd.make_family(cat, 1, seed=13)[0]
+    # every sample of each category's first shape, and of one lone shape per
+    # primitive kind: no category's samples reach a cylinder, and a car's
+    # first samples all lie on its body
+    c = np.array([0.1, -0.05, 0.08])
+    lone = [
+        sd.Sphere(c, 0.4),
+        sd.Box(c, np.array([0.3, 0.2, 0.4])),
+        sd.Box(c, np.array([0.3, 0.2, 0.4]), 0.05),
+        sd.Cylinder(c, 1, 0.25, 0.3),
+        sd.Ellipsoid(c, np.array([0.6, 0.3, 0.2])),
+    ]
+    shapes = [sd.make_family(cat, 1, seed=13)[0] for cat in sd.CATEGORIES]
+    shapes += [sd.AnalyticShape([prim], f"lone_{k}") for k, prim in enumerate(lone)]
+    h = 1e-6
+    for shape in shapes:
         ss = sd.sample_shape(shape, 60, 10, seed=2)
-        for p, n in zip(ss.surface_points[:20], ss.surface_normals[:20]):
-            g = fd_spatial_grad(lambda q: shape.sdf(q[None])[0], p, h=1e-6)
-            g = g / np.linalg.norm(g)
-            np.testing.assert_allclose(n, g, atol=1e-4)
+        p = ss.surface_points
+        g = np.stack([(shape.sdf(p + h * e) - shape.sdf(p - h * e)) / (2 * h) for e in np.eye(3)], axis=1)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        np.testing.assert_allclose(ss.surface_normals, g, atol=1e-4, err_msg=shape.name)
+
+
+def test_ellipsoid_samples_are_area_uniform():
+    # uniform directions scaled by the radii crowd the tips of a long
+    # spheroid: 17% of samples fell where |x| > 0.5, against 8.5% of the area
+    a, b = 0.6, 0.09
+    shape = sd.AnalyticShape([sd.Ellipsoid(np.zeros(3), (a, b, b))], "fuselage")
+    x = sd.sample_shape(shape, 20000, 1, seed=0).surface_points[:, 0]
+
+    def d_area(t):  # of the surface of revolution x = a cos t, r = b sin t, over 2 pi
+        return np.sin(t) * np.hypot(a * np.sin(t), b * np.cos(t))
+
+    share = quad(d_area, 0, np.arccos(0.5 / a))[0] / quad(d_area, 0, np.pi / 2)[0]
+    assert abs(np.mean(np.abs(x) > 0.5) - share) < 0.01  # the binomial sd is 0.002
 
 
 def test_synthdata_exports_resolve():
