@@ -55,8 +55,8 @@ class MLPParams:
     contiguous float64 arrays, writable since Adam steps them in place.
     `activation` ("sine" or "relu") applies to every layer but the last,
     which is linear; sine layers compute sin(OMEGA0 * (W x + b)). Entries
-    may be non-finite: a net `fields.hyper_forward` computes is checked by
-    the loss that reads it, a prior's nets by `fields.ShapePrior`.
+    may be non-finite: a deformation net `fields` predicts from a latent is
+    checked by the loss that reads it, a prior's nets by `fields.ShapePrior`.
     """
 
     weights: tuple

@@ -58,7 +58,7 @@ def lift_depth(depth):
 
 def _pca_pose(points):
     """Pose into the cloud's own PCA frame: centroid at 0, axes by variance, signs by skew."""
-    points = np.asarray(points, dtype=np.float64)
+    points = check_cloud("points", points)
     mu = points.mean(axis=0)
     centered = points - mu
     cov = centered.T @ centered / len(points)
@@ -174,8 +174,11 @@ def _kabsch(src, dst):
 def canonicalize(estimator, cloud, template):
     """Full initial pose: camera frame -> prior canonical frame.
 
-    template: a function of no arguments that returns the prior's
-    canonical-frame template PointCloud; it runs only if the estimator asks
-    for the template points.
+    cloud: a PointCloud in the camera frame. template: a function of no
+    arguments that returns the prior's canonical-frame template PointCloud;
+    it runs only if the estimator asks for the template points.
     """
-    return estimator.estimate(cloud.points, lambda: template().points)
+    check_type("cloud", cloud, PointCloud, "a PointCloud")
+    return estimator.estimate(
+        cloud.points, lambda: check_type("template()", template(), PointCloud, "a PointCloud").points
+    )

@@ -8,10 +8,11 @@ and a scalar SDF correction, so the instance SDF is
 
     sdf(x) = template(x + v(x)) + correction(x).
 
-Forward evaluation tracks spatial Jacobians through the composition,
-for every point or for a trailing subset of them;
-`compose_backward` and `hyper_backward` push loss adjoints all the way to
-template weights, hypernetwork weights and the latent code.
+`compose_forward` and `compose_backward` are the one field pass of both
+objectives: callers pass a prior and a latent, and the pair runs the
+hypernetworks, tracks spatial Jacobians through the composition (for every
+point or a trailing subset), and pushes loss adjoints back to template
+weights, hypernetwork weights, the latent code and the points.
 
 This module alone knows how a prior's arrays are built and named: the
 template (R^3 -> R) and the deformation net are sine nets, the
@@ -169,6 +170,7 @@ def init_prior(
 
 def hyper_forward(prior, z):
     """Predict deformation weights from a latent code, keeping caches."""
+    check_type("prior", prior, ShapePrior, "a ShapePrior")
     z = check_shape("latent", z, (prior.latent_dim,))
     weights, biases, caches = [], [], []
     for (fan_out, fan_in), h in zip(prior.deform_shapes(), prior.hyper):
@@ -205,7 +207,10 @@ class ComposedEval:
 
     `psi` and `delta_s` cover all N points; `grad_psi`, `grad_template` and
     `jac_v` cover the J points that carry Jacobians, the last J of the
-    batch (J = N unless `compose_forward` was given `value_rows`).
+    batch (J = N unless `compose_forward` was given `value_rows`). The
+    private fields are what `compose_backward` reads: the prior, the
+    predicted deformation net, and the hypernetwork, template and
+    deformation caches.
     """
 
     psi: np.ndarray  # (N,) composed SDF
@@ -213,16 +218,21 @@ class ComposedEval:
     grad_template: np.ndarray  # (J, 3) template gradient at y (unchained)
     delta_s: np.ndarray  # (N,)
     jac_v: np.ndarray  # (J, 3, 3)
+    _prior: ShapePrior
+    _deform: ad.MLPParams
+    _h_caches: list
     _t_cache: object
     _d_cache: object
 
 
-def compose_forward(template, deform, pts, value_rows=0):
-    """Evaluate sdf(x) = template(x + v(x)) + delta_s(x) over a batch.
+def compose_forward(prior, z, pts, value_rows=0):
+    """Evaluate sdf(x) = template(x + v(x)) + delta_s(x) over a batch, with
+    the deformation net the hypernetworks predict from the latent `z`.
 
     The first `value_rows` points get values only: the spatial Jacobians in
     the returned ComposedEval cover the points after them.
     """
+    deform, h_caches = hyper_forward(prior, z)
     pts = np.asarray(pts, dtype=np.float64)
     d_out, d_jac, d_cache = ad.forward_aug(deform, pts, value_rows)
     v = d_out[:, :3]
@@ -230,13 +240,13 @@ def compose_forward(template, deform, pts, value_rows=0):
     jac_v = d_jac[:, :3, :]
     grad_ds = d_jac[:, 3, :]
     y = pts + v
-    t_out, t_jac, t_cache = ad.forward_aug(template, y, value_rows)
+    t_out, t_jac, t_cache = ad.forward_aug(prior.template, y, value_rows)
     t_val = t_out[:, 0]
     grad_t = t_jac[:, 0, :]
     # chain rule: grad psi = (I + dv/dx)^T grad_T + grad delta_s
     a = jac_v + np.eye(3)
     grad_psi = np.einsum("nik,ni->nk", a, grad_t) + grad_ds
-    return ComposedEval(t_val + delta_s, grad_psi, grad_t, delta_s, jac_v, t_cache, d_cache)
+    return ComposedEval(t_val + delta_s, grad_psi, grad_t, delta_s, jac_v, prior, deform, h_caches, t_cache, d_cache)
 
 
 def compose_value(template, deform, pts):
@@ -247,27 +257,17 @@ def compose_value(template, deform, pts):
     return ad.forward(template, y)[:, 0] + d_out[:, 3]
 
 
-def compose_backward(
-    template,
-    deform,
-    ev,
-    d_psi,
-    d_grad_psi,
-    d_grad_template=None,
-    d_jac_v=None,
-    d_delta_s=None,
-    inputs_only=False,
-):
-    """Adjoint of compose_forward.
+def compose_backward(ev, d_psi, d_grad_psi, d_grad_template=None, d_jac_v=None, d_delta_s=None, inputs_only=False):
+    """Adjoint of compose_forward, through the hypernetworks to the latent.
 
     Inputs are adjoints of the ComposedEval fields (None = zero for the
     last three), each shaped like its field: `d_psi` and `d_delta_s` over
     all N points, `d_grad_psi`, `d_grad_template` and `d_jac_v` over the J
-    points that carry Jacobians. Returns
-    (template MLPGrads, deform MLPGrads, gradient w.r.t. the input points).
-    With `inputs_only` the template's weight gradients are skipped and
-    returned as None; the deformation's are always computed, since they are
-    the adjoint that `hyper_backward` pushes into the latent.
+    points that carry Jacobians. Returns (template MLPGrads, per-hypernetwork
+    MLPGrads, latent gradient, gradient w.r.t. the input points). With
+    `inputs_only` both weight-gradient items are None; the deformation
+    net's weight gradients are still computed, since they are the adjoint
+    that the hypernetworks push into the latent.
     """
     a = ev.jac_v + np.eye(3)
     # psi = t_val + delta_s; grad_psi = A^T grad_t + grad_ds
@@ -283,18 +283,18 @@ def compose_backward(
         g_jac_v += d_jac_v
     g_grad_ds = d_grad_psi
     t_grads, g_y = ad.backward(
-        template, ev._t_cache, g_tval[:, None], g_grad_t[:, None, :], inputs_only=inputs_only
+        ev._prior.template, ev._t_cache, g_tval[:, None], g_grad_t[:, None, :], inputs_only=inputs_only
     )
     gy4 = np.concatenate([g_y, g_ds[:, None]], axis=1)
     gjac4 = np.concatenate([g_jac_v, g_grad_ds[:, None, :]], axis=1)
-    d_grads, g_pts = ad.backward(deform, ev._d_cache, gy4, gjac4)
+    d_grads, g_pts = ad.backward(ev._deform, ev._d_cache, gy4, gjac4)
+    h_grads, g_z = hyper_backward(ev._prior, ev._h_caches, d_grads, inputs_only=inputs_only)
     # y = pts + v contributes to the point gradient directly
-    return t_grads, d_grads, g_pts + g_y
+    return t_grads, h_grads, g_z, g_pts + g_y
 
 
 def instance_field(prior, z):
     """Batched value-only field closure for one latent (for meshing)."""
-    check_type("prior", prior, ShapePrior, "a ShapePrior")
     deform, _ = hyper_forward(prior, z)
     return lambda pts: compose_value(prior.template, deform, pts)
 

@@ -48,6 +48,7 @@ def matrix_to_rot6d(rot):
 def rot6d_backward(r6, grad_rot):
     """Adjoint of rot6d_to_matrix: maps dL/dR (3,3) to dL/dr6 (6,)."""
     a2, b1, b2, n1, n2 = _gram_schmidt(r6)
+    grad_rot = check_shape("grad_rot", grad_rot, (3, 3))
     gb1 = np.array(grad_rot[:, 0], dtype=np.float64)
     gb2 = np.array(grad_rot[:, 1], dtype=np.float64)
     gb3 = np.asarray(grad_rot[:, 2], dtype=np.float64)
@@ -133,7 +134,7 @@ def look_at(eye):
 
     Camera convention: +z forward, +x right, +y down in the image.
     """
-    eye = np.asarray(eye, dtype=np.float64)
+    eye = check_shape("eye", eye, (3,))
     fwd = -eye
     n = np.linalg.norm(fwd)
     if n < _DEGENERATE_NORM:

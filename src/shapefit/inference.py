@@ -82,18 +82,17 @@ def view_terms(prior, z, r6, t, observed, free):
     observed points (N, 3), camera frame, are posed into the canonical
     frame by x = R(r6) p + t and their field values pulled to zero; the
     free samples (M, 3), canonical frame, keep the field eikonal; the
-    latent stays small. Both point sets share one composed forward and one
-    reverse pass, and the pose gradient follows from the point gradient of
-    the observed rows. Only the free rows carry spatial Jacobians, since
-    the eikonal term is the one term that reads them.
+    latent stays small. Both point sets share one `fields.compose_forward`
+    and one `fields.compose_backward` call, and the pose gradient follows
+    from the point gradient of the observed rows. Only the free rows carry
+    spatial Jacobians, since the eikonal term is the one term that reads them.
 
     Returns (terms, (g_z, g_r6, g_t)); terms holds each TERM_WEIGHTS term
     and their weighted total.
     """
     n = len(observed)
     pts = np.concatenate([observed @ rot6d_to_matrix(r6).T + t, free])
-    deform, h_caches = fields.hyper_forward(prior, z)
-    ev = fields.compose_forward(prior.template, deform, pts, value_rows=n)
+    ev = fields.compose_forward(prior, z, pts, value_rows=n)
     eik_term, g_eik = ad.term_eikonal(ev.grad_psi, TERM_WEIGHTS["eikonal"])
     lat_term, g_lat = ad.term_latent_l2(z)
     obs_term = float(np.abs(ev.psi[:n]).mean())
@@ -102,10 +101,7 @@ def view_terms(prior, z, r6, t, observed, free):
 
     d_psi = np.zeros(len(pts))
     d_psi[:n] = TERM_WEIGHTS["observation"] * np.sign(ev.psi[:n]) / n
-    _, d_grads, g_pts = fields.compose_backward(
-        prior.template, deform, ev, d_psi=d_psi, d_grad_psi=g_eik, inputs_only=True
-    )
-    _, g_z = fields.hyper_backward(prior, h_caches, d_grads, inputs_only=True)
+    _, _, g_z, g_pts = fields.compose_backward(ev, d_psi, g_eik, inputs_only=True)
     g_x = g_pts[:n]
     g_r6 = rot6d_backward(r6, g_x.T @ observed)
     return terms, (g_z + TERM_WEIGHTS["latent"] * g_lat, g_r6, g_x.sum(axis=0))

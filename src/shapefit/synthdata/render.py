@@ -32,6 +32,8 @@ class Intrinsics:
 def default_intrinsics(width, height):
     """Square pixels, principal point at the image centre, 50-degree
     horizontal field of view."""
+    check_count("width", width)
+    check_count("height", height)
     f = 0.5 * width / np.tan(np.radians(50.0) / 2)
     return Intrinsics(f, f, (width - 1) / 2.0, (height - 1) / 2.0)
 
@@ -133,6 +135,7 @@ def render_depth(shape, camera_pose, intrinsics, resolution):
 def hemisphere_camera(rng):
     """Random camera on the upper viewing hemisphere, looking at the origin:
     any azimuth, 15-70 degrees elevation, 1.8-2.6 from the origin."""
+    check_type("rng", rng, np.random.Generator, "a numpy Generator")
     azimuth = rng.uniform(0.0, 2 * np.pi)
     elevation = np.radians(rng.uniform(15.0, 70.0))
     d = rng.uniform(1.8, 2.6)

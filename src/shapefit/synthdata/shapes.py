@@ -233,12 +233,16 @@ class Ellipsoid:
 @dataclass(frozen=True)
 class AnalyticShape:
     """A union of primitives in the canonical frame (identity pose), checked
-    when built: at least one primitive, all inside the [-1, 1]^3 cube."""
+    when built: a list or tuple of at least one Sphere, Box, Cylinder or
+    Ellipsoid, all inside the [-1, 1]^3 cube."""
 
     primitives: tuple
     name: str = "shape"
 
     def __post_init__(self):
+        check_type("primitives", self.primitives, (list, tuple), "a list or tuple of primitives")
+        for i, p in enumerate(self.primitives):
+            check_type(f"primitive {i}", p, (Sphere, Box, Cylinder, Ellipsoid), "a Sphere, Box, Cylinder or Ellipsoid")
         object.__setattr__(self, "primitives", tuple(self.primitives))
         if not self.primitives:
             raise StructuralError(f"shape {self.name} has no primitives")

@@ -70,65 +70,56 @@ class TrainConfig:
 
 def shape_terms(prior, z, samples, weights):
     """Evaluate every loss term for one shape and its exact gradients
-    w.r.t. template weights, hypernetwork weights and the latent.
+    w.r.t. template weights, hypernetwork weights and the latent, from one
+    `fields.compose_forward` and one `fields.compose_backward` call.
 
     weights: a row of TERM_WEIGHTS. Returns (terms, (template_grads,
     hyper_grads, latent_grad)); terms holds each term of the row and their
     weighted total.
     """
+    check_type("samples", samples, ShapeSampleSet, "a ShapeSampleSet")
     n_s = len(samples.surface_points)
     pts = np.concatenate([samples.surface_points, samples.free_points])
     n = pts.shape[0]
     targets = np.concatenate([np.zeros(n_s), samples.free_sdf])
     normals = samples.surface_normals
-
-    deform, h_caches = fields.hyper_forward(prior, z)
-    ev = fields.compose_forward(prior.template, deform, pts)
-
+    ev = fields.compose_forward(prior, z, pts)
     terms = {}
-    d_psi = np.zeros(n)
-    d_grad_psi = np.zeros((n, 3))
-    d_grad_template = np.zeros((n, 3))
-    d_jac_v = np.zeros((n, 3, 3))
-    d_delta_s = np.zeros(n)
 
     # SDF value regression over all sampled points
     r = ev.psi - targets
     terms["sdf_value"] = float(np.abs(r).mean())
-    d_psi += weights["sdf_value"] * np.sign(r) / n
+    d_psi = weights["sdf_value"] * np.sign(r) / n
 
     # composed-field normal alignment (cosine) on the surface
-    val, g = ad.term_grad_alignment(ev.grad_psi[:n_s], normals)
-    terms["sdf_normal"] = float(val)
-    d_grad_psi[:n_s] += weights["sdf_normal"] * g
+    normal_term, g_normal = ad.term_grad_alignment(ev.grad_psi[:n_s], normals)
+    terms["sdf_normal"] = float(normal_term)
 
     # eikonal over all sampled points
-    val, g = ad.term_eikonal(ev.grad_psi, weights["sdf_eikonal"])
+    val, d_grad_psi = ad.term_eikonal(ev.grad_psi, weights["sdf_eikonal"])
     terms["sdf_eikonal"] = float(val)
-    d_grad_psi += g
+    d_grad_psi[:n_s] += weights["sdf_normal"] * g_normal
 
     # spike penalty on free-space points only
     spikes = np.exp(-SPIKE_DELTA * np.abs(ev.psi[n_s:]))
     terms["sdf_spike"] = float(spikes.mean())
-    n_f = n - n_s
-    d_psi[n_s:] += (
-        weights["sdf_spike"] * (-SPIKE_DELTA) * np.sign(ev.psi[n_s:]) * spikes / n_f
-    )
+    d_psi[n_s:] += weights["sdf_spike"] * (-SPIKE_DELTA) * np.sign(ev.psi[n_s:]) * spikes / (n - n_s)
 
     # template-normal consistency (cosine) at deformed surface points
     val, g = ad.term_grad_alignment(ev.grad_template[:n_s], normals)
     terms["template_normal"] = float(val)
-    d_grad_template[:n_s] += weights["template_normal"] * g
+    d_grad_template = np.zeros((n, 3))
+    d_grad_template[:n_s] = weights["template_normal"] * g
 
     # smooth deformation over all sampled points
     fro = np.sqrt((ev.jac_v**2).sum(axis=(1, 2)))
     terms["smooth"] = float(fro.mean())
     safe_fro = np.where(fro > 1e-300, fro, 1.0)
-    d_jac_v += weights["smooth"] * ev.jac_v / safe_fro[:, None, None] / n
+    d_jac_v = weights["smooth"] * ev.jac_v / safe_fro[:, None, None] / n
 
     # small corrections over all sampled points
     terms["correction"] = float(np.abs(ev.delta_s).mean())
-    d_delta_s += weights["correction"] * np.sign(ev.delta_s) / n
+    d_delta_s = weights["correction"] * np.sign(ev.delta_s) / n
 
     # latent magnitude
     z_norm, g_z_reg = ad.term_latent_l2(z)
@@ -136,19 +127,10 @@ def shape_terms(prior, z, samples, weights):
 
     terms["total"] = sum(w * terms[k] for k, w in weights.items())
 
-    t_grads, d_grads, _ = fields.compose_backward(
-        prior.template,
-        deform,
-        ev,
-        d_psi=d_psi,
-        d_grad_psi=d_grad_psi,
-        d_grad_template=d_grad_template,
-        d_jac_v=d_jac_v,
-        d_delta_s=d_delta_s,
+    t_grads, h_grads, g_z, _ = fields.compose_backward(
+        ev, d_psi, d_grad_psi, d_grad_template=d_grad_template, d_jac_v=d_jac_v, d_delta_s=d_delta_s
     )
-    h_grads, g_z = fields.hyper_backward(prior, h_caches, d_grads)
-    g_z = g_z + weights["latent"] * g_z_reg
-    return terms, (t_grads, h_grads, g_z)
+    return terms, (t_grads, h_grads, g_z + weights["latent"] * g_z_reg)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +202,6 @@ def fit(prior, dataset, config, on_epoch=None):
         rng = substream(config.seed, "train-epoch", epoch)
         order = rng.permutation(len(dataset))
         epoch_terms = dict.fromkeys((*weights, "total"), 0.0)
-        seen = 0
         for lo in range(0, len(order), config.batch_shapes):
             batch = order[lo : lo + config.batch_shapes]
             net_grads = {k: np.zeros_like(params[k]) for k in net_keys}
@@ -244,14 +225,13 @@ def fit(prior, dataset, config, on_epoch=None):
                         latent_grads[k] = g
                 for name in epoch_terms:
                     epoch_terms[name] += terms[name]
-                seen += 1
             scale = 1.0 / len(batch)
             for k in net_grads:
                 net_grads[k] *= scale
             optimizer.step(params, net_grads, lr=config.lr)
             optimizer.step(params, latent_grads, lr=config.lr_latent)
         row = {"epoch": epoch}
-        row.update({name: total / max(seen, 1) for name, total in epoch_terms.items()})
+        row.update({name: total / len(dataset) for name, total in epoch_terms.items()})
         history.append(row)
         if on_epoch is not None:
             on_epoch(epoch, prior, optimizer, history)

@@ -211,8 +211,7 @@ def full_jacobian_view_terms(prior, z, r6, t, observed, free):
     field gradient: the reference for tracking only the free rows."""
     n = len(observed)
     pts = np.concatenate([observed @ rot6d_to_matrix(r6).T + t, free])
-    deform, h_caches = fields.hyper_forward(prior, z)
-    ev = fields.compose_forward(prior.template, deform, pts)
+    ev = fields.compose_forward(prior, z, pts)
     eik_term, g_eik = ad.term_eikonal(ev.grad_psi[n:], TERM_WEIGHTS["eikonal"])
     lat_term, g_lat = ad.term_latent_l2(z)
     obs_term = float(np.abs(ev.psi[:n]).mean())
@@ -222,10 +221,7 @@ def full_jacobian_view_terms(prior, z, r6, t, observed, free):
     d_psi = np.zeros(len(pts))
     d_psi[:n] = TERM_WEIGHTS["observation"] * np.sign(ev.psi[:n]) / n
     d_grad_psi = np.concatenate([np.zeros((n, 3)), g_eik])
-    _, d_grads, g_pts = fields.compose_backward(
-        prior.template, deform, ev, d_psi=d_psi, d_grad_psi=d_grad_psi, inputs_only=True
-    )
-    _, g_z = fields.hyper_backward(prior, h_caches, d_grads, inputs_only=True)
+    _, _, g_z, g_pts = fields.compose_backward(ev, d_psi, d_grad_psi, inputs_only=True)
     g_x = g_pts[:n]
     g_r6 = rot6d_backward(r6, g_x.T @ observed)
     return terms, (g_z + TERM_WEIGHTS["latent"] * g_lat, g_r6, g_x.sum(axis=0))

@@ -13,7 +13,7 @@ from shapefit import canonicalize as canon
 from shapefit import fields, inference, meshing, metrics, training
 from shapefit import synthdata as sd
 from shapefit.errors import DataError, StructuralError, check_cloud, check_shape
-from shapefit.geometry import Pose
+from shapefit.geometry import Pose, look_at, rot6d_backward
 from shapefit.rng import substream
 
 NET = ad.siren_init([3, 4, 1], substream(0, "net"))
@@ -36,6 +36,8 @@ ENTRY_POINTS = {
     "TriangleMesh": (lambda tmp: meshing.TriangleMesh(CLOUD, np.zeros((1, 4))), "triangles"),
     "Pose": (lambda tmp: Pose(np.zeros(5), np.zeros(3)), "rot6d"),
     "Pose.transform": (lambda tmp: Pose.from_matrix(np.eye(3), np.zeros(3)).transform(np.zeros((2, 4))), "points"),
+    "look_at": (lambda tmp: look_at([1.0, 2.0]), "eye"),
+    "rot6d_backward": (lambda tmp: rot6d_backward(np.array([1.0, 0, 0, 0, 1, 0]), np.zeros((2, 2))), "grad_rot"),
 }
 
 
@@ -53,6 +55,7 @@ def test_wrongly_shaped_array_is_a_structural_error_naming_the_argument(entry, t
     # a cast used to drop the imaginary part, or to parse numeric text
     pytest.param(lambda: check_shape("pts", np.array([[1 + 2j, 0, 0]]), ("N", 3)), "pts", id="complex"),
     pytest.param(lambda: canon.PointCloud([["1.5", "0", "0"]]), "points", id="numeric-text"),
+    pytest.param(lambda: look_at("abc"), "eye", id="look-at-string"),
 ])
 def test_ragged_or_non_numeric_array_is_a_structural_error_naming_the_argument(call, name):
     with pytest.raises(StructuralError, match=f"^{name} is not a numeric array"):
@@ -66,6 +69,14 @@ def test_ragged_or_non_numeric_array_is_a_structural_error_naming_the_argument(c
 def test_check_cloud_names_the_cloud(value, message):
     with pytest.raises(StructuralError, match=f"^my cloud {message}"):
         check_cloud("my cloud", value)
+
+
+@pytest.mark.parametrize("estimator", [canon.PcaEstimator(), canon.IcpEstimator()], ids=["pca", "icp"])
+def test_a_non_finite_cloud_fails_pose_estimation_naming_it(estimator):
+    # this used to raise a bare LinAlgError from the covariance's eigh
+    template = substream(0, "template").standard_normal((20, 3))
+    with pytest.raises(StructuralError, match="^points has non-finite entries, first at point 0$"):
+        estimator.estimate(np.full((5, 3), np.nan), lambda: template)
 
 
 # valid fields of each record that holds arrays: the data records, a
@@ -132,6 +143,7 @@ POSE = Pose.from_matrix(np.eye(3), np.zeros(3))
 SAMPLES = sd.ShapeSampleSet(**VALID_RECORDS[sd.ShapeSampleSet])
 SPHERE = sd.AnalyticShape([sd.Sphere(np.zeros(3), 0.5)])
 DEPTH = sd.DepthImage(np.ones((4, 4)), INTR)
+SPREAD = canon.PointCloud(substream(0, "spread").standard_normal((20, 3)))  # a cloud PCA can align
 
 
 class NoEstimate:
@@ -188,6 +200,26 @@ class NoEstimate:
                  "estimator.estimate must be a callable, got str", id="reconstruct-estimate"),
     pytest.param(lambda: inference.reconstruct(PRIOR, DEPTH, canon.PcaEstimator(), None),
                  "config must be an InferenceConfig, got NoneType", id="reconstruct-config"),
+    pytest.param(lambda: fields.hyper_forward(None, np.zeros(4)), "prior must be a ShapePrior, got NoneType",
+                 id="hyper-forward-prior"),
+    pytest.param(lambda: fields.compose_forward(None, np.zeros(4), CLOUD), "prior must be a ShapePrior, got NoneType",
+                 id="compose-forward-prior"),
+    pytest.param(lambda: training.shape_terms(PRIOR, np.zeros(4), None, training.TERM_WEIGHTS["sphere"]),
+                 "samples must be a ShapeSampleSet, got NoneType", id="shape-terms-samples"),
+    pytest.param(lambda: canon.canonicalize(canon.PcaEstimator(), np.zeros((5, 3)), lambda: SPREAD),
+                 "cloud must be a PointCloud, got ndarray", id="canonicalize-cloud"),
+    pytest.param(lambda: canon.canonicalize(canon.PcaEstimator(), SPREAD, lambda: SPREAD.points),
+                 "template() must be a PointCloud, got ndarray", id="canonicalize-template"),
+    pytest.param(lambda: sd.default_intrinsics("a", 6), "width must be an integer >= 1, got 'a'",
+                 id="default-intrinsics-width"),
+    pytest.param(lambda: sd.default_intrinsics(6, None), "height must be an integer >= 1, got None",
+                 id="default-intrinsics-height"),
+    pytest.param(lambda: sd.hemisphere_camera(None), "rng must be a numpy Generator, got NoneType",
+                 id="hemisphere-camera"),
+    pytest.param(lambda: sd.AnalyticShape(None), "primitives must be a list or tuple of primitives, got NoneType",
+                 id="analytic-shape-none"),
+    pytest.param(lambda: sd.AnalyticShape([sd.Sphere(np.zeros(3), 0.5), "abc"]),
+                 "primitive 1 must be a Sphere, Box, Cylinder or Ellipsoid, got str", id="analytic-shape-entry"),
 ])
 def test_an_argument_of_the_wrong_type_is_a_structural_error_naming_it(call, message):
     # each of these used to raise a bare AttributeError or TypeError, unless

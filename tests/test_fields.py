@@ -121,8 +121,7 @@ def test_instance_sdf_identity_when_deformation_zero():
     # zero the final hyper biases for the last deform layer => v = 0, ds = 0
     prior.hyper[-1].biases[-1][:] = 0.0
     pts = substream(15, "x").uniform(-1, 1, (10, 3))
-    deform, _ = fields.hyper_forward(prior, z)
-    inst = fields.compose_forward(prior.template, deform, pts)
+    inst = fields.compose_forward(prior, z, pts)
     temp, temp_jac, _ = ad.forward_aug(prior.template, pts)
     np.testing.assert_allclose(inst.psi, temp[:, 0], rtol=0, atol=1e-14)
     np.testing.assert_allclose(inst.grad_psi, temp_jac[:, 0], atol=1e-13)
@@ -135,22 +134,19 @@ def test_instance_sdf_constant_correction_shift():
     c = 0.37
     prior.hyper[-1].biases[-1][-1] = c  # final bias of delta_s output row
     x = np.array([[0.15, 0.25, -0.1]])
-    deform, _ = fields.hyper_forward(prior, z)
-    inst = fields.compose_forward(prior.template, deform, x)
+    inst = fields.compose_forward(prior, z, x)
     assert inst.psi[0] == pytest.approx(ad.forward(prior.template, x)[0, 0] + c, abs=1e-14)
 
 
 def test_composed_gradient_matches_fd_many():
     prior = small_prior(17)
     rng = substream(18, "zx")
-    deform, _ = fields.hyper_forward(prior, rng.standard_normal(prior.latent_dim) * 0.5)
+    z = rng.standard_normal(prior.latent_dim) * 0.5
     pts = rng.uniform(-0.9, 0.9, (100, 3))
-    ev = fields.compose_forward(prior.template, deform, pts)
+    ev = fields.compose_forward(prior, z, pts)
+    field = fields.instance_field(prior, z)
     for i in range(0, 100, 5):
-        want = fd_spatial_grad(
-            lambda p: float(fields.compose_value(prior.template, deform, p[None, :])[0]),
-            pts[i],
-        )
+        want = fd_spatial_grad(lambda p: float(field(p[None, :])[0]), pts[i])
         assert rel_err(ev.grad_psi[i], want) < 1e-4
 
 
@@ -167,9 +163,7 @@ def test_compose_backward_matches_fd_on_params():
     z0 = rng.standard_normal(4) * 0.5
 
     def full_loss(template, hyper_list, z):
-        probe = fields.ShapePrior("sphere", template, hyper_list)
-        deform, _ = fields.hyper_forward(probe, z)
-        ev = fields.compose_forward(template, deform, pts)
+        ev = fields.compose_forward(fields.ShapePrior("sphere", template, hyper_list), z, pts)
         # touch every output path: psi, grad_psi, grad_template, jac_v, delta_s
         return (
             np.abs(ev.psi).mean()
@@ -179,8 +173,7 @@ def test_compose_backward_matches_fd_on_params():
             + np.abs(ev.delta_s).mean()
         )
 
-    deform, h_caches = fields.hyper_forward(prior, z0)
-    ev = fields.compose_forward(prior.template, deform, pts)
+    ev = fields.compose_forward(prior, z0, pts)
     n = pts.shape[0]
     d_psi = np.sign(ev.psi) / n
     gn = np.linalg.norm(ev.grad_psi, axis=1)
@@ -190,12 +183,13 @@ def test_compose_backward_matches_fd_on_params():
     fro = np.sqrt((ev.jac_v**2).sum(axis=(1, 2)))
     d_jac_v = ev.jac_v / np.where(fro > 0, fro, 1)[:, None, None] / n
     d_delta_s = np.sign(ev.delta_s) / n
-    t_grads, d_grads, _ = fields.compose_backward(
-        prior.template, deform, ev,
-        d_psi=d_psi, d_grad_psi=d_grad_psi, d_grad_template=d_grad_template,
-        d_jac_v=d_jac_v, d_delta_s=d_delta_s,
-    )
-    h_grads, g_z = fields.hyper_backward(prior, h_caches, d_grads)
+    adjoints = dict(d_grad_template=d_grad_template, d_jac_v=d_jac_v, d_delta_s=d_delta_s)
+    t_grads, h_grads, g_z, g_pts = fields.compose_backward(ev, d_psi, d_grad_psi, **adjoints)
+    # the latent and point gradients need no weight gradients
+    none_t, none_h, g_z_only, g_pts_only = fields.compose_backward(ev, d_psi, d_grad_psi, inputs_only=True, **adjoints)
+    assert none_t is None and none_h is None
+    np.testing.assert_array_equal(g_z_only, g_z)
+    np.testing.assert_array_equal(g_pts_only, g_pts)
 
     # template params
     base_t = ad.pack_params(prior.template.weights, prior.template.biases)

@@ -194,6 +194,22 @@ def test_only_fields_names_prior_arrays():
     assert not hits, "prior array names formatted outside fields.py: " + ", ".join(sorted(hits))
 
 
+def test_only_fields_runs_the_hypernetworks():
+    # fields.compose_forward and compose_backward run the hypernetworks, so
+    # the objectives pass a prior and a latent and get the latent gradient
+    # back; a caller that runs them itself carries the predicted net and its
+    # caches from one pass to the other
+    name = re.compile(r"\bhyper_(forward|backward)\b")
+    hits = [
+        f"{p.relative_to(ROOT)}:{i}"
+        for p in sorted((ROOT / "src" / "shapefit").rglob("*.py"))
+        if p.name != "fields.py"
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if name.search(line)
+    ]
+    assert not hits, "hypernetworks referenced outside fields.py: " + ", ".join(hits)
+
+
 def test_only_autodiff_knows_the_sine_frequency():
     # every sine layer runs at autodiff.OMEGA0; a frequency threaded through
     # another module (a field, an argument, a checkpoint key) is a setting
