@@ -8,10 +8,11 @@ An estimator has a `name` and an `estimate(points, template)` method;
 `template()` returns the prior's canonical-frame template points, and the
 estimator alone decides whether to call it: PCA aligns its frame to the
 template's PCA frame, ICP registers onto the template, and the noisy
-oracle never calls it, so no template is built for it. The template
-points are those of a PointCloud, already valid when built.
+oracle never calls it, so no template is built for it. PCA and ICP read
+both clouds through `check_cloud`, which names a bad one.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,7 @@ def lift_depth(depth):
 
 
 def _pca_pose(points):
-    """Pose into the cloud's own PCA frame: centroid at 0, axes by variance, signs by skew."""
-    points = check_cloud("points", points)
+    """Pose into a checked cloud's own PCA frame: centroid at 0, axes by variance, signs by skew."""
     mu = points.mean(axis=0)
     centered = points - mu
     cov = centered.T @ centered / len(points)
@@ -79,7 +79,7 @@ def _pca_pose(points):
         weakest = int(np.argmin(skew))
         evecs[:, weakest] *= -1.0
     rot = evecs.T  # x_est = E^T (x - mu)
-    return Pose.from_matrix(rot, -rot @ mu)
+    return Pose(rot, -rot @ mu)
 
 
 class PcaEstimator:
@@ -93,8 +93,8 @@ class PcaEstimator:
     name = "pca"
 
     def estimate(self, points, template):
-        pose = _pca_pose(points)
-        return _pca_pose(template()).inverse().compose(pose)
+        pose = _pca_pose(check_cloud("points", points))
+        return _pca_pose(check_cloud("template points", template())).inverse().compose(pose)
 
 
 class IcpEstimator:
@@ -108,7 +108,7 @@ class IcpEstimator:
     name = "icp"
 
     def estimate(self, points, template):
-        target = np.asarray(template(), dtype=np.float64)
+        target = check_cloud("template points", template())
         pose = PcaEstimator().estimate(points, lambda: target)
         tree = cKDTree(target)
         prev = np.inf
@@ -122,7 +122,7 @@ class IcpEstimator:
             dst = target[idx[keep]]
             resid = float(np.mean(dists[keep] ** 2))
             rot, t = _kabsch(src, dst)
-            step = Pose.from_matrix(rot, t)
+            step = Pose(rot, t)
             pose = step.compose(pose)
             if prev < np.inf and abs(prev - resid) <= ICP_TOL * max(prev, 1e-30):
                 break
@@ -154,9 +154,9 @@ class NoisyOracleEstimator:
         delta_rot = rotation_about_axis(axis, np.radians(self.rot_noise_deg))
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
-        rot = delta_rot @ self.gt_pose.matrix()
+        rot = delta_rot @ self.gt_pose.rotation
         t = self.gt_pose.translation + self.trans_noise * direction
-        return Pose.from_matrix(rot, t)
+        return Pose(rot, t)
 
 
 def _kabsch(src, dst):
@@ -179,6 +179,7 @@ def canonicalize(estimator, cloud, template):
     it runs only if the estimator asks for the template points.
     """
     check_type("cloud", cloud, PointCloud, "a PointCloud")
+    check_type("estimator.estimate", getattr(estimator, "estimate", None), Callable, "a callable")
     return estimator.estimate(
         cloud.points, lambda: check_type("template()", template(), PointCloud, "a PointCloud").points
     )

@@ -172,6 +172,8 @@ def hyper_forward(prior, z):
     """Predict deformation weights from a latent code, keeping caches."""
     check_type("prior", prior, ShapePrior, "a ShapePrior")
     z = check_shape("latent", z, (prior.latent_dim,))
+    if not np.isfinite(z).all():
+        raise StructuralError("latent has non-finite entries")
     weights, biases, caches = [], [], []
     for (fan_out, fan_in), h in zip(prior.deform_shapes(), prior.hyper):
         out, cache = ad.forward_cached(h, z[None, :])

@@ -1,9 +1,10 @@
 """Rigid transforms and the continuous 6D rotation parametrization.
 
-A Pose stores a rotation as two 3-vectors that are orthonormalized by
-Gram-Schmidt, plus a translation. This parametrization has no angle
-wrap-around or double-cover discontinuities, which keeps gradient-based
-pose refinement well behaved.
+A Pose is a rotation matrix and a translation. The 6D parametrization
+(two 3-vectors orthonormalized by Gram-Schmidt; Zhou et al., CVPR 2019)
+is the one `inference.joint_optimize` steps: it has no angle wrap-around
+or double-cover discontinuities, which keeps gradient-based pose
+refinement well behaved.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import numpy as np
 from .errors import StructuralError, _read_only, check_shape, check_type
 
 _DEGENERATE_NORM = 1e-9
-_ROTATION_TOL = 1e-6  # |R^T R - I| accepted by Pose.from_matrix
+_ROTATION_TOL = 1e-6  # |R^T R - I| accepted by Pose
 
 
 def _gram_schmidt(r6):
@@ -39,12 +40,6 @@ def rot6d_to_matrix(r6):
     return np.stack([b1, b2, np.cross(b1, b2)], axis=1)
 
 
-def matrix_to_rot6d(rot):
-    """First two columns of a rotation matrix, flattened."""
-    rot = check_shape("rotation matrix", rot, (3, 3))
-    return np.concatenate([rot[:, 0], rot[:, 1]])
-
-
 def rot6d_backward(r6, grad_rot):
     """Adjoint of rot6d_to_matrix: maps dL/dR (3,3) to dL/dr6 (6,)."""
     a2, b1, b2, n1, n2 = _gram_schmidt(r6)
@@ -67,53 +62,43 @@ def rot6d_backward(r6, grad_rot):
 
 @dataclass(frozen=True)
 class Pose:
-    """SE(3) transform: x_out = R x_in + t, R derived from rot6d. Checked
-    when built: finite entries, and a rot6d whose rotation is proper."""
+    """SE(3) transform: x_out = R x_in + t. Keeps read-only copies of the
+    rotation matrix R it is given and of t. Checked when built: R proper
+    (|R^T R - I| <= _ROTATION_TOL and det R > 0) and t finite."""
 
-    rot6d: np.ndarray
+    rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rot6d", _read_only(check_shape("rot6d", self.rot6d, (6,))))
+        rot = _read_only(check_shape("rotation", self.rotation, (3, 3)))
+        object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", _read_only(check_shape("translation", self.translation, (3,))))
-        if not np.isfinite(self.rot6d).all():
-            raise StructuralError("rot6d has non-finite entries")
-        rot = self.matrix()
-        if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
-            raise StructuralError("derived rotation is not orthonormal")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise StructuralError("derived rotation has determinant != +1")
+        with np.errstate(invalid="ignore"):  # a non-finite entry makes err NaN, which fails
+            err = np.abs(rot.T @ rot - np.eye(3)).max()
+        if not err <= _ROTATION_TOL:
+            raise StructuralError(f"rotation is not a rotation matrix: |R^T R - I| = {err:.3g}")
+        if not np.linalg.det(rot) > 0:
+            raise StructuralError("rotation is not a rotation matrix: determinant -1 (a reflection)")
         if not np.isfinite(self.translation).all():
             raise StructuralError("translation has non-finite entries")
 
-    @classmethod
-    def from_matrix(cls, rot, translation):
-        """Pose of a proper rotation matrix: orthonormal with determinant +1."""
-        r6 = matrix_to_rot6d(rot)
-        rot = np.asarray(rot, dtype=np.float64)
-        err = np.abs(rot.T @ rot - np.eye(3)).max()
-        if not err <= _ROTATION_TOL:
-            raise StructuralError(f"matrix is not a rotation: |R^T R - I| = {err:.3g}")
-        if not np.linalg.det(rot) > 0:
-            raise StructuralError("matrix is not a rotation: determinant -1 (a reflection)")
-        return cls(r6, np.asarray(translation, dtype=np.float64))
-
-    def matrix(self):
-        return rot6d_to_matrix(self.rot6d)
+    @property
+    def rot6d(self):
+        """The first two columns of R: the 6D parametrization of the rotation."""
+        return np.concatenate([self.rotation[:, 0], self.rotation[:, 1]])
 
     def transform(self, points):
         points = check_shape("points", points, ("N", 3))
-        return points @ self.matrix().T + self.translation
+        return points @ self.rotation.T + self.translation
 
     def inverse(self):
-        rot = self.matrix()
-        return Pose.from_matrix(rot.T, -rot.T @ self.translation)
+        return Pose(self.rotation.T, -self.rotation.T @ self.translation)
 
     def compose(self, other):
         """self after other: (self @ other)(x) = self(other(x))."""
         check_type("other", other, Pose, "a Pose")
-        r_s, r_o = self.matrix(), other.matrix()
-        return Pose.from_matrix(r_s @ r_o, r_s @ other.translation + self.translation)
+        rot = self.rotation
+        return Pose(rot @ other.rotation, rot @ other.translation + self.translation)
 
 
 def rotation_about_axis(axis, angle_rad):
@@ -147,4 +132,4 @@ def look_at(eye):
     right /= np.linalg.norm(right)
     down = np.cross(fwd, right)
     rot = np.stack([right, down, fwd], axis=0)
-    return Pose.from_matrix(rot, -rot @ eye)
+    return Pose(rot, -rot @ eye)

@@ -114,8 +114,9 @@ def joint_optimize(prior, observed, init, config):
     frame -> canonical frame. Each iteration draws fresh free-space
     samples, evaluates `view_terms` (one forward and one reverse pass) and
     takes Adam steps on the latent and on the pose; its trace row is the
-    term dict. Network weights stay frozen, and zero iterations return the
-    initial latent and pose unchanged.
+    term dict. The rotation is stepped in the 6D parametrization, starting
+    from `init.rot6d`. Network weights stay frozen, and zero iterations
+    return the initial latent and `init` itself.
     """
     check_type("prior", prior, fields.ShapePrior, "a ShapePrior")
     check_type("observed", observed, PointCloud, "a PointCloud")
@@ -127,7 +128,7 @@ def joint_optimize(prior, observed, init, config):
         pick = rng.choice(len(pts), size=config.max_observed_points, replace=False)
         pts = pts[pick]
     z = init_latent(prior, rng)
-    r6 = init.rot6d.copy()
+    r6 = init.rot6d
     t = init.translation.copy()
     opt = ad.Adam()
     params = {"z": z, "r6": r6, "t": t}
@@ -143,7 +144,8 @@ def joint_optimize(prior, observed, init, config):
         opt.step(params, {"z": g_z}, lr=LR_SHAPE)
         opt.step(params, {"r6": g_r6, "t": g_t}, lr=LR_POSE)
 
-    return ReconstructionResult(None, Pose(r6, t), fields.LatentCode(z), tuple(trace))
+    pose = Pose(rot6d_to_matrix(r6), t) if config.iterations else init
+    return ReconstructionResult(None, pose, fields.LatentCode(z), tuple(trace))
 
 
 def template_cloud(prior, seed):

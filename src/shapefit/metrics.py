@@ -50,9 +50,7 @@ def pose_error(est, gt):
     """(geodesic rotation error in degrees, translation error)."""
     check_type("est", est, Pose, "a Pose")
     check_type("gt", gt, Pose, "a Pose")
-    r_est = est.matrix()
-    r_gt = gt.matrix()
-    cos = (np.trace(r_est.T @ r_gt) - 1.0) / 2.0
+    cos = (np.trace(est.rotation.T @ gt.rotation) - 1.0) / 2.0
     deg = float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
     trans = float(np.linalg.norm(est.translation - gt.translation))
     return deg, trans

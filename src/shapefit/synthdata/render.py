@@ -76,7 +76,7 @@ def render_depth(shape, camera_pose, intrinsics, resolution):
     width, height = check_shape("image resolution", resolution, (2,), np.int64)
     for v in resolution:
         check_count("image resolution", v)
-    rot = camera_pose.matrix()
+    rot = camera_pose.rotation
     origin = -rot.T @ camera_pose.translation  # camera center, canonical frame
     if np.linalg.norm(origin) <= shape.bounding_radius():
         raise StructuralError("camera must be outside the shape's bounding sphere")

@@ -166,7 +166,8 @@ def fit(prior, dataset, config, on_epoch=None):
     every epoch.
 
     Returns (prior, history, optimizer); history has one row per epoch: the
-    epoch and the mean of each weighted term and of the total.
+    epoch and the mean over shapes of each term, unweighted, and of the
+    weighted total.
     """
     check_type("prior", prior, fields.ShapePrior, "a ShapePrior")
     check_type("dataset", dataset, (list, tuple), "a list or tuple of (instance id, ShapeSampleSet) pairs")

@@ -17,7 +17,7 @@ from shapefit.inference import TERM_WEIGHTS
 
 def identity_pose():
     """The identity Pose."""
-    return Pose(np.array([1.0, 0, 0, 0, 1.0, 0]), np.zeros(3))
+    return Pose(np.eye(3), np.zeros(3))
 
 
 def random_rotation(rng):
@@ -97,7 +97,7 @@ def brute_force_fscore(a, b, tau):
     return float(2 * precision * recall / (precision + recall))
 
 
-def quat_from_matrix(rot):
+def quat_of_matrix(rot):
     """Rotation matrix -> unit quaternion (w, x, y, z), Shepperd's method."""
     m = np.asarray(rot, dtype=np.float64)
     tr = np.trace(m)
@@ -131,8 +131,8 @@ def quat_from_matrix(rot):
 
 def quat_angle_deg(rot_a, rot_b):
     """Geodesic angle between two rotations via quaternions, in degrees."""
-    qa = quat_from_matrix(rot_a)
-    qb = quat_from_matrix(rot_b)
+    qa = quat_of_matrix(rot_a)
+    qb = quat_of_matrix(rot_b)
     dot = min(1.0, abs(float(qa @ qb)))
     return float(np.degrees(2.0 * np.arccos(dot)))
 

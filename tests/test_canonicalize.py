@@ -93,7 +93,7 @@ def test_pca_recovers_known_rigid_transform():
         pose_moved = est.estimate(moved, lambda: template)
         # both should land in the same estimator frame:
         # pose_moved o (R,t) == pose_base
-        composed = pose_moved.compose(Pose.from_matrix(rot, t))
+        composed = pose_moved.compose(Pose(rot, t))
         deg, trans = pose_error(composed, pose_base)
         assert deg < 1e-6
         assert trans < 1e-9
@@ -117,7 +117,7 @@ def test_icp_recovers_transform_full_overlap():
         observed = template @ rot.T + t
         pose = est.estimate(observed, lambda: template)
         # recovered pose should map observations back onto the template
-        gt = Pose.from_matrix(rot, t).inverse()
+        gt = Pose(rot, t).inverse()
         deg, trans = pose_error(pose, gt)
         assert deg < 1.0
         assert trans < 1e-3
@@ -165,7 +165,7 @@ def test_partial_sphere_translation_only():
 
 
 def test_noisy_oracle_exact_noise_magnitude():
-    gt = Pose.from_matrix(rotation_about_axis([0, 1, 0], 0.4), np.array([0.1, 0.2, 0.3]))
+    gt = Pose(rotation_about_axis([0, 1, 0], 0.4), np.array([0.1, 0.2, 0.3]))
     est = canon.NoisyOracleEstimator(gt, rot_noise_deg=10.0, trans_noise=0.05, seed=9)
 
     def template():
@@ -190,7 +190,7 @@ def test_frame_align_fixed_rotation_stub_inverts():
     rot = rotation_about_axis([0, 0, 1], np.pi / 2)
     t = asymmetric_cloud(100, seed=11)
     pose = canon.PcaEstimator().estimate(t, lambda: t @ rot.T)
-    np.testing.assert_allclose(pose.matrix(), rot, atol=1e-12)
+    np.testing.assert_allclose(pose.rotation, rot, atol=1e-12)
     np.testing.assert_allclose(pose.translation, 0.0, atol=1e-12)
 
 
@@ -213,7 +213,7 @@ def test_canonicalize_pca_plus_frame_align_end_to_end():
         t = rng.uniform(-0.5, 0.5, 3)
         observed = canon.PointCloud(template @ rot.T + t)
         pose = canon.canonicalize(est, observed, lambda: tc)
-        gt = Pose.from_matrix(rot, t).inverse()
+        gt = Pose(rot, t).inverse()
         deg, trans = pose_error(pose, gt)
         assert deg < 1.0
         assert trans < 1e-6

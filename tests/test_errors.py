@@ -34,8 +34,8 @@ ENTRY_POINTS = {
     "fscore": (lambda tmp: metrics.fscore(CLOUD, np.zeros(3)), "ground truth"),
     "PointCloud": (lambda tmp: canon.PointCloud(np.zeros((4, 6))), "points"),
     "TriangleMesh": (lambda tmp: meshing.TriangleMesh(CLOUD, np.zeros((1, 4))), "triangles"),
-    "Pose": (lambda tmp: Pose(np.zeros(5), np.zeros(3)), "rot6d"),
-    "Pose.transform": (lambda tmp: Pose.from_matrix(np.eye(3), np.zeros(3)).transform(np.zeros((2, 4))), "points"),
+    "Pose": (lambda tmp: Pose(np.zeros(6), np.zeros(3)), "rotation"),
+    "Pose.transform": (lambda tmp: Pose(np.eye(3), np.zeros(3)).transform(np.zeros((2, 4))), "points"),
     "look_at": (lambda tmp: look_at([1.0, 2.0]), "eye"),
     "rot6d_backward": (lambda tmp: rot6d_backward(np.array([1.0, 0, 0, 0, 1, 0]), np.zeros((2, 2))), "grad_rot"),
 }
@@ -77,6 +77,9 @@ def test_a_non_finite_cloud_fails_pose_estimation_naming_it(estimator):
     template = substream(0, "template").standard_normal((20, 3))
     with pytest.raises(StructuralError, match="^points has non-finite entries, first at point 0$"):
         estimator.estimate(np.full((5, 3), np.nan), lambda: template)
+    # a bad template is not blamed on the observed cloud
+    with pytest.raises(StructuralError, match="^template points has non-finite entries, first at point 0$"):
+        estimator.estimate(template, lambda: np.full((5, 3), np.nan))
 
 
 # valid fields of each record that holds arrays: the data records, a
@@ -91,7 +94,7 @@ VALID_RECORDS = {
         "free_sdf": np.zeros(5),
     },
     sd.Box: {"center": np.zeros(3), "half_extents": np.full(3, 0.5), "round_radius": 0.1},
-    Pose: {"rot6d": np.array([1.0, 0, 0, 0, 1, 0]), "translation": np.zeros(3)},
+    Pose: {"rotation": np.eye(3), "translation": np.zeros(3)},
 }
 ARRAY_FIELDS = [(cls, k) for cls, kw in VALID_RECORDS.items() for k, v in kw.items() if isinstance(v, np.ndarray)]
 
@@ -129,7 +132,7 @@ def test_a_depth_image_needs_intrinsics(intrinsics):
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: inference.InferenceConfig(seed=-1), id="InferenceConfig"),
     pytest.param(lambda: training.TrainConfig(seed=1.7), id="TrainConfig"),
-    pytest.param(lambda: canon.NoisyOracleEstimator(Pose.from_matrix(np.eye(3), np.zeros(3)), seed=None),
+    pytest.param(lambda: canon.NoisyOracleEstimator(Pose(np.eye(3), np.zeros(3)), seed=None),
                  id="NoisyOracleEstimator"),
 ])
 def test_a_bad_seed_fails_when_the_owner_is_built(build):
@@ -139,7 +142,7 @@ def test_a_bad_seed_fails_when_the_owner_is_built(build):
         build()
 
 
-POSE = Pose.from_matrix(np.eye(3), np.zeros(3))
+POSE = Pose(np.eye(3), np.zeros(3))
 SAMPLES = sd.ShapeSampleSet(**VALID_RECORDS[sd.ShapeSampleSet])
 SPHERE = sd.AnalyticShape([sd.Sphere(np.zeros(3), 0.5)])
 DEPTH = sd.DepthImage(np.ones((4, 4)), INTR)
@@ -210,6 +213,8 @@ class NoEstimate:
                  "cloud must be a PointCloud, got ndarray", id="canonicalize-cloud"),
     pytest.param(lambda: canon.canonicalize(canon.PcaEstimator(), SPREAD, lambda: SPREAD.points),
                  "template() must be a PointCloud, got ndarray", id="canonicalize-template"),
+    pytest.param(lambda: canon.canonicalize(None, SPREAD, lambda: SPREAD),
+                 "estimator.estimate must be a callable, got NoneType", id="canonicalize-estimator"),
     pytest.param(lambda: sd.default_intrinsics("a", 6), "width must be an integer >= 1, got 'a'",
                  id="default-intrinsics-width"),
     pytest.param(lambda: sd.default_intrinsics(6, None), "height must be an integer >= 1, got None",

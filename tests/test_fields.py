@@ -67,6 +67,22 @@ def test_hyper_latent_dim_mismatch():
         fields.hyper_forward(prior, np.zeros(prior.latent_dim + 1))
 
 
+@pytest.mark.parametrize("call", [
+    lambda prior, z: fields.hyper_forward(prior, z),
+    lambda prior, z: fields.compose_forward(prior, z, np.zeros((3, 3))),
+    lambda prior, z: fields.instance_field(prior, z),
+], ids=["hyper-forward", "compose-forward", "instance-field"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_latent_fails_at_the_door(call, bad):
+    # compose_forward used to return a NaN psi, and instance_field failed
+    # only in meshing, at the first grid point
+    prior = small_prior(7)
+    z = np.zeros(prior.latent_dim)
+    z[2] = bad
+    with pytest.raises(StructuralError, match="^latent has non-finite entries$"):
+        call(prior, z)
+
+
 def test_hyper_lipschitz_perturbation_bound():
     prior = small_prior(8)
     rng = substream(9, "z")

@@ -29,7 +29,7 @@ def test_rot6d_roundtrip_100_random_rotations():
     rng = substream(1, "rot")
     for _ in range(100):
         rot = random_rotation(rng)
-        r6 = geo.matrix_to_rot6d(rot)
+        r6 = geo.Pose(rot, np.zeros(3)).rot6d
         back = geo.rot6d_to_matrix(r6)
         assert np.abs(back - rot).max() < 1e-10
 
@@ -72,35 +72,36 @@ def test_pose_transform_inverse_compose():
     rng = substream(4, "pose")
     rot = random_rotation(rng)
     t = rng.standard_normal(3)
-    pose = geo.Pose.from_matrix(rot, t)
+    pose = geo.Pose(rot, t)
     pts = rng.standard_normal((50, 3))
     fwd = pose.transform(pts)
     back = pose.inverse().transform(fwd)
     np.testing.assert_allclose(back, pts, atol=1e-12)
     ident = pose.compose(pose.inverse())
-    np.testing.assert_allclose(ident.matrix(), np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(ident.rotation, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(ident.translation, 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_pose_validate_rejects_non_finite_rot6d(bad):
+    # joint_optimize builds its Pose from the matrix of the rot6d it stepped
     r6 = np.array([1.0, 0, 0, 0, 1.0, 0])
     r6[4] = bad
-    with pytest.raises(StructuralError, match="rot6d"):
-        geo.Pose(r6, np.zeros(3))
+    with pytest.raises(StructuralError, match="^rotation is not a rotation matrix"):
+        geo.Pose(geo.rot6d_to_matrix(r6), np.zeros(3))
 
 
 @pytest.mark.parametrize(
-    "r6, t, field",
-    [(np.zeros(5), np.zeros(3), "rot6d"), (np.zeros((2, 3)), np.zeros(3), "rot6d"),
-     (np.array([1.0, 0, 0, 0, 1.0, 0]), np.zeros(4), "translation"),
-     (np.array([1.0, 0, 0, 0, 1.0, 0]), np.zeros((3, 1)), "translation")],
-    ids=["rot6d-5", "rot6d-2x3", "translation-4", "translation-3x1"],
+    "rot, t, field",
+    [(np.zeros(5), np.zeros(3), "rotation"), (np.zeros((2, 3)), np.zeros(3), "rotation"),
+     (np.array([1.0, 0, 0, 0, 1.0, 0]), np.zeros(3), "rotation"),
+     (np.eye(3), np.zeros(4), "translation"), (np.eye(3), np.zeros((3, 1)), "translation")],
+    ids=["rot6d-5", "rot6d-2x3", "rot6d", "translation-4", "translation-3x1"],
 )
-def test_pose_rejects_a_wrong_shape(r6, t, field):
-    # a (2, 3) rot6d used to be flattened; five entries failed in reshape
-    with pytest.raises(StructuralError, match=field):
-        geo.Pose(r6, t)
+def test_pose_rejects_a_wrong_shape(rot, t, field):
+    # a rotation is a (3, 3) matrix: a 6D vector or a (2, 3) block of one is refused
+    with pytest.raises(StructuralError, match=f"^{field} has shape"):
+        geo.Pose(rot, t)
 
 
 @pytest.mark.parametrize(
@@ -108,22 +109,28 @@ def test_pose_rejects_a_wrong_shape(r6, t, field):
     [np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), np.ones((3, 3)), np.eye(3) + 1e-5, np.full((3, 3), np.nan)],
     ids=["reflection", "scaled", "ones", "off-by-1e-5", "nan"],
 )
-def test_from_matrix_rejects_non_rotations(rot):
-    with pytest.raises(StructuralError, match="not a rotation"):
-        geo.Pose.from_matrix(rot, np.zeros(3))
+def test_pose_rejects_non_rotations(rot):
+    with pytest.raises(StructuralError, match="^rotation is not a rotation matrix"):
+        geo.Pose(rot, np.zeros(3))
 
 
-def test_from_matrix_accepts_rotations_within_tolerance():
-    rot = geo.rotation_about_axis([1.0, 2.0, 3.0], 0.7)
-    pose = geo.Pose.from_matrix(rot + 1e-9, np.zeros(3))
-    np.testing.assert_allclose(pose.matrix(), rot, atol=1e-8)
+def test_a_pose_keeps_the_matrix_it_is_given():
+    # within _ROTATION_TOL of a rotation, and kept as given: a Pose used to
+    # store two columns and re-derive the matrix by Gram-Schmidt
+    rot = geo.rotation_about_axis([1.0, 2.0, 3.0], 0.7) + 1e-9
+    t = np.array([0.1, -0.2, 0.3])
+    pose = geo.Pose(rot, t)
+    assert np.array_equal(pose.rotation, rot)
+    assert not pose.rotation.flags.writeable
+    assert np.array_equal(pose.rot6d, np.concatenate([rot[:, 0], rot[:, 1]]))
+    np.testing.assert_array_equal(pose.transform(np.eye(3)), np.eye(3) @ rot.T + t)
 
 
 def test_look_at_points_camera_at_target():
     pose = geo.look_at(np.array([0.0, 0.0, 2.0]))
     # target (origin) maps to (0, 0, distance) on the camera z-axis
     np.testing.assert_allclose(pose.transform(np.zeros((1, 3)))[0], [0, 0, 2.0], atol=1e-12)
-    assert abs(np.linalg.det(pose.matrix()) - 1.0) < 1e-12
+    assert abs(np.linalg.det(pose.rotation) - 1.0) < 1e-12
     rng = substream(5, "eyes")
     for _ in range(20):
         eye = rng.uniform(-3, 3, 3)

@@ -32,9 +32,11 @@ def observed_sphere_cloud(seed=1, n=300, r=0.45):
 def test_zero_iterations_passthrough():
     prior = dataclasses.replace(tiny_prior(2), latents={"a": np.full(8, 0.25)})
     obs = observed_sphere_cloud(3)
-    init = Pose.from_matrix(rotation_about_axis([0, 0, 1], 0.3), np.array([0.1, 0, 0]))
+    init = Pose(rotation_about_axis([0, 0, 1], 0.3), np.array([0.1, 0, 0]))
     cfg = inference.InferenceConfig(iterations=0, seed=5)
     res = inference.joint_optimize(prior, obs, init, cfg)
+    # init itself: Gram-Schmidt of its columns could differ from R in the last bit
+    assert res.pose is init
     np.testing.assert_array_equal(res.pose.rot6d, init.rot6d)
     np.testing.assert_array_equal(res.pose.translation, init.translation)
     np.testing.assert_array_equal(res.latent.z, inference.init_latent(prior, substream(5, "inference")))
@@ -47,7 +49,7 @@ def test_trace_length_matches_iterations():
     cfg = inference.InferenceConfig(
         iterations=7, eikonal_samples=64, seed=6, mc_resolution=16
     )
-    init = Pose.from_matrix(rotation_about_axis([0, 1, 0], 0.2), np.array([0.0, 0.05, 0]))
+    init = Pose(rotation_about_axis([0, 1, 0], 0.2), np.array([0.0, 0.05, 0]))
     res = inference.joint_optimize(prior, obs, init, cfg)
     assert len(res.trace) == 7
     # every iteration steps the latent and the pose
@@ -75,7 +77,7 @@ def test_view_terms_gradients_match_fd():
     obs = observed_sphere_cloud(16, n=60).points
     free = substream(17, "free").uniform(-1.0, 1.0, (40, 3))
     t = np.array([0.03, -0.02, 0.05])
-    r6 = Pose.from_matrix(rotation_about_axis([1.0, 2.0, 0.5], 0.6), t).rot6d * 1.2
+    r6 = Pose(rotation_about_axis([1.0, 2.0, 0.5], 0.6), t).rot6d * 1.2
     terms, grads = inference.view_terms(prior, z, r6, t, obs, free)
     assert terms["eikonal"] > 0.0
 
@@ -97,7 +99,7 @@ def test_view_terms_match_the_full_jacobian_oracle(n_obs, n_free):
     obs = observed_sphere_cloud(22, n=n_obs).points
     free = substream(23, "free").uniform(-1.0, 1.0, (n_free, 3))
     t = np.array([0.03, -0.02, 0.05])
-    r6 = Pose.from_matrix(rotation_about_axis([1.0, 2.0, 0.5], 0.6), t).rot6d
+    r6 = Pose(rotation_about_axis([1.0, 2.0, 0.5], 0.6), t).rot6d
     terms, grads = inference.view_terms(prior, z, r6, t, obs, free)
     want_terms, want_grads = full_jacobian_view_terms(prior, z, r6, t, obs, free)
     assert terms.keys() == want_terms.keys()
@@ -177,7 +179,7 @@ def test_latent_init_modes():
 
 def sphere_view():
     shape = sd.make_family("sphere", 1, seed=25)[0]
-    cam = Pose.from_matrix(np.eye(3), np.array([0.0, 0.0, 2.5]))
+    cam = Pose(np.eye(3), np.array([0.0, 0.0, 2.5]))
     return sd.render_depth(shape, cam, sd.default_intrinsics(16, 12), (16, 12))
 
 

@@ -144,7 +144,7 @@ def test_pose_error_identity():
 
 def test_pose_error_ninety_about_z():
     gt = identity_pose()
-    est = Pose.from_matrix(rotation_about_axis([0, 0, 1], np.pi / 2), np.zeros(3))
+    est = Pose(rotation_about_axis([0, 0, 1], np.pi / 2), np.zeros(3))
     deg, trans = metrics.pose_error(est, gt)
     assert deg == pytest.approx(90.0, abs=1e-9)
     assert trans == 0.0
@@ -155,8 +155,8 @@ def test_pose_error_matches_quaternion_oracle():
     for _ in range(30):
         ra = random_rotation(rng)
         rb = random_rotation(rng)
-        est = Pose.from_matrix(ra, rng.uniform(-1, 1, 3))
-        gt = Pose.from_matrix(rb, rng.uniform(-1, 1, 3))
+        est = Pose(ra, rng.uniform(-1, 1, 3))
+        gt = Pose(rb, rng.uniform(-1, 1, 3))
         deg, _ = metrics.pose_error(est, gt)
         assert deg == pytest.approx(quat_angle_deg(ra, rb), abs=1e-8)
 

@@ -210,6 +210,20 @@ def test_only_fields_runs_the_hypernetworks():
     assert not hits, "hypernetworks referenced outside fields.py: " + ", ".join(hits)
 
 
+def test_only_the_fit_names_rot6d():
+    # a Pose is a rotation matrix and a translation; the 6D parametrization
+    # is the one joint_optimize steps, so only geometry (its Gram-Schmidt and
+    # the Pose.rot6d view) and inference (the fit) name it
+    hits = [
+        f"{p.relative_to(ROOT)}:{i}"
+        for p in sorted((ROOT / "src" / "shapefit").rglob("*.py"))
+        if p.name not in ("geometry.py", "inference.py")
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if "rot6d" in line
+    ]
+    assert not hits, "rot6d named outside geometry.py and inference.py: " + ", ".join(hits)
+
+
 def test_only_autodiff_knows_the_sine_frequency():
     # every sine layer runs at autodiff.OMEGA0; a frequency threaded through
     # another module (a field, an argument, a checkpoint key) is a setting

@@ -269,7 +269,7 @@ def test_render_center_pixel_depth():
     pose, intr = make_camera(2.0)
     img = sd.render_depth(s, pose, intr, (64, 64))
     cy, cx = int(round(intr.cy)), int(round(intr.cx))
-    want = ray_sphere_depth(pose.inverse().translation, pose.matrix()[2], 0.5)
+    want = ray_sphere_depth(pose.inverse().translation, pose.rotation[2], 0.5)
     # center pixel looks straight at the sphere: depth = 2.0 - 0.5
     assert img.mask[cy, cx]
     assert img.depth[cy, cx] == pytest.approx(1.5, abs=1e-3)
@@ -282,7 +282,7 @@ def test_render_depth_matches_ray_sphere_oracle():
     pose = sd.hemisphere_camera(rng)
     intr = sd.default_intrinsics(48, 48)
     img = sd.render_depth(s, pose, intr, (48, 48))
-    rot = pose.matrix()
+    rot = pose.rotation
     origin = -rot.T @ pose.translation
     ys, xs = np.nonzero(img.mask)
     k = substream(7, "pick").choice(len(ys), size=min(120, len(ys)), replace=False)
