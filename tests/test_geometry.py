@@ -84,11 +84,25 @@ def test_pose_transform_inverse_compose():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_pose_validate_rejects_non_finite_rot6d(bad):
-    # joint_optimize builds its Pose from the matrix of the rot6d it stepped
+    # joint_optimize builds its Pose from the matrix of the rot6d it stepped;
+    # that matrix used to be NaN, with only a RuntimeWarning
     r6 = np.array([1.0, 0, 0, 0, 1.0, 0])
     r6[4] = bad
-    with pytest.raises(StructuralError, match="^rotation is not a rotation matrix"):
+    with pytest.raises(StructuralError, match="^rot6d has non-finite entries$"):
         geo.Pose(geo.rot6d_to_matrix(r6), np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rot6d_backward_rejects_non_finite_arguments(bad):
+    # it used to return a NaN gradient
+    r6 = np.array([1.0, 0, 0, 0, 1.0, 0])
+    grad_rot = np.eye(3)
+    grad_rot[1, 2] = bad
+    with pytest.raises(StructuralError, match="^grad_rot has non-finite entries$"):
+        geo.rot6d_backward(r6, grad_rot)
+    r6[4] = bad
+    with pytest.raises(StructuralError, match="^rot6d has non-finite entries$"):
+        geo.rot6d_backward(r6, np.eye(3))
 
 
 @pytest.mark.parametrize(

@@ -238,3 +238,15 @@ def test_only_autodiff_knows_the_sine_frequency():
             if name and "omega" in name.lower():
                 hits.add(f"{p.relative_to(ROOT)}:{node.lineno} {name}")
     assert not hits, "sine frequency named outside autodiff.py: " + ", ".join(sorted(hits))
+
+
+def test_autodiff_forms_sine_layers_from_one_tan():
+    # a sine layer's sin and cos come from one np.tan of the half angle:
+    # float64 np.sin and np.cos run scalar libm, about ten times slower
+    tree = ast.parse((ROOT / "src" / "shapefit" / "autodiff.py").read_text())
+    hits = [
+        f"line {node.lineno} np.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("sin", "cos") and getattr(node.value, "id", None) == "np"
+    ]
+    assert not hits, "np.sin or np.cos in autodiff.py: " + ", ".join(hits)
