@@ -14,10 +14,11 @@ no general computation graph, no GPU path and no second-order derivatives.
 One private layer loop runs every forward pass; `forward` (values only,
 nothing kept), `forward_cached` (values plus the intermediates `backward`
 needs) and `forward_aug` (values, Jacobians and intermediates) are its
-three entry points. The keeping entry points store each layer's input,
-its activation derivative (OMEGA0 cos(OMEGA0 pre) for sine layers) and, with
-Jacobians, the input and pre-activation Jacobians, so `backward` evaluates
-no activation again.
+three entry points. Every hidden layer takes one step: `_sine` or its twin
+`_relu` gives the values and the derivative, which scales the Jacobian
+forward and the adjoints in `backward`. Keeping passes store each layer's
+input and derivative and, with Jacobians, its input and pre-activation
+Jacobians, so `backward` evaluates no activation again.
 
 A sine layer takes its value and derivative from one tangent of the half
 angle: with t = tan(OMEGA0 pre / 2), 1 + cos(OMEGA0 pre) = 2 / (1 + t^2)
@@ -112,6 +113,7 @@ def siren_init(layer_sizes, rng):
     First layer uniform in [-1/in, 1/in]; later layers uniform in
     [-sqrt(6/in)/OMEGA0, sqrt(6/in)/OMEGA0].
     """
+    check_type("rng", rng, np.random.Generator, "a numpy Generator")
     weights, biases = [], []
     for k in range(len(layer_sizes) - 1):
         fan_in, fan_out = layer_sizes[k], layer_sizes[k + 1]
@@ -130,11 +132,6 @@ class MLPGrads:
 
     weights: list
     biases: list
-
-
-def pack_params(weights, biases):
-    """Flatten per-layer (W, b) pairs into one vector: row-major W then b."""
-    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(weights, biases)])
 
 
 # ---------------------------------------------------------------------------
@@ -164,28 +161,32 @@ def _sine(pre, need_deriv):
     return value, one_plus_cos
 
 
+def _relu(pre, need_deriv):
+    """The twin of `_sine` for ReLU layers: max(pre, 0), in place of pre,
+    and its derivative, the mask pre > 0, when `need_deriv` (else None)."""
+    deriv = pre > 0.0 if need_deriv else None
+    return np.maximum(pre, 0.0, out=pre), deriv
+
+
 def _layers(params, x, jac=None, keep=False):
     """The forward layer loop shared by every entry point below.
 
     Propagates the K-major Jacobian `jac` (K, J, in) of the last J rows of
-    x alongside the values when it is given. With `keep`, the returned
-    cache is a list whose item k is (z_prev, jac_prev, deriv, jac_pre) of
-    layer k: its input values (N, in), input Jacobian (K, J, in),
-    activation derivative at the pre-activation (N, out; OMEGA0
-    cos(OMEGA0 pre) for sine, the mask pre > 0 for ReLU, None for the
-    linear output) and pre-activation Jacobian (K, J, out); the Jacobians
-    are None without tracking. Without `keep`
-    the cache is None, nothing is retained and no activation derivative is
-    formed: each layer's pre-activation is scaled and activated in place,
-    so a value-only pass allocates one (N, width) array per layer, plus
-    the one that `_sine` forms, and only the current layer's input and
-    output are alive at a time. A sine layer's value and derivative come
-    from one np.tan of the half angle in `_sine`, not from np.sin and
-    np.cos, which cost about ten times more per element (module docstring).
+    x alongside the values when it is given, which only a keeping pass
+    does. Every hidden layer takes one step: `_sine` or `_relu` activates
+    the pre-activation in place and returns its derivative, which times
+    the pre-activation Jacobian is the layer's Jacobian. With `keep`, the
+    returned cache is a list whose item k is (z_prev, jac_prev, deriv,
+    jac_pre) of layer k: its input values (N, in), input Jacobian
+    (K, J, in), activation derivative (N, out; None for the linear output)
+    and pre-activation Jacobian (K, J, out); the Jacobians are None
+    without tracking. Without `keep` the cache is None and no derivative
+    is formed, so a value-only pass allocates one (N, width) array per
+    layer, plus the one that `_sine` forms, and only the current layer's
+    input and output are alive at a time.
     """
     cache = [] if keep else None
-    need_deriv = keep or jac is not None
-    sine = params.activation == ACT_SINE
+    activate = _sine if params.activation == ACT_SINE else _relu
     last = params.n_layers - 1
     tail = slice(len(x) - jac.shape[1], None) if jac is not None else None
     z = x
@@ -197,16 +198,10 @@ def _layers(params, x, jac=None, keep=False):
             jac = jac_pre = _gemm(jac, w.T)
         if k == last:
             z_next = pre
-        elif sine:
-            z_next, deriv = _sine(pre, need_deriv)
+        else:
+            z_next, deriv = activate(pre, keep)
             if jac is not None:
                 jac = deriv[tail] * jac_pre
-        else:
-            if need_deriv:
-                deriv = pre > 0.0
-            if jac is not None:
-                jac = np.where(deriv[tail], jac_pre, 0.0)
-            z_next = np.maximum(pre, 0.0, out=pre)
         if keep:
             cache.append((z, jac_prev, deriv, jac_pre))
         z = z_next
@@ -256,9 +251,11 @@ def backward(params, cache, gy, gjac=None, inputs_only=False):
 
     The Jacobian adjoints run K-major like the forward pass: per layer, the
     weight gradient's Jacobian term and the adjoint step are each one GEMM
-    over K*J rows, and the second-order sine term reaches the last J rows
-    of the pre-activation adjoint. The activation derivatives come from
-    the cache, and sin(OMEGA0 pre) of a sine layer is the next layer's input.
+    over K*J rows. Every hidden layer's step multiplies both adjoints by
+    the cached activation derivative; the second-order sine term, on the
+    last J rows of the pre-activation adjoint, is the one line that
+    depends on the activation, and it reads sin(OMEGA0 pre) as the next
+    layer's input.
     """
     sine = params.activation == ACT_SINE
     gz = check_shape("gy", gy, (len(cache[0][0]), params.out_dim))
@@ -280,17 +277,12 @@ def backward(params, cache, gy, gjac=None, inputs_only=False):
             gpre = gz
             if track:
                 gjac_pre = gjac
-        elif sine:
+        else:
             gpre = gz * deriv
             if track:
-                # d/dpre of jac_out = -OMEGA0^2 sin(OMEGA0 pre) * jac_pre
-                sin = cache[k + 1][0][tail]
-                gpre[tail] -= (OMEGA0 * OMEGA0) * sin * (gjac * jac_pre).sum(axis=0)
+                if sine:  # d/dpre of jac_out = -OMEGA0^2 sin(OMEGA0 pre) * jac_pre
+                    gpre[tail] -= (OMEGA0 * OMEGA0) * cache[k + 1][0][tail] * (gjac * jac_pre).sum(axis=0)
                 gjac_pre = gjac * deriv[tail]
-        else:
-            gpre = np.where(deriv, gz, 0.0)
-            if track:
-                gjac_pre = np.where(deriv[tail], gjac, 0.0)
         if not inputs_only:
             gw = gpre.T @ z_prev
             if track:
@@ -357,9 +349,13 @@ class Adam:
         self.t = {}
 
     def step(self, params, grads, lr):
-        """In-place update of every key present in `grads`."""
+        """In-place update of every key present in `grads`; each gradient
+        must name a parameter and have its shape."""
         for key, g in grads.items():
+            if key not in params:
+                raise StructuralError(f"gradient {key!r} has no parameter")
             p = params[key]
+            g = check_shape(f"gradient {key!r}", g, p.shape)
             if key not in self.m:
                 self.m[key] = np.zeros_like(p)
                 self.v[key] = np.zeros_like(p)

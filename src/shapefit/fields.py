@@ -59,12 +59,12 @@ class ShapePrior:
     hypernetworks and the latents, and nothing they determine.
 
     The hypernetworks fix the deformation net: the latent size is their
-    input size, and hyper[k] predicts the out_k * (in_k + 1) packed weights
-    and biases of deformation layer k (in_k -> out_k), with in_0 = 3 and a
-    last out_k of DEFORM_OUT_DIM. Checked when built, with finite weights
-    and a finite latent per string id, and fixed in structure; its weight
-    arrays and latent table (a copy of the mapping given) are training
-    state that `training.fit` steps and extends in place.
+    input size, and the output row of hyper[k] is deformation layer k
+    (in_k -> out_k), W row-major, then b: out_k * (in_k + 1) entries, with
+    in_0 = 3 and a last out_k of DEFORM_OUT_DIM. Checked when built, with
+    finite weights and a finite latent per string id, and fixed in
+    structure; its weight arrays and latent table (a copy of the mapping
+    given) are training state that `training.fit` steps and extends in place.
     """
 
     category: str
@@ -154,7 +154,7 @@ def init_prior(
     layout.biases[-1][:] = 0.0
     hyper = []
     for k in range(layout.n_layers):
-        target = ad.pack_params([layout.weights[k]], [layout.biases[k]])
+        target = np.concatenate([layout.weights[k].ravel(), layout.biases[k]])
         bound = np.sqrt(6.0 / latent_dim)
         w0 = rng.uniform(-bound, bound, size=(hyper_hidden, latent_dim))
         b0 = np.zeros(hyper_hidden)  # zero hidden bias: hyper(0) == final bias
@@ -192,7 +192,7 @@ def hyper_backward(prior, caches, deform_grads, inputs_only=False):
     g_z = np.zeros(prior.latent_dim)
     hyper_grads = []
     for k, (h, cache) in enumerate(zip(prior.hyper, caches)):
-        flat = ad.pack_params([deform_grads.weights[k]], [deform_grads.biases[k]])
+        flat = np.concatenate([deform_grads.weights[k].ravel(), deform_grads.biases[k]])
         grads, gz = ad.backward(h, cache, flat[None, :], inputs_only=inputs_only)
         hyper_grads.append(grads)
         g_z += gz[0]
@@ -253,6 +253,8 @@ def compose_forward(prior, z, pts, value_rows=0):
 
 def compose_value(template, deform, pts):
     """Value-only composed SDF (used by isosurface extraction)."""
+    check_type("template", template, ad.MLPParams, "an MLPParams")
+    check_type("deform", deform, ad.MLPParams, "an MLPParams")
     pts = np.asarray(pts, dtype=np.float64)
     d_out = ad.forward(deform, pts)
     y = pts + d_out[:, :3]

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fields
 from .canonicalize import PointCloud, canonicalize, lift_depth
-from .errors import StageError, StructuralError, check_count, check_finite, check_type
+from .errors import StageError, StructuralError, check_cloud, check_count, check_finite, check_shape, check_type
 from .geometry import Pose, rot6d_backward, rot6d_to_matrix
 from .meshing import check_resolution, marching_cubes, sample_mesh_surface
 from .rng import substream
@@ -71,6 +71,8 @@ class ReconstructionResult:
 
 def init_latent(prior, rng):
     """A latent drawn from the prior's empirical latent distribution."""
+    check_type("prior", prior, fields.ShapePrior, "a ShapePrior")
+    check_type("rng", rng, np.random.Generator, "a numpy Generator")
     mean, std = prior.latent_stats()
     return rng.normal(mean, np.maximum(std, 1e-8))
 
@@ -90,6 +92,9 @@ def view_terms(prior, z, r6, t, observed, free):
     Returns (terms, (g_z, g_r6, g_t)); terms holds each TERM_WEIGHTS term
     and their weighted total.
     """
+    observed, free = check_cloud("observed", observed), check_cloud("free", free)
+    if not np.isfinite(check_shape("t", t, (3,))).all():
+        raise StructuralError("t has non-finite entries")
     n = len(observed)
     pts = np.concatenate([observed @ rot6d_to_matrix(r6).T + t, free])
     ev = fields.compose_forward(prior, z, pts, value_rows=n)

@@ -68,15 +68,16 @@ class TrainConfig:
 # the loss
 
 
-def shape_terms(prior, z, samples, weights):
+def shape_terms(prior, z, samples):
     """Evaluate every loss term for one shape and its exact gradients
     w.r.t. template weights, hypernetwork weights and the latent, from one
     `fields.compose_forward` and one `fields.compose_backward` call.
 
-    weights: a row of TERM_WEIGHTS. Returns (terms, (template_grads,
-    hyper_grads, latent_grad)); terms holds each term of the row and their
-    weighted total.
+    The weights are the prior category's row of TERM_WEIGHTS, read here.
+    Returns (terms, (template_grads, hyper_grads, latent_grad)); terms
+    holds each term of the row and their weighted total.
     """
+    weights = TERM_WEIGHTS[check_type("prior", prior, fields.ShapePrior, "a ShapePrior").category]
     check_type("samples", samples, ShapeSampleSet, "a ShapeSampleSet")
     n_s = len(samples.surface_points)
     pts = np.concatenate([samples.surface_points, samples.free_points])
@@ -194,7 +195,6 @@ def fit(prior, dataset, config, on_epoch=None):
         if iid not in prior.latents:
             rng = substream(config.seed, "latent-init", iid)
             prior.latents[iid] = rng.normal(0.0, fields.LATENT_INIT_STD, prior.latent_dim)
-    weights = TERM_WEIGHTS[prior.category]
     params = fields.named_arrays(prior.template, prior.hyper, prior.latents)  # live views
     net_keys = list(fields.named_arrays(prior.template, prior.hyper))
     optimizer = ad.Adam()
@@ -202,7 +202,7 @@ def fit(prior, dataset, config, on_epoch=None):
     for epoch in range(config.epochs):
         rng = substream(config.seed, "train-epoch", epoch)
         order = rng.permutation(len(dataset))
-        epoch_terms = dict.fromkeys((*weights, "total"), 0.0)
+        epoch_terms = dict.fromkeys((*TERM_WEIGHTS[prior.category], "total"), 0.0)
         for lo in range(0, len(order), config.batch_shapes):
             batch = order[lo : lo + config.batch_shapes]
             net_grads = {k: np.zeros_like(params[k]) for k in net_keys}
@@ -215,7 +215,7 @@ def fit(prior, dataset, config, on_epoch=None):
                     config.free_points_per_shape,
                     rng,
                 )
-                terms, (t_grads, h_grads, g_z) = shape_terms(prior, prior.latents[iid], sub, weights)
+                terms, (t_grads, h_grads, g_z) = shape_terms(prior, prior.latents[iid], sub)
                 check_finite(f"epoch {epoch}, shape {iid!r}, loss terms", terms)
                 shape_grads = fields.named_arrays(t_grads, h_grads, {iid: g_z})
                 check_finite(f"epoch {epoch}, shape {iid!r}, gradients", shape_grads)

@@ -29,8 +29,14 @@ def random_rotation(rng):
     return q
 
 
+def pack_params(weights, biases):
+    """Flatten per-layer (W, b) pairs into one vector: row-major W then b,
+    layer after layer, as a finite-difference parameter vector."""
+    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(weights, biases)])
+
+
 def unpack_params(vec, like):
-    """Inverse of `autodiff.pack_params`, shaped after the MLPParams `like`."""
+    """Inverse of `pack_params`, shaped after the MLPParams `like`."""
     weights, biases = [], []
     off = 0
     for w, b in zip(like.weights, like.biases):

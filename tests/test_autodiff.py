@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from shapefit.errors import StructuralError
 from shapefit.rng import substream
 from shapefit.synthdata import make_family, sample_shape
 
-from oracles import fd_grad_vector, fd_spatial_grad, n_params, rel_err, unpack_params
+from oracles import fd_grad_vector, fd_spatial_grad, n_params, pack_params, rel_err, unpack_params
 
 
 def tiny_net(seed=0, sizes=(3, 4, 1)):
@@ -173,16 +175,17 @@ def test_sine_layer_agrees_with_libm():
     assert np.isnan(value).all() and np.isnan(deriv).all()
 
 
-def test_pure_latent_term_gradient():
+def test_pure_latent_term_gradient(monkeypatch):
     # with every field weight zero, shape_terms reduces to ||z||
     prior = fields.init_prior(
         "sphere", latent_dim=8, template_hidden=(4,), deform_hidden=(4,), hyper_hidden=4, seed=7
     )
     samples = sample_shape(make_family("sphere", 1, seed=7)[0], 5, 5, seed=7)
-    w = {**dict.fromkeys(training.TERM_WEIGHTS["sphere"], 0.0), "latent": 1.0}
+    row = {**dict.fromkeys(training.TERM_WEIGHTS["sphere"], 0.0), "latent": 1.0}
+    monkeypatch.setitem(training.TERM_WEIGHTS, "sphere", row)
     z = np.zeros(8)
     z[0] = 1.0
-    terms, (_, _, g_z) = training.shape_terms(prior, z, samples, w)
+    terms, (_, _, g_z) = training.shape_terms(prior, z, samples)
     assert terms["total"] == pytest.approx(1.0)
     np.testing.assert_allclose(g_z, z)
 
@@ -207,8 +210,8 @@ def check_param_grads_fd(net, batch, with_jac, value_rows=0):
 
     cache = ad.forward_aug(net, batch, value_rows)[2] if with_jac else ad.forward_cached(net, batch)[1]
     grads, _ = ad.backward(net, cache, gy, gjac)
-    got = ad.pack_params(grads.weights, grads.biases)
-    want = fd_grad_vector(of_vec, ad.pack_params(net.weights, net.biases), h=1e-6)
+    got = pack_params(grads.weights, grads.biases)
+    want = fd_grad_vector(of_vec, pack_params(net.weights, net.biases), h=1e-6)
     assert rel_err(got, want, floor=1e-6) < 1e-3
 
 
@@ -258,7 +261,7 @@ def test_loss_value_matches_plain_recomputation():
     )
     samples = sample_shape(make_family("sphere", 1, seed=14)[0], 5, 6, seed=15)
     z = substream(14, "z").standard_normal(4) * 0.3
-    terms, _ = training.shape_terms(prior, z, samples, training.TERM_WEIGHTS["sphere"])
+    terms, _ = training.shape_terms(prior, z, samples)
 
     deform, _ = fields.hyper_forward(prior, z)
 
@@ -424,9 +427,25 @@ def test_adam_moves_toward_minimum():
     assert abs(params["x"][0]) < 0.1
 
 
+@pytest.mark.parametrize("grads, message", [
+    # a (1,) gradient used to broadcast and step all three entries
+    ({"a": np.ones(1)}, "gradient 'a' has shape (1,), expected 3"),
+    ({"a": np.ones((3, 1))}, "gradient 'a' has shape (3, 1), expected 3"),
+    # an unknown key used to raise a bare KeyError
+    ({"b": np.ones(3)}, "gradient 'b' has no parameter"),
+])
+def test_adam_refuses_a_gradient_that_does_not_match_a_parameter(grads, message):
+    params = {"a": np.zeros(3)}
+    opt = ad.Adam()
+    with pytest.raises(StructuralError, match="^" + re.escape(message) + "$"):
+        opt.step(params, grads, lr=0.1)
+    np.testing.assert_array_equal(params["a"], np.zeros(3))
+    assert opt.m == {}
+
+
 def test_pack_unpack_roundtrip():
     net = tiny_net(20, sizes=(3, 4, 2))
-    vec = ad.pack_params(net.weights, net.biases)
+    vec = pack_params(net.weights, net.biases)
     w, b = unpack_params(vec, net)
     for w0, w1 in zip(net.weights, w):
         np.testing.assert_array_equal(w0, w1)

@@ -207,7 +207,7 @@ class NoEstimate:
                  id="hyper-forward-prior"),
     pytest.param(lambda: fields.compose_forward(None, np.zeros(4), CLOUD), "prior must be a ShapePrior, got NoneType",
                  id="compose-forward-prior"),
-    pytest.param(lambda: training.shape_terms(PRIOR, np.zeros(4), None, training.TERM_WEIGHTS["sphere"]),
+    pytest.param(lambda: training.shape_terms(PRIOR, np.zeros(4), None),
                  "samples must be a ShapeSampleSet, got NoneType", id="shape-terms-samples"),
     pytest.param(lambda: canon.canonicalize(canon.PcaEstimator(), np.zeros((5, 3)), lambda: SPREAD),
                  "cloud must be a PointCloud, got ndarray", id="canonicalize-cloud"),
@@ -221,6 +221,18 @@ class NoEstimate:
                  id="default-intrinsics-height"),
     pytest.param(lambda: sd.hemisphere_camera(None), "rng must be a numpy Generator, got NoneType",
                  id="hemisphere-camera"),
+    pytest.param(lambda: inference.init_latent(None, substream(0, "z")), "prior must be a ShapePrior, got NoneType",
+                 id="init-latent-prior"),
+    pytest.param(lambda: inference.init_latent(PRIOR, None), "rng must be a numpy Generator, got NoneType",
+                 id="init-latent-rng"),
+    pytest.param(lambda: fields.compose_value(None, NET, CLOUD), "template must be an MLPParams, got NoneType",
+                 id="compose-value-template"),
+    pytest.param(lambda: fields.compose_value(NET, None, CLOUD), "deform must be an MLPParams, got NoneType",
+                 id="compose-value-deform"),
+    pytest.param(lambda: ad.siren_init([3, 4], None), "rng must be a numpy Generator, got NoneType",
+                 id="siren-init-rng"),
+    pytest.param(lambda: training.shape_terms(None, np.zeros(4), SAMPLES), "prior must be a ShapePrior, got NoneType",
+                 id="shape-terms-prior"),
     pytest.param(lambda: sd.AnalyticShape(None), "primitives must be a list or tuple of primitives, got NoneType",
                  id="analytic-shape-none"),
     pytest.param(lambda: sd.AnalyticShape([sd.Sphere(np.zeros(3), 0.5), "abc"]),

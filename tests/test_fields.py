@@ -10,7 +10,7 @@ from shapefit.errors import DataError, StructuralError
 from shapefit.formats import load_container, load_json, save_container, save_json
 from shapefit.rng import substream
 
-from oracles import fd_spatial_grad, rel_err, unpack_params
+from oracles import fd_spatial_grad, pack_params, rel_err, unpack_params
 
 
 def small_prior(seed=0, latent_dim=8):
@@ -48,7 +48,7 @@ def test_hyper_zero_latent_returns_biases():
     # hidden biases are zero, so hyper(0) reduces to the final-layer bias,
     # which holds the layout's init weights
     for k in range(dw.n_layers):
-        flat = ad.pack_params([dw.weights[k]], [dw.biases[k]])
+        flat = pack_params([dw.weights[k]], [dw.biases[k]])
         np.testing.assert_array_equal(flat, prior.hyper[k].biases[-1])
 
 
@@ -94,7 +94,7 @@ def test_hyper_lipschitz_perturbation_bound():
     for k, h in enumerate(prior.hyper):
         # operator-norm product bounds the relu-net Lipschitz constant
         lip = np.prod([np.linalg.norm(w, 2) for w in h.weights])
-        diff = ad.pack_params([b.weights[k]], [b.biases[k]]) - ad.pack_params(
+        diff = pack_params([b.weights[k]], [b.biases[k]]) - pack_params(
             [a.weights[k]], [a.biases[k]]
         )
         assert np.linalg.norm(diff) <= 1e-6 * lip + 1e-15
@@ -208,7 +208,7 @@ def test_compose_backward_matches_fd_on_params():
     np.testing.assert_array_equal(g_pts_only, g_pts)
 
     # template params
-    base_t = ad.pack_params(prior.template.weights, prior.template.biases)
+    base_t = pack_params(prior.template.weights, prior.template.biases)
 
     def loss_t(vec):
         w, b = unpack_params(vec, prior.template)
@@ -218,11 +218,11 @@ def test_compose_backward_matches_fd_on_params():
     from oracles import fd_grad_vector
 
     want_t = fd_grad_vector(loss_t, base_t, h=1e-6)
-    got_t = ad.pack_params(t_grads.weights, t_grads.biases)
+    got_t = pack_params(t_grads.weights, t_grads.biases)
     assert rel_err(got_t, want_t, floor=1e-6) < 1e-3
 
     # hyper params (first hyper net)
-    base_h = ad.pack_params(prior.hyper[0].weights, prior.hyper[0].biases)
+    base_h = pack_params(prior.hyper[0].weights, prior.hyper[0].biases)
 
     def loss_h(vec):
         w, b = unpack_params(vec, prior.hyper[0])
@@ -230,7 +230,7 @@ def test_compose_backward_matches_fd_on_params():
         return full_loss(prior.template, [h0, *prior.hyper[1:]], z0)
 
     want_h = fd_grad_vector(loss_h, base_h, h=1e-6)
-    got_h = ad.pack_params(h_grads[0].weights, h_grads[0].biases)
+    got_h = pack_params(h_grads[0].weights, h_grads[0].biases)
     assert rel_err(got_h, want_h, floor=1e-6) < 1e-3
 
     # latent

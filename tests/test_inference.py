@@ -109,6 +109,29 @@ def test_view_terms_match_the_full_jacobian_oracle(n_obs, n_free):
         assert rel_err(got, want) < 1e-12, name
 
 
+R6 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+GOOD_VIEW = dict(r6=R6, t=np.zeros(3), observed=np.zeros((5, 3)), free=np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("bad, message", [
+    # each used to raise a bare ValueError or TypeError, or (empty sets, a
+    # NaN point) to return NaN terms with at most a RuntimeWarning
+    (dict(observed=np.zeros((5, 2))), "observed has shape (5, 2), expected Nx3"),
+    (dict(observed=None), "observed has shape (), expected Nx3"),
+    (dict(observed=np.zeros((0, 3))), "observed has no points"),
+    (dict(observed=np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])),
+     "observed has non-finite entries, first at point 1"),
+    (dict(free=np.zeros((4, 2))), "free has shape (4, 2), expected Nx3"),
+    (dict(free=np.zeros((0, 3))), "free has no points"),
+    (dict(t=np.zeros(2)), "t has shape (2,), expected 3"),
+    (dict(t=np.array([0.0, np.inf, 0.0])), "t has non-finite entries"),
+])
+def test_view_terms_checks_its_arguments_at_the_door(bad, message):
+    args = {**GOOD_VIEW, **bad}
+    with pytest.raises(StructuralError, match="^" + re.escape(message)):
+        inference.view_terms(tiny_prior(3), np.zeros(8), **args)
+
+
 def test_nan_abort_reports_iteration():
     prior = tiny_prior(17)
     prior.template.weights[-1][:] = 1e308  # overflow poison

@@ -240,6 +240,22 @@ def test_only_autodiff_knows_the_sine_frequency():
     assert not hits, "sine frequency named outside autodiff.py: " + ", ".join(sorted(hits))
 
 
+def test_objectives_read_their_weight_tables():
+    # training.shape_terms reads its category's row of training.TERM_WEIGHTS
+    # and inference.view_terms reads inference.TERM_WEIGHTS; a weight
+    # parameter is a setting that only an experiment or a test would vary
+    hits = [
+        f"{p.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({arg.arg})"
+        for p in (ROOT / "src" / "shapefit" / "training.py", ROOT / "src" / "shapefit" / "inference.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                    *filter(None, (node.args.vararg, node.args.kwarg)))
+        if "weight" in arg.arg
+    ]
+    assert not hits, "weight parameters in the objectives' modules: " + ", ".join(hits)
+
+
 def test_autodiff_forms_sine_layers_from_one_tan():
     # a sine layer's sin and cos come from one np.tan of the half angle:
     # float64 np.sin and np.cos run scalar libm, about ten times slower

@@ -1,5 +1,6 @@
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from shapefit.errors import NumericError, StructuralError
 from shapefit.rng import substream
 from shapefit.synthdata import CATEGORIES, ShapeSampleSet, make_family, sample_shape
 
-from oracles import fd_grad_vector, rel_err, unpack_params
+from oracles import fd_grad_vector, pack_params, rel_err, unpack_params
 
 
 def small_prior(seed=0, latent_dim=6):
@@ -42,9 +43,12 @@ def plane_samples(rng, n_s=50, n_f=80):
 
 
 def plane_terms(samples, z=None, **weights):
+    """The terms of the plane prior, with the given entries of its
+    TERM_WEIGHTS row overridden for this one call."""
     prior = plane_prior()
     z = np.zeros(prior.latent_dim) if z is None else z
-    return training.shape_terms(prior, z, samples, {**training.TERM_WEIGHTS[prior.category], **weights})[0]
+    with mock.patch.dict(training.TERM_WEIGHTS[prior.category], weights):
+        return training.shape_terms(prior, z, samples)[0]
 
 
 def test_exact_plane_field_loss_identities():
@@ -63,7 +67,7 @@ def test_zero_field_spike_is_one():
     prior.template.weights[0][:] = 0.0
     sphere = make_family("sphere", 1, seed=3)[0]
     samples = sample_shape(sphere, 50, 60, seed=4)
-    terms, _ = training.shape_terms(prior, np.zeros(prior.latent_dim), samples, training.TERM_WEIGHTS["sphere"])
+    terms, _ = training.shape_terms(prior, np.zeros(prior.latent_dim), samples)
     assert terms["sdf_spike"] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -82,10 +86,10 @@ def test_loss_smooth_linear_deformation():
     prior = plane_prior()
     # the hypernetwork's hidden layer is zero, so its final bias is the
     # deformation layer's packed (W, b)
-    prior.hyper[0].biases[-1][:] = ad.pack_params([w], [np.zeros(4)])
+    prior.hyper[0].biases[-1][:] = pack_params([w], [np.zeros(4)])
     samples = plane_samples(rng)
     z = np.zeros(prior.latent_dim)
-    terms, _ = training.shape_terms(prior, z, samples, training.TERM_WEIGHTS["sphere"])
+    terms, _ = training.shape_terms(prior, z, samples)
     assert terms["smooth"] == pytest.approx(np.linalg.norm(a_mat), rel=1e-12)
     zero = plane_terms(samples)
     assert zero["smooth"] == 0.0
@@ -106,7 +110,7 @@ def test_every_term_nonnegative():
     samples = sample_shape(sphere, 80, 80, seed=9)
     rng = substream(10, "z")
     z = rng.standard_normal(prior.latent_dim) * 0.3
-    terms, _ = training.shape_terms(prior, z, samples, training.TERM_WEIGHTS["sphere"])
+    terms, _ = training.shape_terms(prior, z, samples)
     for name in training.TERM_WEIGHTS["sphere"]:
         assert terms[name] >= 0.0
 
@@ -133,36 +137,35 @@ def test_shape_terms_gradients_match_fd():
     )
     sphere = make_family("sphere", 1, seed=13)[0]
     samples = sample_shape(sphere, 10, 10, seed=14)
-    w = training.TERM_WEIGHTS["sphere"]
     rng = substream(15, "z")
     z0 = rng.standard_normal(4) * 0.3
-    terms, (t_grads, h_grads, g_z) = training.shape_terms(prior, z0, samples, w)
+    terms, (t_grads, h_grads, g_z) = training.shape_terms(prior, z0, samples)
 
-    base_t = ad.pack_params(prior.template.weights, prior.template.biases)
+    base_t = pack_params(prior.template.weights, prior.template.biases)
 
     def loss_t(vec):
         ws, bs = unpack_params(vec, prior.template)
         template = ad.MLPParams(ws, bs, prior.template.activation)
-        return training.shape_terms(dataclasses.replace(prior, template=template), z0, samples, w)[0]["total"]
+        return training.shape_terms(dataclasses.replace(prior, template=template), z0, samples)[0]["total"]
 
     want_t = fd_grad_vector(loss_t, base_t, h=1e-6)
-    got_t = ad.pack_params(t_grads.weights, t_grads.biases)
+    got_t = pack_params(t_grads.weights, t_grads.biases)
     assert rel_err(got_t, want_t, floor=1e-5) < 1e-3
 
-    base_h = ad.pack_params(prior.hyper[0].weights, prior.hyper[0].biases)
+    base_h = pack_params(prior.hyper[0].weights, prior.hyper[0].biases)
 
     def loss_h(vec):
         ws, bs = unpack_params(vec, prior.hyper[0])
         h0 = ad.MLPParams(ws, bs, prior.hyper[0].activation)
         moved = dataclasses.replace(prior, hyper=[h0, *prior.hyper[1:]])
-        return training.shape_terms(moved, z0, samples, w)[0]["total"]
+        return training.shape_terms(moved, z0, samples)[0]["total"]
 
     want_h = fd_grad_vector(loss_h, base_h, h=1e-6)
-    got_h = ad.pack_params(h_grads[0].weights, h_grads[0].biases)
+    got_h = pack_params(h_grads[0].weights, h_grads[0].biases)
     assert rel_err(got_h, want_h, floor=1e-5) < 1e-3
 
     def loss_z(vec):
-        return training.shape_terms(prior, vec, samples, w)[0]["total"]
+        return training.shape_terms(prior, vec, samples)[0]["total"]
 
     want_z = fd_grad_vector(loss_z, z0, h=1e-6)
     assert rel_err(g_z, want_z, floor=1e-5) < 1e-3
@@ -279,11 +282,11 @@ def test_fit_non_finite_gradient_aborts_before_step(monkeypatch):
 
     monkeypatch.setattr(training, "shape_terms", poisoned)
     nets = (prior.template, *prior.hyper)
-    before = [ad.pack_params(net.weights, net.biases) for net in nets]
+    before = [pack_params(net.weights, net.biases) for net in nets]
     with pytest.raises(NumericError, match=r"sphere_0000.*hyper\.0\.1\.w"):
         training.fit(prior, dataset, desk_config(epochs=1))
     for net, want in zip(nets, before):
-        np.testing.assert_array_equal(ad.pack_params(net.weights, net.biases), want)
+        np.testing.assert_array_equal(pack_params(net.weights, net.biases), want)
 
 
 def test_fit_rejects_a_repeated_instance_id_before_training():
