@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError, check_count, check_shape, check_type
+from .errors import StructuralError, check_count, check_real, check_shape, check_type
 
 ACT_SINE = "sine"
 ACT_RELU = "relu"
@@ -113,6 +113,8 @@ def siren_init(layer_sizes, rng):
     First layer uniform in [-1/in, 1/in]; later layers uniform in
     [-sqrt(6/in)/OMEGA0, sqrt(6/in)/OMEGA0].
     """
+    for k, size in enumerate(check_type("layer_sizes", layer_sizes, (list, tuple), "a list or tuple of widths")):
+        check_count(f"layer size {k}", size)
     check_type("rng", rng, np.random.Generator, "a numpy Generator")
     weights, biases = [], []
     for k in range(len(layer_sizes) - 1):
@@ -351,6 +353,7 @@ class Adam:
     def step(self, params, grads, lr):
         """In-place update of every key present in `grads`; each gradient
         must name a parameter and have its shape."""
+        check_real("lr", lr)
         for key, g in grads.items():
             if key not in params:
                 raise StructuralError(f"gradient {key!r} has no parameter")

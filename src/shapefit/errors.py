@@ -76,7 +76,8 @@ def check_real(name, value, minimum=0.0, strict=False):
 def check_shape(name, value, shape, dtype=np.float64):
     """`value` as a `dtype` array; raise StructuralError naming `name` unless
     its shape is `shape`, where "N" stands for any length, and the
-    conversion to `dtype` keeps every value."""
+    conversion to `dtype` keeps every value. An object array must hold
+    real numbers alone (ints past int64 and Fractions convert)."""
     try:
         raw = np.asarray(value)
         if raw.dtype.kind in "cSU":  # a cast would drop the imaginary part or parse the text
@@ -87,6 +88,10 @@ def check_shape(name, value, shape, dtype=np.float64):
         raise StructuralError(f"{name} is not a numeric array: {e}") from e
     if arr.ndim != len(shape) or any(want not in ("N", got) for want, got in zip(shape, arr.shape)):
         raise StructuralError(f"{name} has shape {arr.shape}, expected {'x'.join(map(str, shape))}")
+    if raw.dtype == object:  # the cast turned None into NaN and parsed numeric text
+        for entry in raw.flat:
+            if not isinstance(entry, numbers.Real):
+                raise StructuralError(f"{name} is not a numeric array: it holds {type(entry).__name__} entries")
     if arr.dtype.kind in "iu" and arr.dtype != raw.dtype and not np.array_equal(arr, raw):
         raise StructuralError(f"{name} has entries that are not {arr.dtype} values")
     return arr

@@ -11,7 +11,9 @@ meaning is the caller's (`fields` names a prior's networks layer by layer):
         ndim u8, dims u32[ndim], data f64[prod(dims)] row-major
 
 Writes are atomic (temp file + rename) so interrupted runs never leave
-half-written checkpoints behind; a refused write raises DataError.
+half-written checkpoints behind; a refused write raises DataError. This
+module is the package's one door to the disk: every path is checked by
+`_fspath` before any file is opened.
 """
 
 import json
@@ -22,14 +24,24 @@ import tempfile
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, StructuralError
 
 MAGIC = b"SHAPEFIT"
 VERSION = 2
 
 
+def _fspath(path):
+    """`path` as a str; raise StructuralError unless it is a str or an
+    os.PathLike naming one. An integer would be opened as a file descriptor
+    (and closed), and a bytes path has no '.json' sidecar name."""
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if not isinstance(name, str):
+        raise StructuralError(f"path {path!r} must be a str or os.PathLike, got {type(path).__name__}")
+    return name
+
+
 def _atomic_write(path, data: bytes):
-    path = os.fspath(path)
+    path = _fspath(path)
     d = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(d, exist_ok=True)
@@ -81,6 +93,7 @@ class _Reader:
 
 def load_container(path):
     """Read a container back into {name: float64 ndarray}."""
+    path = _fspath(path)
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -117,6 +130,7 @@ def save_json(path, obj):
 
 
 def load_json(path):
+    path = _fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)

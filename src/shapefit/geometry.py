@@ -7,11 +7,12 @@ or double-cover discontinuities, which keeps gradient-based pose
 refinement well behaved.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError, _read_only, check_shape, check_type
+from .errors import StructuralError, _read_only, check_real, check_shape, check_type
 
 _DEGENERATE_NORM = 1e-9
 _ROTATION_TOL = 1e-6  # |R^T R - I| accepted by Pose
@@ -108,6 +109,7 @@ class Pose:
 def rotation_about_axis(axis, angle_rad):
     """Rodrigues rotation about a (not necessarily unit) axis."""
     axis = check_shape("axis", axis, (3,))
+    check_real("angle_rad", angle_rad, -math.inf)
     norm = np.linalg.norm(axis)
     if not (np.isfinite(norm) and norm >= _DEGENERATE_NORM):
         raise StructuralError(f"rotation axis {axis} has no direction")

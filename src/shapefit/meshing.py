@@ -11,12 +11,12 @@ for point-based evaluation.
 The grid is filled level by level, refining only where the surface is, as
 in the multiresolution extraction of Occupancy Networks (Mescheder et al.,
 CVPR 2019):
-- Level 0 is a lattice of every `stride`-th grid index plus the last one,
-  with stride = resolution // COARSE_CELLS (at least 1), so it has about
-  16 blocks per axis. Each level splits every block at the midpoint of its
-  index range, so the lattices nest for any resolution (strides 8 -> 4 ->
-  2 -> 1 at res 128; 6 -> 3 -> 2 or 1 -> 1 at res 96), until every block
-  is a cell.
+- A block is its two opposite grid corners, `lo` and `hi` ((B, 3) grid
+  indices). Level 0 cuts each axis at every `stride`-th grid index and the
+  last one, stride = resolution // COARSE_CELLS (at least 1): about 16
+  blocks per axis. Each level cuts every side wider than one grid step at
+  (lo + hi) // 2, so the cuts nest for any resolution (strides 8 -> 4 -> 2
+  -> 1 at res 128; 6 -> 3 -> 2 or 1 -> 1 at res 96) until all are cells.
 - One rule applies at every level. The field is evaluated at the corners of
   the candidate blocks, which at level 0 are all blocks and deeper are the
   children of the active blocks. A block stays active if its corners
@@ -25,21 +25,25 @@ CVPR 2019):
   nearest corner, so a 1-Lipschitz field (an SDF) has no zero in a block
   whose corners are all farther from 0 than that.
 - At the cell level the crossed candidate cells are kept. Closure: while a
-  crossed cell has a face neighbour that is not yet a candidate (a mask
-  over all cells marks the candidates), that neighbour becomes one.
+  crossed cell has a face neighbour (its corner moved by 1 on one axis)
+  that is not yet a candidate, that neighbour becomes one.
 - Level 0, each deeper level and each closure round is one step,
   `_evaluate`: it evaluates the round's new grid points once, in ascending
-  flat grid index, and classifies the round's blocks. The table code runs
-  over the crossed cells in C order and emits triangles in (table slot,
-  cell) order, so vertices and triangles equal those of a dense evaluation
-  whenever every surface component reaches a candidate cell and the
-  field's values do not depend on the batch they are computed in (below).
-The limit: only a field steeper than 1-Lipschitz can hide a component, by
-keeping the corners of the block that holds it farther from 0 than half
-the block's diagonal. The closure mends such a miss where the component
-touches surface that was found; a component apart from all found surface
-is lost. Below resolution 32 (2 * COARSE_CELLS) the stride is 1, every
-grid point is evaluated, and nothing can be missed.
+  flat grid index, and classifies the round's blocks. Every set the search
+  builds (a round's unknown corners, the closure's new cells, the final
+  crossed cells, a cell named by its lower corner) is marked in one
+  grid-sized boolean scratch mask and read back ascending by np.flatnonzero
+  whatever order the blocks come in: no sort, no np.unique. The table code
+  runs over the crossed cells in C order and emits triangles in (table
+  slot, cell) order, so vertices and triangles equal those of a dense
+  evaluation whenever every surface component reaches a candidate cell and
+  the field's values do not depend on the batch they are computed in.
+Only a field steeper than 1-Lipschitz can hide a component, by keeping the
+corners of its block farther from 0 than half the block's diagonal. The
+closure mends such a miss where the component touches surface that was
+found; a component apart from all found surface is lost. Below resolution
+32 (2 * COARSE_CELLS) the stride is 1, every grid point is evaluated, and
+nothing can be missed.
 
 The field is called on blocks of at most FIELD_BLOCK grid points, so a
 network field holds one (block, width) array per layer: 2 MiB at width 64,
@@ -121,82 +125,102 @@ class TriangleMesh:
         return self
 
 
-def _corners(lattice, npts, blocks):
-    """(8, B) flat grid indices of the corners of `blocks`, in _CORNERS
-    order; each row ascends with the blocks. `blocks` are ascending C-order
-    keys on the block grid of `lattice`: block (i, j, k) spans lattice[i] ..
-    lattice[i + 1] on the first axis, and so on."""
-    n = len(lattice) - 1
-    ijk = np.array(np.unravel_index(blocks, (n, n, n)))
-    lo = lattice[ijk]
+def _corners(lo, hi, npts):
+    """(8, B) flat grid indices of the corners of the blocks spanning grid
+    points `lo` to `hi`, (B, 3) each, in _CORNERS order."""
     step = np.array([npts * npts, npts, 1])  # flat grid distance of one step on each axis
-    return step @ lo + (_CORNERS * step) @ (lattice[ijk + 1] - lo)
+    return lo @ step + (_CORNERS * step) @ (hi - lo).T
 
 
-def _evaluate(field, axis, grid, lattice, blocks):
-    """One round: evaluate `field` at the corners of `blocks` that are still
-    unknown (NaN) in the flat `grid`, once each, in ascending flat index and
-    FIELD_BLOCK points per call, store the values there, and classify the
-    blocks. Returns, per block, whether its corners change sign (negative is
-    inside), and for a block whose corners do not, the smallest |f| at them.
-    Blocks are taken FIELD_BLOCK at a time, so that no (8, B) array is built."""
+def _take(mask):
+    """The indices set in `mask`, ascending; clears them."""
+    marked = np.flatnonzero(mask)
+    mask[marked] = False
+    return marked
+
+
+def _evaluate(field, axis, grid, scratch, lo, hi):
+    """One round: evaluate `field` at the corners of the blocks `lo`..`hi`
+    that are still unknown (NaN) in the flat `grid`, once each, in ascending
+    flat index (gathered in the clear `scratch` mask) and FIELD_BLOCK points
+    per call, store the values there, and classify the blocks. Returns, per
+    block, whether its corners change sign (negative is inside), and for a
+    block whose corners do not, the smallest |f| at them. Blocks are taken
+    FIELD_BLOCK at a time, so that no (8, B) array is built."""
     n = len(axis)
-    unknown = [np.zeros(0, np.int64)]
-    for lo in range(0, len(blocks), FIELD_BLOCK):
-        points = _corners(lattice, n, blocks[lo : lo + FIELD_BLOCK])
-        unknown.append(_unique(points[np.isnan(grid[points])]))
-    points = _unique(np.concatenate(unknown))
+    for i in range(0, len(lo), FIELD_BLOCK):
+        points = _corners(lo[i : i + FIELD_BLOCK], hi[i : i + FIELD_BLOCK], n)
+        scratch[points[np.isnan(grid[points])]] = True
+    points = _take(scratch)
     coords = axis[np.stack(np.unravel_index(points, (n, n, n)), axis=1)]
-    for lo in range(0, len(points), FIELD_BLOCK):
-        hi = min(lo + FIELD_BLOCK, len(points))
+    for i in range(0, len(points), FIELD_BLOCK):
+        j = min(i + FIELD_BLOCK, len(points))
         # a column of values is fine; complex or text values are not
-        vals = check_shape(f"field values for grid points {lo}:{hi}", np.ravel(field(coords[lo:hi])), ("N",))
-        if vals.size != hi - lo:
-            raise StructuralError(
-                f"field returned {vals.size} values for grid points {lo}:{hi}, expected {hi - lo}"
-            )
-        grid[points[lo:hi]] = vals
+        vals = check_shape(f"field values for grid points {i}:{j}", np.ravel(field(coords[i:j])), ("N",))
+        if vals.size != j - i:
+            raise StructuralError(f"field returned {vals.size} values for grid points {i}:{j}, expected {j - i}")
+        grid[points[i:j]] = vals
     bad = ~np.isfinite(grid[points])
     if bad.any():
         raise NumericError(f"field returned a non-finite value at grid point {coords[np.flatnonzero(bad)[0]]}")
-    low, high = np.empty(len(blocks)), np.empty(len(blocks))
-    for lo in range(0, len(blocks), FIELD_BLOCK):
-        values = grid[_corners(lattice, n, blocks[lo : lo + FIELD_BLOCK])]
-        low[lo : lo + FIELD_BLOCK] = values.min(axis=0)
-        high[lo : lo + FIELD_BLOCK] = values.max(axis=0)
+    low, high = np.empty(len(lo)), np.empty(len(lo))
+    for i in range(0, len(lo), FIELD_BLOCK):
+        values = grid[_corners(lo[i : i + FIELD_BLOCK], hi[i : i + FIELD_BLOCK], n)]
+        low[i : i + FIELD_BLOCK] = values.min(axis=0)
+        high[i : i + FIELD_BLOCK] = values.max(axis=0)
     return (low < 0.0) & (high >= 0.0), np.maximum(low, -high)
 
 
-def _unique(keys):
-    """The distinct entries of an integer array, sorted. The sort is stable,
-    which numpy runs as a merge of ascending runs, and every caller passes
-    such runs; np.unique hashes, which took 20 times as long on 1.8 million
-    grid indices (numpy 2.4)."""
-    keys = np.sort(keys, axis=None, kind="stable")
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
+def _split(lo, hi):
+    """The children of the blocks `lo`..`hi`: every side wider than one grid
+    step is cut at (lo + hi) // 2, one axis after the other."""
+    for a in range(3):
+        wide = np.flatnonzero(hi[:, a] - lo[:, a] > 1)
+        mid = (lo[wide, a] + hi[wide, a]) // 2
+        lo, hi = np.concatenate([lo, lo[wide]]), np.concatenate([hi, hi[wide]])
+        hi[wide, a] = lo[len(lo) - len(wide) :, a] = mid
+    return lo, hi
 
 
-def _neighbours(blocks, n):
-    """Sorted keys of the face neighbours on the n^3 block grid of the
-    ascending C-order keys `blocks`."""
-    moved = (_FACES[:, :, None] + np.array(np.unravel_index(blocks, (n, n, n)))).transpose(1, 0, 2)
-    inside = ((moved >= 0) & (moved < n)).all(axis=0)
-    return _unique(np.ravel_multi_index(tuple(moved[:, inside]), (n, n, n)))
+def _crossed_cells(field, grid, resolution):
+    """(C, 3) lower corners, in C order, of the cells whose corners change
+    sign, searched level by level (see the module docstring); every grid
+    point evaluated is stored in the flat `grid`, which is NaN elsewhere."""
+    npts = resolution + 1
+    axis = np.linspace(-1.0, 1.0, npts)
+    scratch = np.zeros(npts**3, dtype=bool)
 
+    # level 0: every stride-th grid index up to the last one on each axis
+    stride = max(1, resolution // COARSE_CELLS)
+    starts = np.arange(0, resolution, stride, dtype=np.int32)  # halves the (B, 3) corner arrays
+    lo = starts[np.indices((len(starts),) * 3).reshape(3, -1).T]
+    hi = np.minimum(lo + stride, resolution)
+    crossed, nearest = _evaluate(field, axis, grid, scratch, lo, hi)
+    while (hi - lo > 1).any():
+        # a zero inside a block lies within half its diagonal of the nearest
+        # corner, so a 1-Lipschitz field is at most that far from 0 there
+        keep = crossed | (nearest <= np.linalg.norm(hi - lo, axis=1) / resolution)
+        lo, hi = _split(lo[keep], hi[keep])
+        crossed, nearest = _evaluate(field, axis, grid, scratch, lo, hi)
 
-def _split(lattice, blocks):
-    """The next level: `lattice` with the midpoint of every gap wider than
-    one grid step added, and the sorted keys of the children of `blocks` on
-    it."""
-    finer = np.union1d(lattice, (lattice[:-1] + lattice[1:]) // 2)
-    ijk = np.stack(np.unravel_index(blocks, (len(lattice) - 1,) * 3), axis=1)
-    first = np.searchsorted(finer, lattice[ijk])
-    end = np.searchsorted(finer, lattice[ijk + 1])
-    children = first[:, None, :] + _CORNERS  # up to two per axis
-    children = children[(children < end[:, None, :]).all(axis=2)]
-    return finer, np.sort(np.ravel_multi_index(children.T, (len(finer) - 1,) * 3))
+    # the finest level: every block is a cell, named by its lower corner
+    step = np.array([npts * npts, npts, 1])
+    seen = np.zeros(npts**3, dtype=bool)
+    seen[lo @ step] = True
+    new = lo[crossed]
+    found = [new @ step]
+    while len(new):
+        # closure: the surface leaves a crossed cell only through a face
+        moved = (new[:, None, :] + _FACES).reshape(-1, 3)
+        moved = moved[((moved >= 0) & (moved < resolution)).all(axis=1)] @ step
+        scratch[moved[~seen[moved]]] = True
+        fresh = _take(scratch)
+        seen[fresh] = True
+        lo = np.stack(np.unravel_index(fresh, (npts,) * 3), axis=1)
+        new = lo[_evaluate(field, axis, grid, scratch, lo, lo + 1)[0]]
+        found.append(new @ step)
+    scratch[np.concatenate(found)] = True
+    return np.stack(np.unravel_index(_take(scratch), (npts,) * 3), axis=1)
 
 
 def check_resolution(resolution):
@@ -216,35 +240,8 @@ def marching_cubes(field, resolution):
     check_type("field", field, Callable, "a callable")
     check_resolution(resolution)
     npts = resolution + 1
-    axis = np.linspace(-1.0, 1.0, npts)
     grid = np.full(npts**3, np.nan)  # flat, C order; NaN marks an unknown point
-
-    # level 0: the gaps between every stride-th grid index and the last one
-    stride = max(1, resolution // COARSE_CELLS)
-    lattice = np.unique(np.append(np.arange(0, npts, stride), resolution))
-    blocks = np.arange((len(lattice) - 1) ** 3)
-    crossed, nearest = _evaluate(field, axis, grid, lattice, blocks)
-    while len(lattice) < npts:
-        # a zero inside a block lies within half its diagonal of the nearest
-        # corner, so a 1-Lipschitz field is at most that far from 0 there
-        n = len(lattice) - 1
-        size = np.diff(lattice)[np.stack(np.unravel_index(blocks, (n, n, n)), axis=1)]
-        near = nearest <= np.linalg.norm(size, axis=1) / resolution
-        lattice, blocks = _split(lattice, blocks[crossed | near])
-        crossed, nearest = _evaluate(field, axis, grid, lattice, blocks)
-
-    # the finest level: every block is a cell
-    seen = np.zeros(resolution**3, dtype=bool)
-    seen[blocks] = True
-    cells = new = blocks[crossed]
-    while len(new):
-        # closure: the surface leaves a crossed cell only through a face
-        fresh = _neighbours(new, resolution)
-        fresh = fresh[~seen[fresh]]
-        seen[fresh] = True
-        new = fresh[_evaluate(field, axis, grid, lattice, fresh)[0]]
-        cells = np.concatenate([cells, new])
-    cells = np.stack(np.unravel_index(np.sort(cells), (resolution,) * 3), axis=1)
+    cells = _crossed_cells(field, grid, resolution)
     return _triangulate(grid.reshape(npts, npts, npts), cells)
 
 
@@ -260,7 +257,7 @@ def _triangulate(grid, cells):
     cfg = ((grid[ijk[..., 0], ijk[..., 1], ijk[..., 2]] < 0.0) << np.arange(8)).sum(axis=1)
 
     # an edge is crossed when its two corners differ in sign; its global id
-    # is its lower grid point on the (npts^3) lattice, times 3 orientations
+    # is the flat index of its lower grid point, times 3 orientations
     c0, c1 = _EDGE_CORNERS.T
     rows, cols = np.nonzero(((cfg[:, None] >> c0) ^ (cfg[:, None] >> c1)) & 1)
     start = cells[rows] + _EDGE_LOW[cols]

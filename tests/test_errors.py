@@ -2,6 +2,7 @@
 StructuralError whose message names the argument."""
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from shapefit import canonicalize as canon
 from shapefit import fields, inference, meshing, metrics, training
 from shapefit import synthdata as sd
 from shapefit.errors import DataError, StructuralError, check_cloud, check_shape
-from shapefit.geometry import Pose, look_at, rot6d_backward
+from shapefit.geometry import Pose, look_at, rot6d_backward, rotation_about_axis
 from shapefit.rng import substream
 
 NET = ad.siren_init([3, 4, 1], substream(0, "net"))
@@ -244,3 +245,43 @@ def test_an_argument_of_the_wrong_type_is_a_structural_error_naming_it(call, mes
     with pytest.raises(StructuralError, match="^" + re.escape(message) + "$"):
         call()
     assert PRIOR.latents == {}  # fit checks its arguments before it adds a latent
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: check_shape("x", [None, 1.0], ("N",)), "x", id="check-shape"),
+    pytest.param(lambda: ad.forward(NET, [[None, 0, 0]]), "network input", id="forward"),
+    pytest.param(lambda: Pose(np.eye(3), [None, 0, 0]), "translation", id="pose"),
+    pytest.param(lambda: check_shape("x", np.array(["0.5", 1.0], dtype=object), ("N",)), "x", id="text-entry"),
+])
+def test_an_object_array_with_an_entry_that_is_not_a_number_is_refused(call, name):
+    # None used to become NaN, so these returned NaN or failed as
+    # "non-finite", and numeric text in an object array was parsed
+    with pytest.raises(StructuralError, match=f"^{name} is not a numeric array: it holds (NoneType|str) entries$"):
+        call()
+
+
+def test_object_arrays_of_real_numbers_still_convert():
+    big = check_shape("x", [2**70, 1], ("N",))  # object dtype: past int64
+    assert big.dtype == np.float64 and big[0] == float(2**70)
+    assert check_shape("x", [Fraction(1, 4), 2], ("N",)).tolist() == [0.25, 2.0]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: rotation_about_axis([0, 0, 1], float("nan")), "angle_rad = nan must be finite and >= -inf",
+                 id="rotation-nan"),
+    pytest.param(lambda: rotation_about_axis([0, 0, 1], np.inf), "angle_rad = inf must be finite and >= -inf",
+                 id="rotation-inf"),
+    pytest.param(lambda: rotation_about_axis([0, 0, 1], None), "angle_rad = None must be finite and >= -inf",
+                 id="rotation-none"),
+    pytest.param(lambda: ad.Adam().step({"a": np.zeros(2)}, {"a": np.ones(2)}, float("nan")),
+                 "lr = nan must be finite and >= 0.0", id="adam-lr"),
+    pytest.param(lambda: ad.siren_init(None, substream(0, "net")),
+                 "layer_sizes must be a list or tuple of widths, got NoneType", id="siren-init-sizes"),
+    pytest.param(lambda: ad.siren_init([3, "4", 1], substream(0, "net")),
+                 "layer size 1 must be an integer >= 1, got '4'", id="siren-init-size"),
+])
+def test_an_angle_a_step_size_or_layer_sizes_of_the_wrong_kind_is_refused(call, message):
+    # a NaN angle or step size used to give all-NaN output with at most a
+    # RuntimeWarning, and None a bare TypeError
+    with pytest.raises(StructuralError, match="^" + re.escape(message) + "$"):
+        call()

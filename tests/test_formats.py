@@ -1,3 +1,5 @@
+import os
+import re
 import struct
 
 import numpy as np
@@ -5,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shapefit import formats
-from shapefit.errors import DataError
+from shapefit import fields, formats
+from shapefit.errors import DataError, StructuralError
 from shapefit.rng import substream
 
 
@@ -135,3 +137,39 @@ def test_reader_damaged_file_raises_data_error_or_loads(fmt, truncate, at, xor, 
     # of either binary format never loads (a JSON file cut after its closing
     # brace still parses)
     assert not truncate or fmt == "json", f"{fmt} truncated to {at} bytes loaded"
+
+
+PATH_READERS = {
+    "load_container": formats.load_container,
+    "load_json": formats.load_json,
+    "load_prior": fields.load_prior,
+}
+
+
+@pytest.mark.parametrize("read", PATH_READERS.values(), ids=PATH_READERS.keys())
+def test_a_file_descriptor_is_not_a_path(read):
+    # an int path used to be opened as that descriptor, which the reader
+    # then closed (fd 1 would close stdout); the read end of a pipe whose
+    # write end is closed stands in for it here, so a read sees EOF at once
+    r, w = os.pipe()
+    os.close(w)
+    try:
+        with pytest.raises(StructuralError, match=f"^path {r} must be a str or os.PathLike, got int$"):
+            read(r)
+        os.fstat(r)  # still open
+    finally:
+        os.close(r)
+
+
+@pytest.mark.parametrize("path, kind", [(None, "NoneType"), (True, "bool"), (b"prior.bin", "bytes")])
+def test_a_path_that_is_not_a_str_is_refused_before_any_file_is_touched(path, kind, tmp_path, monkeypatch):
+    # None used to raise a bare TypeError; a bytes path broke the sidecar's
+    # str(path) + ".json" name
+    monkeypatch.chdir(tmp_path)
+    prior = fields.init_prior("sphere", latent_dim=2, template_hidden=(4,), deform_hidden=(3,), hyper_hidden=4)
+    message = "^" + re.escape(f"path {path!r} must be a str or os.PathLike, got {kind}") + "$"
+    for call in (lambda: fields.save_prior(prior, path), lambda: fields.load_prior(path),
+                 lambda: formats.save_json(path, {}), lambda: formats.load_json(path)):
+        with pytest.raises(StructuralError, match=message):
+            call()
+    assert list(tmp_path.iterdir()) == []

@@ -200,8 +200,8 @@ def steep_trained_field(request):
 def test_levels_match_dense_steep_trained_field(steep_trained_field, resolution):
     # small components sit in blocks that no crossed block borders; a rule
     # that asked for a crossed neighbour lost them: below level 0 for the
-    # car (56 triangles at res 96, 76 at res 128), and at level 0 of a
-    # 32-cell lattice for the chair (198 at res 96, 374 at res 128)
+    # car (56 triangles at res 96, 76 at res 128), and at a level 0 of 32
+    # blocks per axis for the chair (198 at res 96, 374 at res 128)
     field = steep_trained_field
     assert_same_mesh(meshing.marching_cubes(field, resolution), dense_marching_cubes(field, resolution))
 
@@ -234,7 +234,7 @@ def test_coarse_to_fine_evaluates_few_points():
 
 def test_a_round_holds_no_corner_array_of_every_block():
     # this field keeps every block active at every level and crosses no
-    # cell, so the peak is the rounds' own: 25.8 MB, against 64.5 MB when a
+    # cell, so the peak is the rounds' own: 24.7 MB, against 64.5 MB when a
     # round builds the (8, B) corner indices and values of all its blocks
     # at once (tracemalloc, NumPy 2.4)
     tracemalloc.start()

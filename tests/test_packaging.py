@@ -266,3 +266,17 @@ def test_autodiff_forms_sine_layers_from_one_tan():
         if isinstance(node, ast.Attribute) and node.attr in ("sin", "cos") and getattr(node.value, "id", None) == "np"
     ]
     assert not hits, "np.sin or np.cos in autodiff.py: " + ", ".join(hits)
+
+
+def test_only_formats_touches_files():
+    # formats checks every path before it opens a file (an int would be
+    # opened as a file descriptor); a file opened elsewhere skips that check
+    pattern = re.compile(r"\bopen\(|os\.fdopen|\btempfile\b|os\.replace")
+    hits = [
+        f"{p.relative_to(ROOT)}:{i} {line.strip()}"
+        for p in sorted((ROOT / "src" / "shapefit").rglob("*.py"))
+        if p.name != "formats.py"
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not hits, "files touched outside formats.py: " + ", ".join(hits)
