@@ -43,6 +43,7 @@ All arithmetic is float64 and fully vectorized over the point batch, so
 identical inputs produce bit-identical outputs.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,10 +299,24 @@ def backward(params, cache, gy, gjac=None, inputs_only=False):
 
 
 # ---------------------------------------------------------------------------
-# pointwise loss terms
+# loss terms
 #
-# Each helper returns (term_value, adjoint) with the mean already taken over
-# the batch, so combined losses stay decoupled from point counts.
+# Every term helper returns (value, adjoint): the term's unweighted mean over
+# the batch (the latent's norm has no batch) and its adjoint w.r.t. the array
+# it reads. No helper takes a weight: `fields.weigh_terms` weighs the terms
+# by each objective's own table. A row of zero norm gets a zero adjoint.
+
+
+def _norm(a, axis):
+    """The norms of `a` over `axis` and their divisor in an adjoint: the
+    norm, or inf where it is (near) zero, the one zero-norm guard."""
+    norms = np.linalg.norm(a, axis=axis)
+    return norms, np.where(norms > 1e-300, norms, np.inf)
+
+
+def term_l1(r):
+    """mean |r| over the batch; adjoint w.r.t. r."""
+    return np.abs(r).mean(), np.sign(r) / len(r)
 
 
 def term_grad_alignment(jac, normals):
@@ -309,31 +324,30 @@ def term_grad_alignment(jac, normals):
 
     The inner product is normalized by ||g|| (the targets n are unit), which
     keeps the term in [0, 2]; the raw dot product would reward unbounded
-    gradient growth along the normals.
+    gradient growth along the normals. A zero gradient counts cos = 0.
     """
-    norms = np.linalg.norm(jac, axis=1)
-    safe = np.where(norms > 1e-300, norms, 1.0)
-    dots = np.einsum("nk,nk->n", jac, normals)
-    cos = np.where(norms > 1e-300, dots / safe, 0.0)
-    val = (1.0 - cos).mean()
-    gjac = -(normals - (cos / safe)[:, None] * jac) / safe[:, None] / jac.shape[0]
-    return val, gjac
+    _, div = _norm(jac, 1)
+    cos = np.einsum("nk,nk->n", jac, normals) / div
+    gjac = -(normals - (cos / div)[:, None] * jac) / div[:, None] / len(jac)
+    return (1.0 - cos).mean(), gjac
 
 
-def term_eikonal(jac, weight=1.0):
-    """mean | ||g|| - 1 |; adjoint of weight * term w.r.t. jac."""
-    norms = np.linalg.norm(jac, axis=1)
-    val = np.abs(norms - 1.0).mean()
-    safe = np.where(norms > 1e-300, norms, 1.0)
-    gjac = weight * (np.sign(norms - 1.0) / safe)[:, None] * jac / jac.shape[0]
-    return val, gjac
+def term_eikonal(jac):
+    """mean | ||g|| - 1 | over points; adjoint w.r.t. jac."""
+    norms, div = _norm(jac, 1)
+    return np.abs(norms - 1.0).mean(), (np.sign(norms - 1.0) / div)[:, None] * jac / len(jac)
+
+
+def term_frobenius(jac):
+    """mean ||J||_F over (N, a, b) Jacobians (smoothness); adjoint w.r.t. jac."""
+    norms, div = _norm(jac, (1, 2))
+    return norms.mean(), jac / div[:, None, None] / len(jac)
 
 
 def term_latent_l2(z):
-    """||z||_2 and its adjoint (zero at the origin)."""
-    norm = float(np.linalg.norm(z))
-    gz = z / norm if norm > 0 else np.zeros_like(z)
-    return norm, gz
+    """||z||_2; adjoint w.r.t. z."""
+    norm, div = _norm(z, None)
+    return float(norm), z / div
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +367,8 @@ class Adam:
     def step(self, params, grads, lr):
         """In-place update of every key present in `grads`; each gradient
         must name a parameter and have its shape."""
+        check_type("params", params, Mapping, "a mapping")
+        check_type("grads", grads, Mapping, "a mapping")
         check_real("lr", lr)
         for key, g in grads.items():
             if key not in params:

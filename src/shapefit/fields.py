@@ -12,7 +12,9 @@ and a scalar SDF correction, so the instance SDF is
 objectives: callers pass a prior and a latent, and the pair runs the
 hypernetworks, tracks spatial Jacobians through the composition (for every
 point or a trailing subset), and pushes loss adjoints back to template
-weights, hypernetwork weights, the latent code and the points.
+weights, hypernetwork weights, the latent code and the points. Both
+objectives weigh their terms in `weigh_terms`, which gives the one adjoint
+per `ComposedEval` field that `compose_backward` takes.
 
 This module alone knows how a prior's arrays are built and named: the
 template (R^3 -> R) and the deformation net are sine nets, the
@@ -27,6 +29,7 @@ carries no frequency.
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
@@ -129,12 +132,7 @@ class ShapePrior:
 
 
 def init_prior(
-    category,
-    latent_dim=128,
-    template_hidden=(128, 128, 128),
-    deform_hidden=(128, 128, 128),
-    hyper_hidden=256,
-    seed=0,
+    category, latent_dim=128, template_hidden=(128, 128, 128), deform_hidden=(128, 128, 128), hyper_hidden=256, seed=0
 ):
     """Fresh prior: a sine template net, and zero-centred hypernetworks that
     reproduce a standard sine-net deformation init at z = 0."""
@@ -209,8 +207,9 @@ class ComposedEval:
 
     `psi` and `delta_s` cover all N points; `grad_psi`, `grad_template` and
     `jac_v` cover the J points that carry Jacobians, the last J of the
-    batch (J = N unless `compose_forward` was given `value_rows`). The
-    private fields are what `compose_backward` reads: the prior, the
+    batch (J = N unless `compose_forward` was given `value_rows`); `z` is
+    the latent. A loss term reads one of these public fields. The private
+    fields are what `compose_backward` reads besides: the prior, the
     predicted deformation net, and the hypernetwork, template and
     deformation caches.
     """
@@ -220,11 +219,15 @@ class ComposedEval:
     grad_template: np.ndarray  # (J, 3) template gradient at y (unchained)
     delta_s: np.ndarray  # (N,)
     jac_v: np.ndarray  # (J, 3, 3)
+    z: np.ndarray  # (latent_dim,)
     _prior: ShapePrior
     _deform: ad.MLPParams
     _h_caches: list
     _t_cache: object
     _d_cache: object
+
+
+_TERM_FIELDS = tuple(f.name for f in dataclass_fields(ComposedEval) if not f.name.startswith("_"))  # terms read these
 
 
 def compose_forward(prior, z, pts, value_rows=0):
@@ -235,66 +238,79 @@ def compose_forward(prior, z, pts, value_rows=0):
     the returned ComposedEval cover the points after them.
     """
     deform, h_caches = hyper_forward(prior, z)
-    pts = np.asarray(pts, dtype=np.float64)
-    d_out, d_jac, d_cache = ad.forward_aug(deform, pts, value_rows)
-    v = d_out[:, :3]
-    delta_s = d_out[:, 3]
-    jac_v = d_jac[:, :3, :]
-    grad_ds = d_jac[:, 3, :]
-    y = pts + v
-    t_out, t_jac, t_cache = ad.forward_aug(prior.template, y, value_rows)
-    t_val = t_out[:, 0]
-    grad_t = t_jac[:, 0, :]
+    z = check_shape("latent", z, (prior.latent_dim,))  # as hyper_forward read it
+    pts = check_shape("points", pts, ("N", 3))
+    d_out, d_jac, d_cache = ad.forward_aug(deform, pts, value_rows)  # (v, delta_s) and its Jacobian
+    t_out, t_jac, t_cache = ad.forward_aug(prior.template, pts + d_out[:, :3], value_rows)
+    delta_s, jac_v, grad_t = d_out[:, 3], d_jac[:, :3, :], t_jac[:, 0, :]
     # chain rule: grad psi = (I + dv/dx)^T grad_T + grad delta_s
-    a = jac_v + np.eye(3)
-    grad_psi = np.einsum("nik,ni->nk", a, grad_t) + grad_ds
-    return ComposedEval(t_val + delta_s, grad_psi, grad_t, delta_s, jac_v, prior, deform, h_caches, t_cache, d_cache)
+    grad_psi = np.einsum("nik,ni->nk", jac_v + np.eye(3), grad_t) + d_jac[:, 3, :]
+    psi = t_out[:, 0] + delta_s
+    return ComposedEval(psi, grad_psi, grad_t, delta_s, jac_v, z, prior, deform, h_caches, t_cache, d_cache)
 
 
 def compose_value(template, deform, pts):
     """Value-only composed SDF (used by isosurface extraction)."""
     check_type("template", template, ad.MLPParams, "an MLPParams")
     check_type("deform", deform, ad.MLPParams, "an MLPParams")
-    pts = np.asarray(pts, dtype=np.float64)
+    pts = check_shape("points", pts, ("N", 3))
     d_out = ad.forward(deform, pts)
     y = pts + d_out[:, :3]
     return ad.forward(template, y)[:, 0] + d_out[:, 3]
 
 
-def compose_backward(ev, d_psi, d_grad_psi, d_grad_template=None, d_jac_v=None, d_delta_s=None, inputs_only=False):
+def weigh_terms(ev, table, weights):
+    """The one place both objectives weigh their terms.
+
+    `table` maps each term to (the ComposedEval field it reads, its rows,
+    value, adjoint), unweighted as an `autodiff` term helper returns them;
+    `weights` is the objective's own row of the same terms. Returns each
+    term's float value and their weighted "total", and one adjoint per
+    field (zero where no term reads it) for `compose_backward`: both are
+    summed in the row's order.
+    """
+    if set(table) != set(weights):
+        raise StructuralError(f"loss terms {sorted(table)} do not match weighted terms {sorted(weights)}")
+    terms = {}
+    adjoints = {name: np.zeros(np.shape(getattr(ev, name))) for name in _TERM_FIELDS}
+    for term, w in weights.items():
+        name, rows, value, adjoint = table[term]
+        terms[term] = float(value)
+        adjoints[name][rows] += w * adjoint
+    terms["total"] = sum(w * terms[k] for k, w in weights.items())
+    return terms, adjoints
+
+
+def compose_backward(ev, adjoints, inputs_only=False):
     """Adjoint of compose_forward, through the hypernetworks to the latent.
 
-    Inputs are adjoints of the ComposedEval fields (None = zero for the
-    last three), each shaped like its field: `d_psi` and `d_delta_s` over
-    all N points, `d_grad_psi`, `d_grad_template` and `d_jac_v` over the J
-    points that carry Jacobians. Returns (template MLPGrads, per-hypernetwork
-    MLPGrads, latent gradient, gradient w.r.t. the input points). With
-    `inputs_only` both weight-gradient items are None; the deformation
-    net's weight gradients are still computed, since they are the adjoint
-    that the hypernetworks push into the latent.
+    `adjoints` maps each public field of the ComposedEval `ev` to the loss
+    adjoint of that field, shaped like it, as `weigh_terms` builds it; a
+    missing or unknown field or a wrong shape is a StructuralError naming
+    the field. Returns (template MLPGrads, per-hypernetwork MLPGrads,
+    latent gradient, which includes the adjoint of `z`, gradient w.r.t. the
+    input points). With `inputs_only` both weight-gradient items are None;
+    the deformation net's weight gradients are still computed, since they
+    are the adjoint that the hypernetworks push into the latent.
     """
-    a = ev.jac_v + np.eye(3)
-    # psi = t_val + delta_s; grad_psi = A^T grad_t + grad_ds
-    g_tval = d_psi.copy()
-    g_ds = d_psi.copy()
-    if d_delta_s is not None:
-        g_ds += d_delta_s
-    g_grad_t = np.einsum("nik,nk->ni", a, d_grad_psi)
-    if d_grad_template is not None:
-        g_grad_t += d_grad_template
-    g_jac_v = np.einsum("ni,nk->nik", ev.grad_template, d_grad_psi)
-    if d_jac_v is not None:
-        g_jac_v += d_jac_v
-    g_grad_ds = d_grad_psi
+    check_type("adjoints", adjoints, Mapping, "a mapping")
+    bad = sorted(set(adjoints) ^ set(_TERM_FIELDS), key=str)
+    if bad:
+        raise StructuralError(f"{'unknown' if bad[0] in adjoints else 'missing'} adjoint of field {bad[0]!r}")
+    d = {name: check_shape(f"adjoint of {name}", adjoints[name], np.shape(getattr(ev, name))) for name in _TERM_FIELDS}
+    # psi = t_val + delta_s; grad_psi = A^T grad_t + grad_ds, A = I + jac_v
+    g_ds = d["psi"] + d["delta_s"]
+    g_grad_t = np.einsum("nik,nk->ni", ev.jac_v + np.eye(3), d["grad_psi"]) + d["grad_template"]
+    g_jac_v = np.einsum("ni,nk->nik", ev.grad_template, d["grad_psi"]) + d["jac_v"]
     t_grads, g_y = ad.backward(
-        ev._prior.template, ev._t_cache, g_tval[:, None], g_grad_t[:, None, :], inputs_only=inputs_only
+        ev._prior.template, ev._t_cache, d["psi"][:, None], g_grad_t[:, None, :], inputs_only=inputs_only
     )
     gy4 = np.concatenate([g_y, g_ds[:, None]], axis=1)
-    gjac4 = np.concatenate([g_jac_v, g_grad_ds[:, None, :]], axis=1)
+    gjac4 = np.concatenate([g_jac_v, d["grad_psi"][:, None, :]], axis=1)
     d_grads, g_pts = ad.backward(ev._deform, ev._d_cache, gy4, gjac4)
     h_grads, g_z = hyper_backward(ev._prior, ev._h_caches, d_grads, inputs_only=inputs_only)
     # y = pts + v contributes to the point gradient directly
-    return t_grads, h_grads, g_z, g_pts + g_y
+    return t_grads, h_grads, g_z + d["z"], g_pts + g_y
 
 
 def instance_field(prior, z):

@@ -5,11 +5,12 @@ Per step the observed points are moved into the canonical frame by the
 current pose and the field is penalized for nonzero values there; fresh
 uniform free-space samples keep the field eikonal; the latent stays small.
 `view_terms` evaluates this objective with one composed forward and one
-reverse pass over both point sets. Only the free samples carry spatial
-Jacobians: no term reads the field gradient at an observed point, whose
-pose gradient comes from the reverse pass. Rotations use the continuous 6D
-parametrization, so plain Adam steps stay on the rotation manifold after
-Gram-Schmidt.
+reverse pass over both point sets, its terms weighed by TERM_WEIGHTS in
+`fields.weigh_terms` as training's are by theirs. Only the free samples
+carry spatial Jacobians: no term reads the field gradient at an observed
+point, whose pose gradient comes from the reverse pass. Rotations use the
+continuous 6D parametrization, so plain Adam steps stay on the rotation
+manifold after Gram-Schmidt.
 """
 
 from collections.abc import Callable
@@ -86,8 +87,10 @@ def view_terms(prior, z, r6, t, observed, free):
     free samples (M, 3), canonical frame, keep the field eikonal; the
     latent stays small. Both point sets share one `fields.compose_forward`
     and one `fields.compose_backward` call, and the pose gradient follows
-    from the point gradient of the observed rows. Only the free rows carry
-    spatial Jacobians, since the eikonal term is the one term that reads them.
+    from the point gradient of the observed rows. `fields.weigh_terms`
+    weighs the term table; the three fields no term here reads get zero
+    adjoints. Only the free rows carry spatial Jacobians, since the eikonal
+    term is the one term that reads them.
 
     Returns (terms, (g_z, g_r6, g_t)); terms holds each TERM_WEIGHTS term
     and their weighted total.
@@ -96,22 +99,19 @@ def view_terms(prior, z, r6, t, observed, free):
     if not np.isfinite(check_shape("t", t, (3,))).all():
         raise StructuralError("t has non-finite entries")
     n = len(observed)
-    pts = np.concatenate([observed @ rot6d_to_matrix(r6).T + t, free])
-    ev = fields.compose_forward(prior, z, pts, value_rows=n)
-    eik_term, g_eik = ad.term_eikonal(ev.grad_psi, TERM_WEIGHTS["eikonal"])
-    lat_term, g_lat = ad.term_latent_l2(z)
-    obs_term = float(np.abs(ev.psi[:n]).mean())
-    terms = {"observation": obs_term, "eikonal": float(eik_term), "latent": lat_term}
-    terms["total"] = sum(w * terms[k] for k, w in TERM_WEIGHTS.items())
-
-    d_psi = np.zeros(len(pts))
-    d_psi[:n] = TERM_WEIGHTS["observation"] * np.sign(ev.psi[:n]) / n
-    _, _, g_z, g_pts = fields.compose_backward(ev, d_psi, g_eik, inputs_only=True)
+    ev = fields.compose_forward(prior, z, np.concatenate([observed @ rot6d_to_matrix(r6).T + t, free]), value_rows=n)
+    table = {
+        "observation": ("psi", slice(None, n), *ad.term_l1(ev.psi[:n])),
+        "eikonal": ("grad_psi", slice(None), *ad.term_eikonal(ev.grad_psi)),
+        "latent": ("z", slice(None), *ad.term_latent_l2(ev.z)),
+    }
+    terms, adjoints = fields.weigh_terms(ev, table, TERM_WEIGHTS)
+    _, _, g_z, g_pts = fields.compose_backward(ev, adjoints, inputs_only=True)
     g_x = g_pts[:n]
     grad_rot = g_x.T @ observed
     # rot6d_backward refuses a non-finite grad_rot; NaN in g_r6 is named by joint_optimize's checks
     g_r6 = rot6d_backward(r6, grad_rot) if np.isfinite(grad_rot).all() else np.full(6, np.nan)
-    return terms, (g_z + TERM_WEIGHTS["latent"] * g_lat, g_r6, g_x.sum(axis=0))
+    return terms, (g_z, g_r6, g_x.sum(axis=0))
 
 
 def joint_optimize(prior, observed, init, config):
@@ -141,9 +141,7 @@ def joint_optimize(prior, observed, init, config):
     params = {"z": z, "r6": r6, "t": t}
     trace = []
     for it in range(config.iterations):
-        free = substream(config.seed, "inference-eikonal", it).uniform(
-            -1.0, 1.0, (config.eikonal_samples, 3)
-        )
+        free = substream(config.seed, "inference-eikonal", it).uniform(-1.0, 1.0, (config.eikonal_samples, 3))
         terms, (g_z, g_r6, g_t) = view_terms(prior, z, r6, t, pts, free)
         trace.append(terms)
         check_finite(f"iteration {it}, terms", terms)

@@ -10,8 +10,10 @@ weights are constants, one row of TERM_WEIGHTS per category.
 
 `shape_terms` is the one implementation of this objective: it returns
 every term's value and the exact gradients w.r.t. template weights,
-hypernetwork weights and the latent. The objective of fitting a
-latent and a pose to one observation is `inference.view_terms`.
+hypernetwork weights and the latent. Its terms are a table, weighed in
+`fields.weigh_terms`, so a term is added or dropped by one table entry and
+one weight. The objective of fitting a latent and a pose to one
+observation is `inference.view_terms`.
 """
 
 from dataclasses import dataclass
@@ -73,65 +75,34 @@ def shape_terms(prior, z, samples):
     w.r.t. template weights, hypernetwork weights and the latent, from one
     `fields.compose_forward` and one `fields.compose_backward` call.
 
-    The weights are the prior category's row of TERM_WEIGHTS, read here.
-    Returns (terms, (template_grads, hyper_grads, latent_grad)); terms
-    holds each term of the row and their weighted total.
+    Each term is listed with the field and rows it reads, unweighted, and
+    `fields.weigh_terms` weighs them by the prior category's row of
+    TERM_WEIGHTS, read here. Returns (terms, (template_grads, hyper_grads,
+    latent_grad)); terms holds each term of the row and their weighted
+    total.
     """
     weights = TERM_WEIGHTS[check_type("prior", prior, fields.ShapePrior, "a ShapePrior").category]
     check_type("samples", samples, ShapeSampleSet, "a ShapeSampleSet")
     n_s = len(samples.surface_points)
-    pts = np.concatenate([samples.surface_points, samples.free_points])
-    n = pts.shape[0]
+    ev = fields.compose_forward(prior, z, np.concatenate([samples.surface_points, samples.free_points]))
     targets = np.concatenate([np.zeros(n_s), samples.free_sdf])
     normals = samples.surface_normals
-    ev = fields.compose_forward(prior, z, pts)
-    terms = {}
-
-    # SDF value regression over all sampled points
-    r = ev.psi - targets
-    terms["sdf_value"] = float(np.abs(r).mean())
-    d_psi = weights["sdf_value"] * np.sign(r) / n
-
-    # composed-field normal alignment (cosine) on the surface
-    normal_term, g_normal = ad.term_grad_alignment(ev.grad_psi[:n_s], normals)
-    terms["sdf_normal"] = float(normal_term)
-
-    # eikonal over all sampled points
-    val, d_grad_psi = ad.term_eikonal(ev.grad_psi, weights["sdf_eikonal"])
-    terms["sdf_eikonal"] = float(val)
-    d_grad_psi[:n_s] += weights["sdf_normal"] * g_normal
-
-    # spike penalty on free-space points only
-    spikes = np.exp(-SPIKE_DELTA * np.abs(ev.psi[n_s:]))
-    terms["sdf_spike"] = float(spikes.mean())
-    d_psi[n_s:] += weights["sdf_spike"] * (-SPIKE_DELTA) * np.sign(ev.psi[n_s:]) * spikes / (n - n_s)
-
-    # template-normal consistency (cosine) at deformed surface points
-    val, g = ad.term_grad_alignment(ev.grad_template[:n_s], normals)
-    terms["template_normal"] = float(val)
-    d_grad_template = np.zeros((n, 3))
-    d_grad_template[:n_s] = weights["template_normal"] * g
-
-    # smooth deformation over all sampled points
-    fro = np.sqrt((ev.jac_v**2).sum(axis=(1, 2)))
-    terms["smooth"] = float(fro.mean())
-    safe_fro = np.where(fro > 1e-300, fro, 1.0)
-    d_jac_v = weights["smooth"] * ev.jac_v / safe_fro[:, None, None] / n
-
-    # small corrections over all sampled points
-    terms["correction"] = float(np.abs(ev.delta_s).mean())
-    d_delta_s = weights["correction"] * np.sign(ev.delta_s) / n
-
-    # latent magnitude
-    z_norm, g_z_reg = ad.term_latent_l2(z)
-    terms["latent"] = z_norm
-
-    terms["total"] = sum(w * terms[k] for k, w in weights.items())
-
-    t_grads, h_grads, g_z, _ = fields.compose_backward(
-        ev, d_psi, d_grad_psi, d_grad_template=d_grad_template, d_jac_v=d_jac_v, d_delta_s=d_delta_s
-    )
-    return terms, (t_grads, h_grads, g_z + weights["latent"] * g_z_reg)
+    surface, free, every = slice(None, n_s), slice(n_s, None), slice(None)
+    spikes = np.exp(-SPIKE_DELTA * np.abs(ev.psi[free]))  # the spike penalty on free points
+    table = {
+        "sdf_value": ("psi", every, *ad.term_l1(ev.psi - targets)),
+        "sdf_normal": ("grad_psi", surface, *ad.term_grad_alignment(ev.grad_psi[surface], normals)),
+        "sdf_eikonal": ("grad_psi", every, *ad.term_eikonal(ev.grad_psi)),
+        "sdf_spike": ("psi", free, spikes.mean(), -SPIKE_DELTA * np.sign(ev.psi[free]) * spikes / len(spikes)),
+        # template-normal consistency at deformed surface points
+        "template_normal": ("grad_template", surface, *ad.term_grad_alignment(ev.grad_template[surface], normals)),
+        "latent": ("z", every, *ad.term_latent_l2(ev.z)),
+        "smooth": ("jac_v", every, *ad.term_frobenius(ev.jac_v)),
+        "correction": ("delta_s", every, *ad.term_l1(ev.delta_s)),
+    }
+    terms, adjoints = fields.weigh_terms(ev, table, weights)
+    t_grads, h_grads, g_z, _ = fields.compose_backward(ev, adjoints)
+    return terms, (t_grads, h_grads, g_z)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +180,7 @@ def fit(prior, dataset, config, on_epoch=None):
             latent_grads = {}
             for j in batch:
                 iid, sample_set = dataset[j]
-                sub = _subsample(
-                    sample_set,
-                    config.surface_points_per_shape,
-                    config.free_points_per_shape,
-                    rng,
-                )
+                sub = _subsample(sample_set, config.surface_points_per_shape, config.free_points_per_shape, rng)
                 terms, (t_grads, h_grads, g_z) = shape_terms(prior, prior.latents[iid], sub)
                 check_finite(f"epoch {epoch}, shape {iid!r}, loss terms", terms)
                 shape_grads = fields.named_arrays(t_grads, h_grads, {iid: g_z})

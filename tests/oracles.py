@@ -218,16 +218,13 @@ def full_jacobian_view_terms(prior, z, r6, t, observed, free):
     n = len(observed)
     pts = np.concatenate([observed @ rot6d_to_matrix(r6).T + t, free])
     ev = fields.compose_forward(prior, z, pts)
-    eik_term, g_eik = ad.term_eikonal(ev.grad_psi[n:], TERM_WEIGHTS["eikonal"])
-    lat_term, g_lat = ad.term_latent_l2(z)
-    obs_term = float(np.abs(ev.psi[:n]).mean())
-    terms = {"observation": obs_term, "eikonal": float(eik_term), "latent": lat_term}
-    terms["total"] = sum(w * terms[k] for k, w in TERM_WEIGHTS.items())
-
-    d_psi = np.zeros(len(pts))
-    d_psi[:n] = TERM_WEIGHTS["observation"] * np.sign(ev.psi[:n]) / n
-    d_grad_psi = np.concatenate([np.zeros((n, 3)), g_eik])
-    _, _, g_z, g_pts = fields.compose_backward(ev, d_psi, d_grad_psi, inputs_only=True)
+    table = {
+        "observation": ("psi", slice(None, n), *ad.term_l1(ev.psi[:n])),
+        "eikonal": ("grad_psi", slice(n, None), *ad.term_eikonal(ev.grad_psi[n:])),
+        "latent": ("z", slice(None), *ad.term_latent_l2(ev.z)),
+    }
+    terms, adjoints = fields.weigh_terms(ev, table, TERM_WEIGHTS)
+    _, _, g_z, g_pts = fields.compose_backward(ev, adjoints, inputs_only=True)
     g_x = g_pts[:n]
     g_r6 = rot6d_backward(r6, g_x.T @ observed)
-    return terms, (g_z + TERM_WEIGHTS["latent"] * g_lat, g_r6, g_x.sum(axis=0))
+    return terms, (g_z, g_r6, g_x.sum(axis=0))

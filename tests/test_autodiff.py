@@ -235,6 +235,35 @@ def test_eikonal_exact_unit_field():
     assert np.all(grads.biases[0] == 0.0)
 
 
+_TERM_RNG = substream(71, "terms")
+_NORMALS = _TERM_RNG.standard_normal((7, 3))
+_NORMALS /= np.linalg.norm(_NORMALS, axis=1, keepdims=True)
+TERM_HELPERS = {  # id: (helper, its arguments after the array, the array)
+    "l1": ("term_l1", (), _TERM_RNG.standard_normal(7)),
+    "eikonal": ("term_eikonal", (), _TERM_RNG.standard_normal((7, 3))),
+    "grad-alignment": ("term_grad_alignment", (_NORMALS,), _TERM_RNG.standard_normal((7, 3))),
+    "frobenius": ("term_frobenius", (), _TERM_RNG.standard_normal((7, 3, 3))),
+    "latent-l2": ("term_latent_l2", (), _TERM_RNG.standard_normal(7)),
+    "latent-l2-origin": ("term_latent_l2", (), np.zeros(7)),
+}
+
+
+@pytest.mark.parametrize("case", TERM_HELPERS)
+def test_a_term_helper_returns_the_adjoint_of_its_unweighted_value(case):
+    # no helper takes a weight: an objective weighs it in fields.weigh_terms
+    name, args, x = TERM_HELPERS[case]
+    term = getattr(ad, name)
+    _, adjoint = term(x, *args)
+    want = fd_grad_vector(lambda v: float(term(v.reshape(x.shape), *args)[0]), x.ravel(), h=1e-6)
+    assert adjoint.shape == x.shape
+    assert rel_err(adjoint.ravel(), want, floor=1e-6) < 1e-5
+    # a zero row (residual, gradient, Jacobian or latent entry) gets a zero
+    # adjoint; the cosine term used to give it -normal / N
+    zero_row = x.copy()
+    zero_row[0] = 0.0
+    assert not term(zero_row, *args)[1][0].any()
+
+
 def test_loss_linearity():
     # backward is linear in the adjoints (gy, gjac)
     net = tiny_net(11)
@@ -433,12 +462,16 @@ def test_adam_moves_toward_minimum():
     ({"a": np.ones((3, 1))}, "gradient 'a' has shape (3, 1), expected 3"),
     # an unknown key used to raise a bare KeyError
     ({"b": np.ones(3)}, "gradient 'b' has no parameter"),
+    # a list of gradients used to raise a bare AttributeError, and
+    # parameters that are not a mapping (None here) a bare TypeError
+    ([np.ones(3)], "grads must be a mapping, got list"),
+    ({"a": np.ones(3)}, "params must be a mapping, got NoneType"),
 ])
 def test_adam_refuses_a_gradient_that_does_not_match_a_parameter(grads, message):
     params = {"a": np.zeros(3)}
     opt = ad.Adam()
     with pytest.raises(StructuralError, match="^" + re.escape(message) + "$"):
-        opt.step(params, grads, lr=0.1)
+        opt.step(None if message.startswith("params") else params, grads, lr=0.1)
     np.testing.assert_array_equal(params["a"], np.zeros(3))
     assert opt.m == {}
 

@@ -267,6 +267,20 @@ def test_object_arrays_of_real_numbers_still_convert():
 
 
 @pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: check_shape("x", [2**70, 1], ("N",), np.int64), "x has entries that are not int64 values",
+                 id="check-shape-int64"),
+    pytest.param(lambda: meshing.TriangleMesh(np.zeros((3, 3)), [[2**70, 0, 1]]),
+                 "triangles has entries that are not int64 values", id="triangle-mesh"),
+    pytest.param(lambda: check_shape("x", [2**1100], ("N",)), "x has entries that are not float64 values",
+                 id="check-shape-float64"),
+])
+def test_an_int_past_the_range_of_the_dtype_is_refused(call, message):
+    # the cast used to raise a bare OverflowError
+    with pytest.raises(StructuralError, match="^" + re.escape(message) + "$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
     pytest.param(lambda: rotation_about_axis([0, 0, 1], float("nan")), "angle_rad = nan must be finite and >= -inf",
                  id="rotation-nan"),
     pytest.param(lambda: rotation_about_axis([0, 0, 1], np.inf), "angle_rad = inf must be finite and >= -inf",

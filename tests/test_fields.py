@@ -199,10 +199,11 @@ def test_compose_backward_matches_fd_on_params():
     fro = np.sqrt((ev.jac_v**2).sum(axis=(1, 2)))
     d_jac_v = ev.jac_v / np.where(fro > 0, fro, 1)[:, None, None] / n
     d_delta_s = np.sign(ev.delta_s) / n
-    adjoints = dict(d_grad_template=d_grad_template, d_jac_v=d_jac_v, d_delta_s=d_delta_s)
-    t_grads, h_grads, g_z, g_pts = fields.compose_backward(ev, d_psi, d_grad_psi, **adjoints)
+    adjoints = dict(psi=d_psi, grad_psi=d_grad_psi, grad_template=d_grad_template, jac_v=d_jac_v,
+                    delta_s=d_delta_s, z=np.zeros(4))
+    t_grads, h_grads, g_z, g_pts = fields.compose_backward(ev, adjoints)
     # the latent and point gradients need no weight gradients
-    none_t, none_h, g_z_only, g_pts_only = fields.compose_backward(ev, d_psi, d_grad_psi, inputs_only=True, **adjoints)
+    none_t, none_h, g_z_only, g_pts_only = fields.compose_backward(ev, adjoints, inputs_only=True)
     assert none_t is None and none_h is None
     np.testing.assert_array_equal(g_z_only, g_z)
     np.testing.assert_array_equal(g_pts_only, g_pts)
@@ -239,6 +240,60 @@ def test_compose_backward_matches_fd_on_params():
 
     want_z = fd_grad_vector(loss_z, z0, h=1e-6)
     assert rel_err(g_z, want_z, floor=1e-6) < 1e-3
+
+
+def _composed(seed):
+    """A ComposedEval of 7 points, the last 5 with Jacobians, at latent 1."""
+    pts = substream(seed, "pts").uniform(-0.8, 0.8, (7, 3))
+    return fields.compose_forward(small_prior(seed, latent_dim=4), np.ones(4), pts, value_rows=2)
+
+
+def test_weigh_terms_adds_each_weighted_adjoint_to_the_field_it_reads():
+    ev = _composed(22)
+    table = {
+        "a": ("psi", slice(None, 3), 2.0, np.ones(3)),
+        "b": ("psi", slice(1, None), 3.0, np.ones(6)),
+        "c": ("z", slice(None), 0.5, np.arange(4.0)),
+    }
+    terms, adjoints = fields.weigh_terms(ev, table, {"a": 10.0, "c": 1.0, "b": 100.0})
+    assert terms == {"a": 2.0, "c": 0.5, "b": 3.0, "total": 20.0 + 0.5 + 300.0}
+    np.testing.assert_array_equal(adjoints.pop("psi"), [10.0, 110.0, 110.0, 100.0, 100.0, 100.0, 100.0])
+    np.testing.assert_array_equal(adjoints.pop("z"), np.arange(4.0))
+    # a field that no term reads gets a zero adjoint of its shape
+    assert {name: a.shape for name, a in adjoints.items()} == {
+        "grad_psi": (5, 3), "grad_template": (5, 3), "delta_s": (7,), "jac_v": (5, 3, 3)
+    }
+    assert not any(a.any() for a in adjoints.values())
+    with pytest.raises(StructuralError, match=r"^loss terms \['a', 'b', 'c'\] do not match weighted terms \['a'\]$"):
+        fields.weigh_terms(ev, table, {"a": 1.0})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.pop("jac_v"), "missing adjoint of field 'jac_v'"),
+    (lambda d: d.update(grad_y=np.zeros((5, 3))), "unknown adjoint of field 'grad_y'"),
+    (lambda d: d.update(_t_cache=None), "unknown adjoint of field '_t_cache'"),
+    (lambda d: d.update(grad_psi=np.zeros((7, 3))), "adjoint of grad_psi has shape (7, 3), expected 5x3"),
+    (lambda d: d.update(z=np.zeros(5)), "adjoint of z has shape (5,), expected 4"),
+], ids=["missing", "unknown", "private", "rows", "latent"])
+def test_compose_backward_takes_one_adjoint_per_field(edit, message):
+    # it used to take three optional adjoints, each None by default
+    ev = _composed(23)
+    adjoints = fields.weigh_terms(ev, {}, {})[1]
+    edit(adjoints)
+    with pytest.raises(StructuralError, match="^" + re.escape(message) + "$"):
+        fields.compose_backward(ev, adjoints)
+
+
+@pytest.mark.parametrize("pts", [[[None, 0, 0]], [["0.5", 0, 0]]], ids=["none", "text"])
+@pytest.mark.parametrize("call", [
+    lambda prior, z, pts: fields.compose_forward(prior, z, pts),
+    lambda prior, z, pts: fields.compose_value(prior.template, fields.hyper_forward(prior, z)[0], pts),
+    lambda prior, z, pts: fields.instance_field(prior, z)(pts),
+], ids=["compose-forward", "compose-value", "instance-field"])
+def test_points_that_are_not_numbers_are_refused(call, pts):
+    # None used to become NaN, and numeric text was parsed as a number
+    with pytest.raises(StructuralError, match="^points is not a numeric array: it holds"):
+        call(small_prior(24), np.zeros(8), pts)
 
 
 def test_prior_checkpoint_roundtrip(tmp_path):

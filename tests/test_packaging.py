@@ -243,10 +243,12 @@ def test_only_autodiff_knows_the_sine_frequency():
 def test_objectives_read_their_weight_tables():
     # training.shape_terms reads its category's row of training.TERM_WEIGHTS
     # and inference.view_terms reads inference.TERM_WEIGHTS; a weight
-    # parameter is a setting that only an experiment or a test would vary
+    # parameter is a setting that only an experiment or a test would vary.
+    # The autodiff term helpers return unweighted adjoints, and
+    # fields.weigh_terms, which is handed an objective's own row, weighs them
     hits = [
         f"{p.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({arg.arg})"
-        for p in (ROOT / "src" / "shapefit" / "training.py", ROOT / "src" / "shapefit" / "inference.py")
+        for p in (ROOT / "src" / "shapefit" / f"{m}.py" for m in ("autodiff", "training", "inference"))
         for node in ast.walk(ast.parse(p.read_text()))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
         for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
