@@ -4,6 +4,7 @@ A malformed argument (an object of the wrong type, a ragged, complex or
 non-numeric array, a wrong shape, no points, a non-finite entry, a setting
 out of range) is a StructuralError naming the argument, raised by the
 `check_*` functions below, the only code that tests an array's shape.
+`check_finite_array` owns the rule that an array argument is finite.
 A settings record (`InferenceConfig`, `TrainConfig`, `Intrinsics`,
 `NoisyOracleEstimator`), a `Pose`, a data record (`PointCloud`,
 `DepthImage`, `ShapeSampleSet`, `TriangleMesh`, `LatentCode`), a shape
@@ -100,15 +101,22 @@ def check_shape(name, value, shape, dtype=np.float64):
     return arr
 
 
+def check_finite_array(name, value, shape):
+    """`value` read through `check_shape`; raise StructuralError naming `name` and
+    the first-axis index (a point, an entry, a row) of its first non-finite entry."""
+    arr = check_shape(name, value, shape)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise StructuralError(f"{name} has non-finite entries, first at index {np.argwhere(~finite)[0, 0]}")
+    return arr
+
+
 def check_cloud(name, value):
     """`value` as an (N, 3) float64 point cloud; raise StructuralError naming
     `name` unless it holds at least one point and every entry is finite."""
-    pts = check_shape(name, value, ("N", 3))
+    pts = check_finite_array(name, value, ("N", 3))
     if len(pts) == 0:
         raise StructuralError(f"{name} has no points")
-    if not np.isfinite(pts).all():
-        row = np.argwhere(~np.isfinite(pts))[0, 0]
-        raise StructuralError(f"{name} has non-finite entries, first at point {row}")
     return pts
 
 

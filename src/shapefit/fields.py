@@ -34,7 +34,7 @@ from dataclasses import fields as dataclass_fields
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, StructuralError, _read_only, check_count, check_shape, check_type
+from .errors import DataError, StructuralError, _read_only, check_count, check_finite_array, check_shape, check_type
 from .formats import load_container, load_json, save_container, save_json
 from .rng import substream
 from .synthdata.shapes import check_category
@@ -50,10 +50,7 @@ class LatentCode:
     z: np.ndarray
 
     def __post_init__(self):
-        z = check_shape("latent", self.z, ("N",))
-        if not np.isfinite(z).all():
-            raise StructuralError("latent code has non-finite entries")
-        object.__setattr__(self, "z", _read_only(z))
+        object.__setattr__(self, "z", _read_only(check_finite_array("latent", self.z, ("N",))))
 
 
 @dataclass(frozen=True)
@@ -95,14 +92,12 @@ class ShapePrior:
             if h.in_dim != self.latent_dim:
                 raise StructuralError(f"hypernetwork {k} input dim != latent dim")
         for name, arr in named_arrays(t, self.hyper).items():
-            if not np.isfinite(arr).all():
-                raise StructuralError(f"{name} has non-finite entries")
+            check_finite_array(name, arr, arr.shape)
         object.__setattr__(self, "latents", dict(self.latents))
         for iid, z in self.latents.items():
             if not isinstance(iid, str):  # a checkpoint section name would turn it into one
                 raise StructuralError(f"latent id {iid!r} is not a string")
-            if not np.isfinite(check_shape(f"latent {iid!r}", z, (self.latent_dim,))).all():
-                raise StructuralError(f"latent {iid!r} has non-finite entries")
+            check_finite_array(f"latent {iid!r}", z, (self.latent_dim,))
 
     @property
     def latent_dim(self):
@@ -169,9 +164,7 @@ def init_prior(
 def hyper_forward(prior, z):
     """Predict deformation weights from a latent code, keeping caches."""
     check_type("prior", prior, ShapePrior, "a ShapePrior")
-    z = check_shape("latent", z, (prior.latent_dim,))
-    if not np.isfinite(z).all():
-        raise StructuralError("latent has non-finite entries")
+    z = check_finite_array("latent", z, (prior.latent_dim,))
     weights, biases, caches = [], [], []
     for (fan_out, fan_in), h in zip(prior.deform_shapes(), prior.hyper):
         out, cache = ad.forward_cached(h, z[None, :])

@@ -63,10 +63,14 @@ def _atomic_write(path, data: bytes):
 
 
 def save_container(path, sections: dict):
-    """Write named float arrays to the binary container, in dict order."""
+    """Write named float arrays to the binary container, in dict order; a name
+    that is not valid UTF-8 is refused before anything is written."""
     parts = [MAGIC, struct.pack("<II", VERSION, len(sections))]
     for name, arr in sections.items():
-        nb = name.encode("utf-8")
+        try:
+            nb = name.encode("utf-8")
+        except UnicodeEncodeError as e:  # a lone surrogate such as "\ud800"
+            raise StructuralError(f"section name {name!r} is not valid UTF-8: {e}") from e
         arr = np.asarray(arr, dtype=np.float64)
         parts.append(struct.pack("<I", len(nb)))
         parts.append(nb)
@@ -136,5 +140,5 @@ def load_json(path):
             return json.load(f)
     except OSError as e:
         raise DataError(f"cannot read JSON {path}: {e}") from e
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:  # RecursionError: nested too deep to parse
         raise DataError(f"{path}: invalid JSON: {e}") from e

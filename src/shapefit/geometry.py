@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructuralError, _read_only, check_real, check_shape, check_type
+from .errors import StructuralError, _read_only, check_finite_array, check_real, check_shape, check_type
 
 _DEGENERATE_NORM = 1e-9
 _ROTATION_TOL = 1e-6  # |R^T R - I| accepted by Pose
@@ -22,9 +22,7 @@ def _gram_schmidt(r6):
     """The Gram-Schmidt steps of a rot6d (a1, a2): (a2, b1, b2, |a1|, |u2|)
     with b1 = a1 / |a1|, u2 = a2 - (b1.a2) b1 and b2 = u2 / |u2|. A vector
     of no length or a non-finite entry raises StructuralError."""
-    r6 = check_shape("rot6d", r6, (6,))
-    if not np.isfinite(r6).all():
-        raise StructuralError("rot6d has non-finite entries")
+    r6 = check_finite_array("rot6d", r6, (6,))
     a1, a2 = r6[:3], r6[3:]
     n1 = np.linalg.norm(a1)
     if n1 < _DEGENERATE_NORM:
@@ -46,12 +44,8 @@ def rot6d_to_matrix(r6):
 def rot6d_backward(r6, grad_rot):
     """Adjoint of rot6d_to_matrix: maps dL/dR (3,3) to dL/dr6 (6,)."""
     a2, b1, b2, n1, n2 = _gram_schmidt(r6)
-    grad_rot = check_shape("grad_rot", grad_rot, (3, 3))
-    if not np.isfinite(grad_rot).all():
-        raise StructuralError("grad_rot has non-finite entries")
-    gb1 = np.array(grad_rot[:, 0], dtype=np.float64)
-    gb2 = np.array(grad_rot[:, 1], dtype=np.float64)
-    gb3 = np.asarray(grad_rot[:, 2], dtype=np.float64)
+    grad_rot = check_finite_array("grad_rot", grad_rot, (3, 3))
+    gb1, gb2, gb3 = grad_rot.T.copy()  # columns, copied: the caller's array is not written
     # b3 = b1 x b2
     gb1 += np.cross(b2, gb3)
     gb2 += np.cross(gb3, b1)
@@ -77,15 +71,14 @@ class Pose:
     def __post_init__(self):
         rot = _read_only(check_shape("rotation", self.rotation, (3, 3)))
         object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", _read_only(check_shape("translation", self.translation, (3,))))
+        t = _read_only(check_finite_array("translation", self.translation, (3,)))
+        object.__setattr__(self, "translation", t)
         with np.errstate(invalid="ignore"):  # a non-finite entry makes err NaN, which fails
             err = np.abs(rot.T @ rot - np.eye(3)).max()
         if not err <= _ROTATION_TOL:
             raise StructuralError(f"rotation is not a rotation matrix: |R^T R - I| = {err:.3g}")
         if not np.linalg.det(rot) > 0:
             raise StructuralError("rotation is not a rotation matrix: determinant -1 (a reflection)")
-        if not np.isfinite(self.translation).all():
-            raise StructuralError("translation has non-finite entries")
 
     @property
     def rot6d(self):
@@ -108,10 +101,10 @@ class Pose:
 
 def rotation_about_axis(axis, angle_rad):
     """Rodrigues rotation about a (not necessarily unit) axis."""
-    axis = check_shape("axis", axis, (3,))
+    axis = check_finite_array("axis", axis, (3,))
     check_real("angle_rad", angle_rad, -math.inf)
     norm = np.linalg.norm(axis)
-    if not (np.isfinite(norm) and norm >= _DEGENERATE_NORM):
+    if not (np.isfinite(norm) and norm >= _DEGENERATE_NORM):  # [1e308, 1e308, 0] has an infinite norm
         raise StructuralError(f"rotation axis {axis} has no direction")
     axis = axis / norm
     kx, ky, kz = axis
@@ -125,7 +118,7 @@ def look_at(eye):
 
     Camera convention: +z forward, +x right, +y down in the image.
     """
-    eye = check_shape("eye", eye, (3,))
+    eye = check_finite_array("eye", eye, (3,))
     fwd = -eye
     n = np.linalg.norm(fwd)
     if n < _DEGENERATE_NORM:

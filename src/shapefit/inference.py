@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fields
 from .canonicalize import PointCloud, canonicalize, lift_depth
-from .errors import StageError, StructuralError, check_cloud, check_count, check_finite, check_shape, check_type
+from .errors import StageError, StructuralError, check_cloud, check_count, check_finite, check_finite_array, check_type
 from .geometry import Pose, rot6d_backward, rot6d_to_matrix
 from .meshing import check_resolution, marching_cubes, sample_mesh_surface
 from .rng import substream
@@ -96,8 +96,7 @@ def view_terms(prior, z, r6, t, observed, free):
     and their weighted total.
     """
     observed, free = check_cloud("observed", observed), check_cloud("free", free)
-    if not np.isfinite(check_shape("t", t, (3,))).all():
-        raise StructuralError("t has non-finite entries")
+    check_finite_array("t", t, (3,))
     n = len(observed)
     ev = fields.compose_forward(prior, z, np.concatenate([observed @ rot6d_to_matrix(r6).T + t, free]), value_rows=n)
     table = {

@@ -151,6 +151,7 @@ def occlude(depth, ratio, seed):
     `depth` itself."""
     check_type("depth", depth, DepthImage, "a DepthImage")
     check_real("occlusion ratio", ratio)
+    check_count("seed", seed, 0)  # before the bypass, so ratio 0 refuses what any other ratio refuses
     if ratio == 0:
         return depth
     if not 0.05 <= ratio <= 0.85:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import (
-    DataError, StructuralError, _read_only, check_cloud, check_count, check_real, check_shape, check_type,
+    DataError, StructuralError, _read_only, check_cloud, check_count, check_finite_array, check_real, check_shape,
+    check_type,
 )
 from ..rng import substream
 
@@ -328,11 +329,9 @@ class ShapeSampleSet:
         surface = check_cloud("surface points", self.surface_points)
         normals = check_shape("surface normals", self.surface_normals, (len(surface), 3))
         free = check_cloud("free points", self.free_points)
-        sdf = check_shape("free sdf", self.free_sdf, (len(free),))
         if not np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() <= 1e-9:  # NaN fails too
             raise StructuralError("surface normals are not finite unit vectors")
-        if not np.isfinite(sdf).all():
-            raise StructuralError("free sdf has non-finite entries")
+        sdf = check_finite_array("free sdf", self.free_sdf, (len(free),))
         if np.abs(free).max() > 1.0 + 1e-12:
             raise StructuralError("free points outside the [-1,1]^3 cube")
         for field, value in zip(fields(self), (surface, normals, free, sdf)):

@@ -16,6 +16,7 @@ one weight. The objective of fitting a latent and a pose to one
 observation is `inference.view_terms`.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,7 @@ def fit(prior, dataset, config, on_epoch=None):
     check_type("prior", prior, fields.ShapePrior, "a ShapePrior")
     check_type("dataset", dataset, (list, tuple), "a list or tuple of (instance id, ShapeSampleSet) pairs")
     check_type("config", config, TrainConfig, "a TrainConfig")
+    check_type("on_epoch", on_epoch, (Callable, type(None)), "a callable or None")
     if not dataset:
         raise StructuralError("dataset is empty")
     ids = set()

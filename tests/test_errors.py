@@ -13,7 +13,7 @@ from shapefit import autodiff as ad
 from shapefit import canonicalize as canon
 from shapefit import fields, inference, meshing, metrics, training
 from shapefit import synthdata as sd
-from shapefit.errors import DataError, StructuralError, check_cloud, check_shape
+from shapefit.errors import DataError, StructuralError, check_cloud, check_finite_array, check_shape
 from shapefit.geometry import Pose, look_at, rot6d_backward, rotation_about_axis
 from shapefit.rng import substream
 
@@ -65,21 +65,37 @@ def test_ragged_or_non_numeric_array_is_a_structural_error_naming_the_argument(c
 
 @pytest.mark.parametrize("value, message", [
     (np.zeros((0, 3)), "has no points"),
-    (np.array([[0.0, 0, 0], [0, np.inf, 0]]), "has non-finite entries, first at point 1"),
+    (np.array([[0.0, 0, 0], [0, np.inf, 0]]), "has non-finite entries, first at index 1"),
 ])
 def test_check_cloud_names_the_cloud(value, message):
     with pytest.raises(StructuralError, match=f"^my cloud {message}"):
         check_cloud("my cloud", value)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("N",), ("N", 3), (3, 3)]), st.integers(1, 6), st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.data())
+def test_check_finite_array_names_the_first_axis_index_of_a_non_finite_entry(shape, n, bad, data):
+    size = tuple(n if s == "N" else s for s in shape)
+    value = substream(n, "finite").standard_normal(size)
+    assert check_finite_array("v", value, shape) is value  # finite float64 passes through as itself
+    # one to three bad entries: the first in row-major order is in the lowest row
+    cells = data.draw(st.lists(st.tuples(*(st.integers(0, s - 1) for s in size)), min_size=1, max_size=3))
+    for cell in cells:
+        value[cell] = bad
+    first = min(cell[0] for cell in cells)
+    with pytest.raises(StructuralError, match=f"^v has non-finite entries, first at index {first}$"):
+        check_finite_array("v", value, shape)
+
+
 @pytest.mark.parametrize("estimator", [canon.PcaEstimator(), canon.IcpEstimator()], ids=["pca", "icp"])
 def test_a_non_finite_cloud_fails_pose_estimation_naming_it(estimator):
     # this used to raise a bare LinAlgError from the covariance's eigh
     template = substream(0, "template").standard_normal((20, 3))
-    with pytest.raises(StructuralError, match="^points has non-finite entries, first at point 0$"):
+    with pytest.raises(StructuralError, match="^points has non-finite entries, first at index 0$"):
         estimator.estimate(np.full((5, 3), np.nan), lambda: template)
     # a bad template is not blamed on the observed cloud
-    with pytest.raises(StructuralError, match="^template points has non-finite entries, first at point 0$"):
+    with pytest.raises(StructuralError, match="^template points has non-finite entries, first at index 0$"):
         estimator.estimate(template, lambda: np.full((5, 3), np.nan))
 
 

@@ -79,7 +79,7 @@ def test_a_non_finite_latent_fails_at_the_door(call, bad):
     prior = small_prior(7)
     z = np.zeros(prior.latent_dim)
     z[2] = bad
-    with pytest.raises(StructuralError, match="^latent has non-finite entries$"):
+    with pytest.raises(StructuralError, match="^latent has non-finite entries, first at index 2$"):
         call(prior, z)
 
 

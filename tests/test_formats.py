@@ -173,3 +173,29 @@ def test_a_path_that_is_not_a_str_is_refused_before_any_file_is_touched(path, ki
         with pytest.raises(StructuralError, match=message):
             call()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_json_nested_too_deep_is_a_data_error(tmp_path):
+    # json raised a bare RecursionError, for a prior's sidecar too
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    with pytest.raises(DataError, match="invalid JSON"):
+        formats.load_json(deep)
+    prior = fields.init_prior("sphere", latent_dim=2, template_hidden=(4,), deform_hidden=(3,), hyper_hidden=4)
+    path = tmp_path / "prior.bin"
+    fields.save_prior(prior, path)
+    (tmp_path / "prior.bin.json").write_text("[" * 100000)
+    with pytest.raises(DataError, match="invalid JSON"):
+        fields.load_prior(path)
+
+
+def test_a_section_name_that_is_not_utf8_is_refused_before_anything_is_written(tmp_path):
+    # a lone surrogate raised a bare UnicodeEncodeError; a prior accepts it
+    # as a latent id, so save_prior failed the same way
+    with pytest.raises(StructuralError, match=re.escape("section name '\\ud800' is not valid UTF-8")):
+        formats.save_container(tmp_path / "c.bin", {"ok": np.zeros(2), "\ud800": np.zeros(2)})
+    prior = fields.init_prior("sphere", latent_dim=2, template_hidden=(4,), deform_hidden=(3,), hyper_hidden=4)
+    prior = fields.ShapePrior(prior.category, prior.template, prior.hyper, {"\ud800": np.zeros(2)})
+    with pytest.raises(StructuralError, match=re.escape("section name 'latent.\\ud800' is not valid UTF-8")):
+        fields.save_prior(prior, tmp_path / "prior.bin")
+    assert list(tmp_path.iterdir()) == []

@@ -88,7 +88,7 @@ def test_pose_validate_rejects_non_finite_rot6d(bad):
     # that matrix used to be NaN, with only a RuntimeWarning
     r6 = np.array([1.0, 0, 0, 0, 1.0, 0])
     r6[4] = bad
-    with pytest.raises(StructuralError, match="^rot6d has non-finite entries$"):
+    with pytest.raises(StructuralError, match="^rot6d has non-finite entries, first at index 4$"):
         geo.Pose(geo.rot6d_to_matrix(r6), np.zeros(3))
 
 
@@ -98,10 +98,10 @@ def test_rot6d_backward_rejects_non_finite_arguments(bad):
     r6 = np.array([1.0, 0, 0, 0, 1.0, 0])
     grad_rot = np.eye(3)
     grad_rot[1, 2] = bad
-    with pytest.raises(StructuralError, match="^grad_rot has non-finite entries$"):
+    with pytest.raises(StructuralError, match="^grad_rot has non-finite entries, first at index 1$"):
         geo.rot6d_backward(r6, grad_rot)
     r6[4] = bad
-    with pytest.raises(StructuralError, match="^rot6d has non-finite entries$"):
+    with pytest.raises(StructuralError, match="^rot6d has non-finite entries, first at index 4$"):
         geo.rot6d_backward(r6, np.eye(3))
 
 
@@ -161,8 +161,24 @@ def test_rotation_about_axis():
     np.testing.assert_allclose(rot @ [1, 0, 0], [0, 1, 0], atol=1e-12)
 
 
-@pytest.mark.parametrize("axis", [np.zeros(3), [1e-12, 0, 0], [np.nan, 0, 0], [np.inf, 0, 0]])
-def test_rotation_about_an_axis_with_no_direction_raises(axis):
-    # a zero axis used to give an all-NaN matrix with only a RuntimeWarning
-    with pytest.raises(StructuralError, match="has no direction"):
+@pytest.mark.parametrize("axis, message", [
+    pytest.param(np.zeros(3), "rotation axis .* has no direction", id="axis0"),
+    pytest.param([1e-12, 0, 0], "rotation axis .* has no direction", id="axis1"),
+    pytest.param([np.nan, 0, 0], "axis has non-finite entries, first at index 0$", id="axis2"),
+    pytest.param([np.inf, 0, 0], "axis has non-finite entries, first at index 0$", id="axis3"),
+    # finite entries whose norm overflows: without the norm guard this
+    # would silently return the identity
+    pytest.param([1e308, 1e308, 0], "rotation axis .* has no direction", id="infinite-norm"),
+])
+def test_rotation_about_an_axis_with_no_direction_raises(axis, message):
+    # a zero axis used to give an all-NaN matrix with only a RuntimeWarning,
+    # and a non-finite one was said to have no direction
+    with np.errstate(over="ignore"), pytest.raises(StructuralError, match=f"^{message}"):
         geo.rotation_about_axis(axis, 1.0)
+
+
+@pytest.mark.parametrize("eye, index", [([np.nan, 0, 2], 0), ([0, 1, np.inf], 2)], ids=["nan", "inf"])
+def test_look_at_names_a_non_finite_eye(eye, index):
+    # this used to blame the rotation: "rotation is not a rotation matrix: |R^T R - I| = nan"
+    with pytest.raises(StructuralError, match=f"^eye has non-finite entries, first at index {index}$"):
+        geo.look_at(eye)

@@ -120,7 +120,7 @@ GOOD_VIEW = dict(r6=R6, t=np.zeros(3), observed=np.zeros((5, 3)), free=np.zeros(
     (dict(observed=None), "observed has shape (), expected Nx3"),
     (dict(observed=np.zeros((0, 3))), "observed has no points"),
     (dict(observed=np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])),
-     "observed has non-finite entries, first at point 1"),
+     "observed has non-finite entries, first at index 1"),
     (dict(free=np.zeros((4, 2))), "free has shape (4, 2), expected Nx3"),
     (dict(free=np.zeros((0, 3))), "free has no points"),
     (dict(t=np.zeros(2)), "t has shape (2,), expected 3"),

@@ -159,6 +159,20 @@ def test_only_errors_checks_array_shapes():
     assert not hits, "hand-written shape checks outside errors.py: " + ", ".join(hits)
 
 
+def test_only_errors_refuses_non_finite_arguments():
+    # errors.check_finite_array owns the rule that an array argument is
+    # finite and its message, which names the first bad index; a hand-written
+    # refusal elsewhere names no index, or blames the wrong argument
+    hits = [
+        f"{p.relative_to(ROOT)}:{i} {line.strip()}"
+        for p in sorted((ROOT / "src" / "shapefit").rglob("*.py"))
+        if p.name != "errors.py"
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if "non-finite entries" in line
+    ]
+    assert not hits, "non-finite refusals outside errors.py: " + ", ".join(hits)
+
+
 def test_records_and_pose_are_valid_when_built():
     # settings and data records, networks, the prior, shapes and their
     # primitives check themselves when built, so no consumer re-checks them;

@@ -416,6 +416,14 @@ def test_occlude_rejects_a_ratio_that_is_not_a_real(ratio):
         sd.occlude(full_mask_image(20), ratio, seed=0)
 
 
+@pytest.mark.parametrize("ratio", [0.0, 0.3])
+@pytest.mark.parametrize("seed", [None, -1])
+def test_occlude_refuses_a_seed_that_is_not_a_count_at_every_ratio(ratio, seed):
+    # ratio 0 used to return the image without checking the seed
+    with pytest.raises(StructuralError, match=f"^seed must be an integer >= 0, got {seed}$"):
+        sd.occlude(full_mask_image(20), ratio, seed)
+
+
 def test_occlude_deterministic():
     img = full_mask_image(60)
     a = sd.occlude(img, 0.5, seed=8)

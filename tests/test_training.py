@@ -289,6 +289,20 @@ def test_fit_non_finite_gradient_aborts_before_step(monkeypatch):
         np.testing.assert_array_equal(pack_params(net.weights, net.biases), want)
 
 
+def test_fit_refuses_an_on_epoch_that_is_not_callable_before_any_step():
+    # it used to train a whole epoch, stepping the prior's weights, and only
+    # then raise a bare TypeError: 'int' object is not callable
+    dataset, _ = make_dataset(1, seed=41, n_pts=120)
+    prior = small_prior(42)
+    nets = (prior.template, *prior.hyper)
+    before = [pack_params(net.weights, net.biases) for net in nets]
+    with pytest.raises(StructuralError, match="^on_epoch must be a callable or None, got int$"):
+        training.fit(prior, dataset, desk_config(epochs=1), on_epoch=5)
+    for net, want in zip(nets, before):
+        np.testing.assert_array_equal(pack_params(net.weights, net.biases), want)
+    assert prior.latents == {}
+
+
 def test_fit_rejects_a_repeated_instance_id_before_training():
     # one latent used to be trained for both, and the first shape's latent
     # gradient was overwritten in every batch
