@@ -76,8 +76,8 @@ def check_real(name, value, minimum=0.0, strict=False):
 
 def check_shape(name, value, shape, dtype=np.float64):
     """`value` as a `dtype` array; raise StructuralError naming `name` unless
-    its shape is `shape`, where "N" stands for any length, and the
-    conversion to `dtype` keeps every value. An object array must hold
+    its shape is `shape`, where "N" stands for any length (None: any shape),
+    and the conversion to `dtype` keeps every value. An object array must hold
     real numbers alone (ints past int64 and Fractions convert to float64,
     and an int past an integer `dtype` is refused)."""
     try:
@@ -90,6 +90,7 @@ def check_shape(name, value, shape, dtype=np.float64):
         raise StructuralError(f"{name} is not a numeric array: {e}") from e
     except OverflowError as e:  # an object array's int past the range of `dtype`
         raise StructuralError(f"{name} has entries that are not {np.dtype(dtype)} values") from e
+    shape = ("N",) * arr.ndim if shape is None else shape
     if arr.ndim != len(shape) or any(want not in ("N", got) for want, got in zip(shape, arr.shape)):
         raise StructuralError(f"{name} has shape {arr.shape}, expected {'x'.join(map(str, shape))}")
     if raw.dtype == object:  # the cast turned None into NaN and parsed numeric text

@@ -11,9 +11,12 @@ meaning is the caller's (`fields` names a prior's networks layer by layer):
         ndim u8, dims u32[ndim], data f64[prod(dims)] row-major
 
 Writes are atomic (temp file + rename) so interrupted runs never leave
-half-written checkpoints behind; a refused write raises DataError. This
-module is the package's one door to the disk: every path is checked by
-`_fspath` before any file is opened.
+half-written checkpoints behind; a refused write raises DataError.
+Content a format cannot hold as itself (a section that is not a real
+array, a JSON value that is not a dict with str keys, list, str, number,
+bool or None) raises StructuralError naming its section or key before
+anything is written. This module is the package's one door to the disk:
+every path is checked by `_fspath` before any file is opened.
 """
 
 import json
@@ -24,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import DataError, StructuralError
+from .errors import DataError, StructuralError, check_shape, check_type
 
 MAGIC = b"SHAPEFIT"
 VERSION = 2
@@ -63,15 +66,16 @@ def _atomic_write(path, data: bytes):
 
 
 def save_container(path, sections: dict):
-    """Write named float arrays to the binary container, in dict order; a name
-    that is not valid UTF-8 is refused before anything is written."""
-    parts = [MAGIC, struct.pack("<II", VERSION, len(sections))]
+    """Write named real arrays to the binary container as float64, in dict
+    order; a name that is not a valid UTF-8 str, or an array that is ragged,
+    complex or not numeric, is refused before anything is written."""
+    parts = [MAGIC, struct.pack("<II", VERSION, len(check_type("sections", sections, dict, "a dict")))]
     for name, arr in sections.items():
         try:
-            nb = name.encode("utf-8")
+            nb = check_type(f"section name {name!r}", name, str, "a str").encode("utf-8")
         except UnicodeEncodeError as e:  # a lone surrogate such as "\ud800"
             raise StructuralError(f"section name {name!r} is not valid UTF-8: {e}") from e
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = check_shape(f"section {name!r}", arr, None)
         parts.append(struct.pack("<I", len(nb)))
         parts.append(nb)
         parts.append(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
@@ -129,7 +133,28 @@ def load_container(path):
 # JSON helpers (deterministic byte output)
 
 
+def _check_json(where, obj):
+    """Raise StructuralError naming the place, under `where`, of the first
+    value in `obj` that JSON does not hold as itself."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            check_type(f"JSON key {key!r} in {where}", key, str, "a str")
+            _check_json(f"{where}[{key!r}]", value)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            _check_json(f"{where}[{i}]", value)
+    else:
+        check_type(f"JSON value {where}", obj, (str, int, float, type(None)), "a dict, list, str, number, bool or None")
+
+
 def save_json(path, obj):
+    """Write `obj` as JSON with sorted keys; a dict with a key that is not a
+    str, or a value other than a dict, list, str, number, bool or None, is
+    refused before anything is written."""
+    try:
+        _check_json("document", obj)
+    except RecursionError as e:  # nested too deep, or a container holding itself
+        raise StructuralError(f"JSON document is nested too deep: {e}") from e
     _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 

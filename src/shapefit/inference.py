@@ -41,11 +41,12 @@ class InferenceConfig:
     iterations: int = 30
     eikonal_samples: int = 512
     max_observed_points: int = 2000
-    # final mesh; level by level, so res 128 evaluates 3.7% of the 129^3
-    # grid points on a trained car prior (79,498 of 2,146,689): 0.35-0.43 s,
-    # against 9-10 s to evaluate every grid point in slabs of 129^2 (one
-    # BLAS thread, 2-core shared AVX-512 x86 VM, NumPy 2.4, the
-    # 1.2M-parameter bench prior at training instance 0's latent)
+    # final mesh; level by level, so res 128 evaluates 3.1% of the 129^3
+    # grid points on a trained car prior (65,846 of 2,146,689): 0.29-0.35 s,
+    # against 0.40-0.51 s for the 79,498 points without the cell rule and
+    # 9-10 s to evaluate every grid point in slabs of 129^2 (one BLAS
+    # thread, 2-core shared AVX-512 x86 VM, NumPy 2.4, the 1.2M-parameter
+    # bench prior at training instance 0's latent)
     mc_resolution: int = 128
     seed: int = 0
 

@@ -17,16 +17,31 @@ CVPR 2019):
   blocks per axis. Each level cuts every side wider than one grid step at
   (lo + hi) // 2, so the cuts nest for any resolution (strides 8 -> 4 -> 2
   -> 1 at res 128; 6 -> 3 -> 2 or 1 -> 1 at res 96) until all are cells.
-- One rule applies at every level. The field is evaluated at the corners of
-  the candidate blocks, which at level 0 are all blocks and deeper are the
-  children of the active blocks. A block stays active if its corners
-  change sign, or if one of its corners has |f| <= half the block's
-  diagonal: a zero inside a block is within half its diagonal of the
-  nearest corner, so a 1-Lipschitz field (an SDF) has no zero in a block
-  whose corners are all farther from 0 than that.
+- The block rule applies at every level. The field is evaluated at the
+  corners of the candidate blocks, which at level 0 are all blocks and
+  deeper are the children of the active blocks. A block stays active if
+  its corners change sign, or if one of its corners has |f| <= half the
+  block's diagonal: a zero inside a block is within half its diagonal of
+  the nearest corner, so a 1-Lipschitz field (an SDF) has no zero in a
+  block whose corners are all farther from 0 than that.
+- The cell rule, at the split into cells only: before a child of a block
+  whose corners do not change sign is evaluated, it is dropped if one of
+  its corners already in the grid (at least the one it shares with that
+  block is) has |f| > its diagonal, 2 sqrt(3) / resolution. A 1-Lipschitz
+  field has no zero within that distance of the corner, so such a cell
+  cannot be crossed. The test reads the corner values the round gathers anyway to
+  find the unknown ones: no extra pass. It saves 17% of the field points
+  of a res-128 mesh (79,495 -> 65,845 on the bench prior, 119,189 ->
+  94,325 on a sphere). Two limits, both measured on a field ten times an
+  SDF at res 48 (3,928 triangles): applied to coarser blocks it would
+  save 23% but lose 192 triangles, since a dropped block can hold a
+  component that no crossed cell borders; applied to the children of a
+  block whose corners change sign too it would save 1% more but lose 96.
 - At the cell level the crossed candidate cells are kept. Closure: while a
   crossed cell has a face neighbour (its corner moved by 1 on one axis)
-  that is not yet a candidate, that neighbour becomes one.
+  that is not yet a candidate, that neighbour becomes one; a cell the
+  cell rule dropped is not a candidate, so the closure meshes it again if
+  it borders a crossed cell.
 - Level 0, each deeper level and each closure round is one step,
   `_evaluate`: it evaluates the round's new grid points once, in ascending
   flat grid index, and classifies the round's blocks. Every set the search
@@ -39,9 +54,10 @@ CVPR 2019):
   evaluation whenever every surface component reaches a candidate cell and
   the field's values do not depend on the batch they are computed in.
 Only a field steeper than 1-Lipschitz can hide a component, by keeping the
-corners of its block farther from 0 than half the block's diagonal. The
-closure mends such a miss where the component touches surface that was
-found; a component apart from all found surface is lost. Below resolution
+corners of its block farther from 0 than half the block's diagonal, or a
+known corner of its cell farther than the cell's diagonal. The closure
+mends such a miss where the component touches surface that was found; a
+component apart from all found surface is lost. Below resolution
 32 (2 * COARSE_CELLS) the stride is 1, every grid point is evaluated, and
 nothing can be missed.
 
@@ -139,18 +155,31 @@ def _take(mask):
     return marked
 
 
-def _evaluate(field, axis, grid, scratch, lo, hi):
+def _evaluate(field, axis, grid, scratch, lo, hi, loose=None):
     """One round: evaluate `field` at the corners of the blocks `lo`..`hi`
     that are still unknown (NaN) in the flat `grid`, once each, in ascending
     flat index (gathered in the clear `scratch` mask) and FIELD_BLOCK points
-    per call, store the values there, and classify the blocks. Returns, per
-    block, whether its corners change sign (negative is inside), and for a
-    block whose corners do not, the smallest |f| at them. Blocks are taken
-    FIELD_BLOCK at a time, so that no (8, B) array is built."""
+    per call, store the values there, and classify the blocks. A cell marked
+    in `loose` is dropped first if a corner of it already in `grid` is
+    farther from 0 than the cell's diagonal. Returns the blocks kept, `lo`
+    and `hi`, and per kept block whether its corners change sign (negative
+    is inside), and for a block whose corners do not, the smallest |f| at
+    them. Blocks are taken FIELD_BLOCK at a time, so that no (8, B) array
+    is built."""
     n = len(axis)
+    kept = np.ones(len(lo), dtype=bool)
     for i in range(0, len(lo), FIELD_BLOCK):
         points = _corners(lo[i : i + FIELD_BLOCK], hi[i : i + FIELD_BLOCK], n)
-        scratch[points[np.isnan(grid[points])]] = True
+        values = grid[points]
+        unknown = np.isnan(values)
+        if loose is not None:
+            # a 1-Lipschitz field has no zero within a diagonal of such a
+            # corner; an unknown corner (NaN) compares False
+            far = (np.abs(values) > 2 * np.sqrt(3) / (n - 1)).any(axis=0)
+            kept[i : i + FIELD_BLOCK] = ~(loose[i : i + FIELD_BLOCK] & far)
+            unknown &= kept[i : i + FIELD_BLOCK]
+        scratch[points[unknown]] = True
+    lo, hi = lo[kept], hi[kept]
     points = _take(scratch)
     coords = axis[np.stack(np.unravel_index(points, (n, n, n)), axis=1)]
     for i in range(0, len(points), FIELD_BLOCK):
@@ -168,18 +197,19 @@ def _evaluate(field, axis, grid, scratch, lo, hi):
         values = grid[_corners(lo[i : i + FIELD_BLOCK], hi[i : i + FIELD_BLOCK], n)]
         low[i : i + FIELD_BLOCK] = values.min(axis=0)
         high[i : i + FIELD_BLOCK] = values.max(axis=0)
-    return (low < 0.0) & (high >= 0.0), np.maximum(low, -high)
+    return lo, hi, (low < 0.0) & (high >= 0.0), np.maximum(low, -high)
 
 
-def _split(lo, hi):
-    """The children of the blocks `lo`..`hi`: every side wider than one grid
-    step is cut at (lo + hi) // 2, one axis after the other."""
+def _split(lo, hi, tag):
+    """The children of the blocks `lo`..`hi`, each with its parent's entry
+    of `tag`: every side wider than one grid step is cut at (lo + hi) // 2,
+    one axis after the other."""
     for a in range(3):
         wide = np.flatnonzero(hi[:, a] - lo[:, a] > 1)
         mid = (lo[wide, a] + hi[wide, a]) // 2
-        lo, hi = np.concatenate([lo, lo[wide]]), np.concatenate([hi, hi[wide]])
+        lo, hi, tag = (np.concatenate([x, x[wide]]) for x in (lo, hi, tag))
         hi[wide, a] = lo[len(lo) - len(wide) :, a] = mid
-    return lo, hi
+    return lo, hi, tag
 
 
 def _crossed_cells(field, grid, resolution):
@@ -195,13 +225,17 @@ def _crossed_cells(field, grid, resolution):
     starts = np.arange(0, resolution, stride, dtype=np.int32)  # halves the (B, 3) corner arrays
     lo = starts[np.indices((len(starts),) * 3).reshape(3, -1).T]
     hi = np.minimum(lo + stride, resolution)
-    crossed, nearest = _evaluate(field, axis, grid, scratch, lo, hi)
+    lo, hi, crossed, nearest = _evaluate(field, axis, grid, scratch, lo, hi)
     while (hi - lo > 1).any():
         # a zero inside a block lies within half its diagonal of the nearest
         # corner, so a 1-Lipschitz field is at most that far from 0 there
         keep = crossed | (nearest <= np.linalg.norm(hi - lo, axis=1) / resolution)
-        lo, hi = _split(lo[keep], hi[keep])
-        crossed, nearest = _evaluate(field, axis, grid, scratch, lo, hi)
+        lo, hi, loose = _split(lo[keep], hi[keep], ~crossed[keep])
+        # the cell rule: only at the split into cells, only for children of
+        # blocks whose corners do not change sign (see the module docstring)
+        lo, hi, crossed, nearest = _evaluate(
+            field, axis, grid, scratch, lo, hi, None if (hi - lo > 1).any() else loose
+        )
 
     # the finest level: every block is a cell, named by its lower corner
     step = np.array([npts * npts, npts, 1])
@@ -217,7 +251,8 @@ def _crossed_cells(field, grid, resolution):
         fresh = _take(scratch)
         seen[fresh] = True
         lo = np.stack(np.unravel_index(fresh, (npts,) * 3), axis=1)
-        new = lo[_evaluate(field, axis, grid, scratch, lo, lo + 1)[0]]
+        _, _, crossed, _ = _evaluate(field, axis, grid, scratch, lo, lo + 1)
+        new = lo[crossed]
         found.append(new @ step)
     scratch[np.concatenate(found)] = True
     return np.stack(np.unravel_index(_take(scratch), (npts,) * 3), axis=1)

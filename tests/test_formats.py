@@ -1,6 +1,7 @@
 import os
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -198,4 +199,29 @@ def test_a_section_name_that_is_not_utf8_is_refused_before_anything_is_written(t
     prior = fields.ShapePrior(prior.category, prior.template, prior.hyper, {"\ud800": np.zeros(2)})
     with pytest.raises(StructuralError, match=re.escape("section name 'latent.\\ud800' is not valid UTF-8")):
         fields.save_prior(prior, tmp_path / "prior.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("save, content, message", [
+    pytest.param(formats.save_container, {1: np.zeros(1)}, "section name 1 must be a str, got int", id="int-name"),
+    pytest.param(formats.save_container, {"x": "abc"}, "section 'x' is not a numeric array", id="text"),
+    pytest.param(formats.save_container, {"x": np.array([1 + 2j])}, "section 'x' is not a numeric array", id="complex"),
+    pytest.param(formats.save_container, {"x": None}, "section 'x' is not a numeric array", id="none"),
+    pytest.param(formats.save_container, {"x": [[1.0], [1.0, 2.0]]}, "section 'x' is not a numeric array", id="ragged"),
+    pytest.param(formats.save_json, {"x": np.zeros(2)},
+                 "JSON value document['x'] must be a dict, list, str, number, bool or None, got ndarray",
+                 id="json-array"),
+    pytest.param(formats.save_json, {"a": {1: 2}}, "JSON key 1 in document['a'] must be a str, got int",
+                 id="json-int-key"),
+])
+def test_malformed_content_is_refused_naming_its_section_or_key_before_anything_is_written(
+    save, content, message, tmp_path
+):
+    # these raised a bare AttributeError, ValueError or TypeError, or wrote a
+    # file that does not load back as the content: a complex section without
+    # its imaginary part, None as NaN, an int key as a str
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning is not a refusal
+        with pytest.raises(StructuralError, match="^" + re.escape(message)):
+            save(tmp_path / "out", content)
     assert list(tmp_path.iterdir()) == []
