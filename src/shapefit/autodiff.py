@@ -355,14 +355,24 @@ def term_latent_l2(z):
 
 
 class Adam:
-    """Adam over a dict of named float64 arrays, with lazy per-key state."""
+    """Adam over a dict of named float64 arrays, with lazy per-key state.
+
+    `step` streams each key through two buffers, BLOCK floats at a time
+    (kept between steps, as long as the largest key or BLOCK), in place of
+    the dozen full-size temporaries of the textbook expressions; each block
+    takes the same operations in the same order, so the update is bit for
+    bit the textbook one. A parameter that is not contiguous is stepped
+    through a flat copy, written back.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    BLOCK = 16384  # floats per block: the two buffers take 256 KB
 
     def __init__(self):
         self.m = {}
         self.v = {}
         self.t = {}
+        self._buf = np.empty((2, 0))
 
     def step(self, params, grads, lr):
         """In-place update of every key present in `grads`; each gradient
@@ -370,23 +380,35 @@ class Adam:
         check_type("params", params, Mapping, "a mapping")
         check_type("grads", grads, Mapping, "a mapping")
         check_real("lr", lr)
+        b1, b2 = self.beta1, self.beta2
         for key, g in grads.items():
             if key not in params:
                 raise StructuralError(f"gradient {key!r} has no parameter")
             p = params[key]
-            g = check_shape(f"gradient {key!r}", g, p.shape)
+            g = check_shape(f"gradient {key!r}", g, p.shape).reshape(-1)
             if key not in self.m:
-                self.m[key] = np.zeros_like(p)
-                self.v[key] = np.zeros_like(p)
+                self.m[key] = np.zeros(p.shape)
+                self.v[key] = np.zeros(p.shape)
                 self.t[key] = 0
             self.t[key] += 1
             t = self.t[key]
-            m = self.m[key]
-            v = self.v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            mhat = m / (1.0 - self.beta1**t)
-            vhat = v / (1.0 - self.beta2**t)
-            p -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            flat, m, v = p.reshape(-1), self.m[key].reshape(-1), self.v[key].reshape(-1)
+            width = min(len(flat), self.BLOCK)
+            if self._buf.shape[1] < width:
+                self._buf = np.empty((2, width))
+            for lo in range(0, len(flat), self.BLOCK):
+                s = slice(lo, lo + self.BLOCK)
+                mb, vb, gb = m[s], v[s], g[s]
+                a, b = self._buf[:, : len(gb)]
+                # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2
+                mb *= b1
+                mb += np.multiply(1.0 - b1, gb, out=a)
+                vb *= b2
+                vb += np.multiply(1.0 - b2, np.square(gb, out=a), out=a)
+                # p -= lr mhat / (sqrt(vhat) + eps), mhat = m / c1, vhat = v / c2
+                np.multiply(lr, np.divide(mb, c1, out=a), out=a)
+                np.add(np.sqrt(np.divide(vb, c2, out=b), out=b), self.eps, out=b)
+                flat[s] -= np.divide(a, b, out=a)
+            if not np.may_share_memory(flat, p):
+                p[...] = flat.reshape(p.shape)

@@ -9,12 +9,16 @@ and a scalar SDF correction, so the instance SDF is
     sdf(x) = template(x + v(x)) + correction(x).
 
 `compose_forward` and `compose_backward` are the one field pass of both
-objectives: callers pass a prior and a latent, and the pair runs the
-hypernetworks, tracks spatial Jacobians through the composition (for every
-point or a trailing subset), and pushes loss adjoints back to template
-weights, hypernetwork weights, the latent code and the points. Both
-objectives weigh their terms in `weigh_terms`, which gives the one adjoint
-per `ComposedEval` field that `compose_backward` takes.
+objectives, one latent at a time: callers pass a prior and a latent, the
+forward predicts the deformation net from it (`hyper_forward`, values
+only) and tracks spatial Jacobians through the composition (for every
+point or a trailing subset), and the backward pushes loss adjoints back to
+template weights, the predicted deformation weights and the points.
+`hyper_backward` then takes the deformation adjoints of a whole batch of
+latents through the hypernetworks, one reverse pass per hypernetwork, to
+the hypernetwork weights and the latents. Both objectives weigh their
+terms in `weigh_terms`, which gives the one adjoint per `ComposedEval`
+field that `compose_backward` takes.
 
 This module alone knows how a prior's arrays are built and named: the
 template (R^3 -> R) and the deformation net are sine nets, the
@@ -162,31 +166,41 @@ def init_prior(
 
 
 def hyper_forward(prior, z):
-    """Predict deformation weights from a latent code, keeping caches."""
+    """Predict deformation weights from a latent code (values only)."""
     check_type("prior", prior, ShapePrior, "a ShapePrior")
     z = check_finite_array("latent", z, (prior.latent_dim,))
-    weights, biases, caches = [], [], []
+    weights, biases = [], []
     for (fan_out, fan_in), h in zip(prior.deform_shapes(), prior.hyper):
-        out, cache = ad.forward_cached(h, z[None, :])
-        flat = out[0]
+        flat = ad.forward(h, z[None, :])[0]
         weights.append(flat[: fan_out * fan_in].reshape(fan_out, fan_in))
         biases.append(flat[fan_out * fan_in :].copy())
-        caches.append(cache)
-    return ad.MLPParams(weights, biases, ad.ACT_SINE), caches
+    return ad.MLPParams(weights, biases, ad.ACT_SINE)
 
 
-def hyper_backward(prior, caches, deform_grads, inputs_only=False):
+def hyper_backward(prior, latents, deform_grads, inputs_only=False):
     """Push adjoints of the predicted deformation weights through the
-    hypernetworks. Returns (per-hyper MLPGrads, latent gradient); with
-    `inputs_only` only the latent gradient is computed and the first item
-    is None."""
-    g_z = np.zeros(prior.latent_dim)
+    hypernetworks, for a batch of latents at once.
+
+    `latents` is (B, latent_dim), and `deform_grads` holds B MLPGrads, the
+    adjoint of the deformation net each latent predicts, as
+    `compose_backward` returns it. Each hypernetwork is run forward again
+    over the batch and reversed once with a (B, out) adjoint, so its weight
+    gradient is one GEMM over the batch, summed over its latents. Returns
+    (per-hyper MLPGrads, (B, latent_dim) latent gradients); with
+    `inputs_only` only the latent gradients are computed and the first
+    item is None.
+    """
+    check_type("prior", prior, ShapePrior, "a ShapePrior")
+    check_type("deform_grads", deform_grads, (list, tuple), "a list or tuple of MLPGrads")
+    latents = check_shape("latents", latents, (len(deform_grads), prior.latent_dim))
+    g_z = np.zeros(latents.shape)
     hyper_grads = []
-    for k, (h, cache) in enumerate(zip(prior.hyper, caches)):
-        flat = np.concatenate([deform_grads.weights[k].ravel(), deform_grads.biases[k]])
-        grads, gz = ad.backward(h, cache, flat[None, :], inputs_only=inputs_only)
+    for k, h in enumerate(prior.hyper):
+        flat = np.stack([np.concatenate([g.weights[k].ravel(), g.biases[k]]) for g in deform_grads])
+        _, cache = ad.forward_cached(h, latents)
+        grads, gz = ad.backward(h, cache, flat, inputs_only=inputs_only)
         hyper_grads.append(grads)
-        g_z += gz[0]
+        g_z += gz
     return (None if inputs_only else hyper_grads), g_z
 
 
@@ -203,8 +217,7 @@ class ComposedEval:
     batch (J = N unless `compose_forward` was given `value_rows`); `z` is
     the latent. A loss term reads one of these public fields. The private
     fields are what `compose_backward` reads besides: the prior, the
-    predicted deformation net, and the hypernetwork, template and
-    deformation caches.
+    predicted deformation net, and the template and deformation caches.
     """
 
     psi: np.ndarray  # (N,) composed SDF
@@ -215,7 +228,6 @@ class ComposedEval:
     z: np.ndarray  # (latent_dim,)
     _prior: ShapePrior
     _deform: ad.MLPParams
-    _h_caches: list
     _t_cache: object
     _d_cache: object
 
@@ -230,7 +242,7 @@ def compose_forward(prior, z, pts, value_rows=0):
     The first `value_rows` points get values only: the spatial Jacobians in
     the returned ComposedEval cover the points after them.
     """
-    deform, h_caches = hyper_forward(prior, z)
+    deform = hyper_forward(prior, z)
     z = check_shape("latent", z, (prior.latent_dim,))  # as hyper_forward read it
     pts = check_shape("points", pts, ("N", 3))
     d_out, d_jac, d_cache = ad.forward_aug(deform, pts, value_rows)  # (v, delta_s) and its Jacobian
@@ -239,7 +251,7 @@ def compose_forward(prior, z, pts, value_rows=0):
     # chain rule: grad psi = (I + dv/dx)^T grad_T + grad delta_s
     grad_psi = np.einsum("nik,ni->nk", jac_v + np.eye(3), grad_t) + d_jac[:, 3, :]
     psi = t_out[:, 0] + delta_s
-    return ComposedEval(psi, grad_psi, grad_t, delta_s, jac_v, z, prior, deform, h_caches, t_cache, d_cache)
+    return ComposedEval(psi, grad_psi, grad_t, delta_s, jac_v, z, prior, deform, t_cache, d_cache)
 
 
 def compose_value(template, deform, pts):
@@ -275,16 +287,19 @@ def weigh_terms(ev, table, weights):
 
 
 def compose_backward(ev, adjoints, inputs_only=False):
-    """Adjoint of compose_forward, through the hypernetworks to the latent.
+    """Adjoint of compose_forward, down to the predicted deformation weights.
 
     `adjoints` maps each public field of the ComposedEval `ev` to the loss
     adjoint of that field, shaped like it, as `weigh_terms` builds it; a
     missing or unknown field or a wrong shape is a StructuralError naming
-    the field. Returns (template MLPGrads, per-hypernetwork MLPGrads,
-    latent gradient, which includes the adjoint of `z`, gradient w.r.t. the
-    input points). With `inputs_only` both weight-gradient items are None;
-    the deformation net's weight gradients are still computed, since they
-    are the adjoint that the hypernetworks push into the latent.
+    the field. Returns (template MLPGrads, deformation-net MLPGrads, the
+    adjoint of `z`, gradient w.r.t. the input points). The deformation-net
+    gradients are the adjoint of the weights the hypernetworks predicted:
+    `hyper_backward` takes them, for a batch of latents, to the
+    hypernetwork weights and the latents, whose full gradient is its
+    result plus the adjoint of `z` returned here. With `inputs_only` the
+    template item is None; the deformation-net gradients are still
+    computed.
     """
     check_type("adjoints", adjoints, Mapping, "a mapping")
     bad = sorted(set(adjoints) ^ set(_TERM_FIELDS), key=str)
@@ -301,14 +316,13 @@ def compose_backward(ev, adjoints, inputs_only=False):
     gy4 = np.concatenate([g_y, g_ds[:, None]], axis=1)
     gjac4 = np.concatenate([g_jac_v, d["grad_psi"][:, None, :]], axis=1)
     d_grads, g_pts = ad.backward(ev._deform, ev._d_cache, gy4, gjac4)
-    h_grads, g_z = hyper_backward(ev._prior, ev._h_caches, d_grads, inputs_only=inputs_only)
     # y = pts + v contributes to the point gradient directly
-    return t_grads, h_grads, g_z + d["z"], g_pts + g_y
+    return t_grads, d_grads, d["z"], g_pts + g_y
 
 
 def instance_field(prior, z):
     """Batched value-only field closure for one latent (for meshing)."""
-    deform, _ = hyper_forward(prior, z)
+    deform = hyper_forward(prior, z)
     return lambda pts: compose_value(prior.template, deform, pts)
 
 

@@ -14,9 +14,11 @@ Writes are atomic (temp file + rename) so interrupted runs never leave
 half-written checkpoints behind; a refused write raises DataError.
 Content a format cannot hold as itself (a section that is not a real
 array, a JSON value that is not a dict with str keys, list, str, number,
-bool or None) raises StructuralError naming its section or key before
-anything is written. This module is the package's one door to the disk:
-every path is checked by `_fspath` before any file is opened.
+bool or None, a NaN or infinite float in JSON) raises StructuralError
+naming its section or key before anything is written; reading JSON
+refuses the NaN and Infinity tokens as DataError. This module is the
+package's one door to the disk: every path is checked by `_fspath` before
+any file is opened.
 """
 
 import json
@@ -145,12 +147,15 @@ def _check_json(where, obj):
             _check_json(f"{where}[{i}]", value)
     else:
         check_type(f"JSON value {where}", obj, (str, int, float, type(None)), "a dict, list, str, number, bool or None")
+        if isinstance(obj, float) and not math.isfinite(obj):
+            raise StructuralError(f"JSON value {where} is {obj!r}, which JSON has no number for")
 
 
 def save_json(path, obj):
     """Write `obj` as JSON with sorted keys; a dict with a key that is not a
-    str, or a value other than a dict, list, str, number, bool or None, is
-    refused before anything is written."""
+    str, or a value other than a dict, list, str, number, bool or None, or
+    a NaN or infinite float (which JSON has no number for), is refused
+    before anything is written."""
     try:
         _check_json("document", obj)
     except RecursionError as e:  # nested too deep, or a container holding itself
@@ -158,12 +163,19 @@ def save_json(path, obj):
     _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
+def _refuse_constant(token):
+    raise DataError(f"{token} is not a JSON number")
+
+
 def load_json(path):
+    """Read a JSON document; the NaN, Infinity and -Infinity tokens, which
+    Python's json module would read, are refused as invalid JSON."""
     path = _fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            return json.load(f, parse_constant=_refuse_constant)
     except OSError as e:
         raise DataError(f"cannot read JSON {path}: {e}") from e
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:  # RecursionError: nested too deep to parse
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, DataError) as e:
+        # RecursionError: nested too deep to parse; DataError: a NaN or Infinity token
         raise DataError(f"{path}: invalid JSON: {e}") from e

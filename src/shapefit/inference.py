@@ -5,12 +5,14 @@ Per step the observed points are moved into the canonical frame by the
 current pose and the field is penalized for nonzero values there; fresh
 uniform free-space samples keep the field eikonal; the latent stays small.
 `view_terms` evaluates this objective with one composed forward and one
-reverse pass over both point sets, its terms weighed by TERM_WEIGHTS in
-`fields.weigh_terms` as training's are by theirs. Only the free samples
-carry spatial Jacobians: no term reads the field gradient at an observed
-point, whose pose gradient comes from the reverse pass. Rotations use the
-continuous 6D parametrization, so plain Adam steps stay on the rotation
-manifold after Gram-Schmidt.
+reverse pass over both point sets, and takes the latent gradient through
+the hypernetworks as `training.shape_terms` does for a batch, here a batch
+of one; its terms are weighed by TERM_WEIGHTS in `fields.weigh_terms` as
+training's are by theirs. Only the free samples carry spatial Jacobians:
+no term reads the field gradient at an observed point, whose pose gradient
+comes from the reverse pass. Rotations use the continuous 6D
+parametrization, so plain Adam steps stay on the rotation manifold after
+Gram-Schmidt.
 """
 
 from collections.abc import Callable
@@ -87,11 +89,13 @@ def view_terms(prior, z, r6, t, observed, free):
     frame by x = R(r6) p + t and their field values pulled to zero; the
     free samples (M, 3), canonical frame, keep the field eikonal; the
     latent stays small. Both point sets share one `fields.compose_forward`
-    and one `fields.compose_backward` call, and the pose gradient follows
-    from the point gradient of the observed rows. `fields.weigh_terms`
-    weighs the term table; the three fields no term here reads get zero
-    adjoints. Only the free rows carry spatial Jacobians, since the eikonal
-    term is the one term that reads them.
+    and one `fields.compose_backward` call, `fields.hyper_backward` takes
+    the latent gradient through the hypernetworks (a batch of one, input
+    gradients only), and the pose gradient follows from the point gradient
+    of the observed rows. `fields.weigh_terms` weighs the term table; the
+    three fields no term here reads get zero adjoints. Only the free rows
+    carry spatial Jacobians, since the eikonal term is the one term that
+    reads them.
 
     Returns (terms, (g_z, g_r6, g_t)); terms holds each TERM_WEIGHTS term
     and their weighted total.
@@ -106,12 +110,13 @@ def view_terms(prior, z, r6, t, observed, free):
         "latent": ("z", slice(None), *ad.term_latent_l2(ev.z)),
     }
     terms, adjoints = fields.weigh_terms(ev, table, TERM_WEIGHTS)
-    _, _, g_z, g_pts = fields.compose_backward(ev, adjoints, inputs_only=True)
+    _, d_grads, own_z, g_pts = fields.compose_backward(ev, adjoints, inputs_only=True)
+    _, g_z = fields.hyper_backward(prior, ev.z[None, :], [d_grads], inputs_only=True)
     g_x = g_pts[:n]
     grad_rot = g_x.T @ observed
     # rot6d_backward refuses a non-finite grad_rot; NaN in g_r6 is named by joint_optimize's checks
     g_r6 = rot6d_backward(r6, grad_rot) if np.isfinite(grad_rot).all() else np.full(6, np.nan)
-    return terms, (g_z, g_r6, g_x.sum(axis=0))
+    return terms, (g_z[0] + own_z, g_r6, g_x.sum(axis=0))
 
 
 def joint_optimize(prior, observed, init, config):

@@ -8,12 +8,13 @@ deformation smoothness and correction magnitude. Every sum over a point
 set is a mean, so the weights stay decoupled from sample counts. The
 weights are constants, one row of TERM_WEIGHTS per category.
 
-`shape_terms` is the one implementation of this objective: it returns
-every term's value and the exact gradients w.r.t. template weights,
-hypernetwork weights and the latent. Its terms are a table, weighed in
-`fields.weigh_terms`, so a term is added or dropped by one table entry and
-one weight. The objective of fitting a latent and a pose to one
-observation is `inference.view_terms`.
+`shape_terms` is the one implementation of this objective, for a batch of
+shapes: it returns every shape's term values and the exact gradients of
+the batch w.r.t. template weights, hypernetwork weights and each latent,
+from one point pass per shape and one hypernetwork reverse pass per batch.
+Its terms are a table, weighed in `fields.weigh_terms`, so a term is added
+or dropped by one table entry and one weight. The objective of fitting a
+latent and a pose to one observation is `inference.view_terms`.
 """
 
 from collections.abc import Callable
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fields
-from .errors import StructuralError, check_count, check_finite, check_real, check_type
+from .errors import StructuralError, check_count, check_finite, check_real, check_shape, check_type
 from .rng import substream
 from .synthdata.shapes import ShapeSampleSet
 
@@ -71,19 +72,10 @@ class TrainConfig:
 # the loss
 
 
-def shape_terms(prior, z, samples):
-    """Evaluate every loss term for one shape and its exact gradients
-    w.r.t. template weights, hypernetwork weights and the latent, from one
-    `fields.compose_forward` and one `fields.compose_backward` call.
-
-    Each term is listed with the field and rows it reads, unweighted, and
-    `fields.weigh_terms` weighs them by the prior category's row of
-    TERM_WEIGHTS, read here. Returns (terms, (template_grads, hyper_grads,
-    latent_grad)); terms holds each term of the row and their weighted
-    total.
-    """
-    weights = TERM_WEIGHTS[check_type("prior", prior, fields.ShapePrior, "a ShapePrior").category]
-    check_type("samples", samples, ShapeSampleSet, "a ShapeSampleSet")
+def _shape_pass(prior, z, samples):
+    """One shape's forward, term table and reverse pass down to the
+    predicted deformation weights: (terms, template grads, deformation-net
+    grads, adjoint of z). Its point caches die when it returns."""
     n_s = len(samples.surface_points)
     ev = fields.compose_forward(prior, z, np.concatenate([samples.surface_points, samples.free_points]))
     targets = np.concatenate([np.zeros(n_s), samples.free_sdf])
@@ -101,9 +93,48 @@ def shape_terms(prior, z, samples):
         "smooth": ("jac_v", every, *ad.term_frobenius(ev.jac_v)),
         "correction": ("delta_s", every, *ad.term_l1(ev.delta_s)),
     }
-    terms, adjoints = fields.weigh_terms(ev, table, weights)
-    t_grads, h_grads, g_z, _ = fields.compose_backward(ev, adjoints)
-    return terms, (t_grads, h_grads, g_z)
+    terms, adjoints = fields.weigh_terms(ev, table, TERM_WEIGHTS[prior.category])
+    t_grads, d_grads, g_z, _ = fields.compose_backward(ev, adjoints)
+    return terms, t_grads, d_grads, g_z
+
+
+def shape_terms(prior, latents, sample_sets):
+    """Evaluate every loss term for a batch of shapes and the exact
+    gradients of the sum of their totals w.r.t. template weights,
+    hypernetwork weights and each latent.
+
+    latents: (B, latent_dim), row i the latent of `sample_sets[i]`. Each
+    shape runs one `fields.compose_forward`, its term table and one
+    `fields.compose_backward` in turn, so one shape's point caches are alive
+    at a time; then one `fields.hyper_backward` takes all B deformation
+    adjoints through the hypernetworks. Each term is listed with the field
+    and rows it reads, unweighted, and `fields.weigh_terms` weighs them by
+    the prior category's row of TERM_WEIGHTS. Returns (terms,
+    (template_grads, hyper_grads, latent_grads)): terms holds one dict per
+    shape with each term of the row and their weighted total; the network
+    gradients are summed over the batch, and latent_grads is (B, latent_dim).
+    """
+    check_type("prior", prior, fields.ShapePrior, "a ShapePrior")
+    check_type("sample_sets", sample_sets, (list, tuple), "a list or tuple of ShapeSampleSets")
+    if not sample_sets:
+        raise StructuralError("sample_sets is empty")
+    for i, samples in enumerate(sample_sets):
+        check_type(f"sample set {i}", samples, ShapeSampleSet, "a ShapeSampleSet")
+    latents = check_shape("latents", latents, (len(sample_sets), prior.latent_dim))
+    terms, d_grads, own_z = [], [], []
+    t_grads = None
+    for z, samples in zip(latents, sample_sets):
+        row, t_shape, d_shape, g_z = _shape_pass(prior, z, samples)
+        if t_grads is None:
+            t_grads = t_shape
+        else:
+            for total, g in zip((*t_grads.weights, *t_grads.biases), (*t_shape.weights, *t_shape.biases)):
+                total += g
+        terms.append(row)
+        d_grads.append(d_shape)
+        own_z.append(g_z)
+    h_grads, g_latents = fields.hyper_backward(prior, latents, d_grads)
+    return terms, (t_grads, h_grads, g_latents + np.array(own_z))
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +179,16 @@ def fit(prior, dataset, config, on_epoch=None):
     check_type("on_epoch", on_epoch, (Callable, type(None)), "a callable or None")
     if not dataset:
         raise StructuralError("dataset is empty")
-    ids = set()
+    seen = set()
     for i, entry in enumerate(dataset):
         if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and isinstance(entry[1], ShapeSampleSet)):
             raise StructuralError(f"dataset entry {i} is not an (instance id, ShapeSampleSet) pair")
         iid = entry[0]
         if not isinstance(iid, str):  # a checkpoint section name would turn it into one
             raise StructuralError(f"dataset entry {i}: instance id {iid!r} is not a string")
-        if iid in ids:
+        if iid in seen:
             raise StructuralError(f"dataset entry {i}: instance id {iid!r} appears more than once in the dataset")
-        ids.add(iid)
+        seen.add(iid)
         ns, nf = len(entry[1].surface_points), len(entry[1].free_points)
         if config.surface_points_per_shape > ns or config.free_points_per_shape > nf:
             raise StructuralError(
@@ -177,28 +208,24 @@ def fit(prior, dataset, config, on_epoch=None):
         order = rng.permutation(len(dataset))
         epoch_terms = dict.fromkeys((*TERM_WEIGHTS[prior.category], "total"), 0.0)
         for lo in range(0, len(order), config.batch_shapes):
-            batch = order[lo : lo + config.batch_shapes]
-            net_grads = {k: np.zeros_like(params[k]) for k in net_keys}
-            latent_grads = {}
-            for j in batch:
-                iid, sample_set = dataset[j]
-                sub = _subsample(sample_set, config.surface_points_per_shape, config.free_points_per_shape, rng)
-                terms, (t_grads, h_grads, g_z) = shape_terms(prior, prior.latents[iid], sub)
-                check_finite(f"epoch {epoch}, shape {iid!r}, loss terms", terms)
-                shape_grads = fields.named_arrays(t_grads, h_grads, {iid: g_z})
-                check_finite(f"epoch {epoch}, shape {iid!r}, gradients", shape_grads)
-                for k, g in shape_grads.items():
-                    if k in net_grads:
-                        net_grads[k] += g
-                    else:
-                        latent_grads[k] = g
+            batch = [dataset[j] for j in order[lo : lo + config.batch_shapes]]
+            ids = [iid for iid, _ in batch]
+            subs = [_subsample(s, config.surface_points_per_shape, config.free_points_per_shape, rng) for _, s in batch]
+            terms, (t_grads, h_grads, g_latents) = shape_terms(prior, [prior.latents[iid] for iid in ids], subs)
+            for iid, shape_row in zip(ids, terms):
+                check_finite(f"epoch {epoch}, shape {iid!r}, loss terms", shape_row)
                 for name in epoch_terms:
-                    epoch_terms[name] += terms[name]
-            scale = 1.0 / len(batch)
-            for k in net_grads:
-                net_grads[k] *= scale
+                    epoch_terms[name] += shape_row[name]
+            grads = fields.named_arrays(t_grads, h_grads, dict(zip(ids, g_latents)))
+            net_grads = {k: grads.pop(k) for k in net_keys}
+            check_finite(f"epoch {epoch}, shapes {ids}, network gradients", net_grads)
+            for iid, (k, g) in zip(ids, grads.items()):
+                check_finite(f"epoch {epoch}, shape {iid!r}, latent gradient", {k: g})
+            scale = 1.0 / len(ids)
+            for g in net_grads.values():
+                g *= scale
             optimizer.step(params, net_grads, lr=config.lr)
-            optimizer.step(params, latent_grads, lr=config.lr_latent)
+            optimizer.step(params, grads, lr=config.lr_latent)
         row = {"epoch": epoch}
         row.update({name: total / len(dataset) for name, total in epoch_terms.items()})
         history.append(row)

@@ -224,7 +224,26 @@ def full_jacobian_view_terms(prior, z, r6, t, observed, free):
         "latent": ("z", slice(None), *ad.term_latent_l2(ev.z)),
     }
     terms, adjoints = fields.weigh_terms(ev, table, TERM_WEIGHTS)
-    _, _, g_z, g_pts = fields.compose_backward(ev, adjoints, inputs_only=True)
+    _, d_grads, own_z, g_pts = fields.compose_backward(ev, adjoints, inputs_only=True)
+    _, g_z = fields.hyper_backward(prior, ev.z[None, :], [d_grads], inputs_only=True)
     g_x = g_pts[:n]
     g_r6 = rot6d_backward(r6, g_x.T @ observed)
-    return terms, (g_z, g_r6, g_x.sum(axis=0))
+    return terms, (g_z[0] + own_z, g_r6, g_x.sum(axis=0))
+
+
+def textbook_adam(params, steps):
+    """Adam as the textbook writes it, one full-array expression per line,
+    from zero moments: `steps` is a list of (grads, lr), each stepping
+    every key of `grads`. Returns the parameters and both moments."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    p = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in p.items()}
+    v = {k: np.zeros_like(x) for k, x in p.items()}
+    for t, (grads, lr) in enumerate(steps, 1):
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g**2
+            m_hat = m[k] / (1 - b1**t)
+            v_hat = v[k] / (1 - b2**t)
+            p[k] = p[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return p, m, v

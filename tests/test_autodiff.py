@@ -9,7 +9,7 @@ from shapefit.errors import StructuralError
 from shapefit.rng import substream
 from shapefit.synthdata import make_family, sample_shape
 
-from oracles import fd_grad_vector, fd_spatial_grad, n_params, pack_params, rel_err, unpack_params
+from oracles import fd_grad_vector, fd_spatial_grad, n_params, pack_params, rel_err, textbook_adam, unpack_params
 
 
 def tiny_net(seed=0, sizes=(3, 4, 1)):
@@ -185,7 +185,7 @@ def test_pure_latent_term_gradient(monkeypatch):
     monkeypatch.setitem(training.TERM_WEIGHTS, "sphere", row)
     z = np.zeros(8)
     z[0] = 1.0
-    terms, (_, _, g_z) = training.shape_terms(prior, z, samples)
+    [terms], (_, _, [g_z]) = training.shape_terms(prior, [z], [samples])
     assert terms["total"] == pytest.approx(1.0)
     np.testing.assert_allclose(g_z, z)
 
@@ -290,9 +290,9 @@ def test_loss_value_matches_plain_recomputation():
     )
     samples = sample_shape(make_family("sphere", 1, seed=14)[0], 5, 6, seed=15)
     z = substream(14, "z").standard_normal(4) * 0.3
-    terms, _ = training.shape_terms(prior, z, samples)
+    [terms], _ = training.shape_terms(prior, [z], [samples])
 
-    deform, _ = fields.hyper_forward(prior, z)
+    deform = fields.hyper_forward(prior, z)
 
     def psi(p):
         return fields.compose_value(prior.template, deform, np.atleast_2d(p))
@@ -454,6 +454,38 @@ def test_adam_moves_toward_minimum():
         grads = {"x": 2.0 * params["x"]}
         opt.step(params, grads, lr=0.1)
     assert abs(params["x"][0]) < 0.1
+
+
+def test_adam_matches_the_textbook_update_bit_for_bit():
+    # step streams each key through two block buffers with the textbook's
+    # operations in its order, so nothing may differ: keys of a prior's
+    # live arrays, one longer than a block and not a multiple of it, one of
+    # one entry, and one strided view that is stepped through a copy
+    prior = fields.init_prior("sphere", latent_dim=4, template_hidden=(6,), deform_hidden=(5,), hyper_hidden=6)
+    params = fields.named_arrays(prior.template, prior.hyper)
+    rng = substream(69, "adam")
+    backing = rng.standard_normal((6, 8))
+    untouched = backing[:, 1::2].copy()
+    params.update(long=rng.standard_normal(2 * ad.Adam.BLOCK + 123), one=rng.standard_normal(1), strided=backing[:, ::2])
+    start = {k: v.copy() for k, v in params.items()}
+    steps = []
+    for lr in (1e-3, 5e-4, 2e-3, 1e-3):
+        grads = {k: rng.standard_normal(v.shape) * 10.0 ** rng.integers(-3, 2) for k, v in params.items()}
+        grads["strided"] = np.asfortranarray(grads["strided"])
+        steps.append((grads, lr))
+    opt = ad.Adam()
+    for grads, lr in steps:
+        opt.step(params, grads, lr=lr)
+    want_p, want_m, want_v = textbook_adam(start, steps)
+    for k in params:
+        assert np.array_equal(params[k], want_p[k]), k
+        assert np.array_equal(opt.m[k], want_m[k]) and np.array_equal(opt.v[k], want_v[k]), k
+    # the prior's own arrays moved, and the strided view's backing array
+    # moved only under the view
+    assert np.array_equal(prior.hyper[0].weights[1], want_p["hyper.0.1.w"])
+    assert np.array_equal(prior.template.biases[0], want_p["template.0.b"])
+    assert np.array_equal(backing[:, ::2], want_p["strided"])
+    assert np.array_equal(backing[:, 1::2], untouched)
 
 
 @pytest.mark.parametrize("grads, message", [

@@ -28,6 +28,8 @@ ENTRY_POINTS = {
     "forward_cached": (lambda tmp: ad.forward_cached(NET, np.zeros((2, 3, 1))), "network input"),
     "backward": (lambda tmp: ad.backward(NET, ad.forward_cached(NET, np.zeros((5, 3)))[1], np.zeros((5, 2))), "gy"),
     "hyper_forward": (lambda tmp: fields.hyper_forward(PRIOR, np.zeros((1, 4))), "latent"),
+    "hyper_backward": (lambda tmp: fields.hyper_backward(PRIOR, np.zeros(4), [None]), "latents"),
+    "shape_terms": (lambda tmp: training.shape_terms(PRIOR, np.zeros((2, 4)), [SAMPLES]), "latents"),
     "LatentCode": (lambda tmp: fields.LatentCode(np.zeros((2, 4))), "latent"),
     "AnalyticShape.sdf": (lambda tmp: sd.AnalyticShape([sd.Sphere(np.zeros(3), 0.5)]).sdf(np.zeros(3)), "points"),
     "DepthImage": (lambda tmp: sd.DepthImage(np.ones(16), INTR), "depth"),
@@ -224,8 +226,12 @@ class NoEstimate:
                  id="hyper-forward-prior"),
     pytest.param(lambda: fields.compose_forward(None, np.zeros(4), CLOUD), "prior must be a ShapePrior, got NoneType",
                  id="compose-forward-prior"),
-    pytest.param(lambda: training.shape_terms(PRIOR, np.zeros(4), None),
-                 "samples must be a ShapeSampleSet, got NoneType", id="shape-terms-samples"),
+    pytest.param(lambda: training.shape_terms(PRIOR, np.zeros((1, 4)), None),
+                 "sample_sets must be a list or tuple of ShapeSampleSets, got NoneType", id="shape-terms-samples"),
+    pytest.param(lambda: training.shape_terms(PRIOR, np.zeros((2, 4)), [SAMPLES, None]),
+                 "sample set 1 must be a ShapeSampleSet, got NoneType", id="shape-terms-sample-set"),
+    pytest.param(lambda: fields.hyper_backward(None, np.zeros((1, 4)), [None]),
+                 "prior must be a ShapePrior, got NoneType", id="hyper-backward-prior"),
     pytest.param(lambda: canon.canonicalize(canon.PcaEstimator(), np.zeros((5, 3)), lambda: SPREAD),
                  "cloud must be a PointCloud, got ndarray", id="canonicalize-cloud"),
     pytest.param(lambda: canon.canonicalize(canon.PcaEstimator(), SPREAD, lambda: SPREAD.points),
@@ -248,7 +254,7 @@ class NoEstimate:
                  id="compose-value-deform"),
     pytest.param(lambda: ad.siren_init([3, 4], None), "rng must be a numpy Generator, got NoneType",
                  id="siren-init-rng"),
-    pytest.param(lambda: training.shape_terms(None, np.zeros(4), SAMPLES), "prior must be a ShapePrior, got NoneType",
+    pytest.param(lambda: training.shape_terms(None, np.zeros((1, 4)), [SAMPLES]), "prior must be a ShapePrior, got NoneType",
                  id="shape-terms-prior"),
     pytest.param(lambda: sd.AnalyticShape(None), "primitives must be a list or tuple of primitives, got NoneType",
                  id="analytic-shape-none"),

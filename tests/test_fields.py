@@ -44,7 +44,7 @@ def test_template_gradient_matches_fd():
 
 def test_hyper_zero_latent_returns_biases():
     prior = small_prior(4)
-    dw, _ = fields.hyper_forward(prior, np.zeros(prior.latent_dim))
+    dw = fields.hyper_forward(prior, np.zeros(prior.latent_dim))
     # hidden biases are zero, so hyper(0) reduces to the final-layer bias,
     # which holds the layout's init weights
     for k in range(dw.n_layers):
@@ -55,8 +55,8 @@ def test_hyper_zero_latent_returns_biases():
 def test_hyper_deterministic():
     prior = small_prior(5)
     z = substream(6, "z").standard_normal(prior.latent_dim)
-    a, _ = fields.hyper_forward(prior, z)
-    b, _ = fields.hyper_forward(prior, z)
+    a = fields.hyper_forward(prior, z)
+    b = fields.hyper_forward(prior, z)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
 
@@ -89,8 +89,8 @@ def test_hyper_lipschitz_perturbation_bound():
     z = rng.standard_normal(prior.latent_dim)
     z2 = z.copy()
     z2[3] += 1e-6
-    a, _ = fields.hyper_forward(prior, z)
-    b, _ = fields.hyper_forward(prior, z2)
+    a = fields.hyper_forward(prior, z)
+    b = fields.hyper_forward(prior, z2)
     for k, h in enumerate(prior.hyper):
         # operator-norm product bounds the relu-net Lipschitz constant
         lip = np.prod([np.linalg.norm(w, 2) for w in h.weights])
@@ -102,7 +102,7 @@ def test_hyper_lipschitz_perturbation_bound():
 
 def test_deform_eval_zeroed_final_layer():
     prior = small_prior(10)
-    dw, _ = fields.hyper_forward(prior, np.zeros(prior.latent_dim))
+    dw = fields.hyper_forward(prior, np.zeros(prior.latent_dim))
     dw.weights[-1][:] = 0.0
     dw.biases[-1][:] = 0.0
     out, jac, _ = ad.forward_aug(dw, np.array([[0.1, 0.2, 0.3]]))
@@ -123,7 +123,7 @@ def test_deform_linear_layer_jacobian_exact():
 def test_deform_jacobian_matches_fd():
     prior = small_prior(12)
     z = substream(13, "z").standard_normal(prior.latent_dim) * 0.1
-    dw, _ = fields.hyper_forward(prior, z)
+    dw = fields.hyper_forward(prior, z)
     x = np.array([0.2, -0.3, 0.4])
     _, jac, _ = ad.forward_aug(dw, x[None])
     for i in range(3):
@@ -201,11 +201,14 @@ def test_compose_backward_matches_fd_on_params():
     d_delta_s = np.sign(ev.delta_s) / n
     adjoints = dict(psi=d_psi, grad_psi=d_grad_psi, grad_template=d_grad_template, jac_v=d_jac_v,
                     delta_s=d_delta_s, z=np.zeros(4))
-    t_grads, h_grads, g_z, g_pts = fields.compose_backward(ev, adjoints)
+    t_grads, d_grads, own_z, g_pts = fields.compose_backward(ev, adjoints)
+    h_grads, g_z = fields.hyper_backward(prior, z0[None, :], [d_grads])
+    g_z = g_z[0] + own_z
     # the latent and point gradients need no weight gradients
-    none_t, none_h, g_z_only, g_pts_only = fields.compose_backward(ev, adjoints, inputs_only=True)
+    none_t, d_only, own_z_only, g_pts_only = fields.compose_backward(ev, adjoints, inputs_only=True)
+    none_h, g_z_only = fields.hyper_backward(prior, z0[None, :], [d_only], inputs_only=True)
     assert none_t is None and none_h is None
-    np.testing.assert_array_equal(g_z_only, g_z)
+    np.testing.assert_array_equal(g_z_only[0] + own_z_only, g_z)
     np.testing.assert_array_equal(g_pts_only, g_pts)
 
     # template params
@@ -287,7 +290,7 @@ def test_compose_backward_takes_one_adjoint_per_field(edit, message):
 @pytest.mark.parametrize("pts", [[[None, 0, 0]], [["0.5", 0, 0]]], ids=["none", "text"])
 @pytest.mark.parametrize("call", [
     lambda prior, z, pts: fields.compose_forward(prior, z, pts),
-    lambda prior, z, pts: fields.compose_value(prior.template, fields.hyper_forward(prior, z)[0], pts),
+    lambda prior, z, pts: fields.compose_value(prior.template, fields.hyper_forward(prior, z), pts),
     lambda prior, z, pts: fields.instance_field(prior, z)(pts),
 ], ids=["compose-forward", "compose-value", "instance-field"])
 def test_points_that_are_not_numbers_are_refused(call, pts):
@@ -321,7 +324,7 @@ def test_deform_layout_is_read_off_the_hypernetworks():
     prior = small_prior(24)
     assert prior.latent_dim == 8
     assert prior.deform_shapes() == [(12, 3), (12, 12), (4, 12)]
-    deform, _ = fields.hyper_forward(prior, np.zeros(8))
+    deform = fields.hyper_forward(prior, np.zeros(8))
     assert deform.activation == "sine"
 
 

@@ -225,3 +225,24 @@ def test_malformed_content_is_refused_naming_its_section_or_key_before_anything_
         with pytest.raises(StructuralError, match="^" + re.escape(message)):
             save(tmp_path / "out", content)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("content, where", [
+    ({"x": float("nan")}, "document['x'] is nan"),
+    ({"a": [1.0, float("inf")]}, "document['a'][1] is inf"),
+    ({"a": {"b": -np.inf}}, "document['a']['b'] is -inf"),
+], ids=["nan", "inf-in-list", "negative-inf"])
+def test_save_json_refuses_a_non_finite_float_before_anything_is_written(tmp_path, content, where):
+    # it was written as the bare token NaN or Infinity, which is not JSON
+    with pytest.raises(StructuralError, match="^" + re.escape(f"JSON value {where}, which JSON has no number for") + "$"):
+        formats.save_json(tmp_path / "doc.json", content)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_json_refuses_the_tokens_that_are_not_json(tmp_path, token):
+    # Python's json module reads them as floats
+    path = tmp_path / "doc.json"
+    path.write_text('{"x": [1.0, %s]}' % token)
+    with pytest.raises(DataError, match=f"invalid JSON: {token} is not a JSON number$"):
+        formats.load_json(path)

@@ -7,6 +7,7 @@ import tomllib
 from pathlib import Path
 
 import shapefit
+from shapefit import fields
 
 
 def test_console_scripts_import():
@@ -209,19 +210,25 @@ def test_only_fields_names_prior_arrays():
 
 
 def test_only_fields_runs_the_hypernetworks():
-    # fields.compose_forward and compose_backward run the hypernetworks, so
-    # the objectives pass a prior and a latent and get the latent gradient
-    # back; a caller that runs them itself carries the predicted net and its
-    # caches from one pass to the other
-    name = re.compile(r"\bhyper_(forward|backward)\b")
+    # fields.compose_forward runs the hypernetworks forward, and
+    # fields.hyper_backward, which the two objectives call with latents and
+    # the deformation adjoints compose_backward returns, runs them in
+    # reverse; no caller elsewhere runs them forward itself or reads a
+    # ComposedEval's private fields (the prior, the predicted net, the
+    # caches), so no cache crosses a module boundary
+    private = [f.name for f in dataclasses.fields(fields.ComposedEval) if f.name.startswith("_")]
+    name = re.compile(r"\bhyper_forward\b|\.(" + "|".join(private) + r")\b")
+    backward = re.compile(r"\bhyper_backward\b")
     hits = [
         f"{p.relative_to(ROOT)}:{i}"
         for p in sorted((ROOT / "src" / "shapefit").rglob("*.py"))
         if p.name != "fields.py"
         for i, line in enumerate(p.read_text().splitlines(), 1)
-        if name.search(line)
+        if name.search(line) or (p.name not in ("training.py", "inference.py") and backward.search(line))
     ]
-    assert not hits, "hypernetworks referenced outside fields.py: " + ", ".join(hits)
+    assert not hits, "hypernetworks or ComposedEval internals referenced outside fields.py: " + ", ".join(hits)
+    for module in ("training.py", "inference.py"):
+        assert backward.search((ROOT / "src" / "shapefit" / module).read_text()), module
 
 
 def test_only_the_fit_names_rot6d():

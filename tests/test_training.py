@@ -1,5 +1,6 @@
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -48,7 +49,7 @@ def plane_terms(samples, z=None, **weights):
     prior = plane_prior()
     z = np.zeros(prior.latent_dim) if z is None else z
     with mock.patch.dict(training.TERM_WEIGHTS[prior.category], weights):
-        return training.shape_terms(prior, z, samples)[0]
+        return training.shape_terms(prior, [z], [samples])[0][0]
 
 
 def test_exact_plane_field_loss_identities():
@@ -67,7 +68,7 @@ def test_zero_field_spike_is_one():
     prior.template.weights[0][:] = 0.0
     sphere = make_family("sphere", 1, seed=3)[0]
     samples = sample_shape(sphere, 50, 60, seed=4)
-    terms, _ = training.shape_terms(prior, np.zeros(prior.latent_dim), samples)
+    [terms], _ = training.shape_terms(prior, [np.zeros(prior.latent_dim)], [samples])
     assert terms["sdf_spike"] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -89,7 +90,7 @@ def test_loss_smooth_linear_deformation():
     prior.hyper[0].biases[-1][:] = pack_params([w], [np.zeros(4)])
     samples = plane_samples(rng)
     z = np.zeros(prior.latent_dim)
-    terms, _ = training.shape_terms(prior, z, samples)
+    [terms], _ = training.shape_terms(prior, [z], [samples])
     assert terms["smooth"] == pytest.approx(np.linalg.norm(a_mat), rel=1e-12)
     zero = plane_terms(samples)
     assert zero["smooth"] == 0.0
@@ -110,7 +111,7 @@ def test_every_term_nonnegative():
     samples = sample_shape(sphere, 80, 80, seed=9)
     rng = substream(10, "z")
     z = rng.standard_normal(prior.latent_dim) * 0.3
-    terms, _ = training.shape_terms(prior, z, samples)
+    [terms], _ = training.shape_terms(prior, [z], [samples])
     for name in training.TERM_WEIGHTS["sphere"]:
         assert terms[name] >= 0.0
 
@@ -131,22 +132,26 @@ def test_total_loss_projection():
 
 
 def test_shape_terms_gradients_match_fd():
+    # a batch of two shapes, so each hypernetwork weight gradient is one
+    # GEMM over both latents' rows; the objective is the sum of the totals
     prior = fields.init_prior(
         "sphere", latent_dim=4, template_hidden=(5,), deform_hidden=(4,),
         hyper_hidden=6, seed=12,
     )
-    sphere = make_family("sphere", 1, seed=13)[0]
-    samples = sample_shape(sphere, 10, 10, seed=14)
-    rng = substream(15, "z")
-    z0 = rng.standard_normal(4) * 0.3
-    terms, (t_grads, h_grads, g_z) = training.shape_terms(prior, z0, samples)
+    sample_sets = [sample_shape(s, 10, 10, seed=14) for s in make_family("sphere", 2, seed=13)]
+    z0 = substream(15, "z").standard_normal((2, 4)) * 0.3
+    _, (t_grads, h_grads, g_z) = training.shape_terms(prior, z0, sample_sets)
+    assert g_z.shape == (2, 4)
+
+    def batch_total(moved, latents=z0):
+        return sum(row["total"] for row in training.shape_terms(moved, latents, sample_sets)[0])
 
     base_t = pack_params(prior.template.weights, prior.template.biases)
 
     def loss_t(vec):
         ws, bs = unpack_params(vec, prior.template)
         template = ad.MLPParams(ws, bs, prior.template.activation)
-        return training.shape_terms(dataclasses.replace(prior, template=template), z0, samples)[0]["total"]
+        return batch_total(dataclasses.replace(prior, template=template))
 
     want_t = fd_grad_vector(loss_t, base_t, h=1e-6)
     got_t = pack_params(t_grads.weights, t_grads.biases)
@@ -157,18 +162,41 @@ def test_shape_terms_gradients_match_fd():
     def loss_h(vec):
         ws, bs = unpack_params(vec, prior.hyper[0])
         h0 = ad.MLPParams(ws, bs, prior.hyper[0].activation)
-        moved = dataclasses.replace(prior, hyper=[h0, *prior.hyper[1:]])
-        return training.shape_terms(moved, z0, samples)[0]["total"]
+        return batch_total(dataclasses.replace(prior, hyper=[h0, *prior.hyper[1:]]))
 
     want_h = fd_grad_vector(loss_h, base_h, h=1e-6)
     got_h = pack_params(h_grads[0].weights, h_grads[0].biases)
     assert rel_err(got_h, want_h, floor=1e-5) < 1e-3
 
-    def loss_z(vec):
-        return training.shape_terms(prior, vec, samples)[0]["total"]
+    want_z = fd_grad_vector(lambda vec: batch_total(prior, vec.reshape(2, 4)), z0.ravel(), h=1e-6)
+    assert rel_err(g_z.ravel(), want_z, floor=1e-5) < 1e-3
 
-    want_z = fd_grad_vector(loss_z, z0, h=1e-6)
-    assert rel_err(g_z, want_z, floor=1e-5) < 1e-3
+
+def test_batch_gradients_are_the_sums_of_single_shape_gradients():
+    # one hypernetwork reverse pass over the batch's latents sums each
+    # weight gradient in one GEMM; it must equal the shapes' own gradients
+    # summed, and give each latent the gradient it gets alone
+    prior = small_prior(43)
+    sample_sets = [sample_shape(s, 60, 60, seed=44) for s in make_family("sphere", 3, seed=45)]
+    latents = substream(46, "z").standard_normal((3, prior.latent_dim)) * 0.3
+    terms, (t_grads, h_grads, g_z) = training.shape_terms(prior, latents, sample_sets)
+    singles = [training.shape_terms(prior, [z], [s]) for z, s in zip(latents, sample_sets)]
+    assert terms == [one_terms[0] for one_terms, _ in singles]
+
+    def packed_nets(t, h):
+        return [pack_params(net.weights, net.biases) for net in (t, *h)]
+
+    single_nets = [packed_nets(t, h) for _, (t, h, _) in singles]
+    for k, got in enumerate(packed_nets(t_grads, h_grads)):
+        want = np.sum([nets[k] for nets in single_nets], axis=0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    want_z = np.concatenate([g for _, (_, _, g) in singles])
+    np.testing.assert_allclose(g_z, want_z, rtol=1e-12, atol=1e-12 * np.abs(want_z).max())
+
+
+def test_shape_terms_refuses_an_empty_batch():
+    with pytest.raises(StructuralError, match="^sample_sets is empty$"):
+        training.shape_terms(small_prior(52), np.zeros((0, 6)), [])
 
 
 def test_missing_normals_raises():
@@ -196,6 +224,52 @@ def make_dataset(n_shapes, seed, n_pts=400):
     return [
         (s.name, sample_shape(s, n_pts, n_pts, seed=seed + 1)) for s in shapes
     ], shapes
+
+
+@pytest.mark.parametrize("n_shapes, batch", [(3, 3), (3, 2)])
+def test_a_fit_epoch_reverses_each_hypernetwork_once_per_batch(monkeypatch, n_shapes, batch):
+    # per shape one template and one deformation reverse pass, and per
+    # batch one per hypernetwork over the batch's latents (it was one per
+    # hypernetwork and shape)
+    calls = []
+    real_backward = ad.backward
+
+    def counting(params, *args, **kwargs):
+        calls.append(params)
+        return real_backward(params, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "backward", counting)
+    dataset, _ = make_dataset(n_shapes, seed=47, n_pts=120)
+    prior = small_prior(48)
+    training.fit(prior, dataset, desk_config(epochs=1, batch_shapes=batch))
+    n_batches = -(-n_shapes // batch)
+    assert len(calls) == 2 * n_shapes + n_batches * len(prior.hyper)
+    assert sum(net is prior.template for net in calls) == n_shapes
+    for h in prior.hyper:
+        assert sum(net is h for net in calls) == n_batches
+
+
+def _fit_peak_bytes(n_shapes):
+    """tracemalloc peak of one fit epoch of `n_shapes` shapes in one batch."""
+    shapes = make_family("sphere", n_shapes, seed=49)
+    dataset = [(s.name, sample_shape(s, 300, 300, seed=50)) for s in shapes]
+    cfg = desk_config(epochs=1, batch_shapes=n_shapes, surface_points_per_shape=300, free_points_per_shape=300)
+    training.fit(small_prior(51), dataset, cfg)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        training.fit(small_prior(51), dataset, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_batch_keeps_one_shapes_point_caches_at_a_time():
+    # each shape's forward and point reverse pass run before the next
+    # shape's forward, so a batch of four peaks about where one shape does:
+    # 1.026x (3.63 / 3.54 MB), and 1.011x when every shape ran its own
+    # hypernetwork reverse passes; keeping every shape's ComposedEval until
+    # the hypernetwork pass read 2.92x
+    assert _fit_peak_bytes(4) <= 1.25 * _fit_peak_bytes(1)
 
 
 def test_fit_epoch0_reproducible():
@@ -269,24 +343,40 @@ def test_fit_nan_abort_names_shape():
         training.fit(prior, dataset, desk_config(epochs=1))
 
 
-def test_fit_non_finite_gradient_aborts_before_step(monkeypatch):
-    # a finite loss with a NaN hypernetwork gradient must not reach Adam
-    dataset, _ = make_dataset(1, seed=30, n_pts=120)
+def _poison_hyper(grads):
+    grads[1][0].weights[1][0, 0] = np.nan
+
+
+def _poison_latent(grads):
+    grads[2][1, 0] = np.nan
+
+
+@pytest.mark.parametrize("poison, match", [
+    (_poison_hyper, r"^epoch 0, shapes \['sphere_0001', 'sphere_0000'\], network gradients: non-finite \['hyper\.0\.1\.w'\]$"),
+    (_poison_latent, r"^epoch 0, shape 'sphere_0000', latent gradient: non-finite \['latent\.sphere_0000'\]$"),
+], ids=["network", "latent"])
+def test_fit_non_finite_gradient_aborts_before_step(monkeypatch, poison, match):
+    # a finite loss with a NaN gradient must not reach Adam: a network
+    # gradient, summed over the batch, names the epoch, the batch's ids and
+    # the array; a latent gradient names its shape
+    dataset, _ = make_dataset(2, seed=30, n_pts=120)
     prior = small_prior(31)
     real_shape_terms = training.shape_terms
 
     def poisoned(*args, **kwargs):
-        terms, (t_grads, h_grads, g_z) = real_shape_terms(*args, **kwargs)
-        h_grads[0].weights[1][0, 0] = np.nan
-        return terms, (t_grads, h_grads, g_z)
+        terms, grads = real_shape_terms(*args, **kwargs)
+        poison(grads)
+        return terms, grads
 
     monkeypatch.setattr(training, "shape_terms", poisoned)
     nets = (prior.template, *prior.hyper)
     before = [pack_params(net.weights, net.biases) for net in nets]
-    with pytest.raises(NumericError, match=r"sphere_0000.*hyper\.0\.1\.w"):
-        training.fit(prior, dataset, desk_config(epochs=1))
+    with pytest.raises(NumericError, match=match):
+        training.fit(prior, dataset, desk_config(epochs=1, batch_shapes=2))
     for net, want in zip(nets, before):
         np.testing.assert_array_equal(pack_params(net.weights, net.biases), want)
+    for iid, _ in dataset:
+        np.testing.assert_array_equal(prior.latents[iid], substream(0, "latent-init", iid).normal(0.0, fields.LATENT_INIT_STD, 6))
 
 
 def test_fit_refuses_an_on_epoch_that_is_not_callable_before_any_step():
